@@ -1,16 +1,22 @@
-"""Distributions tied to the bucket of a fixed label j.
+"""Distributions tied to the bucket of a fixed label j: Pólya urn ⇒
+Beta-Binomial; one out-degree pass for every named family.
 
 Y_{n,j}  counts label j together with all later labels in the subtree of
 j's bucket.  tau_{n,j} is the time that bucket saturates (censored at n),
 and X_{n,j} is its out-degree.  All finite-n laws here are exact
-rationals, built from one observation: for the named families the total
-attraction weight of any subtree with s labels is a*s + c with the same
-constants as the whole tree, so Y is a Markov chain with rational
-transition probabilities.
+rationals.  For the named families the total attraction weight of any
+subtree with t labels is a*t + c with the same constants as the whole
+tree, and c/a = kappa.  So given K_j = ell, j's subtree grows as a
+two-colour Pólya urn and Y - 1 ~ BetaBinomial(n - j, ell + kappa, j - ell)
+(Johnson & Kotz, *Urn Models*); its atoms, and the hit probabilities that
+give tau, follow ratio recurrences.  After saturation the bucket attracts
+with weight node_weight(b, x) at out-degree x, so one forward pass over
+the sizes, fed by the law of tau, gives X.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -33,28 +39,22 @@ def _check_nj(n: int, j: int) -> None:
         raise ValueError(f"label j={j} outside 1..{n}")
 
 
-def _y_chain(spec: FamilySpec, n: int, ell: int, j: int) -> list:
-    """pmf vectors of Y at sizes j..n given the bucket held ell labels at time j.
+def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int,
+               count: int) -> list:
+    """P{Y - 1 = k} for k < count, `draws` labels after time j, given K_j = ell.
 
-    Returns a list indexed by size s (entry s-j), each a dict m -> Fraction.
+    Scaled by a, the subtree is an urn of a*ell + c white and a*(j - ell)
+    black units, and each label adds a to the colour it joins.
     """
-    gc = families.growth_coeffs(spec)
-    a, c = gc.a, gc.total_c
-    cur = {1: Fraction(1)}
-    out = [cur]
-    for s in range(j, n):
-        total = a * s + c
-        nxt: dict = {}
-        for m, p in cur.items():
-            join = Fraction(a * (m + ell - 1) + c, total)
-            stay = Fraction(a * (s + 1 - m - ell), total)
-            if join:
-                nxt[m + 1] = nxt.get(m + 1, Fraction(0)) + p * join
-            if stay:
-                nxt[m] = nxt.get(m, Fraction(0)) + p * stay
-        cur = nxt
-        out.append(cur)
-    return out
+    a, white, black = gc.a, gc.a * ell + gc.total_c, gc.a * (j - ell)
+    p = Fraction(math.prod(range(black, black + a * draws, a)),
+                 math.prod(range(gc.total(j), gc.total(j + draws), a)))
+    atoms = [p]
+    for k in range(min(count, draws + 1) - 1):
+        p *= Fraction((draws - k) * (white + a * k),
+                      (k + 1) * (black + a * (draws - k - 1)))
+        atoms.append(p)
+    return atoms
 
 
 def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
@@ -66,11 +66,12 @@ def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
     if j <= spec.b:
         # j sits in the root bucket, whose subtree is the whole tree
         return point_mass(n + 1 - j)
-    return Pmf(_y_chain(spec, n, ell, j)[-1]).check()
+    atoms = _urn_atoms(families.growth_coeffs(spec), ell, j, n - j, n - j + 1)
+    return Pmf({1 + k: p for k, p in enumerate(atoms)}).check()
 
 
 def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
-    """The exact law of Y_{n,j}, mixing the conditional chains over K_j."""
+    """The exact law of Y_{n,j}, mixing the conditional laws over K_j."""
     _require_named(spec)
     _check_nj(n, j)
     if j <= spec.b:
@@ -81,23 +82,21 @@ def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
     return mixture(comps).check()
 
 
-def _q_fill(spec: FamilySpec, m: int) -> Fraction:
-    """P{label m lands in a given bucket | that bucket has b-1 labels, no children}."""
-    gc = families.growth_coeffs(spec)
-    return Fraction(gc.node_weight(spec.b - 1, 0), gc.total(m - 1))
-
-
 def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of tau_{n,j}: when j's bucket saturates, censored at n.
 
     While unsaturated, j's bucket has no children, so its subtree is the
-    bucket itself and saturation happens exactly when Y reaches b + 1 - K_j.
+    bucket itself and it holds b - 1 labels exactly when Y = b - K_j.  At
+    size s that has a probability with a ratio recurrence in s, and label
+    s + 1 then fills the bucket with probability node_weight(b-1, 0)/total(s).
     """
     _require_named(spec)
     _check_nj(n, j)
     b = spec.b
     if j <= b:
         return point_mass(min(b, n))
+    gc = families.growth_coeffs(spec)
+    a, fill = gc.a, gc.node_weight(b - 1, 0)
     kj = pmf_K_exact(spec, j)
     mass = {j: kj[b]} if kj[b] else {}
     tail = Fraction(0)  # P{never saturated by n}
@@ -105,78 +104,51 @@ def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
         p_ell = kj[ell]
         if not p_ell:
             continue
-        chain = _y_chain(spec, n, ell, j)
-        for m in range(j + 1, n + 1):
-            hit = chain[m - 1 - j].get(b - ell, Fraction(0))
-            if hit:
-                mass[m] = mass.get(m, Fraction(0)) + p_ell * hit * _q_fill(spec, m)
-        tail += p_ell * sum(
-            (p for y, p in chain[n - j].items() if y <= b - ell), Fraction(0))
+        k, white, black = b - ell - 1, a * ell + gc.total_c, a * (j - ell)
+        # P{Y_s = b - ell} first at s = j + k, when all k labels joined
+        hit = Fraction(math.prod(range(white, white + a * k, a)),
+                       math.prod(range(gc.total(j), gc.total(j + k), a)))
+        for s in range(j + k, n):
+            mass[s + 1] = (mass.get(s + 1, Fraction(0))
+                           + p_ell * hit * Fraction(fill, gc.total(s)))
+            d = s - j
+            hit *= Fraction((d + 1) * (black + a * (d - k)), (d + 1 - k) * gc.total(s))
+        tail += p_ell * sum(_urn_atoms(gc, ell, j, n - j, b - ell))
     if tail:
         mass[n] = mass.get(n, Fraction(0)) + tail
     return Pmf(mass).check()
 
 
-def _x_given_tau_recursive(spec: FamilySpec, n: int) -> dict:
-    """For the recursive family: law of X given tau = m, for every m <= n.
-
-    After saturation each later label joins as a new child independently
-    with probability b / (current size), so X | tau = m is a sum of
-    independent Bernoullis; the suffix convolutions share all the work.
-    Returns {m: dict x -> Fraction}.
-    """
-    b = spec.b
-    out = {n: {0: Fraction(1)}}
-    cur = {0: Fraction(1)}
-    for m in range(n - 1, b - 1, -1):
-        p = Fraction(b, m)  # label m+1 arrives at size m
-        nxt: dict = {}
-        for x, q in cur.items():
-            nxt[x + 1] = nxt.get(x + 1, Fraction(0)) + q * p
-            if p != 1:
-                nxt[x] = nxt.get(x, Fraction(0)) + q * (1 - p)
-        cur = nxt
-        out[m] = cur
-    return out
-
-
-def _x_given_tau_port(spec: FamilySpec, n: int, m: int) -> dict:
-    """For the PORT family: law of X given tau = m, via a triangular urn.
-
-    White mass tracks the bucket's own attraction weight; each white draw
-    is a new child and adds 1 to it, every draw adds alpha + 1 in total.
-    """
-    a1 = spec.alpha + 1
-    w0 = spec.b * a1 - 1
-    b0 = a1 * (m - spec.b)
-    cur = {0: Fraction(1)}
-    for t in range(n - m):
-        total = w0 + b0 + t * a1
-        nxt: dict = {}
-        for x, q in cur.items():
-            p = (w0 + x) / total
-            nxt[x + 1] = nxt.get(x + 1, Fraction(0)) + q * p
-            if p != 1:
-                nxt[x] = nxt.get(x, Fraction(0)) + q * (1 - p)
-        cur = nxt
-    return cur
-
-
 def pmf_X(spec: FamilySpec, n: int, j: int) -> Pmf:
-    """The exact law of X_{n,j}, the out-degree of j's bucket at time n."""
+    """The exact law of X_{n,j}, the out-degree of j's bucket at time n.
+
+    One forward pass over the sizes s carries P{tau <= s, X_s = x} as
+    integer numerators over a common denominator: saturation at s adds
+    P{tau = s} at x = 0, and label s + 1 joins as a child with probability
+    node_weight(b, x) / total(s).  The mass of tau at n covers both
+    saturation at n and censoring; X = 0 either way.
+    """
     _require_named(spec)
-    if spec.kind == families.ARY:
-        raise ValueError("out-degree law after saturation is not available "
-                         "for the ary family (weights depend on the degree)")
     _check_nj(n, j)
-    tau = pmf_tau(spec, n, j)
-    # the mass at n covers both saturation at n and censoring; X = 0 either way
-    if spec.kind == families.RECURSIVE:
-        table = _x_given_tau_recursive(spec, n)
-        comps = [(tau[m], Pmf(table[m])) for m in tau.support]
-    else:
-        comps = [(tau[m], Pmf(_x_given_tau_port(spec, n, m))) for m in tau.support]
-    return mixture(comps).check()
+    b = spec.b
+    gc = families.growth_coeffs(spec)
+    tau = pmf_tau(spec, n, j).mass
+    den = math.lcm(*(p.denominator for p in tau.values()))
+    num = [0]
+    for s in range(min(b, n), n + 1):
+        p = tau.get(s)
+        if p:
+            num[0] += p.numerator * (den // p.denominator)
+        if s == n:
+            break
+        total = gc.total(s)
+        nxt = [0] * (len(num) + 1)
+        for x, q in enumerate(num):
+            move = q * gc.node_weight(b, x)
+            nxt[x] += q * total - move
+            nxt[x + 1] = move
+        num, den = nxt, den * total
+    return Pmf({x: Fraction(q, den) for x, q in enumerate(num) if q}).check()
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,21 @@ def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
         roots = family_roots(spec)
     kapf = float(kap)
     cb = float(frac_binom(b + kap, b))
+    # per root: C(lam+n-2, n-1) / C(n-1+kappa, n-1), kept as a product of
+    # ratios, and the harmonic difference; neither depends on m
+    per_root = []
+    for lam in roots.roots:
+        ratio = complex(1)
+        for k in range(1, n):
+            ratio *= (lam - 1 + k) / (kapf + k)
+        per_root.append((lam, ratio, harmonic_diff(lam, b)))
     mass = {}
     for m in range(1, b + 1):
         front = (float(frac_binom(m - 1 + kap, m - 1))
                  / (float(frac_binom(Fraction(b), m - 1)) * (b - m + 1) * cb))
         total = 0j
-        for lam in roots.roots:
-            # C(lam+n-2, n-1) / C(n-1+kappa, n-1), kept as a product of ratios
-            ratio = complex(1)
-            for k in range(1, n):
-                ratio *= (lam - 1 + k) / (kapf + k)
-            total += ratio * cbinom(lam + b - 1, b - m) / harmonic_diff(lam, b)
+        for lam, ratio, h in per_root:
+            total += ratio * cbinom(lam + b - 1, b - m) / h
         val = front * total
         if abs(val.imag) > IMAG_TOL:
             raise ArithmeticError(f"imaginary residue {val.imag:.3e} in P(K={m})")

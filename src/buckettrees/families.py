@@ -53,6 +53,8 @@ class FamilySpec:
         elif self.kind == CUSTOM:
             if self.custom_phi is None:
                 raise ValueError("custom family needs a phi sequence")
+            if self.custom_psi is None or len(self.custom_psi) != self.b - 1:
+                raise ValueError(f"custom family needs b-1 = {self.b - 1} psi weights")
         elif self.kind != RECURSIVE:
             raise ValueError(f"unknown family kind {self.kind!r}")
 

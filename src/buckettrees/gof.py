@@ -40,7 +40,8 @@ def chi_square(samples, pmf: Pmf, min_expected: float = 5.0) -> GofReport:
     outside = n - observed.sum()
     if outside:
         raise ValueError(f"{int(outside)} samples fall outside the pmf support")
-    # pool small cells from the right
+    # pool left to right: a cell closes once its expected count reaches
+    # min_expected, and a short remainder at the right end joins the last cell
     obs, exp = [], []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):

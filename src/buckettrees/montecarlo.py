@@ -3,8 +3,9 @@
 The tree-valued sampler in `grow` is exact but one replicate at a time.
 For goodness-of-fit experiments with 1e5 - 1e6 replicates we instead
 simulate the minimal sufficient state across all replicates at once:
-the bucket-type ball counts for K and the urns, and the subtree-size
-chain for Y.  Both are exact projections of the growth process.
+the bucket-type ball counts for K and the urns, and the root degree for
+b = 1.  Y given K is a Beta-Binomial draw.  All are exact projections of
+the growth process.
 """
 
 from __future__ import annotations
@@ -71,42 +72,37 @@ def sample_urn_counts(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
 
 
 def sample_Y(spec: FamilySpec, n: int, j: int, size: int, rng) -> np.ndarray:
-    """`size` independent copies of Y_{n,j} (exact distribution).
+    """`size` independent copies of Y_{n,j}.
 
-    K_j is drawn first with the ball-count kernel, then the subtree size
-    follows its Markov chain: at tree size s a subtree holding t labels
-    attracts the next label with probability (a*t + c) / (a*s + c).
+    K_j = ell is drawn first with the ball-count kernel.  Given ell, j's
+    subtree grows as a two-colour Pólya urn, so Y - 1 is BetaBinomial(n - j,
+    ell + kappa, j - ell): a Beta(ell + kappa, j - ell) success probability,
+    then a Binomial(n - j) count.  The law is exact; only the Beta variate
+    is a floating-point draw.
     """
     if not 1 <= j <= n:
         raise ValueError(f"label j={j} outside 1..{n}")
     stream = _as_rng(rng)
     if j <= spec.b:
         return np.full(size, n + 1 - j, dtype=np.int64)
-    gc = families.growth_coeffs(spec)
-    a, c = float(gc.a), float(gc.total_c)
-    ell = sample_K(spec, j, size, stream.child(0)).astype(np.float64)
-    y = np.ones(size, dtype=np.int64)
+    kap = float(families.kappa(spec))
+    ell = sample_K(spec, j, size, stream.child(0))
     gen = stream.child(1).generator
-    for s in range(j, n):
-        p = (a * (y + ell - 1) + c) / (a * s + c)
-        y += gen.random(size) < p
-    return y
+    return 1 + gen.binomial(n - j, gen.beta(ell + kap, j - ell))
 
 
 def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     """`size` copies of the root out-degree for b = 1 families.
 
     With b = 1 the root is always saturated, so its degree is the only
-    state needed: at size s it attracts with weight a + bdeg * degree.
+    state needed: at size s it attracts with the integer weight
+    node_weight(1, degree) out of total(s), drawn as an integer.
     """
     if spec.b != 1:
         raise ValueError("root-degree kernel is for b = 1 families")
     gc = families.growth_coeffs(spec)
-    a, bd = float(gc.a + gc.c), float(gc.bdeg)
-    tc = float(gc.total_c)
     gen = _as_rng(rng).generator
     deg = np.zeros(size, dtype=np.int64)
     for s in range(1, n):
-        p = (a + bd * deg) / (float(gc.a) * s + tc)
-        deg += gen.random(size) < p
+        deg += gen.integers(0, gc.total(s), size) < gc.node_weight(1, deg)
     return deg

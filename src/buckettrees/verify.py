@@ -370,7 +370,7 @@ def check_descendants(max_n: int = 7, harmonic_max_n: int = 40,
                       gamma_n: int = 10 ** 5, ks_samples: int = 10 ** 5,
                       seed: int = 0) -> str:
     notes = []
-    for spec in (families.recursive(2), families.port(2, 1)):
+    for spec in (families.recursive(2), families.port(2, 1), families.ary(2, 2)):
         for n in range(1, max_n + 1):
             for j in range(1, n + 1):
                 for stat, fn in (("Y", dist_desc.pmf_Y),

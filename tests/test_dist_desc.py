@@ -7,9 +7,63 @@ import pytest
 from buckettrees import families
 from buckettrees.dist_desc import (limit_reference, pmf_tau, pmf_X, pmf_Y,
                                    pmf_Y_conditional)
+from buckettrees.dist_k import pmf_K_exact
 from buckettrees.enumeration import exact_statistic_pmf
 
 SPECS = [families.recursive(2), families.port(2, 1)]
+CHAIN_SPECS = [families.recursive(1), families.recursive(2), families.recursive(3),
+               families.ary(2, 2), families.ary(2, 3), families.ary(3, 2),
+               families.port(2, 1), families.port(3, 2),
+               families.port(2, Fraction(1, 2)), families.port(3, Fraction(1, 3))]
+CHAIN_N = 24
+
+
+def _y_chain(spec, n, ell, j):
+    """Reference law of Y at sizes j..n, stepping the subtree size one label at a time.
+
+    At size s a subtree of m + ell - 1 labels (ell of them already in j's
+    bucket at time j) attracts the next label with probability
+    (a*(m + ell - 1) + c) / (a*s + c).  Returns one dict m -> Fraction per
+    size s, at index s - j.
+    """
+    gc = families.growth_coeffs(spec)
+    a, c = gc.a, gc.total_c
+    cur = {1: Fraction(1)}
+    out = [cur]
+    for s in range(j, n):
+        total = a * s + c
+        nxt = {}
+        for m, p in cur.items():
+            join = Fraction(a * (m + ell - 1) + c, total)
+            stay = Fraction(a * (s + 1 - m - ell), total)
+            if join:
+                nxt[m + 1] = nxt.get(m + 1, Fraction(0)) + p * join
+            if stay:
+                nxt[m] = nxt.get(m, Fraction(0)) + p * stay
+        cur = nxt
+        out.append(cur)
+    return out
+
+
+def _tau_from_chains(spec, n, j, kj, chains):
+    """Reference law of tau_{n,j}: the bucket fills from b - 1 labels, or is censored."""
+    gc = families.growth_coeffs(spec)
+    b = spec.b
+    mass = {j: kj[b]} if kj[b] else {}
+    tail = Fraction(0)
+    for ell in range(1, b):
+        if not kj[ell]:
+            continue
+        chain = chains[ell]
+        for m in range(j + 1, n + 1):
+            hit = chain[m - 1 - j].get(b - ell, Fraction(0))
+            if hit:
+                fill = Fraction(gc.node_weight(b - 1, 0), gc.total(m - 1))
+                mass[m] = mass.get(m, Fraction(0)) + kj[ell] * hit * fill
+        tail += kj[ell] * sum(p for y, p in chain[n - j].items() if y <= b - ell)
+    if tail:
+        mass[n] = mass.get(n, Fraction(0)) + tail
+    return mass
 
 
 def test_pmf_Y_conditional_example():
@@ -50,9 +104,24 @@ def test_harmonic_mean_out_degree():
         assert pmf_X(one, n, 1).mean() == sum(Fraction(1, s) for s in range(1, n))
 
 
-def test_pmf_X_rejects_ary():
-    with pytest.raises(ValueError, match="ary"):
-        pmf_X(families.ary(2, 2), 5, 3)
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: s.describe())
+def test_closed_forms_match_the_step_chain(spec):
+    b = spec.b
+    for j in range(b + 1, CHAIN_N + 1):
+        kj = pmf_K_exact(spec, j)
+        chains = {ell: _y_chain(spec, CHAIN_N, ell, j) for ell in range(1, b + 1)}
+        for n in range(j, CHAIN_N + 1):
+            for ell in range(1, b + 1):
+                assert pmf_Y_conditional(spec, n, ell, j).mass == chains[ell][n - j]
+            assert pmf_tau(spec, n, j).mass == _tau_from_chains(spec, n, j, kj, chains)
+
+
+@pytest.mark.parametrize("spec", [families.ary(2, 2), families.ary(2, 3),
+                                  families.ary(1, 3)], ids=lambda s: s.describe())
+def test_pmf_X_ary_matches_oracle(spec):
+    for n in range(1, 8):
+        for j in range(1, n + 1):
+            assert pmf_X(spec, n, j).mass == exact_statistic_pmf(spec, n, f"X:{j}").mass
 
 
 def test_argument_guards():

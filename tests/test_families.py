@@ -123,6 +123,17 @@ def test_spec_validation():
         port(2, 0)
 
 
+def test_custom_needs_b_minus_one_psi_weights():
+    phi_seq = lambda k: Fraction(1)
+    with pytest.raises(ValueError, match="psi"):
+        families.custom(3, phi_seq, [1])
+    with pytest.raises(ValueError, match="psi"):
+        families.custom(2, phi_seq, [1, 1])
+    spec = families.custom(3, phi_seq, [1, Fraction(1, 2)])
+    assert psi(spec, 2) == Fraction(1, 2)
+    assert families.custom(1, phi_seq, []).b == 1
+
+
 def test_describe_round_trips():
     for spec in (recursive(3), ary(2, 3), port(2, Fraction(1, 2)),
                  linear(2, 1, 0, 1)):

@@ -50,6 +50,19 @@ def test_chi_square_pools_small_cells():
     assert report.dof == 1  # four support points pooled down to two cells
 
 
+def test_chi_square_pooled_cells_at_both_ends():
+    # expected counts 3,3,3,40,43,3,3,2 pool left to right into {0,1}, {2,3},
+    # {4}, {5,6} and the remainder {7} joins the last cell: 6, 43, 43, 8.
+    # Pooling from the right would give {0,1,2}, {3}, {4,5}, {6,7} instead.
+    pmf = Pmf({v: Fraction(e, 100) for v, e in enumerate([3, 3, 3, 40, 43, 3, 3, 2])})
+    counts = [2, 5, 3, 41, 40, 4, 3, 2]
+    samples = [v for v, c in enumerate(counts) for _ in range(c)]
+    report = chi_square(samples, pmf)
+    assert report.dof == 3
+    obs, exp = np.array([7, 44, 40, 9]), np.array([6, 43, 43, 8])
+    assert report.statistic == pytest.approx(((obs - exp) ** 2 / exp).sum())
+
+
 def test_chi_square_detects_wrong_distribution():
     samples = [1] * 500 + [2] * 500
     assert not chi_square(samples, TWO_THIRDS).passed(0.001)

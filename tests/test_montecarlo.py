@@ -1,7 +1,10 @@
 """Vectorized samplers against the exact finite-n laws."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from buckettrees import dist_desc, dist_k, families, gof, montecarlo
 from buckettrees.grow import RngStream
@@ -27,6 +30,42 @@ def test_sample_Y_distribution():
     samples = montecarlo.sample_Y(spec, 12, 4, 30000, RngStream(2))
     report = gof.chi_square(samples, dist_desc.pmf_Y(spec, 12, 4))
     assert report.passed(LEVEL), str(report)
+
+
+def _step_sample_Y(spec, n, j, size, stream):
+    """Reference sampler: step j's subtree size one label at a time.
+
+    At size s a subtree of y + ell - 1 labels attracts the next label with
+    integer weight a*(y + ell - 1) + c out of a*s + c.
+    """
+    gc = families.growth_coeffs(spec)
+    ell = montecarlo.sample_K(spec, j, size, stream.child(0))
+    gen = stream.child(1).generator
+    y = np.ones(size, dtype=np.int64)
+    for s in range(j, n):
+        y += gen.integers(0, gc.total(s), size) < gc.a * (y + ell - 1) + gc.total_c
+    return y
+
+
+def _two_sample_p(x, y, cells=20):
+    """Chi-square homogeneity p-value of two integer samples, cells at pooled quantiles."""
+    edges = np.unique(np.quantile(np.concatenate([x, y]), np.linspace(0, 1, cells + 1)))
+    table = np.array([np.histogram(x, edges)[0], np.histogram(y, edges)[0]])
+    return scipy.stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+@pytest.mark.parametrize("spec", [families.recursive(2), families.ary(2, 3),
+                                  families.port(2, Fraction(1, 2))],
+                         ids=lambda s: s.describe())
+def test_sample_Y_matches_step_simulator(spec):
+    n, j, size = 300, 5, 20000
+    fast = montecarlo.sample_Y(spec, n, j, size, RngStream(8))
+    slow = _step_sample_Y(spec, n, j, size, RngStream(9))
+    assert _two_sample_p(fast, slow) >= LEVEL
+    exact = dist_desc.pmf_Y(spec, n, j)
+    for samples in (fast, slow):
+        report = gof.chi_square(samples, exact)
+        assert report.passed(LEVEL), str(report)
 
 
 def test_sample_Y_root_label():
@@ -57,6 +96,14 @@ def test_sample_urn_counts_mean():
 def test_sample_root_degree_distribution():
     spec = families.recursive(1)
     samples = montecarlo.sample_root_degree(spec, 10, 30000, RngStream(5))
+    report = gof.chi_square(samples, dist_desc.pmf_X(spec, 10, 1))
+    assert report.passed(LEVEL), str(report)
+
+
+@pytest.mark.parametrize("spec", [families.ary(1, 3), families.port(1, Fraction(1, 2))],
+                         ids=lambda s: s.describe())
+def test_sample_root_degree_other_kinds(spec):
+    samples = montecarlo.sample_root_degree(spec, 10, 30000, RngStream(6))
     report = gof.chi_square(samples, dist_desc.pmf_X(spec, 10, 1))
     assert report.passed(LEVEL), str(report)
 
