@@ -82,6 +82,22 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
 _CHUNK = 1 << 13
 
 
+def _check_linear_states(spec: FamilySpec) -> None:
+    """Raise ValueError if a bucket can reach a negative weight under the rule.
+
+    A bucket fills through capacities 1..b at degree 0, each state reached
+    only if the one before it has a positive weight; a full bucket's weight
+    then moves by beta per child, so with beta < 0 the first degree whose
+    weight is not positive is the last state it can reach.
+    """
+    for cap in range(1, spec.b + 1):
+        w = families.linear_node_weight(spec, cap, 0)
+        if w == 0:
+            return
+    if spec.lin_beta < 0:
+        families.linear_node_weight(spec, spec.b, math.ceil(w / -spec.lin_beta))
+
+
 class _Grower:
     """Mutable growth state in flat per-node and per-label lists.
 
@@ -95,6 +111,7 @@ class _Grower:
         self.spec = spec
         self.b = spec.b
         if spec.kind == families.LINEAR:
+            _check_linear_states(spec)
             den = 1
             for f in (spec.lin_a, spec.lin_beta, spec.lin_m):
                 den = den * f.denominator // math.gcd(den, f.denominator)
@@ -239,8 +256,6 @@ class _Grower:
         total = 0
         for c, d in zip(self.cap, self.deg):
             w = a * (c - 1) + beta * d + m
-            if w < 0:
-                raise ValueError(f"linear growth weight negative at size {self.size}")
             weights.append(w)
             total += w
         u = rng.integers(total)
@@ -267,10 +282,18 @@ class _Grower:
         children: list[list[int]] = [[] for _ in self.cap]
         for v in range(1, len(self.cap)):
             children[self.parent[v]].append(v)
-
-        def make(v: int) -> BucketNode:
-            return BucketNode(tuple(labels[v]), tuple(make(c) for c in children[v]))
-        return BucketTree(self.b, make(0))
+        # make the nodes in postorder, each subtree before its parent: the
+        # walks that follow then read nodes in about the order they sit in
+        # memory, which a leaves-first pass by index does not give
+        order, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += children[v]
+        nodes: list = [None] * len(self.cap)
+        for v in reversed(order):
+            nodes[v] = BucketNode(tuple(labels[v]), tuple([nodes[c] for c in children[v]]))
+        return BucketTree(self.b, nodes[0])
 
     def census(self) -> NodeCensus:
         m: dict = {}

@@ -5,15 +5,22 @@ between 1 and b labels.  Labels increase inside every bucket and along
 every root-to-leaf path, and every internal (non-leaf) bucket is full.
 All structures here are immutable tuples, so trees can be shared freely
 between workers; growth and rewriting always build new trees.
+
+Every walk over a tree (validation, canonicalization, the codecs,
+equality and hashing) is a loop over an explicit stack, so trees of any
+depth work under the default recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import repeat
+from operator import attrgetter, is_, lt
+from typing import Callable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BucketNode:
     """One bucket: a strictly increasing label tuple plus ordered children."""
 
@@ -26,6 +33,32 @@ class BucketNode:
     def degree(self) -> int:
         return len(self.children)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        xs, ys = [self], [other]
+        while xs:
+            x = xs.pop()
+            y = ys.pop()
+            if x is not y:
+                xc = x.children
+                yc = y.children
+                if x.labels != y.labels or len(xc) != len(yc):
+                    return False
+                xs += xc
+                ys += yc
+        return True
+
+    def __hash__(self):
+        # the labels and degrees in (mirrored) preorder determine the subtree
+        seq, stack = [], [self]
+        while stack:
+            v = stack.pop()
+            seq.append(v.labels)
+            seq.append(len(v.children))
+            stack.extend(v.children)
+        return hash(tuple(seq))
+
 
 @dataclass(frozen=True)
 class BucketTree:
@@ -36,7 +69,12 @@ class BucketTree:
     size: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "size", sum(len(n.labels) for n in iter_nodes(self.root)))
+        size, stack = 0, [self.root]
+        while stack:
+            node = stack.pop()
+            size += len(node.labels)
+            stack += node.children
+        object.__setattr__(self, "size", size)
 
 
 @dataclass(frozen=True)
@@ -66,10 +104,53 @@ def iter_nodes(node: BucketNode) -> Iterator[BucketNode]:
         stack.extend(reversed(cur.children))
 
 
-def iter_nodes_with_path(node: BucketNode, path=()) -> Iterator[tuple[tuple, BucketNode]]:
-    yield path, node
-    for i, c in enumerate(node.children):
-        yield from iter_nodes_with_path(c, path + (i,))
+def iter_nodes_with_path(node: BucketNode) -> Iterator[tuple[tuple, BucketNode]]:
+    """Preorder iteration over all buckets, each with its child-index path."""
+    stack = [((), node)]
+    while stack:
+        path, cur = stack.pop()
+        yield path, cur
+        kids = cur.children
+        stack.extend(((*path, i), kids[i]) for i in range(len(kids) - 1, -1, -1))
+
+
+def _build_up(root, children_of: Callable, make: Callable):
+    """Fold a tree bottom-up: make(node, [folded children]) for every node, root last.
+
+    Pushing the children in order and popping gives a mirrored preorder,
+    whose reverse is the postorder, so each node finds its folded children
+    in order on top of the result stack.
+    """
+    # nodes and degrees go in two lists: a tuple per node would be a
+    # garbage-collected allocation that triggers collections over the tree
+    order, degrees, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        kids = children_of(node)
+        order.append(node)
+        degrees.append(len(kids))
+        stack += kids
+    done: list = []
+    for node, d in zip(reversed(order), reversed(degrees)):
+        if d:
+            kids = done[-d:]
+            del done[-d:]
+        else:
+            kids = []
+        done.append(make(node, kids))
+    return done[0]
+
+
+_children = attrgetter("children")
+
+
+def _where(link) -> str:
+    """Render a (parent link, child index) chain as the path 'i/j/...' or 'root'."""
+    path = []
+    while link:
+        link, i = link
+        path.append(str(i))
+    return "/".join(reversed(path)) or "root"
 
 
 def validate(tree: BucketTree) -> list[str]:
@@ -77,28 +158,42 @@ def validate(tree: BucketTree) -> list[str]:
 
     Violations name the offending node by its child-index path from the root.
     """
-    violations = []
     b = tree.b
     if b < 1:
-        violations.append("capacity bound b must be >= 1")
-        return violations
-    all_labels = []
-    for path, node in iter_nodes_with_path(tree.root):
-        where = "/".join(map(str, path)) or "root"
-        k = len(node.labels)
-        if not 1 <= k <= b:
-            violations.append(f"{where}: bucket capacity {k} outside 1..{b}")
-        if any(x < 1 for x in node.labels):
-            violations.append(f"{where}: labels must be positive")
-        if any(x >= y for x, y in zip(node.labels, node.labels[1:])):
-            violations.append(f"{where}: bucket labels not strictly increasing")
-        if node.children and k != b:
+        return ["capacity bound b must be >= 1"]
+    violations = []
+    all_labels: list = []
+    # each entry carries its node's link (parent link, child index), from
+    # which the path is rendered only when a violation is reported
+    stack = [(tree.root, ())]
+    while stack:
+        node, link = stack.pop()
+        labels, kids = node.labels, node.children
+        k = len(labels)
+        all_labels += labels
+        where = None
+        if not (k == 1 and labels[0] >= 1
+                or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:]))):
+            where = _where(link)
+            if not 1 <= k <= b:
+                violations.append(f"{where}: bucket capacity {k} outside 1..{b}")
+            if any(x < 1 for x in labels):
+                violations.append(f"{where}: labels must be positive")
+            if any(x >= y for x, y in zip(labels, labels[1:])):
+                violations.append(f"{where}: bucket labels not strictly increasing")
+        if not kids:
+            continue
+        if k != b:
+            where = where or _where(link)
             violations.append(f"{where}: internal node unsaturated (capacity {k} < {b})")
-        for i, child in enumerate(node.children):
-            if child.labels and node.labels and min(child.labels) <= max(node.labels):
-                violations.append(f"{where}/{i}: child label {min(child.labels)} "
-                                  f"not above parent maximum {max(node.labels)}")
-        all_labels.extend(node.labels)
+        if labels:
+            top = max(labels)
+            for i, child in enumerate(kids):
+                if child.labels and min(child.labels) <= top:
+                    where = where or _where(link)
+                    violations.append(f"{where}/{i}: child label {min(child.labels)} "
+                                      f"not above parent maximum {top}")
+        stack.extend(zip(reversed(kids), zip(repeat(link), range(len(kids) - 1, -1, -1))))
     n = len(all_labels)
     if sorted(all_labels) != list(range(1, n + 1)):
         violations.append(f"label multiset is not {{1..{n}}}")
@@ -116,29 +211,35 @@ def min_label(node: BucketNode) -> int:
     return node.labels[0]
 
 
-def _canon(node: BucketNode) -> BucketNode:
-    kids = tuple(sorted((_canon(c) for c in node.children), key=min_label))
-    return BucketNode(node.labels, kids)
+def _canon_node(node: BucketNode, kids: list) -> BucketNode:
+    kids.sort(key=min_label)
+    if all(map(is_, kids, node.children)):
+        return node  # already canonical: share the subtree
+    return BucketNode(node.labels, tuple(kids))
 
 
 def canonicalize(tree: BucketTree) -> BucketTree:
     """Canonical ordered representative: children sorted by smallest contained label."""
     check_valid(tree)
-    return BucketTree(tree.b, _canon(tree.root))
+    return BucketTree(tree.b, _build_up(tree.root, _children, _canon_node))
 
 
 def census(tree: BucketTree) -> NodeCensus:
     check_valid(tree)
+    b = tree.b
     m: dict = {}
     n_deg: dict = {}
-    for node in iter_nodes(tree.root):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         k = len(node.labels)
-        if k < tree.b:
+        if k < b:
             m[k] = m.get(k, 0) + 1
         else:
             d = len(node.children)
             n_deg[d] = n_deg.get(d, 0) + 1
-    return NodeCensus(tree.b, tree.size, m, n_deg)
+        stack.extend(reversed(node.children))  # preorder, so the counts fill in that order
+    return NodeCensus(b, tree.size, m, n_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +247,22 @@ def census(tree: BucketTree) -> NodeCensus:
 
 
 def encode(tree: BucketTree) -> str:
-    return _encode_node(tree.root)
-
-
-def _encode_node(node: BucketNode) -> str:
-    s = "{" + ",".join(map(str, node.labels)) + "}"
-    if node.children:
-        s += "(" + ",".join(_encode_node(c) for c in node.children) + ")"
-    return s
+    parts = []
+    # tails[i] closes the subtree of nodes[i]: ',' before a next sibling,
+    # else one ')' per subtree it ends
+    nodes, tails = [tree.root], [""]
+    while nodes:
+        node = nodes.pop()
+        tail = tails.pop()
+        kids = node.children
+        if kids:
+            parts.append("{%s}(" % ",".join(map(str, node.labels)))
+            nodes += reversed(kids)
+            tails.append(")" + tail)
+            tails += repeat(",", len(kids) - 1)
+        else:
+            parts.append("{%s}%s" % (",".join(map(str, node.labels)), tail))
+    return "".join(parts)
 
 
 class ParseError(ValueError):
@@ -162,54 +271,60 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_BUCKET = re.compile(r"\{(\d+(?:,\d+)*)\}")
+_DIGITS = re.compile(r"\d+")
+
+
+def _bucket_error(text: str, pos: int) -> ParseError:
+    """The error for a bucket that does not start cleanly at pos."""
+    if not text.startswith("{", pos):
+        return ParseError("expected '{'", pos)
+    pos += 1
+    while True:
+        m = _DIGITS.match(text, pos)
+        if m is None:
+            return ParseError("expected integer", pos)
+        pos = m.end()
+        if not text.startswith(",", pos):
+            return ParseError("expected '}'", pos)
+        pos += 1
+
+
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result."""
-    node, pos = _parse_node(text, 0)
-    if pos != len(text):
-        raise ParseError("trailing input", pos)
-    tree = BucketTree(b, node)
-    check_valid(tree)
-    return tree
-
-
-def _parse_int(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected integer", pos)
-    return int(text[start:pos]), pos
-
-
-def _parse_node(text: str, pos: int) -> tuple[BucketNode, int]:
-    if pos >= len(text) or text[pos] != "{":
-        raise ParseError("expected '{'", pos)
-    pos += 1
-    labels = []
-    while True:
-        value, pos = _parse_int(text, pos)
-        labels.append(value)
-        if pos < len(text) and text[pos] == ",":
+    end = len(text)
+    pos = 0
+    open_nodes = []  # (labels, children so far) of each node whose '(' is open
+    root = None
+    while root is None:
+        m = _BUCKET.match(text, pos)
+        if m is None:
+            raise _bucket_error(text, pos)
+        labels = tuple(map(int, m.group(1).split(",")))
+        pos = m.end()
+        if pos < end and text[pos] == "(":
+            open_nodes.append((labels, []))
             pos += 1
             continue
-        break
-    if pos >= len(text) or text[pos] != "}":
-        raise ParseError("expected '}'", pos)
-    pos += 1
-    children = []
-    if pos < len(text) and text[pos] == "(":
-        pos += 1
-        while True:
-            child, pos = _parse_node(text, pos)
-            children.append(child)
-            if pos < len(text) and text[pos] == ",":
+        node = BucketNode(labels)
+        # attach the finished node, closing every parent it completes
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            if pos < end and text[pos] == ",":
                 pos += 1
-                continue
-            break
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError("expected ')'", pos)
-        pos += 1
-    return BucketNode(tuple(labels), tuple(children)), pos
+                break
+            if pos >= end or text[pos] != ")":
+                raise ParseError("expected ')'", pos)
+            pos += 1
+            labels, kids = open_nodes.pop()
+            node = BucketNode(labels, tuple(kids))
+        else:
+            root = node
+    if pos != end:
+        raise ParseError("trailing input", pos)
+    tree = BucketTree(b, root)
+    check_valid(tree)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +332,25 @@ def _parse_node(text: str, pos: int) -> tuple[BucketNode, int]:
 
 
 def to_doc(tree: BucketTree) -> dict:
-    return {"b": tree.b, "root": _node_doc(tree.root)}
+    return {"b": tree.b, "root": _build_up(tree.root, _children, _node_doc)}
 
 
-def _node_doc(node: BucketNode) -> dict:
-    return {"labels": list(node.labels), "children": [_node_doc(c) for c in node.children]}
+def _node_doc(node: BucketNode, kids: list) -> dict:
+    return {"labels": list(node.labels), "children": kids}
+
+
+def _doc_children(doc: dict) -> list:
+    return doc.get("children", [])
+
+
+def _node_from_doc(doc: dict, kids: list) -> BucketNode:
+    return BucketNode(tuple(int(x) for x in doc["labels"]), tuple(kids))
 
 
 def from_doc(doc: dict) -> BucketTree:
-    tree = BucketTree(int(doc["b"]), _node_from_doc(doc["root"]))
+    tree = BucketTree(int(doc["b"]), _build_up(doc["root"], _doc_children, _node_from_doc))
     check_valid(tree)
     return tree
-
-
-def _node_from_doc(doc: dict) -> BucketNode:
-    return BucketNode(tuple(int(x) for x in doc["labels"]),
-                      tuple(_node_from_doc(c) for c in doc.get("children", [])))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +376,10 @@ class BundledBucketTree:
     root: BundledNode
 
 
+def _plain_node(node: BundledNode, kids: list) -> BucketNode:
+    return BucketNode(node.labels, tuple(kids))
+
+
 def strip_bundles(node: BundledNode) -> BucketNode:
     """Forget bundle boundaries, keeping the concatenated child order."""
-    return BucketNode(node.labels, tuple(strip_bundles(c) for c in node.children))
+    return _build_up(node, _children, _plain_node)

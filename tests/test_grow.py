@@ -9,7 +9,7 @@ from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
 from buckettrees.grow import (RngStream, attraction_probs, sample_census,
                               sample_tree)
-from buckettrees.trees import canonicalize, decode, encode, validate
+from buckettrees.trees import BucketNode, BucketTree, canonicalize, decode, encode, validate
 
 
 def test_attraction_probs_recursive_example():
@@ -116,3 +116,40 @@ def test_sampled_shape_frequencies(spec):
              for i in range(samples)]
     report = gof.chi_square(draws, pmf)
     assert report.passed(0.001), str(report)
+
+
+PATH_RULE = families.linear(1, 0, -1, 1)  # weight 1 - deg: only the newest bucket grows
+
+
+def test_path_rule_grows_a_deep_path():
+    n = 1000
+    tree = sample_tree(PATH_RULE, n, 4)
+    assert encode(tree) == "".join(f"{{{i}}}(" for i in range(1, n)) + f"{{{n}}}" + ")" * (n - 1)
+    assert sample_census(PATH_RULE, n, 4).n_deg == {0: 1, 1: n - 1}
+
+
+def test_attraction_probs_on_a_deep_path():
+    depth = 3000
+    node = BucketNode((depth,))
+    for label in range(depth - 1, 0, -1):
+        node = BucketNode((label,), (node,))
+    tree = BucketTree(1, node)
+    path, leaf, p = attraction_probs(PATH_RULE, tree)[-1]
+    assert (path, leaf.labels, p) == ((0,) * (depth - 1), (depth,), 1)
+    assert sum(p for _, _, p in attraction_probs(families.recursive(1), tree)) == 1
+
+
+@pytest.mark.parametrize("sampler", [sample_tree, sample_census])
+def test_negative_linear_weight_is_refused_before_sampling(sampler):
+    # the root's weight 1 - 2*deg drops from 1 to -1 at its first child,
+    # which a size-2 tree reaches without drawing at that state
+    with pytest.raises(ValueError, match="negative"):
+        sampler(families.linear(1, 0, -2, 1), 2, 0)
+    with pytest.raises(ValueError, match="negative"):
+        sampler(families.linear(3, -2, 0, 1), 1, 0)  # capacity 2 weighs -1
+
+
+def test_linear_rules_whose_weights_stop_at_zero_sample():
+    # a bucket of weight 0 is never picked again, so no negative state is reached
+    for spec in (PATH_RULE, families.linear(2, 1, Fraction(-2, 3), 1)):
+        assert validate(sample_tree(spec, 60, 1)) == []

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckettrees import families, grow
-from buckettrees.trees import (BucketNode, BucketTree, ParseError, canonicalize,
-                               census, check_valid, decode, encode, from_doc,
-                               iter_nodes, to_doc, validate)
+from buckettrees.trees import (BucketNode, BucketTree, BundledNode, ParseError,
+                               canonicalize, census, check_valid, decode, encode,
+                               from_doc, iter_nodes, strip_bundles, to_doc, validate)
 
 
 def test_encode_decode_round_trip():
@@ -23,7 +23,9 @@ def test_decode_single_bucket():
     assert tree.size == 1
 
 
-@pytest.mark.parametrize("bad", ["", "{1}x", "{}", "{1}(", "{1}({2}", "({1})", "{1,}"])
+# "{²}": str.isdigit accepts superscripts but int() does not
+@pytest.mark.parametrize("bad", ["", "{1}x", "{}", "{1}(", "{1}({2}", "({1})", "{1,}",
+                                 "{\u00b2}", "{1\u00b2}"])
 def test_decode_rejects_malformed(bad):
     with pytest.raises(ParseError):
         decode(bad, 1)
@@ -106,3 +108,233 @@ def test_census_identities_on_random_trees(spec, n, seed):
     assert cen.n == n
     assert cen.node_sum_identity()
     assert cen.edge_sum_identity()
+
+
+# ---------------------------------------------------------------------------
+# deep trees: every walk is iterative
+
+DEPTH = 3000
+
+
+def _path(depth: int) -> BucketNode:
+    node = BucketNode((depth,))
+    for label in range(depth - 1, 0, -1):
+        node = BucketNode((label,), (node,))
+    return node
+
+
+def _path_text(depth: int) -> str:
+    return "".join(f"{{{i}}}(" for i in range(1, depth)) + f"{{{depth}}}" + ")" * (depth - 1)
+
+
+def test_deep_path_through_every_walk():
+    tree = BucketTree(1, _path(DEPTH))
+    text = _path_text(DEPTH)
+    assert tree.size == DEPTH
+    assert validate(tree) == []
+    assert encode(tree) == text
+    back = decode(text, 1)
+    assert back == tree and back.root == tree.root
+    assert hash(back.root) == hash(tree.root) and hash(back) == hash(tree)
+    assert BucketTree(1, _path(DEPTH - 1)).root != tree.root
+    assert canonicalize(tree).root == tree.root
+    cen = census(tree)
+    assert (cen.m, cen.n_deg) == ({}, {0: 1, 1: DEPTH - 1})
+    assert from_doc(to_doc(tree)) == tree
+    bundled = BundledNode((DEPTH,))
+    for label in range(DEPTH - 1, 0, -1):
+        bundled = BundledNode((label,), ((bundled,), ()))
+    assert strip_bundles(bundled) == tree.root
+
+
+def test_deep_path_violation_names_its_path():
+    node = BucketNode((DEPTH,), (BucketNode((1,)),))
+    for label in range(DEPTH - 1, 0, -1):
+        node = BucketNode((label,), (node,))
+    where = "/".join(["0"] * (DEPTH - 1))
+    assert validate(BucketTree(1, node)) == [
+        f"{where}/0: child label 1 not above parent maximum {DEPTH}",
+        f"label multiset is not {{1..{DEPTH + 1}}}"]
+
+
+@pytest.mark.parametrize("cut", [1, 5, DEPTH * 3, -DEPTH // 2, -1])
+def test_deep_truncated_text_is_a_parse_error(cut):
+    text = _path_text(DEPTH)
+    with pytest.raises(ParseError):
+        decode(text[:cut], 1)
+
+
+@pytest.mark.parametrize("pos, char", [(DEPTH * 2, "x"), (DEPTH * 4, "("), (DEPTH * 3, ",")])
+def test_deep_corrupted_text_is_a_parse_error(pos, char):
+    text = _path_text(DEPTH)
+    with pytest.raises(ParseError):
+        decode(text[:pos] + char + text[pos + 1:], 1)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the recursive walks these replaced, kept as references
+
+
+def _ref_iter_nodes_with_path(node, path=()):
+    yield path, node
+    for i, c in enumerate(node.children):
+        yield from _ref_iter_nodes_with_path(c, path + (i,))
+
+
+def _ref_validate(tree):
+    violations = []
+    b = tree.b
+    if b < 1:
+        violations.append("capacity bound b must be >= 1")
+        return violations
+    all_labels = []
+    for path, node in _ref_iter_nodes_with_path(tree.root):
+        where = "/".join(map(str, path)) or "root"
+        k = len(node.labels)
+        if not 1 <= k <= b:
+            violations.append(f"{where}: bucket capacity {k} outside 1..{b}")
+        if any(x < 1 for x in node.labels):
+            violations.append(f"{where}: labels must be positive")
+        if any(x >= y for x, y in zip(node.labels, node.labels[1:])):
+            violations.append(f"{where}: bucket labels not strictly increasing")
+        if node.children and k != b:
+            violations.append(f"{where}: internal node unsaturated (capacity {k} < {b})")
+        for i, child in enumerate(node.children):
+            if child.labels and node.labels and min(child.labels) <= max(node.labels):
+                violations.append(f"{where}/{i}: child label {min(child.labels)} "
+                                  f"not above parent maximum {max(node.labels)}")
+        all_labels.extend(node.labels)
+    n = len(all_labels)
+    if sorted(all_labels) != list(range(1, n + 1)):
+        violations.append(f"label multiset is not {{1..{n}}}")
+    return violations
+
+
+def _ref_parse_int(text, pos):
+    start = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    if pos == start:
+        raise ParseError("expected integer", pos)
+    return int(text[start:pos]), pos
+
+
+def _ref_parse_node(text, pos):
+    if pos >= len(text) or text[pos] != "{":
+        raise ParseError("expected '{'", pos)
+    pos += 1
+    labels = []
+    while True:
+        value, pos = _ref_parse_int(text, pos)
+        labels.append(value)
+        if pos < len(text) and text[pos] == ",":
+            pos += 1
+            continue
+        break
+    if pos >= len(text) or text[pos] != "}":
+        raise ParseError("expected '}'", pos)
+    pos += 1
+    children = []
+    if pos < len(text) and text[pos] == "(":
+        pos += 1
+        while True:
+            child, pos = _ref_parse_node(text, pos)
+            children.append(child)
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+                continue
+            break
+        if pos >= len(text) or text[pos] != ")":
+            raise ParseError("expected ')'", pos)
+        pos += 1
+    return BucketNode(tuple(labels), tuple(children)), pos
+
+
+def _ref_decode(text, b):
+    node, pos = _ref_parse_node(text, 0)
+    if pos != len(text):
+        raise ParseError("trailing input", pos)
+    tree = BucketTree(b, node)
+    check_valid(tree)
+    return tree
+
+
+def _outcome(fn, *args):
+    try:
+        return "tree", fn(*args).root
+    except ParseError as exc:
+        return "parse", str(exc), exc.pos
+    except ValueError as exc:
+        return "invalid", str(exc)
+
+
+def _mutable(node):
+    return [list(node.labels), [_mutable(c) for c in node.children]]
+
+
+def _frozen(node):
+    return BucketNode(tuple(node[0]), tuple(_frozen(c) for c in node[1]))
+
+
+def _preorder(node):
+    out = [node]
+    for c in node[1]:
+        out.extend(_preorder(c))
+    return out
+
+
+_MUTATIONS = ("swap", "drop", "add", "set", "move")
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(_KINDS), n=st.integers(1, 30), seed=st.integers(0, 2 ** 31),
+       data=st.data())
+def test_validate_matches_recursive_reference(spec, n, seed, data):
+    root = _mutable(grow.sample_tree(spec, n, seed).root)
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = _preorder(root)
+        pick = st.integers(0, len(nodes) - 1)
+        node = nodes[data.draw(pick)]
+        kind = data.draw(st.sampled_from(_MUTATIONS))
+        if kind == "swap":  # swapped labels, across buckets or inside one
+            other = nodes[data.draw(pick)]
+            if node[0] and other[0]:
+                i = data.draw(st.integers(0, len(node[0]) - 1))
+                j = data.draw(st.integers(0, len(other[0]) - 1))
+                node[0][i], other[0][j] = other[0][j], node[0][i]
+        elif kind == "drop" and node[0]:  # unsaturated internal node or empty bucket
+            node[0].pop(data.draw(st.integers(0, len(node[0]) - 1)))
+        elif kind == "add":  # capacity above b, duplicate or out-of-range label
+            node[0].append(data.draw(st.integers(-1, n + 2)))
+        elif kind == "set" and node[0]:  # nonpositive or reused label
+            node[0][data.draw(st.integers(0, len(node[0]) - 1))] = data.draw(st.integers(-1, n))
+        elif kind == "move" and len(nodes) > 1:  # a subtree moved under another bucket
+            child = nodes[data.draw(st.integers(1, len(nodes) - 1))]
+            if not any(v is node for v in _preorder(child)):
+                holder = next(v for v in nodes if any(c is child for c in v[1]))
+                holder[1][:] = [c for c in holder[1] if c is not child]
+                node[1].insert(data.draw(st.integers(0, len(node[1]))), child)
+    b = data.draw(st.sampled_from([spec.b, spec.b, spec.b, spec.b + 1, spec.b - 1]))
+    tree = BucketTree(b, _frozen(root))
+    assert validate(tree) == _ref_validate(tree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=st.sampled_from(_KINDS), n=st.integers(1, 25), seed=st.integers(0, 2 ** 31),
+       data=st.data())
+def test_decode_matches_recursive_reference(spec, n, seed, data):
+    text = encode(grow.sample_tree(spec, n, seed))
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from("{}(),0123456789x "))
+        kind = data.draw(st.sampled_from(("truncate", "delete", "insert", "replace")))
+        if kind == "truncate":
+            text = text[:pos]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1:]
+        elif kind == "insert":
+            text = text[:pos] + char + text[pos:]
+        else:
+            text = text[:pos] + char + text[pos + 1:]
+    b = data.draw(st.sampled_from([spec.b, spec.b + 1]))
+    assert _outcome(decode, text, b) == _outcome(_ref_decode, text, b)
