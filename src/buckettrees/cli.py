@@ -41,6 +41,36 @@ def _emit(text: str, out_path) -> None:
         click.echo(text)
 
 
+def _json(value) -> str:
+    """`json.dumps(value, indent=2)` without recursion, so the docs of deep
+    trees serialize: a stack holds the values still to write, each with its
+    depth, and the literal text between them (depth None)."""
+    out: list[str] = []
+    stack = [(value, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            out.append(value)
+            continue
+        if isinstance(value, dict):
+            items, brackets = [(json.dumps(k) + ": ", v) for k, v in value.items()], "{}"
+        elif isinstance(value, (list, tuple)):
+            items, brackets = [("", v) for v in value], "[]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        if not items:
+            out.append(brackets)
+            continue
+        pad = "\n" + "  " * (depth + 1)
+        stack.append(("\n" + "  " * depth + brackets[1], None))
+        for i in range(len(items) - 1, -1, -1):
+            key, item = items[i]
+            stack.append((item, depth + 1))
+            stack.append(((brackets[0] if i == 0 else ",") + pad + key, None))
+    return "".join(out)
+
+
 def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines += [",".join(str(x) for x in row) for row in rows]
@@ -51,7 +81,7 @@ def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value") -> None
     if fmt == "doc":
         doc = {value_name: {str(v): str(pmf[v]) for v in pmf.support},
                "float": {str(v): float(pmf[v]) for v in pmf.support}}
-        _emit(json.dumps(doc, indent=2), out_path)
+        _emit(_json(doc), out_path)
     else:
         rows = [[v, pmf[v], float(pmf[v])] for v in pmf.support]
         _emit(_csv([value_name, "probability", "float"], rows), out_path)
@@ -80,7 +110,7 @@ def grow_cmd(family_text, seed, fmt, out_path, n, count):
     stream = RngStream(seed)
     trees = [grow.sample_tree(spec, n, stream.child(i)) for i in range(count)]
     if fmt == "doc":
-        _emit(json.dumps({"trees": [to_doc(t) for t in trees]}, indent=2), out_path)
+        _emit(_json({"trees": [to_doc(t) for t in trees]}), out_path)
     else:
         _emit(_csv(["index", "tree"], [[i, encode(t)] for i, t in enumerate(trees)]),
               out_path)
@@ -106,7 +136,7 @@ def enumerate_cmd(family_text, seed, fmt, out_path, n, statistic, max_n):
         doc = {"family": spec.describe(), "n": n, "total_weight": str(total),
                "trees": [{"tree": to_doc(t), "weight": str(w),
                           "probability": str(w / total)} for t, w in ts.items]}
-        _emit(json.dumps(doc, indent=2), out_path)
+        _emit(_json(doc), out_path)
     else:
         rows = [[encode(t), w, w / total] for t, w in ts.items]
         _emit(_csv(["tree", "weight", "probability"], rows), out_path)
@@ -214,7 +244,7 @@ def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
         doc = {"family": spec.describe(), "steps": steps, "replicates": replicates,
                "types": [{"type": r[0], "divisor": r[1], "mean_balls": r[2],
                           "mean_node_estimate": r[3]} for r in rows]}
-        _emit(json.dumps(doc, indent=2), out_path)
+        _emit(_json(doc), out_path)
     else:
         _emit(_csv(["type", "divisor", "mean_balls", "mean_node_estimate"], rows),
               out_path)

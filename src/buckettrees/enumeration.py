@@ -4,10 +4,19 @@ Everything here is brute force on purpose: it enumerates every valid
 ordered tree of a given size, weighs it, and derives probabilities and
 statistic distributions by direct summation, so the fast closed-form code
 elsewhere can be checked against it.
+
+A tree's weight is the product of phi(out-degree) over its saturated
+buckets and psi(capacity) over its unsaturated ones, so it depends only on
+the tree's node signature, the multiset of its (capacity, out-degree)
+pairs. Each tree's signature is found once per (b, n) by walking it; each
+call then forms one exact product per signature, and the statistic pmfs
+sum exact weights once per (value, signature) pair while still evaluating
+the statistic on every tree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,23 +94,51 @@ def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
     return [BucketTree(b, root) for root in _structures(b, n)]
 
 
-def _fast_weight(spec: FamilySpec, root: BucketNode, phi_cache: dict, psi_cache: dict) -> Fraction:
-    w = Fraction(1)
+@lru_cache(maxsize=None)
+def _signatures(b: int, n: int) -> tuple:
+    """The node signatures of `_structures(b, n)`: (signatures, index per tree).
+
+    A signature is the sorted ((capacity, out-degree), count) multiset of a
+    tree's buckets. A tree's weight is a product of one factor per bucket,
+    so trees with one signature have one weight.
+    """
+    index: dict = {}
+    of_tree = []
+    for root in _structures(b, n):
+        counts: dict = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            kids = node.children
+            key = (len(node.labels), len(kids))
+            counts[key] = counts.get(key, 0) + 1
+            stack += kids
+        of_tree.append(index.setdefault(tuple(sorted(counts.items())), len(index)))
+    return tuple(index), tuple(of_tree)
+
+
+def _weighed(spec: FamilySpec, n: int, max_n) -> tuple:
+    """(structures, signature index per structure, weight per signature).
+
+    Each weight is the product of phi(degree) over saturated buckets and
+    psi(capacity) over unsaturated ones, as `families.tree_weight` takes it.
+    """
+    if spec.kind == families.LINEAR:
+        raise ValueError("the linear family has no combinatorial weights to enumerate")
+    _check_bound(n, max_n)
     b = spec.b
-    for node in iter_nodes(root):
-        k = len(node.labels)
-        if k == b:
-            d = len(node.children)
-            if d not in phi_cache:
-                phi_cache[d] = phi(spec, d)
-            w *= phi_cache[d]
-        else:
-            if k not in psi_cache:
-                psi_cache[k] = psi(spec, k)
-            w *= psi_cache[k]
-        if w == 0:
-            return w
-    return w
+    signatures, of_tree = _signatures(b, n)
+    factors: dict = {}
+    weights = []
+    for signature in signatures:
+        w = Fraction(1)
+        for key, count in signature:
+            if key not in factors:
+                k, d = key
+                factors[key] = phi(spec, d) if k == b else psi(spec, k)
+            w *= factors[key] ** count
+        weights.append(w)
+    return _structures(b, n), of_tree, signatures, weights
 
 
 @dataclass
@@ -116,16 +153,9 @@ class WeightedTreeSet:
 
 def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     """All valid ordered trees of size n with their exact weights (zeros dropped)."""
-    if spec.kind == families.LINEAR:
-        raise ValueError("the linear family has no combinatorial weights to enumerate")
-    _check_bound(n, max_n)
-    phi_cache: dict = {}
-    psi_cache: dict = {}
-    items = []
-    for root in _structures(spec.b, n):
-        w = _fast_weight(spec, root, phi_cache, psi_cache)
-        if w != 0:
-            items.append((BucketTree(spec.b, root), w))
+    roots, of_tree, _, weights = _weighed(spec, n, max_n)
+    b = spec.b
+    items = [(BucketTree(b, root), weights[s]) for root, s in zip(roots, of_tree) if weights[s]]
     return WeightedTreeSet(spec, n, items)
 
 
@@ -134,8 +164,14 @@ def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
 
 
 def _is_canonical(node: BucketNode) -> bool:
-    mins = [c.labels[0] for c in node.children]
-    return mins == sorted(mins) and all(_is_canonical(c) for c in node.children)
+    stack = [node]
+    while stack:
+        kids = stack.pop().children
+        mins = [c.labels[0] for c in kids]
+        if mins != sorted(mins):
+            return False
+        stack += kids
+    return True
 
 
 def _growth_weight(spec: FamilySpec, cap: int, deg: int) -> Fraction:
@@ -246,55 +282,64 @@ def stat_saturation_time(tree: BucketTree, j: int) -> int:
     return tree.size
 
 
-def _statistic_fn(statistic: str, b: int):
+_LABEL_STATISTICS = {"Y": stat_descendants, "X": stat_out_degree,
+                     "tau": stat_saturation_time}
+
+
+def _statistic_fn(statistic: str, b: int, n: int):
     name, _, arg = statistic.partition(":")
     name = name.strip()
     if name == "K":
-        return lambda t: stat_initial_bucket_size(t)
-    if name == "Y":
-        j = int(arg)
-        return lambda t: stat_descendants(t, j)
-    if name == "X":
-        j = int(arg)
-        return lambda t: stat_out_degree(t, j)
+        return stat_initial_bucket_size
     if name == "N":
         k = int(arg)
         if not 1 <= k <= b:
             raise ValueError(f"capacity {k} outside 1..{b}")
         return lambda t: stat_capacity_count(t, k)
-    if name == "tau":
-        j = int(arg)
-        return lambda t: stat_saturation_time(t, j)
-    raise ValueError(f"unknown statistic {statistic!r}")
+    if name not in _LABEL_STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    stat = _LABEL_STATISTICS[name]
+    j = int(arg)
+    if not 1 <= j <= n:
+        raise ValueError(f"statistic argument {j} outside 1..{n}")
+    return lambda t: stat(t, j)
 
 
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
     """Exact distribution of a tree statistic by brute-force summation.
 
-    The statistics are invariant under reordering of children, so summing
-    ordered-model probabilities gives the unordered-model distribution too.
+    The statistic is evaluated on every tree of nonzero weight; the trees
+    are tallied by (value, signature), so the exact weights are summed once
+    per pair. The statistics are invariant under reordering of children,
+    so summing ordered-model probabilities gives the unordered-model
+    distribution too.
     """
-    name, _, arg = statistic.partition(":")
-    if arg and not 1 <= int(arg) <= n:
-        raise ValueError(f"statistic argument {arg} outside 1..{n}")
-    fn = _statistic_fn(statistic, spec.b)
-    ts = enumerate_trees(spec, n, max_n=max_n)
-    total = ts.total_weight()
+    fn = _statistic_fn(statistic, spec.b, n)
+    roots, of_tree, _, weights = _weighed(spec, n, max_n)
+    b = spec.b
+    tally: dict = {}
+    for root, s in zip(roots, of_tree):
+        if weights[s]:
+            key = (fn(BucketTree(b, root)), s)
+            tally[key] = tally.get(key, 0) + 1
     mass: dict = {}
-    for tree, w in ts.items:
-        v = fn(tree)
-        mass[v] = mass.get(v, Fraction(0)) + w
+    for (v, s), count in tally.items():
+        mass[v] = mass.get(v, 0) + count * weights[s]
+    total = sum(mass.values())
     return Pmf({v: w / total for v, w in mass.items()}).check()
 
 
 def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     """Exact E[N_{n,k}] for k = 1..b under the random tree model."""
-    ts = enumerate_trees(spec, n, max_n=max_n)
-    total = ts.total_weight()
+    _, of_tree, signatures, weights = _weighed(spec, n, max_n)
+    trees = Counter(of_tree)
+    total = Fraction(0)
     out = {k: Fraction(0) for k in range(1, spec.b + 1)}
-    for tree, w in ts.items:
-        for node in iter_nodes(tree.root):
-            out[len(node.labels)] += w
+    for s, signature in enumerate(signatures):
+        w = trees[s] * weights[s]
+        total += w
+        for (k, _), count in signature:
+            out[k] += count * w
     return {k: v / total for k, v in out.items()}
 
 

@@ -258,6 +258,9 @@ class _Grower:
             w = a * (c - 1) + beta * d + m
             weights.append(w)
             total += w
+        if total == 0:
+            raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
+                             f"before label {self.size + 1}: no bucket can attract it")
         u = rng.integers(total)
         for v, w in enumerate(weights):
             if u < w:

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import re
 
 from click.testing import CliRunner
 
 from buckettrees.cli import main
+from buckettrees.trees import encode, from_doc
 
 
 def run(*args):
@@ -27,6 +29,50 @@ def test_grow_doc():
     doc = json.loads(out)
     assert doc["trees"][0]["b"] == 2
     assert doc["trees"][0]["root"]["labels"] == [1, 2]
+
+
+def _load_deep(text):
+    """json.loads without recursion, for docs nested deeper than its limit."""
+    containers, keys = [], []
+    for token in re.findall(r'"(?:[^"\\]|\\.)*"|[^\s,:\][{}]+|[][{}]', text):
+        if token in ("[", "{"):
+            containers.append([] if token == "[" else {})
+            keys.append(None)
+            continue
+        if token in ("]", "}"):
+            keys.pop()
+            value = containers.pop()
+        else:
+            value = json.loads(token)
+        if not containers:
+            return value
+        top = containers[-1]
+        if isinstance(top, list):
+            top.append(value)
+        elif keys[-1] is None:
+            keys[-1] = value
+        else:
+            top[keys[-1]] = value
+            keys[-1] = None
+    raise ValueError("unterminated JSON text")
+
+
+def test_grow_doc_of_a_deep_tree_round_trips():
+    args = ("grow", "--family", "linear:b=1,a=0,beta=-1,m=1", "--n", "1500", "--seed", "4")
+    doc = run(*args, "--format", "doc")
+    tree = from_doc(_load_deep(doc)["trees"][0])
+    assert tree.size == 1500
+    assert "0," + encode(tree) == run(*args).splitlines()[1]
+    shallow = run("grow", "--n", "30", "--count", "3", "--format", "doc")
+    assert _load_deep(shallow) == json.loads(shallow)
+
+
+def test_enumerate_doc_round_trips():
+    args = ("enumerate", "--family", "port:b=2,alpha=1", "--n", "5")
+    doc = _load_deep(run(*args, "--format", "doc"))
+    rows = [line.rsplit(",", 2) for line in run(*args).strip().splitlines()[1:]]
+    assert [[encode(from_doc(t["tree"])), t["weight"], t["probability"]]
+            for t in doc["trees"]] == rows
 
 
 def test_grow_deterministic():

@@ -1,16 +1,19 @@
 """The brute-force oracle: totals, measures, and statistic pmfs."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from buckettrees import families
-from buckettrees.enumeration import (EnumerationBoundError, UNORDERED_GROWTH,
-                                     UNORDERED_MODEL, all_trees,
+from buckettrees import families, verify
+from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
+                                     UNORDERED_GROWTH, UNORDERED_MODEL, all_trees,
                                      distinct_unordered, enumerate_trees,
                                      exact_probability, exact_statistic_pmf,
-                                     expected_capacity_counts)
-from buckettrees.trees import decode, validate
+                                     expected_capacity_counts, stat_capacity_count,
+                                     stat_descendants, stat_initial_bucket_size,
+                                     stat_out_degree, stat_saturation_time)
+from buckettrees.trees import BucketNode, BucketTree, decode, encode, iter_nodes, validate
 
 
 def test_all_trees_are_valid():
@@ -72,6 +75,16 @@ def test_statistic_pmf_argument_checks():
         exact_statistic_pmf(spec, 4, "Z:1")
     with pytest.raises(ValueError):
         exact_statistic_pmf(spec, 4, "N:3")
+    with pytest.raises(ValueError, match="capacity 0"):
+        exact_statistic_pmf(spec, 4, "N:0")
+    with pytest.raises(ValueError, match="outside 1..4"):
+        exact_statistic_pmf(spec, 4, "tau:0")
+
+
+def test_capacity_statistic_is_checked_against_b_not_n():
+    # a size-2 tree of bound 3 is one unsaturated bucket: no full bucket
+    assert exact_statistic_pmf(families.recursive(3), 2, "N:3").mass == {0: 1}
+    assert exact_statistic_pmf(families.recursive(3), 2, "N:2").mass == {1: 1}
 
 
 def test_expected_capacity_counts_sum():
@@ -96,3 +109,103 @@ def test_enumeration_bound_guard():
 def test_enumerate_rejects_linear():
     with pytest.raises(ValueError):
         enumerate_trees(families.linear(2, 1, 0, 1), 3)
+
+
+def test_unordered_measure_on_a_deep_path():
+    depth = 3000
+    node = BucketNode((depth,))
+    for label in range(depth - 1, 0, -1):
+        node = BucketNode((label,), (node,))
+    path = BucketTree(1, node)
+    spec = families.recursive(1)
+    expected = Fraction(1, math.factorial(depth - 1))
+    assert exact_probability(spec, path, UNORDERED_MODEL, max_n=depth) == expected
+    assert exact_probability(spec, path, ORDERED_MODEL, max_n=depth) == expected
+    # a fork at the bottom of the path whose children are out of order
+    node = BucketNode((depth - 2,), (BucketNode((depth,)), BucketNode((depth - 1,))))
+    for label in range(depth - 3, 0, -1):
+        node = BucketNode((label,), (node,))
+    with pytest.raises(ValueError, match="canonical"):
+        exact_probability(spec, BucketTree(1, node), UNORDERED_MODEL, max_n=depth)
+
+
+# ---------------------------------------------------------------------------
+# the per-tree summation the oracle used before it grouped trees by node
+# signature, kept as the reference for its weights and sums
+
+_STATISTICS = {"Y": stat_descendants, "X": stat_out_degree, "tau": stat_saturation_time}
+
+
+def _per_tree_weight(spec, root, phi_cache, psi_cache):
+    w = Fraction(1)
+    b = spec.b
+    for node in iter_nodes(root):
+        k = len(node.labels)
+        if k == b:
+            d = len(node.children)
+            if d not in phi_cache:
+                phi_cache[d] = families.phi(spec, d)
+            w *= phi_cache[d]
+        else:
+            if k not in psi_cache:
+                psi_cache[k] = families.psi(spec, k)
+            w *= psi_cache[k]
+        if w == 0:
+            return w
+    return w
+
+
+def _per_tree_items(spec, n):
+    phi_cache, psi_cache, items = {}, {}, []
+    for tree in all_trees(spec.b, n):
+        w = _per_tree_weight(spec, tree.root, phi_cache, psi_cache)
+        if w != 0:
+            items.append((tree, w))
+    return items
+
+
+def _per_tree_pmf(items, fn):
+    total = sum((w for _, w in items), Fraction(0))
+    mass = {}
+    for tree, w in items:
+        v = fn(tree)
+        mass[v] = mass.get(v, Fraction(0)) + w
+    return {v: w / total for v, w in mass.items()}
+
+
+def _per_tree_capacity_counts(spec, items):
+    total = sum((w for _, w in items), Fraction(0))
+    out = {k: Fraction(0) for k in range(1, spec.b + 1)}
+    for tree, w in items:
+        for node in iter_nodes(tree.root):
+            out[len(node.labels)] += w
+    return {k: v / total for k, v in out.items()}
+
+
+def _custom_phi(k):
+    return Fraction(0) if k == 2 else Fraction(k * k + 1, k + 1)
+
+
+def _statistic_fns(b, n):
+    yield "K", stat_initial_bucket_size
+    for k in range(1, b + 1):
+        yield f"N:{k}", lambda t, k=k: stat_capacity_count(t, k)
+    for name, stat in _STATISTICS.items():
+        for j in range(1, n + 1):
+            yield f"{name}:{j}", lambda t, stat=stat, j=j: stat(t, j)
+
+
+def test_oracle_matches_per_tree_reference():
+    specs = verify.family_grid() + [families.custom(2, _custom_phi, [Fraction(3, 2)])]
+    for spec in specs:
+        for n in range(1, 7):
+            items = _per_tree_items(spec, n)
+            got = enumerate_trees(spec, n).items
+            assert [(encode(t), w) for t, w in got] == [(encode(t), w) for t, w in items]
+            counts = expected_capacity_counts(spec, n)
+            want = _per_tree_capacity_counts(spec, items)
+            assert list(counts.items()) == list(want.items())
+            for statistic, fn in _statistic_fns(spec.b, n):
+                mass = exact_statistic_pmf(spec, n, statistic).mass
+                assert list(mass.items()) == list(_per_tree_pmf(items, fn).items()), \
+                    (spec.describe(), n, statistic)

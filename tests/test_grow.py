@@ -153,3 +153,13 @@ def test_linear_rules_whose_weights_stop_at_zero_sample():
     # a bucket of weight 0 is never picked again, so no negative state is reached
     for spec in (PATH_RULE, families.linear(2, 1, Fraction(-2, 3), 1)):
         assert validate(sample_tree(spec, 60, 1)) == []
+
+
+@pytest.mark.parametrize("sampler", [sample_tree, sample_census])
+def test_linear_rule_whose_total_weight_reaches_zero_names_the_rule(sampler):
+    # the root weighs 1 - (c - 1): it takes labels 1 and 2, then weighs 0,
+    # and no other bucket exists to receive label 3
+    with pytest.raises(ValueError, match=r"linear:b=3,a=-1,beta=0,m=1 has total "
+                                         r"weight 0 before label 3"):
+        sampler(families.linear(3, -1, 0, 1), 60, 1)
+    assert sample_census(families.linear(3, -1, 0, 1), 2, 1).n == 2
