@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -234,12 +233,9 @@ def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
     model = urns.build_urn(spec)
     counts = montecarlo.sample_urn_counts(spec, steps + 1, replicates,
                                           RngStream(seed)).astype(float)
-    rows = []
-    for k in range(1, spec.b + 1):
-        rows.append([k, model.divisors[k - 1], counts[:, k - 1].mean()])
-    est = verify._urn_estimates(spec, steps + 1, replicates, RngStream(seed))
-    for k in range(1, spec.b + 1):
-        rows[k - 1].append(est[k].mean())
+    est = urns.node_type_estimates(model, counts)
+    rows = [[k, model.divisors[k - 1], counts[:, k - 1].mean(), est[k].mean()]
+            for k in range(1, spec.b + 1)]
     if fmt == "doc":
         doc = {"family": spec.describe(), "steps": steps, "replicates": replicates,
                "types": [{"type": r[0], "divisor": r[1], "mean_balls": r[2],

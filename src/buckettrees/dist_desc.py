@@ -29,11 +29,6 @@ from .families import FamilySpec, kappa as family_kappa
 from .pmf import Pmf, mixture, point_mass
 
 
-def _require_named(spec: FamilySpec) -> None:
-    if spec.kind not in families.NAMED_KINDS:
-        raise ValueError(f"needs a named family, not {spec.kind!r}")
-
-
 def _check_nj(n: int, j: int) -> None:
     if not 1 <= j <= n:
         raise ValueError(f"label j={j} outside 1..{n}")
@@ -59,7 +54,7 @@ def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int,
 
 def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
     """P{Y_{n,j} = m} given that j's bucket had ell labels at time j."""
-    _require_named(spec)
+    families.require_named(spec)
     _check_nj(n, j)
     if not 1 <= ell <= min(j, spec.b):
         raise ValueError(f"bucket size ell={ell} impossible at time {j}")
@@ -72,7 +67,7 @@ def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
 
 def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of Y_{n,j}, mixing the conditional laws over K_j."""
-    _require_named(spec)
+    families.require_named(spec)
     _check_nj(n, j)
     if j <= spec.b:
         return point_mass(n + 1 - j)
@@ -90,7 +85,7 @@ def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
     size s that has a probability with a ratio recurrence in s, and label
     s + 1 then fills the bucket with probability node_weight(b-1, 0)/total(s).
     """
-    _require_named(spec)
+    families.require_named(spec)
     _check_nj(n, j)
     b = spec.b
     if j <= b:
@@ -128,7 +123,7 @@ def pmf_X(spec: FamilySpec, n: int, j: int) -> Pmf:
     node_weight(b, x) / total(s).  The mass of tau at n covers both
     saturation at n and censoring; X = 0 either way.
     """
-    _require_named(spec)
+    families.require_named(spec)
     _check_nj(n, j)
     b = spec.b
     gc = families.growth_coeffs(spec)
@@ -177,7 +172,7 @@ def limit_reference(spec: FamilySpec, regime: str, j: Optional[int] = None,
     central:  Y - 1      -> mixture of NegBin(ell + kappa, rho) with j ~ rho n
     large-j:  Y          -> 1
     """
-    _require_named(spec)
+    families.require_named(spec)
     kap = float(family_kappa(spec))
     if regime == "fixed-j":
         if j is None or j <= spec.b:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import families
+from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
 from .pmf import Pmf, point_mass
 from .spectral import IndicialRoots, cbinom, family_roots, harmonic_diff
@@ -18,14 +18,9 @@ from .spectral import IndicialRoots, cbinom, family_roots, harmonic_diff
 IMAG_TOL = 1e-10
 
 
-def _require_named(spec: FamilySpec) -> None:
-    if spec.kind not in families.NAMED_KINDS:
-        raise ValueError(f"K distribution needs a named family, not {spec.kind!r}")
-
-
 def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
     """P{K_n = m}, m = 1..b, via the spectral closed form."""
-    _require_named(spec)
+    families.require_named(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
     b = spec.b
@@ -60,7 +55,7 @@ def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
 
 def limit_K(spec: FamilySpec) -> Pmf:
     """The limit law of K_n as n grows; exact rational atoms on 1..b."""
-    _require_named(spec)
+    families.require_named(spec)
     b = spec.b
     if b == 1:
         return point_mass(1)
@@ -81,37 +76,28 @@ def limit_K(spec: FamilySpec) -> Pmf:
 def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     """E[Q_{n,k}] for k = 1..b: expected total attraction weight by bucket type.
 
-    Q_{n,k} is the summed growth weight of all capacity-k buckets at size n.
-    The increment has deterministic conditional mean, so the expectation
-    satisfies an exact linear recursion.
+    Q_{n,k} is the summed growth weight of all capacity-k buckets at size n,
+    the ball count of type k in `urns.urn_model`.  A step draws type k with
+    probability Q_k / total and adds replacement row k, so the expectation
+    satisfies the exact linear recursion  q <- q + sum_k (q_k / total) R_k.
     """
-    _require_named(spec)
-    gc = families.growth_coeffs(spec)
-    b = spec.b
-    w = [0] + [gc.node_weight(k, 0) for k in range(1, b + 1)]
-    q = [Fraction(0)] * (b + 1)  # q[k] = E[Q_{size,k}], index 0 unused
-    q[1] = Fraction(w[1])
+    model = urns.urn_model(spec)
+    rows = [[(i, r) for i, r in enumerate(row) if r] for row in model.replacement]
+    q = [Fraction(c) for c in model.initial]
     for size in range(1, n):
-        total = Fraction(gc.total(size))
-        delta = [Fraction(0)] * (b + 1)
-        for k in range(1, b + 1):
-            p = q[k] / total  # probability the drawn node has capacity k
-            if k < b:
-                delta[k] -= p * w[k]
-                delta[k + 1] += p * w[k + 1]
-            else:
-                # a saturated node gains a child: a fresh capacity-1 bucket,
-                # plus one more unit of degree weight on the parent
-                delta[1] += p * w[1]
-                delta[b] += p * gc.bdeg
-        for k in range(1, b + 1):
-            q[k] += delta[k]
-    return tuple(q[1:])
+        total = model.total(size)
+        delta = [0] * model.b
+        for qk, row in zip(q, rows):
+            p = qk / total  # probability the drawn node has capacity k
+            for i, r in row:
+                delta[i] += p * r
+        q = [x + dx for x, dx in zip(q, delta)]
+    return tuple(q)
 
 
 def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
     """P{K_n = m} as exact rationals, via the mean type-mass recursion."""
-    _require_named(spec)
+    families.require_named(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or spec.b == 1:
@@ -129,7 +115,7 @@ def node_type_relation(spec: FamilySpec, n: int, expected_counts: dict) -> Pmf:
 
     expected_counts maps k -> E[N_{n,k}] (exact rationals, k = 1..b).
     """
-    _require_named(spec)
+    families.require_named(spec)
     b = spec.b
     e = {k: Fraction(expected_counts.get(k, 0)) for k in range(1, b + 1)}
     nodes = sum(e.values())

@@ -195,29 +195,23 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
     The product over j = 2..n of the attraction probability of the node that
     received label j, evaluated on the restriction to labels < j.
     """
-    # bucket holding each label, plus parent links
-    holder: dict = {}
-    parent: dict = {}
-    for node in iter_nodes(tree.root):
-        for lab in node.labels:
-            holder[lab] = node
-        for c in node.children:
-            parent[c] = node
-    n = tree.size
+    # (capacity, out-degree) of the node that received each label j > 1
+    state = [None] * (tree.size + 1)
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        for rank in range(1, len(v.labels)):
+            state[v.labels[rank]] = (rank, 0)  # v was unsaturated with rank labels
+        firsts = sorted(c.labels[0] for c in v.children)
+        for deg, j in enumerate(firsts):
+            state[j] = (tree.b, deg)  # saturated v had deg children below j
+        stack += v.children
     prob = Fraction(1)
-    for j in range(2, n + 1):
-        v = holder[j]
-        rank = v.labels.index(j)  # labels of v below j
-        if rank > 0:
-            cap, deg = rank, 0  # v was unsaturated just before j arrived
-        else:
-            p = parent[v]
-            cap = tree.b
-            deg = sum(1 for c in p.children if c.labels[0] < j)
-        # node count of the restriction to labels < j
-        node_count = len({id(holder[x]) for x in range(1, j)})
-        w = _growth_weight(spec, cap, deg)
-        prob *= w / _growth_total(spec, j - 1, node_count)
+    node_count = 1  # nodes of the restriction to labels < j
+    for j in range(2, tree.size + 1):
+        cap, deg = state[j]
+        prob *= _growth_weight(spec, cap, deg) / _growth_total(spec, j - 1, node_count)
+        node_count += cap == tree.b  # j opened a new bucket
     return prob
 
 

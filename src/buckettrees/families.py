@@ -24,6 +24,12 @@ CUSTOM = "custom"
 NAMED_KINDS = (RECURSIVE, ARY, PORT)
 
 
+def require_named(spec: FamilySpec) -> None:
+    """Raise ValueError unless spec is one of the named families."""
+    if spec.kind not in NAMED_KINDS:
+        raise ValueError(f"needs a named family, not {spec.kind!r}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str

@@ -12,24 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import families
+from . import families, urns
 from .families import FamilySpec
-from .grow import RngStream, _as_rng
-
-
-def _kernel_setup(spec: FamilySpec):
-    if spec.kind not in families.NAMED_KINDS:
-        raise ValueError(f"needs a named family, not {spec.kind!r}")
-    gc = families.growth_coeffs(spec)
-    b = spec.b
-    w = np.array([gc.node_weight(k, 0) for k in range(1, b + 1)], dtype=np.int64)
-    rows = np.zeros((b, b), dtype=np.int64)
-    for k in range(b - 1):  # drawing an unsaturated type promotes one bucket
-        rows[k, k] = -w[k]
-        rows[k, k + 1] = w[k + 1]
-    rows[b - 1, 0] += w[0]  # drawing a saturated type spawns a child
-    rows[b - 1, b - 1] += gc.bdeg
-    return gc, w, rows
+from .grow import _as_rng
 
 
 def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
@@ -38,15 +23,13 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
     Returns (counts, last_type): the integer ball counts at size n and the
     0-based type drawn on the final step (or -1 when n == 1).
     """
-    gc, w, rows = _kernel_setup(spec)
+    model = urns.urn_model(spec)
+    rows = np.array(model.replacement, dtype=np.int64)
     stream = _as_rng(rng)
-    b = spec.b
-    counts = np.zeros((size, b), dtype=np.int64)
-    counts[:, 0] = w[0]
+    counts = np.tile(np.array(model.initial, dtype=np.int64), (size, 1))
     last = np.full(size, -1, dtype=np.int64)
     for s in range(1, n):
-        total = gc.total(s)
-        u = stream.generator.integers(0, total, size=size)
+        u = stream.generator.integers(0, model.total(s), size=size)
         drawn = (u[:, None] >= np.cumsum(counts, axis=1)).sum(axis=1)
         counts += rows[drawn]
         last = drawn
@@ -55,6 +38,7 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
 
 def sample_K(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     """`size` independent copies of K_n (exact distribution)."""
+    families.require_named(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or spec.b == 1:
@@ -80,6 +64,7 @@ def sample_Y(spec: FamilySpec, n: int, j: int, size: int, rng) -> np.ndarray:
     then a Binomial(n - j) count.  The law is exact; only the Beta variate
     is a floating-point draw.
     """
+    families.require_named(spec)
     if not 1 <= j <= n:
         raise ValueError(f"label j={j} outside 1..{n}")
     stream = _as_rng(rng)

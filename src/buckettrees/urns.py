@@ -2,10 +2,14 @@
 
 Ball type k carries the total attraction weight of capacity-k buckets, in
 the denominator-cleared integer form, so drawing a ball is exactly the
-growth step and the urn is balanced with balance a.  The replacement
-matrix is sparse (a shifted cycle), which makes its characteristic
-polynomial a two-term product and ties its eigenvalues to the indicial
-roots by the affine map  lambda_urn = a * lambda_ind - c.
+growth step and the urn is balanced with balance a.  `urn_model` is the
+one definition of the urn (initial counts, replacement rows, divisors and
+growth coefficients): the vectorized kernel in `montecarlo` steps with its
+rows, and the exact recursion `dist_k.mean_type_masses` takes the mean
+of the same step.  The replacement matrix is sparse (a shifted cycle),
+which makes its characteristic polynomial a two-term product and ties its
+eigenvalues to the indicial roots by the affine map
+lambda_urn = a * lambda_ind - c.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from .families import FamilySpec, kappa as family_kappa
-from .grow import RngStream, _as_rng
+from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
+from .grow import _as_rng
 from .spectral import family_roots
 from .trees import NodeCensus
 
@@ -29,36 +33,41 @@ class UrnModel:
     replacement: tuple      # b x b integer matrix; row = type drawn
     initial: tuple          # ball counts at tree size 1
     divisors: tuple         # weight of one capacity-k bucket, k = 1..b
-    balance: int            # every row sums to this
+    coeffs: GrowthCoeffs    # the growth rule the urn draws with
+
+    @property
+    def balance(self) -> int:
+        """Every row sums to this."""
+        return self.coeffs.a
 
     def total(self, n: int) -> int:
-        gc = families.growth_coeffs(self.spec)
-        return gc.total(n)
+        return self.coeffs.total(n)
+
+
+def urn_model(spec: FamilySpec) -> UrnModel:
+    """The bucket-type urn of a named family; b = 1 gives the one-type urn [a]."""
+    families.require_named(spec)
+    gc = families.growth_coeffs(spec)
+    b = spec.b
+    w = tuple(gc.node_weight(k, 0) for k in range(1, b + 1))
+    rows = [[0] * b for _ in range(b)]
+    for k in range(b - 1):  # drawing an unsaturated type promotes one bucket
+        rows[k][k] -= w[k]
+        rows[k][k + 1] += w[k + 1]
+    rows[b - 1][0] += w[0]  # drawing a saturated type spawns a child
+    rows[b - 1][b - 1] += gc.bdeg
+    if any(sum(row) != gc.a for row in rows):
+        raise AssertionError("urn is not balanced")
+    initial = (w[0],) + (0,) * (b - 1)
+    return UrnModel(spec, b, tuple(map(tuple, rows)), initial, w, gc)
 
 
 def build_urn(spec: FamilySpec) -> UrnModel:
-    if spec.kind not in families.NAMED_KINDS:
-        raise ValueError(f"urns are defined for the named families, not {spec.kind!r}")
-    b = spec.b
-    if b < 2:
+    """The urn of a named family with at least two bucket types."""
+    families.require_named(spec)
+    if spec.b < 2:
         raise ValueError("the urn needs at least two bucket types (b >= 2)")
-    gc = families.growth_coeffs(spec)
-    w = [gc.node_weight(k, 0) for k in range(1, b + 1)]
-    rows = []
-    for k in range(1, b + 1):
-        row = [0] * b
-        if k < b:
-            row[k - 1] = -w[k - 1]
-            row[k] = w[k]
-        else:
-            row[0] = w[0]
-            row[b - 1] = gc.bdeg
-        rows.append(tuple(row))
-    for row in rows:
-        if sum(row) != gc.a:
-            raise AssertionError("urn is not balanced")
-    initial = tuple([w[0]] + [0] * (b - 1))
-    return UrnModel(spec, b, tuple(rows), initial, tuple(w), gc.a)
+    return urn_model(spec)
 
 
 @dataclass
@@ -92,28 +101,31 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
 
 def census_counts(model: UrnModel, census: NodeCensus) -> tuple:
     """Ball counts of the urn read off a tree census (the exact coupling)."""
-    gc = families.growth_coeffs(model.spec)
     q = [0] * model.b
     for k, c in census.m.items():
         q[k - 1] = c * model.divisors[k - 1]
     for d, c in census.n_deg.items():
-        q[model.b - 1] += c * (model.divisors[model.b - 1] + gc.bdeg * d)
+        q[model.b - 1] += c * (model.divisors[model.b - 1] + model.coeffs.bdeg * d)
     return tuple(q)
 
 
 def node_type_estimates(model: UrnModel, counts) -> dict:
-    """Recover the bucket counts N_k from the ball counts, exactly.
+    """Recover the bucket counts N_k from the ball counts.
 
     For k < b each capacity-k bucket carries exactly divisors[k-1] balls.
     Type-b balls also carry the degree weights, but the total edge count
-    is the node count minus one, which closes the system.
+    is the node count minus one, which closes the system.  One count
+    vector gives exact Fractions; a (replicates, b) array gives one float
+    column per type.
     """
-    gc = families.growth_coeffs(model.spec)
-    b = model.b
-    est = {k: Fraction(counts[k - 1], model.divisors[k - 1]) for k in range(1, b)}
+    if np.ndim(counts) == 2:
+        cols = list(np.asarray(counts, dtype=float).T)
+    else:
+        cols = [Fraction(c) for c in counts]
+    bdeg, b = model.coeffs.bdeg, model.b
+    est = {k: cols[k - 1] / model.divisors[k - 1] for k in range(1, b)}
     rest = sum(est.values())
-    est[b] = (Fraction(counts[b - 1]) - gc.bdeg * rest + gc.bdeg) \
-        / (model.divisors[b - 1] + gc.bdeg)
+    est[b] = (cols[b - 1] - bdeg * rest + bdeg) / (model.divisors[b - 1] + bdeg)
     return est
 
 
@@ -164,9 +176,8 @@ def char_poly_closed(model: UrnModel) -> list[Fraction]:
 
     (-1)^b [ (lambda - bdeg) prod_{k<b} (lambda + w_k)  -  prod_{k<=b} w_k ]
     """
-    gc = families.growth_coeffs(model.spec)
     w = model.divisors
-    poly = [Fraction(-gc.bdeg), Fraction(1)]
+    poly = [Fraction(-model.coeffs.bdeg), Fraction(1)]
     for k in range(model.b - 1):
         poly = _poly_mul(poly, [Fraction(w[k]), Fraction(1)])
     prod = Fraction(1)
@@ -188,8 +199,7 @@ class UrnSpectrum:
 
 
 def urn_spectrum(model: UrnModel) -> UrnSpectrum:
-    spec = model.spec
-    gc = families.growth_coeffs(spec)
+    spec, gc = model.spec, model.coeffs
     coeffs = char_poly_closed(model)
     roots = family_roots(spec)
     eigs = tuple(gc.a * lam - gc.c for lam in roots.roots)

@@ -292,19 +292,6 @@ def _mean_band(samples: np.ndarray, target: float, sigmas: float = 3.0) -> float
     return z
 
 
-def _urn_estimates(spec: FamilySpec, n: int, size: int, rng) -> dict:
-    """Vectorized node-count estimates from the urn ball counts."""
-    model = urns.build_urn(spec)
-    gc = families.growth_coeffs(spec)
-    counts = montecarlo.sample_urn_counts(spec, n, size, rng).astype(float)
-    b = spec.b
-    est = {k: counts[:, k - 1] / model.divisors[k - 1] for k in range(1, b)}
-    rest = sum(est.values()) if b > 1 else 0.0
-    est[b] = ((counts[:, b - 1] - gc.bdeg * rest + gc.bdeg)
-              / (model.divisors[b - 1] + gc.bdeg))
-    return est
-
-
 def check_urns(charpoly_max_b: int = 10, affine_max_b: int = 30,
                exact_n: int = 7, exact_reps: int = 10 ** 6,
                growth_n: int = 10 ** 3, growth_reps: int = 300,
@@ -331,17 +318,21 @@ def check_urns(charpoly_max_b: int = 10, affine_max_b: int = 30,
     notes.append(f"affine eigenvalue images are roots for b <= {affine_max_b} "
                  f"(worst residual {worst:.2e})")
 
+    def estimates(spec, n, size, rng):
+        counts = montecarlo.sample_urn_counts(spec, n, size, rng)
+        return urns.node_type_estimates(urns.build_urn(spec), counts)
+
     stream = RngStream(seed)
     for i, spec in enumerate(kind_grid(2) + [families.recursive(3)]):
         exact = expected_capacity_counts(spec, exact_n)
-        est = _urn_estimates(spec, exact_n, exact_reps, stream.child(i))
+        est = estimates(spec, exact_n, exact_reps, stream.child(i))
         for k in range(1, spec.b + 1):
             _mean_band(est[k], float(exact[k]))
     notes.append(f"urn means match enumeration means at n={exact_n} "
                  f"({exact_reps} replicates, 3 sigma)")
 
     for i, spec in enumerate(kind_grid(2) + [families.recursive(3)]):
-        est = _urn_estimates(spec, growth_n, urn_reps, stream.child(100 + i))
+        est = estimates(spec, growth_n, urn_reps, stream.child(100 + i))
         sim = np.zeros((growth_reps, spec.b))
         tree_stream = stream.child(200 + i)
         for r in range(growth_reps):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import families
+from buckettrees import families, verify
 from buckettrees.dist_k import (limit_K, mean_type_masses, node_type_relation,
                                 pmf_K, pmf_K_exact)
 from buckettrees.enumeration import exact_statistic_pmf, expected_capacity_counts
@@ -60,6 +60,38 @@ def test_mean_type_masses_sum_to_total():
         gc = families.growth_coeffs(spec)
         for n in (1, 4, 9):
             assert sum(mean_type_masses(spec, n)) == gc.total(n)
+
+
+def _inline_mean_type_masses(spec, n):
+    """The mean recursion with its urn rows written out inline, as the
+    reference for the route that reads them from the urn model."""
+    gc = families.growth_coeffs(spec)
+    b = spec.b
+    w = [0] + [gc.node_weight(k, 0) for k in range(1, b + 1)]
+    q = [Fraction(0)] * (b + 1)
+    q[1] = Fraction(w[1])
+    for size in range(1, n):
+        total = Fraction(gc.total(size))
+        delta = [Fraction(0)] * (b + 1)
+        for k in range(1, b + 1):
+            p = q[k] / total
+            if k < b:
+                delta[k] -= p * w[k]
+                delta[k + 1] += p * w[k + 1]
+            else:
+                delta[1] += p * w[1]
+                delta[b] += p * gc.bdeg
+        for k in range(1, b + 1):
+            q[k] += delta[k]
+    return tuple(q[1:])
+
+
+@pytest.mark.parametrize("spec", verify.family_grid()
+                         + [families.recursive(4), families.port(3, 2)],
+                         ids=lambda s: s.describe())
+def test_mean_type_masses_match_inline_recursion(spec):
+    for n in range(1, 31):
+        assert mean_type_masses(spec, n) == _inline_mean_type_masses(spec, n)
 
 
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.describe())

@@ -10,7 +10,8 @@ from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
                                      UNORDERED_GROWTH, UNORDERED_MODEL, all_trees,
                                      distinct_unordered, enumerate_trees,
                                      exact_probability, exact_statistic_pmf,
-                                     expected_capacity_counts, stat_capacity_count,
+                                     expected_capacity_counts,
+                                     growth_history_probability, stat_capacity_count,
                                      stat_descendants, stat_initial_bucket_size,
                                      stat_out_degree, stat_saturation_time)
 from buckettrees.trees import BucketNode, BucketTree, decode, encode, iter_nodes, validate
@@ -128,6 +129,87 @@ def test_unordered_measure_on_a_deep_path():
     with pytest.raises(ValueError, match="canonical"):
         exact_probability(spec, BucketTree(1, node), UNORDERED_MODEL, max_n=depth)
 
+
+
+def _quadratic_growth_history(spec, tree):
+    """growth_history_probability as it was before it became linear in the
+    tree size, kept as the reference for it."""
+    def weight(cap, deg):
+        if spec.kind == families.LINEAR:
+            return families.linear_node_weight(spec, cap, deg)
+        return Fraction(families.growth_coeffs(spec).node_weight(cap, deg))
+
+    def total(n, node_count):
+        if spec.kind == families.LINEAR:
+            return (spec.lin_a * (n - node_count) + spec.lin_beta * (node_count - 1)
+                    + spec.lin_m * node_count)
+        return Fraction(families.growth_coeffs(spec).total(n))
+
+    holder, parent = {}, {}
+    for node in iter_nodes(tree.root):
+        for lab in node.labels:
+            holder[lab] = node
+        for c in node.children:
+            parent[c] = node
+    prob = Fraction(1)
+    for j in range(2, tree.size + 1):
+        v = holder[j]
+        rank = v.labels.index(j)
+        if rank > 0:
+            cap, deg = rank, 0
+        else:
+            cap, deg = tree.b, sum(1 for c in parent[v].children if c.labels[0] < j)
+        node_count = len({id(holder[x]) for x in range(1, j)})
+        prob *= weight(cap, deg) / total(j - 1, node_count)
+    return prob
+
+
+def _path(b, n):
+    """The path whose buckets hold b consecutive labels each."""
+    starts = list(range(1, n + 1, b))
+    node = BucketNode(tuple(range(starts[-1], n + 1)))
+    for s in reversed(starts[:-1]):
+        node = BucketNode(tuple(range(s, s + b)), (node,))
+    return BucketTree(b, node)
+
+
+def _star(b, n):
+    return BucketTree(b, BucketNode(tuple(range(1, b + 1)),
+                                    tuple(BucketNode((j,)) for j in range(b + 1, n + 1))))
+
+
+_LINEAR_RULES = {1: families.linear(1, 0, 1, 1), 2: families.linear(2, 1, 1, 1),
+                 3: families.linear(3, 1, 2, 1)}
+
+
+def test_growth_history_matches_quadratic_reference():
+    for spec in verify.family_grid():
+        for n in range(1, 7):
+            for tree in distinct_unordered(enumerate_trees(spec, n)):
+                for rule in (spec, _LINEAR_RULES[spec.b]):
+                    assert (growth_history_probability(rule, tree)
+                            == _quadratic_growth_history(rule, tree))
+    for b, specs in ((1, [families.recursive(1), families.port(1, 1), _LINEAR_RULES[1]]),
+                     (2, [families.recursive(2), families.ary(2, 3), _LINEAR_RULES[2]])):
+        for tree in (_path(b, 300), _star(b, 300)):
+            for spec in specs:
+                assert (growth_history_probability(spec, tree)
+                        == _quadratic_growth_history(spec, tree))
+
+
+def test_growth_history_on_a_deep_path_and_a_wide_star():
+    n = 2000
+    odd = math.prod(range(1, 2 * n - 2, 2))  # (2n-3)!!
+    # recursive: every label joins one of j - 1 equal nodes
+    for tree in (_path(1, n), _star(1, n)):
+        assert growth_history_probability(families.recursive(1), tree) == \
+            Fraction(1, math.factorial(n - 1))
+    # port(1, 1): a node of out-degree d weighs d + 1 out of 2(j - 1) - 1
+    assert growth_history_probability(families.port(1, 1), _path(1, n)) == Fraction(1, odd)
+    assert growth_history_probability(families.port(1, 1), _star(1, n)) == \
+        Fraction(math.factorial(n - 1), odd)
+    assert exact_probability(families.recursive(1), _star(1, n), UNORDERED_GROWTH,
+                             max_n=n) == Fraction(1, math.factorial(n - 1))
 
 # ---------------------------------------------------------------------------
 # the per-tree summation the oracle used before it grouped trees by node

@@ -1,12 +1,13 @@
 """Vectorized samplers against the exact finite-n laws."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from buckettrees import dist_desc, dist_k, families, gof, montecarlo
+from buckettrees import dist_desc, dist_k, families, gof, montecarlo, urns
 from buckettrees.grow import RngStream
 
 LEVEL = 0.001
@@ -118,8 +119,46 @@ def test_named_family_guard():
         montecarlo.sample_K(families.linear(2, 1, 0, 1), 5, 10, 0)
 
 
+def test_named_family_guard_before_the_forced_cases():
+    with pytest.raises(ValueError, match="named family"):
+        montecarlo.sample_K(families.linear(1, 0, 1, 1), 5, 10, 0)
+    with pytest.raises(ValueError, match="named family"):
+        montecarlo.sample_Y(families.linear(2, 1, 1, 1), 5, 2, 10, 0)
+
+
 def test_determinism():
     spec = families.port(2, 1)
     a = montecarlo.sample_K(spec, 20, 50, RngStream(7))
     b = montecarlo.sample_K(spec, 20, 50, RngStream(7))
     assert np.array_equal(a, b)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def _kernel_digests(spec) -> tuple:
+    traj = urns.simulate_urn(urns.build_urn(spec), 20, 4)
+    return (_digest(montecarlo.sample_K(spec, 20, 300, RngStream(1))),
+            _digest(montecarlo.sample_urn_counts(spec, 20, 300, RngStream(2))),
+            _digest(montecarlo.sample_Y(spec, 20, 6, 300, RngStream(3))),
+            _digest(traj.draws + [c for counts in traj.counts for c in counts]))
+
+
+# digests of (sample_K, sample_urn_counts, sample_Y, simulate_urn) draws; a
+# change here moves a seeded stream and must be stated as such
+SEEDED_KERNELS = {
+    families.recursive(2): ("013170039696ac7b", "d24652f34c8bbafe",
+                             "eb86d72dc145c9b9", "ebf35776eb9ed538"),
+    families.recursive(3): ("4f7e6093d97fb09c", "db8456472be82e7c",
+                             "bc4b658eb803d296", "b51ed1ef416297f6"),
+    families.ary(2, 3): ("ad8416d4fa9aa7e0", "0a1904ac3d9a830b",
+                         "cc5f33639c9c4076", "63c560839fb73a00"),
+    families.port(3, 2): ("fae11c1b7b307e40", "768c2b3ecff22e49",
+                          "fb0d07a81b293b31", "e7535fc922acdf4e"),
+}
+
+
+@pytest.mark.parametrize("spec", list(SEEDED_KERNELS), ids=lambda s: s.describe())
+def test_seeded_kernels_are_stable(spec):
+    assert _kernel_digests(spec) == SEEDED_KERNELS[spec]

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import families, grow, urns
+from buckettrees import dist_k, families, grow, montecarlo, urns
+from buckettrees.grow import RngStream
 from buckettrees.urns import (build_urn, census_counts, char_poly,
                               char_poly_closed, node_type_estimates,
                               numeric_eigenvalues, simulate_urn, urn_spectrum)
@@ -89,3 +90,39 @@ def test_urn_guards():
         build_urn(families.recursive(1))
     with pytest.raises(ValueError):
         build_urn(families.linear(2, 1, 0, 1))
+
+
+@pytest.mark.parametrize("spec", SPECS + [families.port(3, 2)], ids=lambda s: s.describe())
+def test_array_estimates_equal_per_vector_fractions(spec):
+    model = build_urn(spec)
+    counts = montecarlo.sample_urn_counts(spec, 25, 50, RngStream(12))
+    columns = node_type_estimates(model, counts)
+    assert sorted(columns) == list(range(1, spec.b + 1))
+    for k, column in columns.items():
+        exact = [float(node_type_estimates(model, row)[k]) for row in counts]
+        assert column.tolist() == exact
+
+
+@pytest.mark.parametrize("spec", SPECS + [families.port(3, 2)], ids=lambda s: s.describe())
+def test_every_route_steps_with_the_urn_rows(spec):
+    model = build_urn(spec)
+    rows = model.replacement
+    # the exact mean recursion takes one step along sum_k (q_k / total) R_k
+    for n in range(1, 8):
+        q = dist_k.mean_type_masses(spec, n)
+        step = [qi + sum(qk / model.total(n) * row[i] for qk, row in zip(q, rows))
+                for i, qi in enumerate(q)]
+        assert dist_k.mean_type_masses(spec, n + 1) == tuple(step)
+    # one more kernel step on the same seed adds one row to every replicate
+    before = montecarlo.sample_urn_counts(spec, 30, 2000, RngStream(13))
+    after = montecarlo.sample_urn_counts(spec, 31, 2000, RngStream(13))
+    assert {tuple(d) for d in (after - before).tolist()} == set(rows)
+
+
+def test_one_type_urn():
+    model = urns.urn_model(families.port(1, 2))
+    assert model.replacement == ((3,),) and model.initial == (2,)
+    assert model.balance == 3
+    counts = montecarlo.sample_urn_counts(families.port(1, 2), 9, 5, RngStream(1))
+    assert (counts[:, 0] == model.total(9)).all()
+    assert node_type_estimates(model, (model.total(9),)) == {1: 9}
