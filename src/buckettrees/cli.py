@@ -225,12 +225,12 @@ def convert_cmd(family_text, seed, fmt, out_path, source, target, bound, text):
 
 @main.command("urn")
 @common_options
-@click.option("--steps", required=True, type=int)
+@click.option("--steps", required=True, type=click.IntRange(min=0))
 @click.option("--replicates", default=1000, show_default=True, type=int)
 def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
     """Simulate the bucket-type urn; mean compositions and node estimates."""
     spec = families.parse_family(family_text)
-    model = urns.build_urn(spec)
+    model = urns.urn_model(spec)
     counts = montecarlo.sample_urn_counts(spec, steps + 1, replicates,
                                           RngStream(seed)).astype(float)
     est = urns.node_type_estimates(model, counts)

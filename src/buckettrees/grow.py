@@ -45,6 +45,15 @@ def _as_rng(rng) -> RngStream:
     return RngStream(int(rng))
 
 
+def _draw_dtype(high: int):
+    """The integer dtype to draw below `high` in: int32 when it fits.
+
+    Below 2**31 numpy's bounded int32 and int64 draws take the same 32-bit
+    words and give the same numbers; int32 is cheaper to fill and compare.
+    """
+    return np.int32 if high < 2**31 else np.int64
+
+
 # ---------------------------------------------------------------------------
 # exact attraction probabilities on a static tree
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
-from .grow import _as_rng
+from .grow import _as_rng, _draw_dtype
 from .spectral import family_roots
 from .trees import NodeCensus
 
@@ -81,13 +81,21 @@ class UrnTrajectory:
 
 
 def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
-    """One exact trajectory: `steps` draws starting from tree size 1."""
-    stream = _as_rng(rng)
+    """One exact trajectory: `steps` draws starting from tree size 1.
+
+    The totals are deterministic, so all `steps` integers are drawn in one
+    call, giving the numbers a draw per step would; each type is then
+    picked from the running counts with Python ints.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    gc = model.coeffs
+    totals = gc.a * np.arange(1, steps + 1, dtype=np.int64) + gc.total_c
+    dtype = _draw_dtype(model.total(steps))
     q = list(model.initial)
     counts = [tuple(q)]
     draws = []
-    for step in range(steps):
-        u = stream.integers(model.total(1 + step))
+    for u in _as_rng(rng).generator.integers(0, totals, dtype=dtype).tolist():
         k = 0
         while u >= q[k]:
             u -= q[k]

@@ -149,6 +149,17 @@ def test_urn():
                    "2,3,15.85,2.925\n")
 
 
+def test_urn_one_type():
+    out = run("urn", "--family", "recursive:b=1", "--steps", "5")
+    assert out == ("type,divisor,mean_balls,mean_node_estimate\n"
+                   "1,1,6.0,6.0\n")
+
+
+def test_urn_negative_steps_is_a_usage_error():
+    result = CliRunner().invoke(main, ["urn", "--steps", "-3"])
+    assert result.exit_code == 2 and "--steps" in result.output
+
+
 def test_urn_spectrum():
     out = run("urn-spectrum", "--family", "port:b=2,alpha=1", "--b-range", "2")
     lines = out.strip().splitlines()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from buckettrees import dist_desc, dist_k, families, gof, montecarlo, urns
-from buckettrees.grow import RngStream
+from buckettrees import dist_desc, dist_k, families, gof, montecarlo, urns, verify
+from buckettrees.grow import RngStream, _draw_dtype
 
 LEVEL = 0.001
 
@@ -112,6 +112,16 @@ def test_sample_root_degree_other_kinds(spec):
 def test_sample_root_degree_guard():
     with pytest.raises(ValueError):
         montecarlo.sample_root_degree(families.recursive(2), 10, 10, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        montecarlo.sample_root_degree(families.recursive(1), 0, 10, 0)
+    with pytest.raises(ValueError, match="named family"):
+        montecarlo.sample_root_degree(families.linear(1, 0, 1, 1), 10, 10, 0)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_urn_counts_guard(n):
+    with pytest.raises(ValueError, match="n must be"):
+        montecarlo.sample_urn_counts(families.recursive(2), n, 10, 0)
 
 
 def test_named_family_guard():
@@ -162,3 +172,119 @@ SEEDED_KERNELS = {
 @pytest.mark.parametrize("spec", list(SEEDED_KERNELS), ids=lambda s: s.describe())
 def test_seeded_kernels_are_stable(spec):
     assert _kernel_digests(spec) == SEEDED_KERNELS[spec]
+
+
+def _digests_b1(spec) -> tuple:
+    return (_digest(montecarlo.sample_root_degree(spec, 40, 300, RngStream(5))),
+            _digest(montecarlo.sample_urn_counts(spec, 40, 300, RngStream(2))))
+
+
+# digests of (sample_root_degree, sample_urn_counts) draws for b = 1, recorded
+# with the row-wise kernels; the same rule as SEEDED_KERNELS holds
+SEEDED_ONE_TYPE_KERNELS = {
+    families.recursive(1): ("e6246d2f75b287b5", "c3edd0d568462817"),
+    families.ary(1, 3): ("b1a05332b17b38f6", "d102ed464a8b4b64"),
+    families.port(1, 2): ("30a09968bce69e02", "897bf130f4155592"),
+}
+
+
+@pytest.mark.parametrize("spec", list(SEEDED_ONE_TYPE_KERNELS), ids=lambda s: s.describe())
+def test_seeded_one_type_kernels_are_stable(spec):
+    assert _digests_b1(spec) == SEEDED_ONE_TYPE_KERNELS[spec]
+
+
+# ---------------------------------------------------------------------------
+# the column-wise kernels against the row-wise, draw-per-step ones they replace
+
+
+def _row_wise_ball_dynamics(spec, n, size, stream):
+    model = urns.urn_model(spec)
+    rows = np.array(model.replacement, dtype=np.int64)
+    counts = np.tile(np.array(model.initial, dtype=np.int64), (size, 1))
+    last = np.full(size, -1, dtype=np.int64)
+    for s in range(1, n):
+        u = stream.generator.integers(0, model.total(s), size=size)
+        drawn = (u[:, None] >= np.cumsum(counts, axis=1)).sum(axis=1)
+        counts += rows[drawn]
+        last = drawn
+    return counts, last
+
+
+def _per_step_root_degree(spec, n, size, stream):
+    gc = families.growth_coeffs(spec)
+    deg = np.zeros(size, dtype=np.int64)
+    for s in range(1, n):
+        deg += stream.generator.integers(0, gc.total(s), size) < gc.node_weight(1, deg)
+    return deg
+
+
+def _per_step_simulate_urn(model, steps, stream):
+    q = list(model.initial)
+    counts = [tuple(q)]
+    draws = []
+    for step in range(steps):
+        u = stream.integers(model.total(1 + step))
+        k = 0
+        while u >= q[k]:
+            u -= q[k]
+            k += 1
+        draws.append(k)
+        for i, delta in enumerate(model.replacement[k]):
+            q[i] += delta
+        counts.append(tuple(q))
+    return draws, counts
+
+
+IDENTITY_SPECS = verify.family_grid() + [families.recursive(4), families.ary(3, 4),
+                                         families.port(3, 2), families.port(2, Fraction(1, 2))]
+# alpha + 1 = 10**6: the total 10**6 * n - 1 crosses 2**31 between n = 2147 and 2148
+WIDE = (families.port(2, 10**6 - 1), families.port(1, 10**6 - 1))
+
+
+def _same_draws(new, old, *args):
+    """Run both kernels on equal seeds; return their outputs, asserting equal stream ends."""
+    a, b = RngStream(11), RngStream(11)
+    out_new, out_old = new(*args, a), old(*args, b)
+    assert a.generator.bit_generator.state == b.generator.bit_generator.state
+    return out_new, out_old
+
+
+def _assert_ball_dynamics_identical(spec, n, size):
+    (counts, last), (ref_counts, ref_last) = _same_draws(
+        montecarlo._ball_dynamics, _row_wise_ball_dynamics, spec, n, size)
+    assert counts.dtype == last.dtype == np.int64
+    assert counts.shape == (size, spec.b)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(last, ref_last)
+
+
+def _assert_root_degree_identical(spec, n, size):
+    deg, ref = _same_draws(montecarlo.sample_root_degree, _per_step_root_degree,
+                           spec, n, size)
+    assert deg.dtype == np.int64 and np.array_equal(deg, ref)
+
+
+def _assert_simulate_urn_identical(spec, steps):
+    model = urns.urn_model(spec)
+    traj, (draws, counts) = _same_draws(urns.simulate_urn, _per_step_simulate_urn,
+                                        model, steps)
+    assert traj.draws == draws and traj.counts == counts
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS, ids=lambda s: s.describe())
+def test_kernels_match_row_wise_per_step_references(spec):
+    for n in (1, 2, 17, 150):
+        for size in (0, 1, 300):
+            _assert_ball_dynamics_identical(spec, n, size)
+            if spec.b == 1:
+                _assert_root_degree_identical(spec, n, size)
+        _assert_simulate_urn_identical(spec, n - 1)
+
+
+@pytest.mark.parametrize("n", [2147, 2200])
+def test_kernels_match_references_across_the_int32_bound(n):
+    wide, wide_b1 = WIDE
+    assert _draw_dtype(urns.urn_model(wide).total(n)) == (np.int32 if n == 2147 else np.int64)
+    _assert_ball_dynamics_identical(wide, n, 50)
+    _assert_ball_dynamics_identical(wide_b1, n, 50)
+    _assert_root_degree_identical(wide_b1, n, 50)
+    _assert_simulate_urn_identical(wide, n - 1)

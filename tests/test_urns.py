@@ -119,6 +119,11 @@ def test_every_route_steps_with_the_urn_rows(spec):
     assert {tuple(d) for d in (after - before).tolist()} == set(rows)
 
 
+def test_simulate_urn_guard():
+    with pytest.raises(ValueError, match="steps"):
+        simulate_urn(build_urn(families.recursive(2)), -3, 0)
+
+
 def test_one_type_urn():
     model = urns.urn_model(families.port(1, 2))
     assert model.replacement == ((3,),) and model.initial == (2,)
