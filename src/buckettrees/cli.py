@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -229,7 +230,7 @@ def convert_cmd(family_text, seed, fmt, out_path, source, target, bound, text):
 @click.option("--replicates", default=1000, show_default=True, type=int)
 def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
     """Simulate the bucket-type urn; mean compositions and node estimates."""
-    spec = families.parse_family(family_text)
+    spec = _named(family_text)
     model = urns.urn_model(spec)
     counts = montecarlo.sample_urn_counts(spec, steps + 1, replicates,
                                           RngStream(seed)).astype(float)
@@ -246,14 +247,11 @@ def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
               out_path)
 
 
-def _with_b(spec: families.FamilySpec, b: int) -> families.FamilySpec:
-    if spec.kind == families.RECURSIVE:
-        return families.recursive(b)
-    if spec.kind == families.ARY:
-        return families.ary(b, spec.d)
-    if spec.kind == families.PORT:
-        return families.port(b, spec.alpha)
-    raise click.UsageError(f"spectra need a named family, not {spec.kind!r}")
+def _named(family_text: str) -> families.FamilySpec:
+    spec = families.parse_family(family_text)
+    if spec.kind not in families.NAMED_KINDS:
+        raise click.UsageError(f"this verb needs a named family, not {spec.kind!r}")
+    return spec
 
 
 @main.command("urn-spectrum")
@@ -261,14 +259,16 @@ def _with_b(spec: families.FamilySpec, b: int) -> families.FamilySpec:
 @click.option("--b-range", "b_range", required=True, help="e.g. 2..10 or 5")
 def urn_spectrum_cmd(family_text, seed, fmt, out_path, b_range):
     """Urn eigenvalues and phase indicators over a range of bucket sizes."""
-    spec = families.parse_family(family_text)
+    spec = _named(family_text)
     rows = []
     for b in _parse_b_range(b_range):
-        sp = urns.urn_spectrum(urns.build_urn(_with_b(spec, b)))
-        second = sp.eigenvalues[1].real
-        phase = second / float(sp.principal)
+        sp = urns.urn_spectrum(urns.urn_model(replace(spec, b=b)))
+        second, phase = "", ""  # a one-type urn has no second eigenvalue
+        if b > 1:
+            second = sp.eigenvalues[1].real
+            second, phase = f"{second:.12g}", f"{second / float(sp.principal):.12g}"
         eigs = ";".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in sp.eigenvalues)
-        rows.append([b, sp.principal, f"{second:.12g}", f"{phase:.12g}", eigs])
+        rows.append([b, sp.principal, second, phase, eigs])
     _emit(_csv(["b", "balance", "second_real", "phase_indicator", "eigenvalues"],
                rows), out_path)
 
@@ -278,11 +278,11 @@ def urn_spectrum_cmd(family_text, seed, fmt, out_path, b_range):
 @click.option("--b-range", "b_range", default=None, help="e.g. 2..30")
 def spectrum_cmd(family_text, seed, fmt, out_path, b_range):
     """Indicial-equation roots and the phase indicator per bucket size."""
-    spec = families.parse_family(family_text)
+    spec = _named(family_text)
     bs = _parse_b_range(b_range) if b_range else range(spec.b, spec.b + 1)
     rows = []
     for b in bs:
-        roots = spectral.indicial_roots(b, families.kappa(_with_b(spec, b)))
+        roots = spectral.indicial_roots(b, families.kappa(replace(spec, b=b)))
         phase = roots.gap_ratio() if b > 1 else ""
         for i, z in enumerate(roots.roots):
             rows.append([b, roots.kappa, i + 1, f"{z.real:.15g}", f"{z.imag:.15g}",

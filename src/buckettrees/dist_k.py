@@ -113,29 +113,17 @@ def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
 def node_type_relation(spec: FamilySpec, n: int, expected_counts: dict) -> Pmf:
     """P{K_{n+1} = m} from the expected capacity counts E[N_{n,k}] at size n.
 
-    expected_counts maps k -> E[N_{n,k}] (exact rationals, k = 1..b).
+    expected_counts maps k -> E[N_{n,k}] (exact rationals, k = 1..b).  Label
+    n + 1 fills a capacity-(m-1) bucket with probability
+    E[N_{n,m-1}] w(m-1, 0) / total(n); it opens a bucket (m = 1) through a
+    saturated one, whose weights sum to E[N_{n,b}] w(b, 0) + bdeg (nodes - 1).
     """
     families.require_named(spec)
+    gc = families.growth_coeffs(spec)
     b = spec.b
     e = {k: Fraction(expected_counts.get(k, 0)) for k in range(1, b + 1)}
     nodes = sum(e.values())
-    kind = spec.kind
-    mass: dict = {}
-    if kind == families.RECURSIVE:
-        den = Fraction(n)
-        for m in range(2, b + 1):
-            mass[m] = e[m - 1] * (m - 1) / den
-        mass[1] = e[b] * b / den
-    elif kind == families.ARY:
-        d = spec.d
-        den = Fraction((d - 1) * n + 1)
-        for m in range(2, b + 1):
-            mass[m] = e[m - 1] * ((d - 1) * (m - 1) + 1) / den
-        mass[1] = (e[b] * ((d - 1) * b + 1) + (1 - nodes)) / den
-    else:  # PORT
-        a1 = spec.alpha + 1
-        den = a1 * n - 1
-        for m in range(2, b + 1):
-            mass[m] = e[m - 1] * (a1 * (m - 1) - 1) / den
-        mass[1] = (e[b] * (a1 * b - 1) + (nodes - 1)) / den
+    total = gc.total(n)
+    mass = {m: e[m - 1] * gc.node_weight(m - 1, 0) / total for m in range(2, b + 1)}
+    mass[1] = (e[b] * gc.node_weight(b, 0) + gc.bdeg * (nodes - 1)) / total
     return Pmf({m: p for m, p in mass.items() if p != 0}).check()

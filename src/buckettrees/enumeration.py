@@ -174,21 +174,6 @@ def _is_canonical(node: BucketNode) -> bool:
     return True
 
 
-def _growth_weight(spec: FamilySpec, cap: int, deg: int) -> Fraction:
-    if spec.kind == families.LINEAR:
-        return families.linear_node_weight(spec, cap, deg)
-    gc = families.growth_coeffs(spec)
-    return Fraction(gc.node_weight(cap, deg))
-
-
-def _growth_total(spec: FamilySpec, n: int, node_count: int) -> Fraction:
-    if spec.kind == families.LINEAR:
-        return (spec.lin_a * (n - node_count) + spec.lin_beta * (node_count - 1)
-                + spec.lin_m * node_count)
-    gc = families.growth_coeffs(spec)
-    return Fraction(gc.total(n))
-
-
 def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
     """Probability that the growth process builds exactly this unordered tree.
 
@@ -206,11 +191,15 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
         for deg, j in enumerate(firsts):
             state[j] = (tree.b, deg)  # saturated v had deg children below j
         stack += v.children
+    gc = families.growth_coeffs(spec)
     prob = Fraction(1)
     node_count = 1  # nodes of the restriction to labels < j
     for j in range(2, tree.size + 1):
         cap, deg = state[j]
-        prob *= _growth_weight(spec, cap, deg) / _growth_total(spec, j - 1, node_count)
+        w = gc.node_weight(cap, deg)
+        if w == 0:  # the rule never gives j to a bucket of weight 0
+            return Fraction(0)
+        prob *= Fraction(w, gc.total(j - 1, node_count))
         node_count += cap == tree.b  # j opened a new bucket
     return prob
 

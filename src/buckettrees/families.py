@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .trees import BucketTree, check_valid, iter_nodes
@@ -232,7 +233,12 @@ def total_weight_closed(spec: FamilySpec, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GrowthCoeffs:
-    """Integer node weight a*c(v) + bdeg*deg(v) + c; total weight is a*n + total_c."""
+    """Integer node weight a*c(v) + bdeg*deg(v) + c.
+
+    Summed over a tree of n labels in N buckets the weights give
+    a*n + (bdeg + c)*N + total_c.  For the named families bdeg + c == 0,
+    so the total needs the node count only for other linear rules.
+    """
 
     a: int
     bdeg: int
@@ -242,29 +248,51 @@ class GrowthCoeffs:
     def node_weight(self, cap: int, deg: int) -> int:
         return self.a * cap + self.bdeg * deg + self.c
 
-    def total(self, n: int) -> int:
+    def total(self, n: int, nodes: int = None) -> int:
+        if self.bdeg + self.c:
+            return self.a * n + (self.bdeg + self.c) * nodes + self.total_c
         return self.a * n + self.total_c
 
 
+@lru_cache(maxsize=None)  # specs and coefficients are frozen; callers ask once per tree
 def growth_coeffs(spec: FamilySpec) -> GrowthCoeffs:
     """Attraction weights of the growth rule with denominators cleared.
 
-    The node weight divided by the total weight at size n reproduces the
-    attraction probability of the family's growth process exactly.
+    The node weight divided by the total weight reproduces the attraction
+    probability of the family's growth process exactly.  Every rule is a
+    linear one, a*(c-1) + beta*deg + m, and becomes (A, B, M - A, -B) once
+    (a, beta, m) are cleared to integers (A, B, M).  The named families
+    are the rules with m = a - beta (recursive (1, 0, 1), ary
+    (d-1, -1, d), port (alpha+1, 1, alpha)), so bdeg + c == 0 for them.
+    A rule under which some bucket can reach a negative weight raises
+    ValueError.
     """
     if spec.kind == RECURSIVE:
-        return GrowthCoeffs(1, 0, 0, 0)
-    if spec.kind == ARY:
-        return GrowthCoeffs(spec.d - 1, -1, 1, 1)
-    if spec.kind == PORT:
-        q = (spec.alpha + 1).denominator
-        p = (spec.alpha + 1).numerator  # alpha + 1 = p/q
-        return GrowthCoeffs(p, q, -q, -q)
-    if spec.kind == LINEAR:
-        # weight a*(c-1) + beta*deg + m, cleared by the common denominator;
-        # total depends on the node count, so there is no closed total_c
-        raise ValueError("linear growth weights are handled per tree, not by coefficients")
-    raise ValueError(f"no growth rule for family kind {spec.kind!r}")
+        rule = (1, 0, 1)
+    elif spec.kind == ARY:
+        rule = (spec.d - 1, -1, spec.d)
+    elif spec.kind == PORT:
+        rule = (spec.alpha + 1, 1, spec.alpha)
+    elif spec.kind == LINEAR:
+        rule = (spec.lin_a, spec.lin_beta, spec.lin_m)
+    else:
+        raise ValueError(f"no growth rule for family kind {spec.kind!r}")
+    den = math.lcm(*(Fraction(f).denominator for f in rule))
+    a, beta, m = (int(f * den) for f in rule)
+    gc = GrowthCoeffs(a, beta, m - a, -beta)
+    # A bucket fills through capacities 1..b at degree 0, each state reached
+    # only if the one before it has a positive weight; a full bucket's weight
+    # then moves by bdeg per child, so with bdeg < 0 the first degree whose
+    # weight is not positive is the last state it can reach.
+    for cap in range(1, spec.b + 1):
+        w = gc.node_weight(cap, 0)
+        if w <= 0:
+            break
+    deg = -(w // gc.bdeg) if w > 0 and gc.bdeg < 0 else 0
+    if gc.node_weight(cap, deg) < 0:
+        raise ValueError(f"growth rule {spec.describe()} reaches a negative weight "
+                         f"at capacity {cap}, degree {deg}")
+    return gc
 
 
 def linear_node_weight(spec: FamilySpec, cap: int, deg: int) -> Fraction:

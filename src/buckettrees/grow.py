@@ -1,16 +1,17 @@
 """Label-by-label growth of random bucket trees.
 
-The sampler keeps the attraction weights in denominator-cleared integer
-form, so every step draws one uniform integer below the (deterministic)
-total weight and resolves it to a node in O(1) amortized time (a linear
-rule, whose total is not closed, scans its nodes at every step).  The
-resulting tree has exactly the distribution induced by the family's
-growth rule.
+Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
+bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
+step draws one uniform integer below the total weight and resolves it to a
+node in O(1) amortized time, through a label, slot or weight-group table
+chosen from the coefficients.  When bdeg + c == 0 the totals are
+deterministic and every draw is made up front; otherwise each label is
+drawn against the live total, which also counts the nodes.  The resulting
+tree has exactly the distribution induced by the family's growth rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,27 +62,19 @@ def _draw_dtype(high: int):
 def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     """Exact attraction probability of every bucket: [(path, node, Fraction)].
 
-    The probabilities always sum to one; a ValueError is raised otherwise
-    (which can only happen for a linear rule with a negative weight).
+    Each bucket's weight is `gc.node_weight` over `gc.total(size, nodes)`,
+    so the probabilities sum to one on every tree.  A tree with a negative
+    bucket weight or a zero total, which the rule cannot grow, raises
+    ValueError.
     """
-    entries = []
-    if spec.kind == families.LINEAR:
-        weights = [(path, node,
-                    families.linear_node_weight(spec, len(node.labels), len(node.children)))
-                   for path, node in iter_nodes_with_path(tree.root)]
-        total = sum(w for _, _, w in weights)
-        if total <= 0:
-            raise ValueError("linear growth rule has nonpositive total weight")
-        entries = [(path, node, w / total) for path, node, w in weights]
-    else:
-        gc = families.growth_coeffs(spec)
-        total = gc.total(tree.size)
-        for path, node in iter_nodes_with_path(tree.root):
-            w = gc.node_weight(len(node.labels), len(node.children))
-            entries.append((path, node, Fraction(w, total)))
-    if sum(p for _, _, p in entries) != 1:
-        raise ValueError("attraction probabilities do not sum to 1")
-    return entries
+    gc = families.growth_coeffs(spec)
+    nodes = list(iter_nodes_with_path(tree.root))
+    weights = [gc.node_weight(len(node.labels), len(node.children)) for _, node in nodes]
+    total = gc.total(tree.size, len(nodes))
+    if total <= 0 or min(weights) < 0:
+        raise ValueError(f"growth rule {spec.describe()} cannot grow this tree: "
+                         f"total weight {total}, least bucket weight {min(weights)}")
+    return [(path, node, Fraction(w, total)) for (path, node), w in zip(nodes, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +82,6 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
 
 
 _CHUNK = 1 << 13
-
-
-def _check_linear_states(spec: FamilySpec) -> None:
-    """Raise ValueError if a bucket can reach a negative weight under the rule.
-
-    A bucket fills through capacities 1..b at degree 0, each state reached
-    only if the one before it has a positive weight; a full bucket's weight
-    then moves by beta per child, so with beta < 0 the first degree whose
-    weight is not positive is the last state it can reach.
-    """
-    for cap in range(1, spec.b + 1):
-        w = families.linear_node_weight(spec, cap, 0)
-        if w == 0:
-            return
-    if spec.lin_beta < 0:
-        families.linear_node_weight(spec, spec.b, math.ceil(w / -spec.lin_beta))
 
 
 class _Grower:
@@ -119,70 +96,74 @@ class _Grower:
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.b = spec.b
-        if spec.kind == families.LINEAR:
-            _check_linear_states(spec)
-            den = 1
-            for f in (spec.lin_a, spec.lin_beta, spec.lin_m):
-                den = den * f.denominator // math.gcd(den, f.denominator)
-            self.lin = (int(spec.lin_a * den), int(spec.lin_beta * den), int(spec.lin_m * den))
-            self.gc = None
-        else:
-            self.gc = families.growth_coeffs(spec)
-            self.lin = None
+        self.gc = gc = families.growth_coeffs(spec)
         self.cap = [1]
         self.deg = [0]
         self.parent = [-1]
         self.where = [0]
-        gc = self.gc
-        if gc is not None and gc.bdeg > 0:
+        if gc.bdeg == gc.c == 0:
+            # weight a*c(v): u // a is a uniform label, where[] its node
+            self.path = "label"
+        elif gc.a >= 0 and gc.bdeg >= 0:
             # weights only ever increase, so the weight units form an
             # append-only table of node indices that a draw indexes directly
-            self.slots = [0] * gc.total(1)
-        elif gc is not None and gc.bdeg < 0:
-            # Weights fall as the degree grows.  Nodes of equal weight share
-            # a group, so one uniform integer resolves to a node exactly:
-            # groups[g] holds the nodes with cap - 1 + deg == g, every
-            # attachment moves a node one group up, and a node leaves the
-            # table once its weight reaches zero.  pos[v] is v's index in
-            # its group, for swap-removal.
-            self.groups: list[list[int]] = []
-            self.units: list[int] = []
-            while True:
-                g = len(self.groups)
-                unit = gc.node_weight(min(g + 1, self.b), max(0, g + 1 - self.b))
-                if unit <= 0:
-                    break
-                self.groups.append([])
-                self.units.append(unit)
-            self.groups[0].append(0)
+            self.path = "slot"
+            self.slots = [0] * gc.node_weight(1, 0)
+        else:
+            # Nodes of equal weight share a group, so one uniform integer
+            # resolves to a node exactly: groups[g] holds the nodes with
+            # cap - 1 + deg == g and table[g] pairs it with their weight.
+            # Every attachment moves a node one group up; the first node to
+            # reach a group opens it, so a chain without end works too.  A
+            # node of weight 0 is never drawn again, so it stays in the last
+            # group it reached.  pos[v] is v's index in its group.
+            self.path = "group"
+            self.groups = [[0]]
+            self.table = [(gc.node_weight(1, 0), self.groups[0])]
             self.pos = [0]
-        elif gc is not None and not (gc.bdeg == 0 and gc.c == 0):
-            raise ValueError(f"no growth sampler for the coefficients {gc}")
 
     @property
     def size(self) -> int:
         return len(self.where)
 
-    # -- named families: one pre-drawn uniform integer per label -------------
-    #
+    def grow(self, count: int, stream: RngStream) -> None:
+        """Add `count` labels, each placed by one uniform integer below the total."""
+        gc = self.gc
+        # looked up per call: a bound method kept on self would be a reference cycle
+        run = getattr(self, "_grow_by_" + self.path)
+        if gc.bdeg + gc.c:
+            # the total counts the nodes, which are random: draw label by label
+            run(self._live_draws(count, stream))
+            return
+        if count == 0:
+            return
+        # the totals are deterministic, so all draws can be made up front
+        totals = gc.a * np.arange(1, count + 1, dtype=np.int64) + gc.total_c
+        stuck = np.flatnonzero(totals <= 0)
+        if stuck.size:
+            self._stuck(int(stuck[0]) + 2)
+        draws = stream.generator.integers(0, totals)
+        if self.path == "label":
+            draws //= gc.a
+        for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
+            run(draws[start:start + _CHUNK].tolist())
+
+    def _live_draws(self, count: int, stream: RngStream):
+        gc, cap, where = self.gc, self.cap, self.where
+        for _ in range(count):
+            total = gc.total(len(where), len(cap))
+            if total <= 0:
+                self._stuck(len(where) + 1)
+            yield stream.integers(total)
+
+    def _stuck(self, label: int):
+        raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
+                         f"before label {label}: no bucket can attract it")
+
     # Each selection path has its own loop with the state in local names, so
     # a label costs a few list operations and no method call.
 
-    def grow(self, draws) -> None:
-        """Add one label per draw; each u must be below the current total weight."""
-        gc = self.gc
-        draws = np.asarray(draws)
-        if gc.bdeg > 0:
-            run = self._grow_by_slot
-        elif gc.bdeg < 0:
-            run = self._grow_by_group
-        else:
-            # weight a*c(v): u // a is a uniform label, where[] its node
-            run, draws = self._grow_by_label, draws // gc.a
-        for start in range(0, len(draws), _CHUNK):  # bounds the Python ints alive at once
-            run(draws[start:start + _CHUNK].tolist())
-
-    def _grow_by_label(self, picks: list) -> None:
+    def _grow_by_label(self, picks) -> None:
         cap, deg, parent, where = self.cap, self.deg, self.parent, self.where
         b = self.b
         for i in picks:
@@ -198,9 +179,9 @@ class _Grower:
                 parent.append(v)
                 deg[v] += 1
 
-    def _grow_by_slot(self, draws: list) -> None:
+    def _grow_by_slot(self, draws) -> None:
         cap, deg, parent, where, slots = self.cap, self.deg, self.parent, self.where, self.slots
-        b, a, bdeg = self.b, self.gc.a, self.gc.bdeg
+        b, a, bdeg, fresh = self.b, self.gc.a, self.gc.bdeg, self.gc.node_weight(1, 0)
         for u in draws:
             v = slots[u]
             c = cap[v]
@@ -215,13 +196,13 @@ class _Grower:
                 deg.append(0)
                 parent.append(v)
                 deg[v] += 1
-                slots.extend([child] * (a - bdeg))
+                slots.extend([child] * fresh)
                 slots.extend([v] * bdeg)
 
-    def _grow_by_group(self, draws: list) -> None:
+    def _grow_by_group(self, draws) -> None:
         cap, deg, parent, where = self.cap, self.deg, self.parent, self.where
-        groups, pos, b = self.groups, self.pos, self.b
-        table = list(zip(self.units, groups))
+        groups, table, pos, b = self.groups, self.table, self.pos, self.b
+        weight = self.gc.node_weight
         first, top = groups[0], len(groups)
         for u in draws:
             for unit, group in table:
@@ -240,10 +221,13 @@ class _Grower:
                 pos[last] = i
             c = cap[v]
             g = c + deg[v]
-            if g < top:
-                group = groups[g]
-                pos[v] = len(group)
-                group.append(v)
+            if g == top:
+                groups.append([])
+                table.append((weight(min(g + 1, b), max(0, g + 1 - b)), groups[g]))
+                top += 1
+            group = groups[g]
+            pos[v] = len(group)
+            group.append(v)
             if c < b:
                 cap[v] = c + 1
                 where.append(v)
@@ -256,36 +240,6 @@ class _Grower:
                 deg[v] += 1
                 pos.append(len(first))
                 first.append(child)
-
-    # -- linear rules: weights are recomputed by a scan at every step --------
-
-    def step_linear(self, rng: RngStream) -> None:
-        a, beta, m = self.lin
-        weights = []
-        total = 0
-        for c, d in zip(self.cap, self.deg):
-            w = a * (c - 1) + beta * d + m
-            weights.append(w)
-            total += w
-        if total == 0:
-            raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
-                             f"before label {self.size + 1}: no bucket can attract it")
-        u = rng.integers(total)
-        for v, w in enumerate(weights):
-            if u < w:
-                break
-            u -= w
-        else:
-            raise AssertionError("unreachable")
-        if self.cap[v] < self.b:
-            self.cap[v] += 1
-            self.where.append(v)
-        else:
-            self.where.append(len(self.cap))
-            self.cap.append(1)
-            self.deg.append(0)
-            self.parent.append(v)
-            self.deg[v] += 1
 
     def build(self) -> BucketTree:
         labels: list[list[int]] = [[] for _ in self.cap]
@@ -321,15 +275,8 @@ class _Grower:
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    stream = _as_rng(rng)
     g = _Grower(spec)
-    if g.gc is not None and n > 1:
-        # the totals are deterministic, so all draws can be made up front
-        totals = g.gc.a * np.arange(1, n, dtype=np.int64) + g.gc.total_c
-        g.grow(stream.generator.integers(0, totals))
-    else:
-        for _ in range(n - 1):
-            g.step_linear(stream)
+    g.grow(n - 1, _as_rng(rng))
     return g
 
 

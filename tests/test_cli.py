@@ -160,6 +160,25 @@ def test_urn_negative_steps_is_a_usage_error():
     assert result.exit_code == 2 and "--steps" in result.output
 
 
+def test_urn_of_a_linear_rule_is_a_usage_error():
+    result = CliRunner().invoke(main, ["urn", "--family", "linear:b=2,a=1,beta=1,m=1",
+                                       "--steps", "5"])
+    assert result.exit_code == 2 and "needs a named family, not 'linear'" in result.output
+
+
+def test_urn_spectrum_one_type():
+    out = run("urn-spectrum", "--family", "recursive:b=1", "--b-range", "1..2")
+    assert out == ("b,balance,second_real,phase_indicator,eigenvalues\n"
+                   "1,1,,,1+0j\n"
+                   "2,1,-2,-2,1+0j;-2+0j\n")
+    for family in ("ary:b=1,d=3", "port:b=1,alpha=2"):
+        lines = run("urn-spectrum", "--family", family, "--b-range", "1").splitlines()
+        assert lines[1].startswith("1,") and lines[1].split(",")[2:4] == ["", ""]
+    result = CliRunner().invoke(main, ["urn-spectrum", "--family", "linear:b=2,a=1,beta=1,m=1",
+                                       "--b-range", "2"])
+    assert result.exit_code == 2 and "needs a named family" in result.output
+
+
 def test_urn_spectrum():
     out = run("urn-spectrum", "--family", "port:b=2,alpha=1", "--b-range", "2")
     lines = out.strip().splitlines()

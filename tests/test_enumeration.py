@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import families, verify
+from buckettrees import enumeration, families, verify
 from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
                                      UNORDERED_GROWTH, UNORDERED_MODEL, all_trees,
                                      distinct_unordered, enumerate_trees,
@@ -291,3 +291,22 @@ def test_oracle_matches_per_tree_reference():
                 mass = exact_statistic_pmf(spec, n, statistic).mass
                 assert list(mass.items()) == list(_per_tree_pmf(items, fn).items()), \
                     (spec.describe(), n, statistic)
+
+
+def test_oracle_imports_no_fast_route():
+    """The oracle shares no code with the routes it checks."""
+    import ast
+    import pathlib
+    source = pathlib.Path(enumeration.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("buckettrees").lstrip(".")
+            names = [base] if base else [alias.name for alias in node.names]
+        else:
+            continue
+        imported |= {name.removeprefix("buckettrees.").split(".")[0] for name in names}
+    assert "families" in imported
+    assert not imported & {"grow", "dist_k", "dist_desc", "spectral", "urns", "montecarlo"}

@@ -77,6 +77,20 @@ def test_growth_coeffs():
     assert growth_coeffs(port(2, Fraction(1, 2))) == families.GrowthCoeffs(3, 2, -2, -2)
 
 
+def test_linear_growth_coeffs():
+    # weight a(c-1) + beta*deg + m, cleared to (A, B, M): (A, B, M - A, -B)
+    assert growth_coeffs(linear(2, 1, Fraction(-2, 3), 1)) == families.GrowthCoeffs(3, -2, 0, 2)
+    gc = growth_coeffs(linear(2, 1, 1, 1))
+    # five labels in three buckets: a(n - N) + beta(N - 1) + m N
+    assert (gc.total(5, 3), gc.node_weight(2, 1)) == (1 * 2 + 1 * 2 + 1 * 3, 3)
+    # each named family is the linear rule with m = a - beta
+    for b in (1, 2, 3):
+        assert growth_coeffs(linear(b, 1, 0, 1)) == growth_coeffs(recursive(b))
+        assert growth_coeffs(linear(b, 2, -1, 3)) == growth_coeffs(ary(b, 3))
+        alpha = Fraction(1, 2)
+        assert growth_coeffs(linear(b, alpha + 1, 1, alpha)) == growth_coeffs(port(b, alpha))
+
+
 def test_growth_coeffs_conservation_identities():
     # bdeg + c = 0 and total_c = -bdeg make the node-weight sum telescope
     for spec in (recursive(2), ary(2, 2), ary(3, 3), port(2, 1), port(3, 2)):

@@ -7,7 +7,7 @@ import pytest
 from buckettrees import families, gof
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
-from buckettrees.grow import (RngStream, attraction_probs, sample_census,
+from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
                               sample_tree)
 from buckettrees.trees import BucketNode, BucketTree, canonicalize, decode, encode, validate
 
@@ -101,13 +101,27 @@ def test_size_guard():
         sample_tree(families.recursive(2), 0, 0)
 
 
-@pytest.mark.parametrize("spec", [families.recursive(2), families.ary(2, 2),
-                                  families.port(2, 1)])
+# tree size per rule, so that the chi-square keeps at least 3 degrees of freedom
+SHAPE_SIZES = {
+    families.recursive(2): 5, families.ary(2, 2): 5, families.port(2, 1): 5,
+    families.linear(2, 1, 1, 1): 5,  # slot table, live total
+    families.linear(2, 1, Fraction(-2, 3), 1): 6,  # groups ending at weight 0, live total
+    families.linear(3, -1, 1, 3): 6,  # groups without end, live total
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: pre-drawn
+}
+
+
+@pytest.mark.parametrize("spec", list(SHAPE_SIZES))
 def test_sampled_shape_frequencies(spec):
-    """Chi-square of sampled canonical shapes against the exact growth measure."""
-    n, samples = 5, 4000
-    reps = distinct_unordered(enumerate_trees(spec, n))
+    """Chi-square of sampled canonical shapes against the exact growth measure.
+
+    The shapes are every unordered tree of size n; those the rule cannot grow
+    are left out, so sampling one of them fails the test.
+    """
+    n, samples = SHAPE_SIZES[spec], 4000
+    reps = distinct_unordered(enumerate_trees(families.recursive(spec.b), n))
     exact = {encode(t): exact_probability(spec, t, UNORDERED_GROWTH) for t in reps}
+    exact = {text: p for text, p in exact.items() if p}
     index = {text: i for i, text in enumerate(sorted(exact))}
     from buckettrees.pmf import Pmf
     pmf = Pmf({index[text]: p for text, p in exact.items()})
@@ -115,7 +129,7 @@ def test_sampled_shape_frequencies(spec):
     draws = [index[encode(canonicalize(sample_tree(spec, n, stream.child(i))))]
              for i in range(samples)]
     report = gof.chi_square(draws, pmf)
-    assert report.passed(0.001), str(report)
+    assert report.dof >= 3 and report.passed(0.001), str(report)
 
 
 PATH_RULE = families.linear(1, 0, -1, 1)  # weight 1 - deg: only the newest bucket grows
@@ -163,3 +177,39 @@ def test_linear_rule_whose_total_weight_reaches_zero_names_the_rule(sampler):
                                          r"weight 0 before label 3"):
         sampler(families.linear(3, -1, 0, 1), 60, 1)
     assert sample_census(families.linear(3, -1, 0, 1), 2, 1).n == 2
+    # m = a - beta, so the totals 2 - n are drawn against up front
+    with pytest.raises(ValueError, match=r"linear:b=2,a=-1,beta=-2,m=1 has total "
+                                         r"weight 0 before label 3"):
+        sampler(families.linear(2, -1, -2, 1), 5, 1)
+    assert sample_census(families.linear(2, -1, -2, 1), 2, 1).n == 2
+
+
+LINEAR_RULES = [
+    families.linear(2, 1, 1, 1),  # slot table, live total
+    families.linear(1, 0, 2, Fraction(1, 2)),  # slot table, new buckets add one unit
+    families.linear(2, 2, 1, 1),  # m = a - beta: slot table, pre-drawn
+    families.linear(2, 1, Fraction(-2, 3), 1),  # groups ending at weight 0, live total
+    families.linear(3, -1, 1, 3),  # groups without end (a < 0 < beta), live total
+    families.linear(2, -1, 0, 2),  # groups without end (a < 0, beta = 0), live total
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)),  # groups, pre-drawn
+    families.linear(2, 1, 0, 1),  # label table, pre-drawn
+]
+
+
+@pytest.mark.parametrize("spec", LINEAR_RULES, ids=lambda s: s.describe())
+def test_grown_linear_trees_conserve_the_total_weight(spec):
+    """The node weights of a grown tree sum to gc.total(n, N), none is
+    negative, and the selection table holds exactly that total."""
+    gc = families.growth_coeffs(spec)
+    for seed, n in enumerate((1, 2, 7, 60, 500, 4000)):
+        g = _grown(spec, n, seed)
+        nodes = len(g.cap)
+        total = gc.a * sum(g.cap) + gc.bdeg * sum(g.deg) + gc.c * nodes
+        assert total == gc.total(n, nodes)
+        assert min(map(gc.node_weight, g.cap, g.deg)) >= 0
+        if g.path == "slot":
+            assert len(g.slots) == total
+        elif g.path == "group":
+            assert sum(unit * len(group) for unit, group in g.table) == total
+            assert all(g.groups[c - 1 + d][g.pos[v]] == v
+                       for v, (c, d) in enumerate(zip(g.cap, g.deg)))
