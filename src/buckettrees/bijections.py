@@ -17,7 +17,7 @@ from typing import Optional
 
 from .enumeration import all_trees
 from .trees import (BucketNode, BucketTree, BundledBucketTree, BundledNode,
-                    check_valid, iter_nodes)
+                    _build_up, canonicalize, check_valid, iter_nodes)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -124,6 +124,26 @@ def _min_child_index(node: BucketNode) -> int:
     return best
 
 
+def _three_children(node: BucketNode) -> tuple:
+    """The nodes that become node's bundled children: its own children with
+    the smallest one replaced by that child's children."""
+    kids = node.children
+    if not kids:
+        return ()
+    i = _min_child_index(node)
+    return kids[:i] + kids[i].children + kids[i + 1:]
+
+
+def _three_bundled_node(node: BucketNode, below: list) -> BundledNode:
+    if not node.children:
+        return BundledNode(node.labels)
+    i = _min_child_index(node)
+    u = node.children[i]
+    m = i + len(u.children)
+    return BundledNode((node.labels[0], u.labels[0]),
+                       (tuple(below[:i]), tuple(below[i:m]), tuple(below[m:])))
+
+
 def cluster_three_bundled(tree: BucketTree) -> BundledBucketTree:
     """Plane-oriented trees -> three-bundled bilabelled bucket trees, bijective.
 
@@ -132,41 +152,54 @@ def cluster_three_bundled(tree: BucketTree) -> BundledBucketTree:
     children, bundle three the remainder.
     """
     _require_plain(tree)
+    return BundledBucketTree(2, 3, _build_up(tree.root, _three_children, _three_bundled_node))
 
-    def go(node: BucketNode) -> BundledNode:
-        if not node.children:
-            return BundledNode(node.labels)
-        i = _min_child_index(node)
-        u = node.children[i]
-        b1 = tuple(go(c) for c in node.children[:i])
-        b2 = tuple(go(c) for c in u.children)
-        b3 = tuple(go(c) for c in node.children[i + 1:])
-        return BundledNode((node.labels[0], u.labels[0]), (b1, b2, b3))
 
-    return BundledBucketTree(2, 3, go(tree.root))
+def _bundled_children(node: BundledNode) -> tuple:
+    return node.children
+
+
+def _unbundled_leaf(node: BundledNode) -> BucketNode:
+    if any(node.bundles):
+        raise ValueError("unsaturated bucket with children")
+    return BucketNode(node.labels)
+
+
+def _three_unbundled_node(node: BundledNode, below: list) -> BucketNode:
+    if len(node.labels) == 1:
+        return _unbundled_leaf(node)
+    b1, b2, b3 = node.bundles
+    i, m = len(b1), len(b1) + len(b2)
+    mid = BucketNode((node.labels[1],), tuple(below[i:m]))
+    return BucketNode((node.labels[0],), (*below[:i], mid, *below[m:]))
 
 
 def uncluster_three_bundled(tree: BundledBucketTree) -> BucketTree:
     if (tree.b, tree.d) != (2, 3):
         raise ValueError("expected a three-bundled tree with bucket size two")
-
-    def go(node: BundledNode) -> BucketNode:
-        if len(node.labels) == 1:
-            if any(node.bundles):
-                raise ValueError("unsaturated bucket with children")
-            return BucketNode(node.labels)
-        b1, b2, b3 = node.bundles
-        mid = BucketNode((node.labels[1],), tuple(go(c) for c in b2))
-        kids = tuple(go(c) for c in b1) + (mid,) + tuple(go(c) for c in b3)
-        return BucketNode((node.labels[0],), kids)
-
-    out = BucketTree(1, go(tree.root))
+    out = BucketTree(1, _build_up(tree.root, _bundled_children, _three_unbundled_node))
     check_valid(out)
     return out
 
 
 def _sort_by_min(nodes) -> tuple:
     return tuple(sorted(nodes, key=lambda v: v.labels[0]))
+
+
+def _two_children(node: BucketNode) -> tuple:
+    """The nodes that become node's bundled children: its children after the
+    smallest one, then the smallest one's children (the input is canonical)."""
+    kids = node.children
+    return kids[1:] + kids[0].children if kids else ()
+
+
+def _two_bundled_node(node: BucketNode, below: list) -> BundledNode:
+    kids = node.children
+    if not kids:
+        return BundledNode(node.labels)
+    m = len(kids) - 1
+    return BundledNode((node.labels[0], kids[0].labels[0]),
+                       (_sort_by_min(below[:m]), _sort_by_min(below[m:])))
 
 
 def cluster_two_bundled(tree: BucketTree) -> BundledBucketTree:
@@ -176,41 +209,24 @@ def cluster_two_bundled(tree: BucketTree) -> BundledBucketTree:
     the bundles come out sorted by smallest label.
     """
     _require_plain(tree)
-
-    def go(node: BucketNode) -> BundledNode:
-        if not node.children:
-            return BundledNode(node.labels)
-        kids = _sort_by_min(node.children)
-        u = kids[0]
-        b1 = _sort_by_min(go(c) for c in kids[1:])
-        b2 = _sort_by_min(go(c) for c in u.children)
-        return BundledNode((node.labels[0], u.labels[0]), (b1, b2))
-
-    canon = _sort_tree(tree.root)
-    if canon != tree.root:
+    if canonicalize(tree).root != tree.root:
         raise ValueError("two-bundled clustering expects the canonical representative")
-    return BundledBucketTree(2, 2, go(tree.root))
+    return BundledBucketTree(2, 2, _build_up(tree.root, _two_children, _two_bundled_node))
 
 
-def _sort_tree(node: BucketNode) -> BucketNode:
-    return BucketNode(node.labels, _sort_by_min(_sort_tree(c) for c in node.children))
+def _two_unbundled_node(node: BundledNode, below: list) -> BucketNode:
+    if len(node.labels) == 1:
+        return _unbundled_leaf(node)
+    b1, b2 = node.bundles
+    i = len(b1)
+    u = BucketNode((node.labels[1],), _sort_by_min(below[i:]))
+    return BucketNode((node.labels[0],), _sort_by_min([u, *below[:i]]))
 
 
 def uncluster_two_bundled(tree: BundledBucketTree) -> BucketTree:
     if (tree.b, tree.d) != (2, 2):
         raise ValueError("expected a two-bundled tree with bucket size two")
-
-    def go(node: BundledNode) -> BucketNode:
-        if len(node.labels) == 1:
-            if any(node.bundles):
-                raise ValueError("unsaturated bucket with children")
-            return BucketNode(node.labels)
-        b1, b2 = node.bundles
-        u = BucketNode((node.labels[1],), _sort_by_min(go(c) for c in b2))
-        kids = _sort_by_min((u,) + tuple(go(c) for c in b1))
-        return BucketNode((node.labels[0],), kids)
-
-    out = BucketTree(1, go(tree.root))
+    out = BucketTree(1, _build_up(tree.root, _bundled_children, _two_unbundled_node))
     check_valid(out)
     return out
 

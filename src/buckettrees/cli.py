@@ -77,14 +77,20 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value") -> None:
+def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value",
+                method: str = None) -> None:
+    """Write a pmf; a `method` names the route behind it, as a doc field and
+    a last CSV column."""
     if fmt == "doc":
         doc = {value_name: {str(v): str(pmf[v]) for v in pmf.support},
                "float": {str(v): float(pmf[v]) for v in pmf.support}}
+        if method:
+            doc["method"] = method
         _emit(_json(doc), out_path)
     else:
-        rows = [[v, pmf[v], float(pmf[v])] for v in pmf.support]
-        _emit(_csv([value_name, "probability", "float"], rows), out_path)
+        header = [value_name, "probability", "float"] + (["method"] if method else [])
+        rows = [[v, pmf[v], float(pmf[v])] + ([method] if method else []) for v in pmf.support]
+        _emit(_csv(header, rows), out_path)
 
 
 def _parse_b_range(text: str) -> range:
@@ -147,15 +153,17 @@ def enumerate_cmd(family_text, seed, fmt, out_path, n, statistic, max_n):
 @click.option("--n", required=True, type=int)
 @click.option("--limit", is_flag=True, help="emit the limit law instead")
 def pmf_k_cmd(family_text, seed, fmt, out_path, n, limit):
-    """Exact distribution of the initial bucket size K_n."""
+    """Distribution of the initial bucket size K_n: exact rationals up to
+    n = 500, spectral floats above, or the limit law. The `method` column
+    (doc field) says which: exact, spectral or limit."""
     spec = families.parse_family(family_text)
     if limit:
-        pmf = dist_k.limit_K(spec)
+        pmf, method = dist_k.limit_K(spec), "limit"
     elif n <= 500:
-        pmf = dist_k.pmf_K_exact(spec, n)
+        pmf, method = dist_k.pmf_K_exact(spec, n), "exact"
     else:  # exact rationals get huge; the spectral route is float but fast
-        pmf = dist_k.pmf_K(spec, n)
-    _pmf_output(pmf, fmt, out_path, value_name="m")
+        pmf, method = dist_k.pmf_K(spec, n), "spectral"
+    _pmf_output(pmf, fmt, out_path, value_name="m", method=method)
 
 
 @main.command("descendants")

@@ -1,17 +1,25 @@
 """Exhaustive exact-rational oracle over ordered bucket increasing trees.
 
-Everything here is brute force on purpose: it enumerates every valid
-ordered tree of a given size, weighs it, and derives probabilities and
-statistic distributions by direct summation, so the fast closed-form code
-elsewhere can be checked against it.
+Everything here is brute force on purpose: it visits every valid ordered
+tree of a given size, weighs it, and derives probabilities and statistic
+distributions by direct summation, so the fast closed-form code elsewhere
+can be checked against it.
+
+Every ordered tree on labels 1..n has exactly one insertion sequence:
+label j either joins an unsaturated bucket or opens a new bucket in one of
+the deg + 1 child gaps of a saturated one (Bergeron, Flajolet & Salvy
+1992). `_Walk` runs depth first over those choices on flat per-bucket
+lists, undoing each step on the way back, and calls a visitor at every
+complete tree. The statistic pmfs read each statistic from that flat
+state and build no tree; the tree lists build each tree's nodes bottom-up
+at its leaf of the walk and are cached per (b, n).
 
 A tree's weight is the product of phi(out-degree) over its saturated
 buckets and psi(capacity) over its unsaturated ones, so it depends only on
 the tree's node signature, the multiset of its (capacity, out-degree)
-pairs. Each tree's signature is found once per (b, n) by walking it; each
-call then forms one exact product per signature, and the statistic pmfs
-sum exact weights once per (value, signature) pair while still evaluating
-the statistic on every tree.
+pairs. The walk keeps the signature as one integer; each call forms one
+exact product per signature and sums exact weights once per (value,
+signature) pair.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from functools import lru_cache
 from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
-from .trees import BucketNode, BucketTree, canonicalize, iter_nodes
+from .trees import BucketNode, BucketTree, _sized_tree, canonicalize, iter_nodes
 
 DEFAULT_MAX_N = 10
 
@@ -41,104 +49,164 @@ def _check_bound(n: int, max_n) -> None:
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise EnumerationBoundError(
-            f"n={n} exceeds the enumeration bound {bound}; "
-            "pass max_n explicitly to override (memory grows factorially)")
+            f"n={n} exceeds the enumeration bound {bound}; pass max_n explicitly "
+            "to override (the tree count, and so the time of every oracle call "
+            "and the memory of the tree lists, grows factorially)")
 
 
-def _ordered_partitions(items: tuple):
-    """All ordered sequences of disjoint nonempty blocks covering `items`."""
-    if not items:
-        yield ()
-        return
-    s = len(items)
-    for mask in range(1, 1 << s):
-        block = tuple(items[i] for i in range(s) if mask >> i & 1)
-        rest = tuple(items[i] for i in range(s) if not mask >> i & 1)
-        for tail in _ordered_partitions(rest):
-            yield (block,) + tail
+class _Walk:
+    """The flat state of a depth-first walk over insertion sequences.
 
-
-def _relabel(node: BucketNode, labels: tuple) -> BucketNode:
-    return BucketNode(tuple(labels[i - 1] for i in node.labels),
-                      tuple(_relabel(c, labels) for c in node.children))
-
-
-@lru_cache(maxsize=None)
-def _structures(b: int, n: int) -> tuple:
-    """All ordered bucket increasing trees on labels 1..n with bound b."""
-    if n < 1:
-        return ()
-    if n <= b:
-        # a single bucket; saturated iff n == b
-        return (BucketNode(tuple(range(1, n + 1))),)
-    root_labels = tuple(range(1, b + 1))
-    rest = tuple(range(b + 1, n + 1))
-    out = []
-    for blocks in _ordered_partitions(rest):
-        # cartesian product of subtree choices, one per block
-        choices = [[_relabel(t, block) for t in _structures(b, len(block))]
-                   for block in blocks]
-        stack = [(0, ())]
-        while stack:
-            i, kids = stack.pop()
-            if i == len(choices):
-                out.append(BucketNode(root_labels, kids))
-            else:
-                for sub in choices[i]:
-                    stack.append((i + 1, kids + (sub,)))
-    return tuple(out)
-
-
-def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
-    _check_bound(n, max_n)
-    return [BucketTree(b, root) for root in _structures(b, n)]
-
-
-@lru_cache(maxsize=None)
-def _signatures(b: int, n: int) -> tuple:
-    """The node signatures of `_structures(b, n)`: (signatures, index per tree).
-
-    A signature is the sorted ((capacity, out-degree), count) multiset of a
-    tree's buckets. A tree's weight is a product of one factor per bucket,
-    so trees with one signature have one weight.
+    Buckets are numbered in the order they open, so every child's number is
+    above its parent's. `labels[v]` holds bucket v's labels in order,
+    `kids[v]` its child buckets in order, and `holder[j]` the bucket of
+    label j (index 0 is unused).
     """
-    index: dict = {}
-    of_tree = []
-    for root in _structures(b, n):
-        counts: dict = {}
-        stack = [root]
+
+    def __init__(self, b: int, n: int):
+        self.b, self.n = b, n
+        self.labels, self.kids, self.holder = [[1]], [[]], [0, 0]
+
+    def run(self, visit, marked: int = 0) -> None:
+        """Call visit(signature, y) once per ordered tree, with the state complete.
+
+        The signature is the sum over buckets of (n+1)**(capacity + degree - 1).
+        The exponent numbers the (capacity, degree) pairs, since only full
+        buckets have children, and no pair occurs n + 1 times, so the
+        signature determines the node signature. y counts the labels from
+        `marked` on in the subtree of the bucket that took `marked`, its
+        descendants Y_{n,marked}; it stays 0 when marked is 0.
+        """
+        b, n = self.b, self.n
+        if n < 1:
+            return
+        labels, kids, holder = self.labels, self.kids, self.holder
+        power = [(n + 1) ** c for c in range(b + n)]
+        inside = [marked == 1]  # per bucket: in the subtree of marked's bucket
+
+        def place(j, sig, y):
+            if j > n:
+                visit(sig, y)
+                return
+            mark = j == marked
+            for v in range(len(labels)):
+                held = labels[v]
+                c = len(held)
+                into = mark or inside[v]  # j is a descendant of marked
+                if c < b:  # j joins bucket v
+                    held.append(j)
+                    holder.append(v)
+                    inside[v], was = into, inside[v]
+                    place(j + 1, sig + power[c] - power[c - 1], y + into)
+                    inside[v] = was
+                    holder.pop()
+                    held.pop()
+                    continue
+                # j opens bucket u in one of the d + 1 child gaps of full bucket v
+                gaps = kids[v]
+                d = len(gaps)
+                u = len(labels)
+                labels.append([j])
+                kids.append([])
+                inside.append(into)
+                holder.append(u)
+                s = sig + power[b + d] - power[b + d - 1] + 1
+                for g in range(d + 1):
+                    gaps.insert(g, u)
+                    place(j + 1, s, y + into)
+                    del gaps[g]
+                holder.pop()
+                inside.pop()
+                kids.pop()
+                labels.pop()
+
+        place(2, 1, int(marked == 1))  # label 1 opened the root bucket
+
+    @classmethod
+    def at(cls, tree: BucketTree) -> "_Walk":
+        """The state the walk holds at `tree`, buckets numbered in preorder."""
+        walk = cls(tree.b, tree.size)
+        walk.labels, walk.kids, walk.holder = [], [], [0] * (tree.size + 1)
+        stack = [(tree.root, None)]
         while stack:
-            node = stack.pop()
-            kids = node.children
-            key = (len(node.labels), len(kids))
-            counts[key] = counts.get(key, 0) + 1
-            stack += kids
-        of_tree.append(index.setdefault(tuple(sorted(counts.items())), len(index)))
-    return tuple(index), tuple(of_tree)
+            node, up = stack.pop()
+            v = len(walk.labels)
+            walk.labels.append(list(node.labels))
+            walk.kids.append([])
+            if up is not None:
+                walk.kids[up].append(v)
+            for label in node.labels:
+                walk.holder[label] = v
+            stack += [(c, v) for c in reversed(node.children)]
+        return walk
 
 
-def _weighed(spec: FamilySpec, n: int, max_n) -> tuple:
-    """(structures, signature index per structure, weight per signature).
+def _pairs(signature: int, n: int):
+    """(code, count) per (capacity, degree) pair of a walk signature; the
+    code is capacity + degree - 1."""
+    code = 0
+    while signature:
+        signature, count = divmod(signature, n + 1)
+        if count:
+            yield code, count
+        code += 1
+
+
+def _weights(spec: FamilySpec, n: int, signatures) -> dict:
+    """The exact weight of each signature.
 
     Each weight is the product of phi(degree) over saturated buckets and
     psi(capacity) over unsaturated ones, as `families.tree_weight` takes it.
     """
+    b = spec.b
+    factors: dict = {}
+    out = {}
+    for signature in signatures:
+        w = Fraction(1)
+        for code, count in _pairs(signature, n):
+            if code not in factors:
+                factors[code] = phi(spec, code - b + 1) if code >= b - 1 else psi(spec, code + 1)
+            w *= factors[code] ** count
+        out[signature] = w
+    return out
+
+
+def _check_oracle(spec: FamilySpec, n: int, max_n) -> None:
     if spec.kind == families.LINEAR:
         raise ValueError("the linear family has no combinatorial weights to enumerate")
     _check_bound(n, max_n)
-    b = spec.b
-    signatures, of_tree = _signatures(b, n)
-    factors: dict = {}
-    weights = []
-    for signature in signatures:
-        w = Fraction(1)
-        for key, count in signature:
-            if key not in factors:
-                k, d = key
-                factors[key] = phi(spec, d) if k == b else psi(spec, k)
-            w *= factors[key] ** count
-        weights.append(w)
-    return _structures(b, n), of_tree, signatures, weights
+
+
+@lru_cache(maxsize=None)
+def _trees(b: int, n: int) -> tuple:
+    """(roots, signature index per tree, signatures) of every ordered tree
+    on labels 1..n with bound b, in the order of the walk."""
+    walk = _Walk(b, n)
+    labels, kids = walk.labels, walk.kids
+    roots, of_tree, index = [], [], {}
+    # one node per distinct subtree, keyed by its labels, a 0, and the ids
+    # of its children, which the dict keeps alive
+    nodes: dict = {}
+
+    def visit(signature, y):
+        built = [None] * len(labels)
+        for v in range(len(labels) - 1, -1, -1):  # children before parents
+            below = tuple(map(built.__getitem__, kids[v]))
+            key = (*labels[v], 0, *map(id, below))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = BucketNode(tuple(labels[v]), below)
+            built[v] = node
+        roots.append(built[0])
+        of_tree.append(index.setdefault(signature, len(index)))
+
+    walk.run(visit)
+    return tuple(roots), tuple(of_tree), tuple(index)
+
+
+def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
+    _check_bound(n, max_n)
+    return [_sized_tree(b, root, n) for root in _trees(b, n)[0]]
 
 
 @dataclass
@@ -153,9 +221,12 @@ class WeightedTreeSet:
 
 def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     """All valid ordered trees of size n with their exact weights (zeros dropped)."""
-    roots, of_tree, _, weights = _weighed(spec, n, max_n)
+    _check_oracle(spec, n, max_n)
+    roots, of_tree, signatures = _trees(spec.b, n)
+    weights = list(_weights(spec, n, signatures).values())
     b = spec.b
-    items = [(BucketTree(b, root), weights[s]) for root, s in zip(roots, of_tree) if weights[s]]
+    items = [(_sized_tree(b, root, n), weights[s])
+             for root, s in zip(roots, of_tree) if weights[s]]
     return WeightedTreeSet(spec, n, items)
 
 
@@ -227,102 +298,127 @@ def exact_probability(spec: FamilySpec, tree: BucketTree, measure: str,
 
 
 # ---------------------------------------------------------------------------
-# statistics on static trees
+# statistics, read from the walk's flat state
 
 
-def _bucket_of(root: BucketNode, label: int):
-    """Return (node, subtree_size) for the bucket holding `label`."""
-    for node in iter_nodes(root):
-        if label in node.labels:
-            sub = sum(len(m.labels) for m in iter_nodes(node))
-            return node, sub
-    raise ValueError(f"label {label} not in tree")
+def _reader(walk: _Walk, name: str, arg: int):
+    """The statistic at the walk's current tree, as a function of its Y counter."""
+    b, n, labels, kids, holder = walk.b, walk.n, walk.labels, walk.kids, walk.holder
+    if name == "K":  # the capacity of the bucket that took label n
+        return lambda y: len(labels[holder[n]])
+    if name == "N":
+        return lambda y: sum(len(held) == arg for held in labels)
+    if name == "X":
+        return lambda y: len(kids[holder[arg]])
+    if name == "tau":
+        def tau(y):
+            held = labels[holder[arg]]
+            return held[-1] if len(held) == b else n  # buckets fill in label order
+        return tau
+    return lambda y: y
+
+
+def _statistic_of(tree: BucketTree, name: str, arg: int = 0) -> int:
+    """One statistic of one tree, read from the state the walk holds at it."""
+    if name in ("Y", "X", "tau") and not 1 <= arg <= tree.size:
+        raise ValueError(f"label {arg} not in tree")
+    walk = _Walk.at(tree)
+    y = 0
+    if name == "Y":  # the labels from arg on in the subtree of arg's bucket
+        stack = [walk.holder[arg]]
+        while stack:
+            v = stack.pop()
+            y += sum(label >= arg for label in walk.labels[v])
+            stack += walk.kids[v]
+    return _reader(walk, name, arg)(y)
 
 
 def stat_initial_bucket_size(tree: BucketTree) -> int:
-    node, _ = _bucket_of(tree.root, tree.size)
-    return len(node.labels)
+    return _statistic_of(tree, "K")
 
 
 def stat_descendants(tree: BucketTree, j: int) -> int:
-    node, sub = _bucket_of(tree.root, j)
-    return sub - node.labels.index(j)
+    return _statistic_of(tree, "Y", j)
 
 
 def stat_out_degree(tree: BucketTree, j: int) -> int:
-    node, _ = _bucket_of(tree.root, j)
-    return len(node.children)
+    return _statistic_of(tree, "X", j)
 
 
 def stat_capacity_count(tree: BucketTree, k: int) -> int:
-    return sum(1 for node in iter_nodes(tree.root) if len(node.labels) == k)
+    return _statistic_of(tree, "N", k)
 
 
 def stat_saturation_time(tree: BucketTree, j: int) -> int:
-    node, _ = _bucket_of(tree.root, j)
-    if len(node.labels) == tree.b:
-        return node.labels[-1]  # buckets fill in label order
-    return tree.size
+    return _statistic_of(tree, "tau", j)
 
 
-_LABEL_STATISTICS = {"Y": stat_descendants, "X": stat_out_degree,
-                     "tau": stat_saturation_time}
-
-
-def _statistic_fn(statistic: str, b: int, n: int):
+def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
+    """(name, argument) of a statistic such as 'K', 'N:k' or 'Y:j'."""
     name, _, arg = statistic.partition(":")
     name = name.strip()
     if name == "K":
-        return stat_initial_bucket_size
+        return name, 0
     if name == "N":
         k = int(arg)
         if not 1 <= k <= b:
             raise ValueError(f"capacity {k} outside 1..{b}")
-        return lambda t: stat_capacity_count(t, k)
-    if name not in _LABEL_STATISTICS:
+        return name, k
+    if name not in ("Y", "X", "tau"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    stat = _LABEL_STATISTICS[name]
     j = int(arg)
     if not 1 <= j <= n:
         raise ValueError(f"statistic argument {j} outside 1..{n}")
-    return lambda t: stat(t, j)
+    return name, j
 
 
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
     """Exact distribution of a tree statistic by brute-force summation.
 
-    The statistic is evaluated on every tree of nonzero weight; the trees
-    are tallied by (value, signature), so the exact weights are summed once
-    per pair. The statistics are invariant under reordering of children,
-    so summing ordered-model probabilities gives the unordered-model
-    distribution too.
+    The walk visits every ordered tree and reads the statistic from its
+    flat state; the trees are tallied by (value, signature), so the exact
+    weights are summed once per pair. The statistics are invariant under
+    reordering of children, so summing ordered-model probabilities gives
+    the unordered-model distribution too.
     """
-    fn = _statistic_fn(statistic, spec.b, n)
-    roots, of_tree, _, weights = _weighed(spec, n, max_n)
-    b = spec.b
+    name, arg = _parse_statistic(statistic, spec.b, n)
+    _check_oracle(spec, n, max_n)
+    walk = _Walk(spec.b, n)
+    value = _reader(walk, name, arg)
     tally: dict = {}
-    for root, s in zip(roots, of_tree):
-        if weights[s]:
-            key = (fn(BucketTree(b, root)), s)
-            tally[key] = tally.get(key, 0) + 1
+
+    def visit(signature, y):
+        key = (value(y), signature)
+        tally[key] = tally.get(key, 0) + 1
+
+    walk.run(visit, marked=arg if name == "Y" else 0)
+    weights = _weights(spec, n, {s for _, s in tally})
     mass: dict = {}
     for (v, s), count in tally.items():
-        mass[v] = mass.get(v, 0) + count * weights[s]
+        if weights[s]:
+            mass[v] = mass.get(v, 0) + count * weights[s]
     total = sum(mass.values())
     return Pmf({v: w / total for v, w in mass.items()}).check()
 
 
 def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     """Exact E[N_{n,k}] for k = 1..b under the random tree model."""
-    _, of_tree, signatures, weights = _weighed(spec, n, max_n)
-    trees = Counter(of_tree)
+    _check_oracle(spec, n, max_n)
+    walk = _Walk(spec.b, n)
+    trees: Counter = Counter()
+
+    def visit(signature, y):
+        trees[signature] += 1
+
+    walk.run(visit)
+    weights = _weights(spec, n, trees)
     total = Fraction(0)
     out = {k: Fraction(0) for k in range(1, spec.b + 1)}
-    for s, signature in enumerate(signatures):
-        w = trees[s] * weights[s]
+    for signature, count in trees.items():
+        w = count * weights[signature]
         total += w
-        for (k, _), count in signature:
-            out[k] += count * w
+        for code, buckets in _pairs(signature, n):
+            out[min(code + 1, spec.b)] += buckets * w
     return {k: v / total for k, v in out.items()}
 
 

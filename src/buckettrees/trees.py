@@ -77,6 +77,13 @@ class BucketTree:
         object.__setattr__(self, "size", size)
 
 
+def _sized_tree(b: int, root: BucketNode, size: int) -> BucketTree:
+    """A BucketTree whose size is already known, made without the size walk."""
+    tree = object.__new__(BucketTree)
+    tree.__dict__.update(b=b, root=root, size=size)
+    return tree
+
+
 @dataclass(frozen=True)
 class NodeCensus:
     """Counts of unsaturated buckets by capacity and saturated buckets by out-degree."""
@@ -357,7 +364,7 @@ def from_doc(doc: dict) -> BucketTree:
 # bundled trees: children partitioned into a fixed number of ordered bundles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BundledNode:
     """A bucket whose children are split into d ordered (possibly empty) bundles."""
 
@@ -367,6 +374,32 @@ class BundledNode:
     @property
     def children(self) -> tuple["BundledNode", ...]:
         return tuple(c for bundle in self.bundles for c in bundle)
+
+    def _shape(self) -> tuple:
+        return self.labels, tuple(map(len, self.bundles))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        xs, ys = [self], [other]
+        while xs:
+            x = xs.pop()
+            y = ys.pop()
+            if x is not y:
+                if x._shape() != y._shape():
+                    return False
+                xs += x.children
+                ys += y.children
+        return True
+
+    def __hash__(self):
+        # the labels and bundle sizes in (mirrored) preorder determine the subtree
+        seq, stack = [], [self]
+        while stack:
+            v = stack.pop()
+            seq.append(v._shape())
+            stack.extend(v.children)
+        return hash(tuple(seq))
 
 
 @dataclass(frozen=True)

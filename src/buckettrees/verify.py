@@ -356,7 +356,7 @@ def check_urns(charpoly_max_b: int = 10, affine_max_b: int = 30,
 # 7. descendants, saturation, out-degree
 
 
-def check_descendants(max_n: int = 7, harmonic_max_n: int = 40,
+def check_descendants(max_n: int = 8, harmonic_max_n: int = 40,
                       beta_n: int = 10 ** 4, beta_js: tuple = (4, 6),
                       gamma_n: int = 10 ** 5, ks_samples: int = 10 ** 5,
                       seed: int = 0) -> str:

@@ -13,7 +13,7 @@ from buckettrees.bijections import (bucket_to_diamond, cluster,
                                     uncluster_two_bundled,
                                     weight_preserving_phi)
 from buckettrees.enumeration import all_trees, distinct_unordered, enumerate_trees
-from buckettrees.trees import BundledNode, decode, encode
+from buckettrees.trees import BucketNode, BucketTree, BundledNode, decode, encode
 
 
 def test_cluster_path_and_star():
@@ -65,6 +65,37 @@ def test_bundled_round_trips():
         for tree in distinct_unordered(enumerate_trees(families.recursive(1), n)):
             bt = cluster_two_bundled(tree)
             assert uncluster_two_bundled(bt).root == tree.root
+
+
+def _plain_path(depth):
+    node = BucketNode((depth,))
+    for label in range(depth - 1, 0, -1):
+        node = BucketNode((label,), (node,))
+    return BucketTree(1, node)
+
+
+def test_bundled_round_trips_on_a_deep_path():
+    path = _plain_path(3000)
+    three = cluster_three_bundled(path)
+    assert uncluster_three_bundled(three).root == path.root
+    two = cluster_two_bundled(path)
+    assert uncluster_two_bundled(two).root == path.root
+    # the bundled trees compare and hash without recursion too
+    assert three == cluster_three_bundled(path)
+    assert hash(three) == hash(cluster_three_bundled(path))
+    assert two.root != three.root
+    # both put {1, 2} on top and {3, 4} in the bundle of 2's children
+    assert three.root.labels == two.root.labels == (1, 2)
+    assert [len(b) for b in three.root.bundles] == [0, 1, 0]
+    assert [len(b) for b in two.root.bundles] == [0, 1]
+
+
+def test_bundled_node_equality_sees_bundle_boundaries():
+    leaf = BundledNode((3,))
+    assert BundledNode((1, 2), ((leaf,), ())) == BundledNode((1, 2), ((leaf,), ()))
+    assert BundledNode((1, 2), ((leaf,), ())) != BundledNode((1, 2), ((), (leaf,)))
+    assert len({BundledNode((1, 2), ((leaf,), ())), BundledNode((1, 2), ((leaf,), ())),
+                BundledNode((1, 2), ((), (leaf,)))}) == 2
 
 
 def test_weight_preserving_phi_matches_named_families():

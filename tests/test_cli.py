@@ -109,6 +109,23 @@ def test_pmf_k_limit():
     assert "1,2/3" in out and "2,1/3" in out
 
 
+def test_pmf_k_names_its_method():
+    exact = run("pmf-k", "--family", "recursive:b=2", "--n", "4")
+    assert exact.splitlines() == ["m,probability,float,method",
+                                  "1,2/3,0.6666666666666666,exact",
+                                  "2,1/3,0.3333333333333333,exact"]
+    spectral = run("pmf-k", "--family", "recursive:b=2", "--n", "501").splitlines()
+    assert spectral[0] == "m,probability,float,method"
+    assert all(line.endswith(",spectral") for line in spectral[1:])
+    limit = run("pmf-k", "--family", "recursive:b=2", "--n", "4", "--limit").splitlines()
+    assert all(line.endswith(",limit") for line in limit[1:])
+    for args, method in ((("--n", "4"), "exact"), (("--n", "501"), "spectral"),
+                         (("--n", "4", "--limit"), "limit")):
+        doc = json.loads(run("pmf-k", *args, "--format", "doc"))
+        assert doc["method"] == method
+        assert set(doc["m"]) == {"1", "2"}
+
+
 def test_descendants_and_conditional():
     out = run("descendants", "--family", "recursive:b=2", "--n", "4", "--j", "3")
     assert "1,2/3" in out and "2,1/3" in out

@@ -1,7 +1,9 @@
 """The brute-force oracle: totals, measures, and statistic pmfs."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -310,3 +312,134 @@ def test_oracle_imports_no_fast_route():
         imported |= {name.removeprefix("buckettrees.").split(".")[0] for name in names}
     assert "families" in imported
     assert not imported & {"grow", "dist_k", "dist_desc", "spectral", "urns", "montecarlo"}
+
+
+# ---------------------------------------------------------------------------
+# the oracle as it was before the insertion walk, kept as the reference for
+# its tree lists and statistics: trees built from ordered partitions of the
+# labels below the root, each statistic found by scanning the built tree
+
+
+def _ordered_partitions(items):
+    """All ordered sequences of disjoint nonempty blocks covering `items`."""
+    if not items:
+        yield ()
+        return
+    s = len(items)
+    for mask in range(1, 1 << s):
+        block = tuple(items[i] for i in range(s) if mask >> i & 1)
+        rest = tuple(items[i] for i in range(s) if not mask >> i & 1)
+        for tail in _ordered_partitions(rest):
+            yield (block,) + tail
+
+
+def _relabel(node, labels):
+    return BucketNode(tuple(labels[i - 1] for i in node.labels),
+                      tuple(_relabel(c, labels) for c in node.children))
+
+
+@lru_cache(maxsize=None)
+def _structures(b, n):
+    """All ordered bucket increasing trees on labels 1..n with bound b."""
+    if n < 1:
+        return ()
+    if n <= b:
+        return (BucketNode(tuple(range(1, n + 1))),)
+    root_labels = tuple(range(1, b + 1))
+    rest = tuple(range(b + 1, n + 1))
+    out = []
+    for blocks in _ordered_partitions(rest):
+        choices = [[_relabel(t, block) for t in _structures(b, len(block))]
+                   for block in blocks]
+        stack = [(0, ())]
+        while stack:
+            i, kids = stack.pop()
+            if i == len(choices):
+                out.append(BucketNode(root_labels, kids))
+            else:
+                for sub in choices[i]:
+                    stack.append((i + 1, kids + (sub,)))
+    return tuple(out)
+
+
+def _bucket_of(root, label):
+    """(node, labels in its subtree) for the bucket holding `label`."""
+    for node in iter_nodes(root):
+        if label in node.labels:
+            return node, sum(len(m.labels) for m in iter_nodes(node))
+    raise ValueError(f"label {label} not in tree")
+
+
+def _ref_descendants(tree, j):
+    node, sub = _bucket_of(tree.root, j)
+    return sub - node.labels.index(j)
+
+
+def _ref_saturation_time(tree, j):
+    node, _ = _bucket_of(tree.root, j)
+    return node.labels[-1] if len(node.labels) == tree.b else tree.size
+
+
+def _reference_statistics(b, n):
+    """(name, per-tree statistic) for K, every N:k and every j of Y, X, tau."""
+    yield "K", lambda t: len(_bucket_of(t.root, n)[0].labels)
+    for k in range(1, b + 1):
+        yield f"N:{k}", lambda t, k=k: sum(len(v.labels) == k for v in iter_nodes(t.root))
+    for j in range(1, n + 1):
+        yield f"Y:{j}", lambda t, j=j: _ref_descendants(t, j)
+        yield f"X:{j}", lambda t, j=j: len(_bucket_of(t.root, j)[0].children)
+        yield f"tau:{j}", lambda t, j=j: _ref_saturation_time(t, j)
+
+
+def test_tree_lists_match_the_partition_reference():
+    for b in (1, 2, 3):
+        for n in range(1, (6 if b == 1 else 7) + 1):
+            got = [t.root for t in all_trees(b, n)]
+            want = _structures(b, n)
+            assert len(set(got)) == len(got), (b, n)  # no duplicates
+            assert Counter(got) == Counter(want), (b, n)
+            assert all(t.size == n and t.b == b for t in all_trees(b, n))
+    for n in range(2, 8):
+        assert len(all_trees(1, n)) == math.prod(range(1, 2 * n - 2, 2))  # (2n-3)!!
+
+
+def test_statistics_match_the_partition_reference():
+    for spec in verify.family_grid():
+        for n in range(1, (6 if spec.b == 1 else 7) + 1):
+            items = []
+            for root in _structures(spec.b, n):
+                tree = BucketTree(spec.b, root)
+                w = families.tree_weight(spec, tree)
+                if w:
+                    items.append((tree, w))
+            assert (expected_capacity_counts(spec, n)
+                    == _per_tree_capacity_counts(spec, items)), (spec.describe(), n)
+            for statistic, fn in _reference_statistics(spec.b, n):
+                assert (exact_statistic_pmf(spec, n, statistic).mass
+                        == _per_tree_pmf(items, fn)), (spec.describe(), n, statistic)
+
+
+def test_tree_statistics_match_the_reference_scan():
+    public = {"K": stat_initial_bucket_size, "N": stat_capacity_count,
+              "Y": stat_descendants, "X": stat_out_degree, "tau": stat_saturation_time}
+    for b, n in ((1, 5), (2, 6), (3, 6)):
+        for tree in all_trees(b, n):
+            for statistic, fn in _reference_statistics(b, n):
+                name, _, arg = statistic.partition(":")
+                got = public[name](tree, int(arg)) if arg else public[name](tree)
+                assert got == fn(tree), (encode(tree), statistic)
+    with pytest.raises(ValueError, match="not in tree"):
+        stat_descendants(decode("{1,2}({3})", 2), 4)
+
+
+def test_statistic_pmfs_build_no_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the statistic path built a tree")
+
+    monkeypatch.setattr(enumeration, "BucketNode", refuse)
+    monkeypatch.setattr(enumeration, "BucketTree", refuse)
+    monkeypatch.setattr(enumeration, "_sized_tree", refuse)
+    spec = families.recursive(2)
+    for statistic in ("K", "N:1", "Y:3", "X:2", "tau:2"):
+        assert exact_statistic_pmf(spec, 6, statistic).total() == 1
+    assert sum(k * v for k, v in expected_capacity_counts(spec, 6).items()) == 6
