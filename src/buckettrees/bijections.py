@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
 from .enumeration import all_trees
 from .trees import (BucketNode, BucketTree, BundledBucketTree, BundledNode,
-                    _build_up, canonicalize, check_valid, iter_nodes)
+                    _build_up, _children, _sized_tree, canonicalize, check_valid,
+                    iter_nodes)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -29,17 +31,28 @@ def _require_plain(tree: BucketTree) -> None:
 # clustering
 
 
-def _subtree_nodes(node: BucketNode) -> list[BucketNode]:
-    return sorted(iter_nodes(node), key=lambda v: v.labels[0])
+def _merge(node: BucketNode, b: int) -> tuple:
+    """The bucket clustering makes at node, and the nodes left below it.
 
-
-def _cluster_node(node: BucketNode, b: int) -> BucketNode:
-    nodes = _subtree_nodes(node)
-    merged = nodes[:min(b, len(nodes))]
-    merged_set = {id(v) for v in merged}
+    The bucket holds the b smallest labels of node's subtree.  Labels
+    increase downwards, so they are the first b nodes a heap-ordered walk
+    from node pops.  The nodes left below are the children of the merged
+    nodes that were not merged, in (bucket position, original position)
+    order.
+    """
+    merged, frontier = [], [(node.labels[0], node)]
+    while frontier and len(merged) < b:
+        v = heappop(frontier)[1]
+        merged.append(v)
+        for c in v.children:
+            heappush(frontier, (c.labels[0], c))
+    taken = set(map(id, merged))
     labels = tuple(v.labels[0] for v in merged)
-    pending = [c for v in merged for c in v.children if id(c) not in merged_set]
-    return BucketNode(labels, tuple(_cluster_node(c, b) for c in pending))
+    return labels, [c for v in merged for c in v.children if id(c) not in taken]
+
+
+def _cluster(item: tuple, kids: list) -> BucketNode:
+    return BucketNode(item[0], tuple(kids))
 
 
 def cluster(tree: BucketTree, b: int) -> BucketTree:
@@ -52,9 +65,22 @@ def cluster(tree: BucketTree, b: int) -> BucketTree:
     _require_plain(tree)
     if b < 2:
         raise ValueError("clustering needs b >= 2")
-    out = BucketTree(b, _cluster_node(tree.root, b))
+    check_valid(tree)
+
+    def below(item: tuple) -> list:
+        return [_merge(c, b) for c in item[1]]
+
+    out = _sized_tree(b, _build_up(_merge(tree.root, b), below, _cluster), tree.size)
     check_valid(out)
     return out
+
+
+def _chain(node: BucketNode, kids: list) -> BucketNode:
+    labels = node.labels
+    cur = BucketNode(labels[-1:], tuple(kids))
+    for i in range(len(labels) - 2, -1, -1):
+        cur = BucketNode((labels[i],), (cur,))
+    return cur
 
 
 def expand_chains(tree: BucketTree) -> BucketTree:
@@ -64,14 +90,8 @@ def expand_chains(tree: BucketTree) -> BucketTree:
     the result reproduces the original tree including child order.
     """
     check_valid(tree)
-
-    def expand(node: BucketNode) -> BucketNode:
-        cur = BucketNode((node.labels[-1],), tuple(expand(c) for c in node.children))
-        for lab in reversed(node.labels[:-1]):
-            cur = BucketNode((lab,), (cur,))
-        return cur
-
-    return BucketTree(1, expand(tree.root))
+    # chains of a valid tree's increasing buckets form a valid increasing tree
+    return _sized_tree(1, _build_up(tree.root, _children, _chain), tree.size, True)
 
 
 def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import BucketNode, BucketTree, NodeCensus, iter_nodes_with_path
+from .trees import (BucketNode, BucketTree, NodeCensus, _collector_paused,
+                    iter_nodes_with_path)
 
 
 @dataclass
@@ -241,6 +242,7 @@ class _Grower:
                 pos.append(len(first))
                 first.append(child)
 
+    @_collector_paused
     def build(self) -> BucketTree:
         labels: list[list[int]] = [[] for _ in self.cap]
         for label, v in enumerate(self.where, start=1):

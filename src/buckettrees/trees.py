@@ -9,18 +9,51 @@ between workers; growth and rewriting always build new trees.
 Every walk over a tree (validation, canonicalization, the codecs,
 equality and hashing) is a loop over an explicit stack, so trees of any
 depth work under the default recursion limit.
+
+A tree is validated at most once.  Nodes are slotted and frozen, their
+labels and children are tuples, and a tree is acyclic and never changes
+after it is made, so a tree that has passed `validate` stays valid:
+`check_valid` records the success on the tree object and returns at once
+the next time.  A failure records nothing.  `canonicalize` only reorders
+children, which keeps a tree valid, so its result comes out marked.
+
+Building or walking a big tree allocates one container per node, and
+CPython's cyclic collector would re-scan every live container many times
+over while it does.  Acyclic nodes give it nothing to free, so the bulk
+builders and the validation walk run with the collector paused, and put
+back the state they found, on error too.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import repeat
 from operator import attrgetter, is_, lt
 from typing import Callable, Iterator
 
 
-@dataclass(frozen=True, eq=False)
+def _collector_paused(fn: Callable) -> Callable:
+    """fn with CPython's cyclic collector paused while it runs.
+
+    The collector's state is saved and put back in a `finally`, so an
+    error, or a caller that had already paused it, leaves it as found.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class BucketNode:
     """One bucket: a strictly increasing label tuple plus ordered children."""
 
@@ -68,6 +101,10 @@ class BucketTree:
     root: BucketNode
     size: int = field(init=False)
 
+    # true once the tree is known to be valid: set by check_valid on success,
+    # or by _sized_tree for a tree that is valid by construction
+    _valid = False
+
     def __post_init__(self):
         size, stack = 0, [self.root]
         while stack:
@@ -77,10 +114,13 @@ class BucketTree:
         object.__setattr__(self, "size", size)
 
 
-def _sized_tree(b: int, root: BucketNode, size: int) -> BucketTree:
-    """A BucketTree whose size is already known, made without the size walk."""
+def _sized_tree(b: int, root: BucketNode, size: int, valid: bool = False) -> BucketTree:
+    """A BucketTree whose size is already known, made without the size walk.
+
+    valid=True marks it as checked, for a tree that is valid by construction.
+    """
     tree = object.__new__(BucketTree)
-    tree.__dict__.update(b=b, root=root, size=size)
+    tree.__dict__.update(b=b, root=root, size=size, _valid=valid)
     return tree
 
 
@@ -121,6 +161,7 @@ def iter_nodes_with_path(node: BucketNode) -> Iterator[tuple[tuple, BucketNode]]
         stack.extend(((*path, i), kids[i]) for i in range(len(kids) - 1, -1, -1))
 
 
+@_collector_paused
 def _build_up(root, children_of: Callable, make: Callable):
     """Fold a tree bottom-up: make(node, [folded children]) for every node, root last.
 
@@ -160,6 +201,7 @@ def _where(link) -> str:
     return "/".join(reversed(path)) or "root"
 
 
+@_collector_paused
 def validate(tree: BucketTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
@@ -208,9 +250,16 @@ def validate(tree: BucketTree) -> list[str]:
 
 
 def check_valid(tree: BucketTree) -> None:
+    """Raise ValueError listing the violations of an invalid tree.
+
+    A tree that passes is marked, and later calls on it return at once.
+    """
+    if tree._valid:
+        return
     violations = validate(tree)
     if violations:
         raise ValueError("invalid bucket tree: " + "; ".join(violations))
+    object.__setattr__(tree, "_valid", True)
 
 
 def min_label(node: BucketNode) -> int:
@@ -228,7 +277,8 @@ def _canon_node(node: BucketNode, kids: list) -> BucketNode:
 def canonicalize(tree: BucketTree) -> BucketTree:
     """Canonical ordered representative: children sorted by smallest contained label."""
     check_valid(tree)
-    return BucketTree(tree.b, _build_up(tree.root, _children, _canon_node))
+    # reordering children keeps every invariant, so the result is valid too
+    return _sized_tree(tree.b, _build_up(tree.root, _children, _canon_node), tree.size, True)
 
 
 def census(tree: BucketTree) -> NodeCensus:
@@ -297,10 +347,11 @@ def _bucket_error(text: str, pos: int) -> ParseError:
         pos += 1
 
 
+@_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result."""
     end = len(text)
-    pos = 0
+    pos = size = 0
     open_nodes = []  # (labels, children so far) of each node whose '(' is open
     root = None
     while root is None:
@@ -308,6 +359,7 @@ def decode(text: str, b: int) -> BucketTree:
         if m is None:
             raise _bucket_error(text, pos)
         labels = tuple(map(int, m.group(1).split(",")))
+        size += len(labels)
         pos = m.end()
         if pos < end and text[pos] == "(":
             open_nodes.append((labels, []))
@@ -329,7 +381,7 @@ def decode(text: str, b: int) -> BucketTree:
             root = node
     if pos != end:
         raise ParseError("trailing input", pos)
-    tree = BucketTree(b, root)
+    tree = _sized_tree(b, root, size)
     check_valid(tree)
     return tree
 

@@ -37,6 +37,54 @@ def test_expand_chains_is_right_inverse():
                 assert cluster(expand_chains(tree), b).root == tree.root
 
 
+def test_cluster_rejects_an_invalid_tree():
+    # labels decrease down the path: not an increasing tree
+    with pytest.raises(ValueError, match="not above parent maximum"):
+        cluster(BucketTree(1, BucketNode((2,), (BucketNode((1,)),))), 2)
+
+
+# the recursive clustering and chain expansion the walks replaced, kept as references
+
+def _ref_cluster_node(node, b):
+    nodes = sorted(_buckets(BucketTree(1, node)), key=lambda v: v.labels[0])
+    merged = nodes[:min(b, len(nodes))]
+    merged_set = {id(v) for v in merged}
+    labels = tuple(v.labels[0] for v in merged)
+    pending = [c for v in merged for c in v.children if id(c) not in merged_set]
+    return BucketNode(labels, tuple(_ref_cluster_node(c, b) for c in pending))
+
+
+def _ref_expand(node):
+    cur = BucketNode((node.labels[-1],), tuple(_ref_expand(c) for c in node.children))
+    for lab in reversed(node.labels[:-1]):
+        cur = BucketNode((lab,), (cur,))
+    return cur
+
+
+def test_cluster_and_expand_match_the_recursive_reference():
+    for n in range(1, 8):
+        for tree in all_trees(1, n):
+            for b in (2, 3):
+                out = cluster(tree, b)
+                assert out.b == b and out.size == n
+                assert out.root == _ref_cluster_node(tree.root, b)
+        for b in (2, 3):
+            for tree in all_trees(b, n):
+                out = expand_chains(tree)
+                assert out.b == 1 and out.size == n
+                assert out.root == _ref_expand(tree.root)
+
+
+def test_cluster_and_expand_on_a_deep_path():
+    node = BucketNode((5999, 6000))
+    for label in range(5997, 0, -2):
+        node = BucketNode((label, label + 1), (node,))
+    path = BucketTree(2, node)
+    chain = expand_chains(path)
+    assert chain == _plain_path(6000)
+    assert cluster(chain, 2) == path
+
+
 def test_three_bundled_examples():
     path = decode("{1}({2}({3}))", 1)
     star = decode("{1}({2},{3})", 1)

@@ -1,10 +1,14 @@
 """Tree structure, validation, canonicalization, census, and codecs."""
 
+import gc
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckettrees import families, grow
+from buckettrees import families, grow, trees
 from buckettrees.trees import (BucketNode, BucketTree, BundledNode, ParseError,
                                canonicalize, census, check_valid, decode, encode,
                                from_doc, iter_nodes, strip_bundles, to_doc, validate)
@@ -169,6 +173,122 @@ def test_deep_corrupted_text_is_a_parse_error(pos, char):
     text = _path_text(DEPTH)
     with pytest.raises(ParseError):
         decode(text[:pos] + char + text[pos + 1:], 1)
+
+
+def test_decoded_size_is_the_label_count(monkeypatch):
+    deep = _path_text(DEPTH)
+    monkeypatch.setattr(BucketTree, "__post_init__", None)  # decode makes no size walk
+    assert decode(deep, 1).size == DEPTH
+    assert decode("{1,2}({3,4}({5}),{6})", 2).size == 6
+    assert decode(text="{1,2}({3})", b=2).size == 3  # the collector pause keeps the signature
+
+
+# ---------------------------------------------------------------------------
+# a tree is validated once; the collector is paused only while trees are built
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The trees given to the validation walk since the fixture was set up."""
+    calls = []
+    walk = trees.validate
+
+    def counted(tree):
+        calls.append(tree)
+        return walk(tree)
+
+    monkeypatch.setattr(trees, "validate", counted)
+    return calls
+
+
+def test_decode_canonicalize_census_validates_once(walks):
+    text = encode(grow.sample_tree(families.recursive(2), 300, 5))
+    cen = census(canonicalize(decode(text, 2)))
+    assert cen.n == 300
+    assert len(walks) == 1
+
+
+def test_hand_built_tree_is_validated_on_first_census(walks):
+    tree = BucketTree(2, BucketNode((1, 2), (BucketNode((4,)), BucketNode((3,)))))
+    census(tree)
+    assert walks == [tree]
+    census(tree)
+    canonicalize(tree)
+    assert walks == [tree]
+    # public validate() always walks
+    assert trees.validate(tree) == []
+    assert len(walks) == 2
+
+
+def test_invalid_tree_raises_on_every_call(walks):
+    tree = BucketTree(2, BucketNode((1,), (BucketNode((2,)),)))
+    for fn in (check_valid, check_valid, canonicalize, canonicalize, census, census):
+        with pytest.raises(ValueError, match="internal node unsaturated"):
+            fn(tree)
+    assert len(walks) == 6
+
+
+def _parse_error():
+    with pytest.raises(ParseError):
+        decode("{1}({2}", 1)
+
+
+def _invalid_canonicalize():
+    with pytest.raises(ValueError):
+        canonicalize(BucketTree(1, BucketNode((2,), (BucketNode((1,)),))))
+
+
+def _sample():
+    grow.sample_tree(families.port(2, 1), 200, 3)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", [_parse_error, _invalid_canonicalize, _sample])
+def test_collector_state_is_restored(case, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        case()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_bulk_builds_and_the_validation_walk_pause_the_collector(monkeypatch):
+    states = []
+
+    def node(labels, children=()):
+        states.append(gc.isenabled())
+        return BucketNode(labels, children)
+
+    def where(link):
+        states.append(gc.isenabled())
+        return "somewhere"
+
+    monkeypatch.setattr(grow, "BucketNode", node)
+    monkeypatch.setattr(trees, "BucketNode", node)
+    monkeypatch.setattr(trees, "_where", where)
+    calls = [(grow.sample_tree, families.recursive(2), 20, 1),
+             (decode, "{1,2}({3,4}({5}),{6})", 2),
+             (from_doc, {"b": 1, "root": {"labels": [1], "children": [{"labels": [2]}]}}),
+             (validate, BucketTree(2, BucketNode((2, 1))))]
+    for fn, *args in calls:
+        del states[:]
+        fn(*args)
+        assert states and not any(states), fn.__name__
+        assert gc.isenabled()
+
+
+def test_nodes_are_slotted_and_frozen():
+    node = decode("{1,2}({3,4}({5}),{6})", 2).root
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        node.labels = (7,)
+    back = pickle.loads(pickle.dumps(node))
+    assert back == node and hash(back) == hash(node)
+    deep, again = _path(DEPTH), _path(DEPTH)
+    assert deep == again and hash(deep) == hash(again)
+    assert deep != _path(DEPTH - 1)
 
 
 # ---------------------------------------------------------------------------
