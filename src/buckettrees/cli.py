@@ -81,16 +81,25 @@ def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value",
                 method: str = None) -> None:
     """Write a pmf; a `method` names the route behind it, as a doc field and
     a last CSV column."""
-    if fmt == "doc":
-        doc = {value_name: {str(v): str(pmf[v]) for v in pmf.support},
-               "float": {str(v): float(pmf[v]) for v in pmf.support}}
-        if method:
-            doc["method"] = method
-        _emit(_json(doc), out_path)
-    else:
-        header = [value_name, "probability", "float"] + (["method"] if method else [])
-        rows = [[v, pmf[v], float(pmf[v])] + ([method] if method else []) for v in pmf.support]
-        _emit(_csv(header, rows), out_path)
+    # exact atoms at large n have numerators of tens of thousands of digits;
+    # Python's int-to-str digit limit guards parsing untrusted text, not this
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "doc":
+            doc = {value_name: {str(v): str(pmf[v]) for v in pmf.support},
+                   "float": {str(v): float(pmf[v]) for v in pmf.support}}
+            if method:
+                doc["method"] = method
+            text = _json(doc)
+        else:
+            header = [value_name, "probability", "float"] + (["method"] if method else [])
+            rows = [[v, pmf[v], float(pmf[v])] + ([method] if method else [])
+                    for v in pmf.support]
+            text = _csv(header, rows)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text, out_path)
 
 
 def _parse_b_range(text: str) -> range:
@@ -154,12 +163,12 @@ def enumerate_cmd(family_text, seed, fmt, out_path, n, statistic, max_n):
 @click.option("--limit", is_flag=True, help="emit the limit law instead")
 def pmf_k_cmd(family_text, seed, fmt, out_path, n, limit):
     """Distribution of the initial bucket size K_n: exact rationals up to
-    n = 500, spectral floats above, or the limit law. The `method` column
+    n = 10^4, spectral floats above, or the limit law. The `method` column
     (doc field) says which: exact, spectral or limit."""
     spec = families.parse_family(family_text)
     if limit:
         pmf, method = dist_k.limit_K(spec), "limit"
-    elif n <= 500:
+    elif n <= 10 ** 4:
         pmf, method = dist_k.pmf_K_exact(spec, n), "exact"
     else:  # exact rationals get huge; the spectral route is float but fast
         pmf, method = dist_k.pmf_K(spec, n), "spectral"

@@ -1,14 +1,17 @@
 """Distribution of K_n, the size of the bucket that received label n.
 
 Two independent routes are provided: a spectral closed form (a sum over
-the indicial roots, floating point) and an exact rational recursion on
-the expected bucket-type ball masses.  They must agree, and the second
-also powers the exact mixture distributions elsewhere.
+the indicial roots, floating point) and an exact rational product form of
+the expected bucket-type ball masses: one integer product of the urn's
+mean step matrices over one integer (see `mean_type_masses`).  They must
+agree, and the second also powers the exact mixture distributions
+elsewhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
@@ -77,26 +80,46 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     """E[Q_{n,k}] for k = 1..b: expected total attraction weight by bucket type.
 
     Q_{n,k} is the summed growth weight of all capacity-k buckets at size n,
-    the ball count of type k in `urns.urn_model`.  A step draws type k with
-    probability Q_k / total and adds replacement row k, so the expectation
-    satisfies the exact linear recursion  q <- q + sum_k (q_k / total) R_k.
+    the ball count of type k in `urns.urn_model`.  A step from size s draws
+    type k with probability Q_k / T_s and adds replacement row k, so the mean
+    steps by q <- (T_s I + R^T) q / T_s, and q_n = p(R^T) q_1 / prod_s T_s for
+    the integer polynomial p(x) = prod_{s<n} (x + T_s).  By Cayley-Hamilton p
+    may be reduced modulo chi(x) = det(x I - R), to degree below b; p mod chi
+    and prod_s T_s come from binary splitting, and one division at the end
+    gives the exact Fractions.
     """
     model = urns.urn_model(spec)
-    rows = [[(i, r) for i, r in enumerate(row) if r] for row in model.replacement]
-    q = [Fraction(c) for c in model.initial]
-    for size in range(1, n):
-        total = model.total(size)
-        delta = [0] * model.b
-        for qk, row in zip(q, rows):
-            p = qk / total  # probability the drawn node has capacity k
-            for i, r in row:
-                delta[i] += p * r
-        q = [x + dx for x, dx in zip(q, delta)]
-    return tuple(q)
+    b = model.b
+    # chi(x) = x^b + sum_j chi[j] x^j; the closed form is det(R - x I)
+    chi = [int(c) * (-1) ** b for c in urns.char_poly_closed(model)[:b]]
+
+    def product(lo, hi):
+        """(prod_{lo <= s < hi} (x + T_s) mod chi, ascending, and prod T_s)."""
+        if hi - lo > 32:  # multiply halves, so the integers stay balanced
+            (u, du), (v, dv) = product(lo, (lo + hi) // 2), product((lo + hi) // 2, hi)
+            w = [0] * (2 * b - 1)
+            for i, ui in enumerate(u):
+                w[i:i + b] = [x + ui * y for x, y in zip(w[i:i + b], v)]
+            for top in range(2 * b - 2, b - 1, -1):  # x^b = -sum_j chi[j] x^j
+                w[top - b:top] = [x - w[top] * k for x, k in zip(w[top - b:top], chi)]
+            return w[:b], du * dv
+        r, den = [1] + [0] * (b - 1), 1
+        for t in map(model.total, range(lo, hi)):
+            r = [t * x + prev - r[-1] * k for x, prev, k in zip(r, [0] + r[:-1], chi)]
+            den *= t
+        return r, den
+
+    r, den = product(1, n)
+    # p(R^T) q_1 = sum_j r_j (R^T)^j q_1, with (R^T)^j q_1 walked in small ints
+    v, num = list(model.initial), [0] * b
+    for rj in r:
+        num = [x + rj * y for x, y in zip(num, v)]
+        v = [sum(map(mul, v, col)) for col in zip(*model.replacement)]
+    return tuple(Fraction(x, den) for x in num)
 
 
 def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
-    """P{K_n = m} as exact rationals, via the mean type-mass recursion."""
+    """P{K_n = m} as exact rationals, via the mean type masses' exact product."""
     families.require_named(spec)
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -113,6 +113,13 @@ class BucketTree:
             stack += node.children
         object.__setattr__(self, "size", size)
 
+    def __reduce__(self):
+        # through the text codec, which is iterative, so any depth pickles; a
+        # tree that is not valid may not encode, and pickles field by field
+        if self._valid or not validate(self):
+            return _unpickle, (encode(self), self.b)
+        return BucketTree, (self.b, self.root)
+
 
 def _sized_tree(b: int, root: BucketNode, size: int, valid: bool = False) -> BucketTree:
     """A BucketTree whose size is already known, made without the size walk.
@@ -347,9 +354,21 @@ def _bucket_error(text: str, pos: int) -> ParseError:
         pos += 1
 
 
-@_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result."""
+    tree = _sized_tree(b, *_parse(text))
+    check_valid(tree)
+    return tree
+
+
+def _unpickle(text: str, b: int) -> BucketTree:
+    # the text was encoded from a valid tree, so it is not validated again
+    return _sized_tree(b, *_parse(text), True)
+
+
+@_collector_paused
+def _parse(text: str) -> tuple:
+    """(root, label count) of the canonical text form."""
     end = len(text)
     pos = size = 0
     open_nodes = []  # (labels, children so far) of each node whose '(' is open
@@ -381,9 +400,7 @@ def decode(text: str, b: int) -> BucketTree:
             root = node
     if pos != end:
         raise ParseError("trailing input", pos)
-    tree = _sized_tree(b, root, size)
-    check_valid(tree)
-    return tree
+    return root, size
 
 
 # ---------------------------------------------------------------------------

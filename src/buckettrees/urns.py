@@ -5,17 +5,19 @@ the denominator-cleared integer form, so drawing a ball is exactly the
 growth step and the urn is balanced with balance a.  `urn_model` is the
 one definition of the urn (initial counts, replacement rows, divisors and
 growth coefficients): the vectorized kernel in `montecarlo` steps with its
-rows, and the exact recursion `dist_k.mean_type_masses` takes the mean
-of the same step.  The replacement matrix is sparse (a shifted cycle),
-which makes its characteristic polynomial a two-term product and ties its
-eigenvalues to the indicial roots by the affine map
-lambda_urn = a * lambda_ind - c.
+rows, and `dist_k.mean_type_masses` takes the mean of the same step, as
+the exact integer product of the mean step matrices T_s I + R^T.  The
+replacement matrix is sparse (a shifted cycle), which makes its
+characteristic polynomial a two-term product and ties its eigenvalues to
+the indicial roots by the affine map lambda_urn = a * lambda_ind - c;
+`char_poly` checks that product by Faddeev-LeVerrier in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -152,31 +154,27 @@ def _poly_mul(p: list, q: list) -> list:
 def char_poly(model: UrnModel) -> list[Fraction]:
     """det(R - lambda I) of the replacement matrix, ascending coefficients.
 
-    Computed by Faddeev-LeVerrier on the exact integer matrix; no use is
-    made of the sparsity, so this is an independent check of the closed
-    product form.
+    Computed by Faddeev-LeVerrier on the integer matrix: every M_k and
+    every coefficient c_k = -tr(R M_k) / k of an integer matrix is an
+    integer, so the loop runs on ints and a remainder in that division
+    raises ArithmeticError.  No use is made of the sparsity, so this is an
+    independent check of the closed product form.
     """
     b = model.b
-    a = [[Fraction(x) for x in row] for row in model.replacement]
-
-    def matmul(x, y):
-        return [[sum(x[i][t] * y[t][j] for t in range(b)) for j in range(b)]
-                for i in range(b)]
-
-    coeffs = [Fraction(0)] * (b + 1)
-    coeffs[b] = Fraction(1)
-    m = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
+    coeffs = [0] * b + [1]
+    m = [[int(i == j) for j in range(b)] for i in range(b)]
     for k in range(1, b + 1):
-        am = matmul(a, m)
-        c = -sum(am[i][i] for i in range(b)) / k
+        am = [[sum(map(mul, row, col)) for col in zip(*m)] for row in model.replacement]
+        c, rem = divmod(-sum(am[i][i] for i in range(b)), k)
+        if rem:
+            raise ArithmeticError(f"trace of R M_{k} is not divisible by {k}")
         coeffs[b - k] = c
         for i in range(b):
             am[i][i] += c
         m = am
     # coeffs give det(lambda I - R); flip sign for det(R - lambda I) when b is odd
-    if b % 2:
-        coeffs = [-c for c in coeffs]
-    return coeffs
+    sign = -1 if b % 2 else 1
+    return [Fraction(sign * c) for c in coeffs]
 
 
 def char_poly_closed(model: UrnModel) -> list[Fraction]:

@@ -146,12 +146,17 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
     notes.append(f"chi-square at n={mc_n} with {mc_samples} samples "
                  f"(worst p={worst:.3g})")
 
-    worst_gap = 0.0
+    worst_gap = worst_route = 0.0
     for spec in family_grid():
         if spec.b < 2:
             continue
         roots = _roots(spec.b, families.kappa(spec))
         finite = dist_k.pmf_K(spec, limit_n, roots)
+        route = finite.max_abs_diff(dist_k.pmf_K_exact(spec, limit_n))
+        _need(route <= 1e-10,
+              f"{spec.describe()} n={limit_n}: closed K pmf off the exact product "
+              f"by {route:.3e}")
+        worst_route = max(worst_route, route)
         limit = dist_k.limit_K(spec).as_float()
         gap = finite.max_abs_diff(limit)
         _need(gap <= 0.02,
@@ -160,6 +165,8 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
     zipf = dist_k.limit_K(families.recursive(2))
     _need(zipf[1] == Fraction(2, 3) and zipf[2] == Fraction(1, 3),
           f"recursive b=2 limit atoms {zipf.mass} are not (2/3, 1/3)")
+    notes.append(f"closed form within 1e-10 of the exact product at n={limit_n} "
+                 f"(worst {worst_route:.2e})")
     notes.append(f"limit atoms at n={limit_n} within 0.02 (worst {worst_gap:.4f})")
     return "; ".join(notes)
 
@@ -292,7 +299,7 @@ def _mean_band(samples: np.ndarray, target: float, sigmas: float = 3.0) -> float
     return z
 
 
-def check_urns(charpoly_max_b: int = 10, affine_max_b: int = 30,
+def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
                exact_n: int = 7, exact_reps: int = 10 ** 6,
                growth_n: int = 10 ** 3, growth_reps: int = 300,
                urn_reps: int = 4000, seed: int = 0) -> str:

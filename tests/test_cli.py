@@ -2,9 +2,11 @@
 
 import json
 import re
+import sys
 
 from click.testing import CliRunner
 
+from buckettrees import dist_k, families
 from buckettrees.cli import main
 from buckettrees.trees import encode, from_doc
 
@@ -114,16 +116,34 @@ def test_pmf_k_names_its_method():
     assert exact.splitlines() == ["m,probability,float,method",
                                   "1,2/3,0.6666666666666666,exact",
                                   "2,1/3,0.3333333333333333,exact"]
-    spectral = run("pmf-k", "--family", "recursive:b=2", "--n", "501").splitlines()
+    spectral = run("pmf-k", "--family", "recursive:b=2", "--n", "10001").splitlines()
     assert spectral[0] == "m,probability,float,method"
     assert all(line.endswith(",spectral") for line in spectral[1:])
     limit = run("pmf-k", "--family", "recursive:b=2", "--n", "4", "--limit").splitlines()
     assert all(line.endswith(",limit") for line in limit[1:])
-    for args, method in ((("--n", "4"), "exact"), (("--n", "501"), "spectral"),
+    for args, method in ((("--n", "4"), "exact"), (("--n", "10001"), "spectral"),
                          (("--n", "4", "--limit"), "limit")):
         doc = json.loads(run("pmf-k", *args, "--format", "doc"))
         assert doc["method"] == method
         assert set(doc["m"]) == {"1", "2"}
+
+
+def test_pmf_k_is_exact_to_n_10_thousand():
+    csv = run("pmf-k", "--family", "port:b=3,alpha=2", "--n", "2000").splitlines()
+    assert all(line.endswith(",exact") for line in csv[1:])
+    limit = sys.get_int_max_str_digits()
+    doc = json.loads(run("pmf-k", "--family", "port:b=3,alpha=2", "--n", "10000",
+                         "--format", "doc"))
+    assert sys.get_int_max_str_digits() == limit
+    assert doc["method"] == "exact"
+    # the atoms' numerators pass Python's default int-to-str digit limit
+    assert max(len(p.split("/")[0]) for p in doc["m"].values()) > limit
+    want = dist_k.pmf_K_exact(families.port(3, 2), 10 ** 4)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc["m"] == {str(m): str(p) for m, p in want.mass.items()}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_descendants_and_conditional():

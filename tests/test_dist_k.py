@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import families, verify
+from buckettrees import families, urns, verify
 from buckettrees.dist_k import (limit_K, mean_type_masses, node_type_relation,
                                 pmf_K, pmf_K_exact)
 from buckettrees.enumeration import exact_statistic_pmf, expected_capacity_counts
@@ -63,13 +63,15 @@ def test_mean_type_masses_sum_to_total():
 
 
 def _inline_mean_type_masses(spec, n):
-    """The mean recursion with its urn rows written out inline, as the
-    reference for the route that reads them from the urn model."""
+    """E[Q_{s,k}] for s = 1..n by the mean recursion stepped once per label,
+    with its urn rows written out inline: the reference for the product
+    form that reads them from the urn model."""
     gc = families.growth_coeffs(spec)
     b = spec.b
     w = [0] + [gc.node_weight(k, 0) for k in range(1, b + 1)]
     q = [Fraction(0)] * (b + 1)
     q[1] = Fraction(w[1])
+    out = [tuple(q[1:])]
     for size in range(1, n):
         total = Fraction(gc.total(size))
         delta = [Fraction(0)] * (b + 1)
@@ -83,15 +85,27 @@ def _inline_mean_type_masses(spec, n):
                 delta[b] += p * gc.bdeg
         for k in range(1, b + 1):
             q[k] += delta[k]
-    return tuple(q[1:])
+        out.append(tuple(q[1:]))
+    return out
 
 
 @pytest.mark.parametrize("spec", verify.family_grid()
                          + [families.recursive(4), families.port(3, 2)],
                          ids=lambda s: s.describe())
 def test_mean_type_masses_match_inline_recursion(spec):
-    for n in range(1, 31):
-        assert mean_type_masses(spec, n) == _inline_mean_type_masses(spec, n)
+    for n, want in enumerate(_inline_mean_type_masses(spec, 200), start=1):
+        got = mean_type_masses(spec, n)
+        assert got == want and all(type(x) is Fraction for x in got), n
+
+
+@pytest.mark.parametrize("spec", verify.family_grid() + [families.recursive(10)],
+                         ids=lambda s: s.describe())
+def test_mean_type_masses_first_two_sizes(spec):
+    # one bucket of capacity one, then the first draw is that bucket: row 0 is added
+    model = urns.urn_model(spec)
+    assert mean_type_masses(spec, 1) == tuple(map(Fraction, model.initial))
+    assert mean_type_masses(spec, 2) == tuple(
+        Fraction(q + r) for q, r in zip(model.initial, model.replacement[0]))
 
 
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: s.describe())

@@ -291,6 +291,21 @@ def test_nodes_are_slotted_and_frozen():
     assert deep != _path(DEPTH - 1)
 
 
+def test_deep_tree_pickles():
+    tree = grow.sample_tree(families.linear(1, 0, -1, 1), DEPTH, 0)
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree and back.size == DEPTH and back._valid
+    hand_built = BucketTree(1, _path(DEPTH))  # valid, not yet validated
+    assert pickle.loads(pickle.dumps(hand_built)) == hand_built
+
+
+def test_invalid_tree_pickles_as_it_is():
+    for root in (BucketNode((2, 1)), BucketNode(())):
+        tree = BucketTree(2, root)
+        back = pickle.loads(pickle.dumps(tree))
+        assert back == tree and validate(back)
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the recursive walks these replaced, kept as references
 

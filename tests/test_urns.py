@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import dist_k, families, grow, montecarlo, urns
+from buckettrees import dist_k, families, grow, montecarlo, urns, verify
 from buckettrees.grow import RngStream
 from buckettrees.urns import (build_urn, census_counts, char_poly,
                               char_poly_closed, node_type_estimates,
@@ -37,6 +37,15 @@ def test_deterministic_opening_trace():
 def test_char_poly_routes_agree(spec):
     model = build_urn(spec)
     assert char_poly(model) == char_poly_closed(model)
+
+
+@pytest.mark.parametrize("b", range(1, 31))
+def test_char_poly_matches_product_form_to_b30(b):
+    for spec in verify.kind_grid(b):
+        model = urns.urn_model(spec)
+        coeffs = char_poly(model)
+        assert coeffs == char_poly_closed(model)
+        assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_port_eigenvalues():
