@@ -5,21 +5,23 @@
 * the weight-preserving degree weights induced by clustering;
 * bundled refinements of the clustering map that are genuine bijections
   (plane-oriented / three-bundled, recursive / two-bundled);
-* the bijection between increasing diamonds and bucket trees with b = 2,
-  through increasing-decreasing bilabelled trees.
+* the bijection between bucket trees with b = 2 and increasing diamonds,
+  which are stored as bucket nodes: one relabelling pass, either way.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Optional
 
 from .enumeration import all_trees
+from .families import frac_binom
 from .trees import (BucketNode, BucketTree, BundledBucketTree, BundledNode,
-                    _build_up, _children, _sized_tree, canonicalize, check_valid,
-                    iter_nodes)
+                    ParseError, _build_up, _children, _collector_paused,
+                    _sized_tree, canonicalize, check_valid, iter_nodes)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -110,8 +112,6 @@ def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
         for head in range(total + 1):
             for rest in compositions(total - head, parts - 1):
                 yield (head,) + rest
-
-    from .families import frac_binom  # local import to avoid a cycle
 
     out = Fraction(0)
     for tree in all_trees(1, b):
@@ -257,124 +257,99 @@ def uncluster_two_bundled(tree: BundledBucketTree) -> BucketTree:
 
 @dataclass(frozen=True)
 class Diamond:
-    """An increasing diamond, stored by its recursive decomposition.
+    """An increasing diamond, stored as the bucket tree of its decomposition.
 
-    A size-one diamond is a single inner node.  Anything larger is a
-    source label, a sink label, and an ordered sequence of sub-diamonds.
+    A one-label node is an inner node.  A two-label node (source, sink) is
+    a composite diamond, and its children are its parts, in order.
     """
 
-    inner: Optional[int] = None
-    source: Optional[int] = None
-    sink: Optional[int] = None
-    parts: tuple = ()
-
-    def labels(self) -> list[int]:
-        if self.inner is not None:
-            return [self.inner]
-        out = [self.source, self.sink]
-        for p in self.parts:
-            out.extend(p.labels())
-        return out
+    root: BucketNode
 
     @property
     def size(self) -> int:
-        return len(self.labels())
+        return sum(len(v.labels) for v in iter_nodes(self.root))
 
     def inner_count(self) -> int:
-        if self.inner is not None:
-            return 1
-        return sum(p.inner_count() for p in self.parts)
+        return sum(len(v.labels) == 1 for v in iter_nodes(self.root))
+
+
+def _span(node: BucketNode, spans: list) -> tuple:
+    """(smallest, largest) label of a diamond node's subtree, which must be
+    the node's own labels."""
+    labels = node.labels
+    if len(labels) == 1 and not spans:
+        return labels[0], labels[0]
+    if len(labels) != 2:
+        raise ValueError(f"diamond node {labels}: an inner node holds one label "
+                         "and no parts, a composite a (source, sink) pair")
+    source, sink = labels
+    if source > sink or not all(source < lo and hi < sink for lo, hi in spans):
+        raise ValueError(f"source/sink {source}/{sink} are not the "
+                         "extremes of their sub-diamond")
+    return labels
 
 
 def check_diamond(d: Diamond) -> None:
-    labels = d.labels()
+    labels = [x for v in iter_nodes(d.root) for x in v.labels]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels in diamond")
-
-    def go(x: Diamond):
-        labs = x.labels()
-        if x.inner is not None:
-            return
-        if x.source != min(labs) or x.sink != max(labs):
-            raise ValueError(f"source/sink {x.source}/{x.sink} are not the "
-                             "extremes of their sub-diamond")
-        for p in x.parts:
-            go(p)
-
-    go(d)
+    _build_up(d.root, _children, _span)
 
 
 def inner_node(label: int) -> Diamond:
-    return Diamond(inner=label)
+    return Diamond(BucketNode((label,)))
 
 
 def composite(source: int, sink: int, parts=()) -> Diamond:
-    d = Diamond(source=source, sink=sink, parts=tuple(parts))
+    d = Diamond(BucketNode((source, sink), tuple(p.root for p in parts)))
     check_diamond(d)
     return d
 
 
-# Algorithm: diamond -> increasing-decreasing bilabelled tree.  Buckets are
-# raw BucketNodes holding (smallest, largest) of their subtree, or a single
-# label for size-one pieces; this intermediate is *not* a valid BucketTree.
+def _rest(labels: list, second: int) -> list:
+    """Sorted labels without positions 0 and second (1 or -1)."""
+    return labels[2:] if second == 1 else labels[1:-1]
 
 
-def diamond_to_incdec(d: Diamond) -> BucketNode:
-    if d.inner is not None:
-        return BucketNode((d.inner,))
-    return BucketNode((d.source, d.sink), tuple(diamond_to_incdec(p) for p in d.parts))
+@_collector_paused
+def _relabel(root: BucketNode, second: int) -> BucketNode:
+    """The same shape with each subtree renumbered within its own labels.
 
-
-def incdec_to_diamond(node: BucketNode) -> Diamond:
-    if len(node.labels) == 1:
-        if node.children:
-            raise ValueError("size-one bucket with children")
-        return inner_node(node.labels[0])
-    return composite(node.labels[0], node.labels[1],
-                     tuple(incdec_to_diamond(c) for c in node.children))
-
-
-def _labels_sorted(node: BucketNode) -> list[int]:
-    out = []
-    for v in iter_nodes(node):
-        out.extend(v.labels)
-    return sorted(out)
-
-
-def _apply_perm(node: BucketNode, perm: dict) -> BucketNode:
-    return BucketNode(tuple(sorted(perm[x] for x in node.labels)),
-                      tuple(_apply_perm(c, perm) for c in node.children))
-
-
-def incdec_to_bucket(node: BucketNode) -> BucketNode:
-    """Cycle the labels so every bucket holds the two smallest of its subtree."""
-    labs = _labels_sorted(node)
-    if len(labs) == 1:
-        return node
-    # pi fixes the smallest label and rotates the rest one step up
-    perm = {labs[0]: labs[0], labs[-1]: labs[1]}
-    for i in range(1, len(labs) - 1):
-        perm[labs[i]] = labs[i + 1]
-    permuted = _apply_perm(node, perm)
-    return BucketNode(permuted.labels,
-                      tuple(incdec_to_bucket(c) for c in permuted.children))
-
-
-def bucket_to_incdec(node: BucketNode) -> BucketNode:
-    labs = _labels_sorted(node)
-    if len(labs) == 1:
-        return node
-    undone = BucketNode(node.labels, tuple(bucket_to_incdec(c) for c in node.children))
-    # invert pi: the second-smallest goes to the top, the rest one step down
-    perm = {labs[0]: labs[0], labs[1]: labs[-1]}
-    for i in range(1, len(labs) - 1):
-        perm[labs[i + 1]] = labs[i]
-    return _apply_perm(undone, perm)
+    A node moves from positions (0, -second) of its subtree's sorted labels
+    to positions (0, second), and the other new labels go, in order, to the
+    children holding the other old labels.  A b = 2 bucket node holds the
+    two smallest labels of its subtree and a diamond node the smallest and
+    the largest (source and sink), so second = -1 maps a valid bucket tree
+    to its diamond and 1 maps a valid diamond back.  Each node slices its
+    subtree's labels: the cost is the sum of the subtree sizes.
+    """
+    # labels in preorder: a subtree's labels are a run starting at its first
+    # label's rank, so a label lies below the last child starting at or before it
+    rank = {x: i for i, x in enumerate(x for v in iter_nodes(root) for x in v.labels)}
+    new = {}  # a node's new labels, by its first old label (labels are distinct)
+    labels = sorted(rank)
+    todo = [(root, labels, labels)]
+    while todo:
+        node, old, fresh = todo.pop()
+        new[node.labels[0]] = (fresh[0], fresh[second]) if len(node.labels) == 2 else (fresh[0],)
+        kids = node.children
+        if len(kids) == 1:
+            todo.append((kids[0], _rest(old, -second), _rest(fresh, second)))
+        elif kids:
+            starts = [rank[c.labels[0]] for c in kids]
+            olds, freshes = [[] for _ in kids], [[] for _ in kids]
+            for x, y in zip(_rest(old, -second), _rest(fresh, second)):
+                j = bisect_right(starts, rank[x]) - 1
+                olds[j].append(x)
+                freshes[j].append(y)
+            todo += zip(kids, olds, freshes)
+    return _build_up(root, _children,
+                     lambda node, kids: BucketNode(new[node.labels[0]], tuple(kids)))
 
 
 def diamond_to_bucket(d: Diamond) -> BucketTree:
     check_diamond(d)
-    tree = BucketTree(2, incdec_to_bucket(diamond_to_incdec(d)))
+    tree = BucketTree(2, _relabel(d.root, 1))
     check_valid(tree)
     return tree
 
@@ -383,7 +358,7 @@ def bucket_to_diamond(tree: BucketTree) -> Diamond:
     if tree.b != 2:
         raise ValueError("the diamond bijection needs bucket size two")
     check_valid(tree)
-    d = incdec_to_diamond(bucket_to_incdec(tree.root))
+    d = Diamond(_relabel(tree.root, -1))
     check_diamond(d)
     return d
 
@@ -392,50 +367,45 @@ def bucket_to_diamond(tree: BucketTree) -> Diamond:
 # diamond text codec: (v) for inner nodes, <s t>(p1,p2,...) otherwise
 
 
+def _diamond_text(node: BucketNode, parts: list) -> str:
+    if len(node.labels) == 1:
+        return "(%d)" % node.labels
+    return "<%d %d>(%s)" % (*node.labels, ",".join(parts))
+
+
 def encode_diamond(d: Diamond) -> str:
-    if d.inner is not None:
-        return f"({d.inner})"
-    inside = ",".join(encode_diamond(p) for p in d.parts)
-    return f"<{d.source} {d.sink}>({inside})"
+    return _build_up(d.root, _children, _diamond_text)
 
 
+_PART = re.compile(r"\((\d+)\)|<(\d+) (\d+)>\(")
+
+
+@_collector_paused
 def decode_diamond(text: str) -> Diamond:
-    d, pos = _parse_diamond(text, 0)
+    """Parse and check the text form; a comma may follow any part."""
+    open_parts = []  # (source, sink) and parts so far of each composite whose '(' is open
+    pos = 0
+    while True:
+        if open_parts and text.startswith(")", pos):
+            labels, parts = open_parts.pop()
+            node = BucketNode(labels, tuple(parts))
+            pos += 1
+        else:
+            m = _PART.match(text, pos)
+            if m is None:
+                raise ParseError("expected '(' or '<'", pos)
+            pos = m.end()
+            if m[1] is None:
+                open_parts.append(((int(m[2]), int(m[3])), []))
+                continue
+            node = BucketNode((int(m[1]),))
+        if not open_parts:
+            break
+        open_parts[-1][1].append(node)
+        if text.startswith(",", pos):
+            pos += 1
     if pos != len(text):
-        raise ValueError(f"trailing input at position {pos}")
+        raise ParseError("trailing input", pos)
+    d = Diamond(node)
     check_diamond(d)
     return d
-
-
-def _parse_diamond(text: str, pos: int):
-    def number(p):
-        q = p
-        while q < len(text) and text[q].isdigit():
-            q += 1
-        if q == p:
-            raise ValueError(f"expected integer at position {p}")
-        return int(text[p:q]), q
-
-    if pos < len(text) and text[pos] == "(":
-        label, pos = number(pos + 1)
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"expected ')' at position {pos}")
-        return inner_node(label), pos + 1
-    if pos < len(text) and text[pos] == "<":
-        source, pos = number(pos + 1)
-        if pos >= len(text) or text[pos] != " ":
-            raise ValueError(f"expected ' ' at position {pos}")
-        sink, pos = number(pos + 1)
-        if pos + 1 >= len(text) or text[pos] != ">" or text[pos + 1] != "(":
-            raise ValueError(f"expected '>(' at position {pos}")
-        pos += 2
-        parts = []
-        while pos < len(text) and text[pos] != ")":
-            part, pos = _parse_diamond(text, pos)
-            parts.append(part)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"expected ')' at position {pos}")
-        return Diamond(source=source, sink=sink, parts=tuple(parts)), pos + 1
-    raise ValueError(f"expected '(' or '<' at position {pos}")

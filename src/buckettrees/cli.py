@@ -1,10 +1,11 @@
 """Command-line surface: sampling, enumeration, exact pmfs, conversions,
 urns, spectra, and the verification suite.
 
-Every verb takes --family in the compact form 'kind:key=value,...'
+Every verb takes --out to write to a file instead of stdout, and only the
+other options it reads: --family in the compact form 'kind:key=value,...'
 (e.g. recursive:b=2, ary:b=2,d=3, port:b=3,alpha=1/2), --seed for anything
-random, --format csv|doc for the output encoding, and --out to write to a
-file instead of stdout.  Exit code 0 iff all requested checks pass.
+random, --format csv|doc for the output encoding.  Exit code 0 iff all
+requested checks pass.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from .pmf import Pmf
 from .trees import decode, encode, to_doc
 
 
-def common_options(fn):
-    fn = click.option("--family", "family_text", default="recursive:b=2",
-                      show_default=True, help="family, e.g. ary:b=2,d=3")(fn)
-    fn = click.option("--seed", default=0, show_default=True, type=int)(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "doc"]),
-                      default="csv", show_default=True)(fn)
-    fn = click.option("--out", "out_path", type=click.Path(dir_okay=False),
-                      default=None, help="write output to a file")(fn)
-    return fn
+family_option = click.option("--family", "family_text", default="recursive:b=2",
+                             show_default=True, help="family, e.g. ary:b=2,d=3")
+seed_option = click.option("--seed", default=0, show_default=True, type=int)
+format_option = click.option("--format", "fmt", type=click.Choice(["csv", "doc"]),
+                             default="csv", show_default=True)
+out_option = click.option("--out", "out_path", type=click.Path(dir_okay=False),
+                          default=None, help="write output to a file")
 
 
 def _emit(text: str, out_path) -> None:
@@ -116,7 +115,10 @@ def main():
 
 
 @main.command("grow")
-@common_options
+@family_option
+@seed_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int, help="tree size (label count)")
 @click.option("--count", default=1, show_default=True, type=int)
 def grow_cmd(family_text, seed, fmt, out_path, n, count):
@@ -132,13 +134,15 @@ def grow_cmd(family_text, seed, fmt, out_path, n, count):
 
 
 @main.command("enumerate")
-@common_options
+@family_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int)
 @click.option("--pmf", "statistic", default=None,
               help="statistic pmf instead of the tree list: K, Y:j, X:j, N:k, tau:j")
 @click.option("--max-n", default=None, type=int,
               help="override the enumeration size guard")
-def enumerate_cmd(family_text, seed, fmt, out_path, n, statistic, max_n):
+def enumerate_cmd(family_text, fmt, out_path, n, statistic, max_n):
     """Exhaustively enumerate weighted trees, or an exact statistic pmf."""
     spec = families.parse_family(family_text)
     if statistic:
@@ -158,10 +162,12 @@ def enumerate_cmd(family_text, seed, fmt, out_path, n, statistic, max_n):
 
 
 @main.command("pmf-k")
-@common_options
+@family_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int)
 @click.option("--limit", is_flag=True, help="emit the limit law instead")
-def pmf_k_cmd(family_text, seed, fmt, out_path, n, limit):
+def pmf_k_cmd(family_text, fmt, out_path, n, limit):
     """Distribution of the initial bucket size K_n: exact rationals up to
     n = 10^4, spectral floats above, or the limit law. The `method` column
     (doc field) says which: exact, spectral or limit."""
@@ -176,12 +182,14 @@ def pmf_k_cmd(family_text, seed, fmt, out_path, n, limit):
 
 
 @main.command("descendants")
-@common_options
+@family_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int)
 @click.option("--j", required=True, type=int)
 @click.option("--conditional", "ell", default=None, type=int,
               help="condition on the bucket size of j at insertion")
-def descendants_cmd(family_text, seed, fmt, out_path, n, j, ell):
+def descendants_cmd(family_text, fmt, out_path, n, j, ell):
     """Exact distribution of the descendants Y_{n,j}."""
     spec = families.parse_family(family_text)
     if ell is None:
@@ -192,34 +200,38 @@ def descendants_cmd(family_text, seed, fmt, out_path, n, j, ell):
 
 
 @main.command("degree")
-@common_options
+@family_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int)
 @click.option("--j", required=True, type=int)
-def degree_cmd(family_text, seed, fmt, out_path, n, j):
+def degree_cmd(family_text, fmt, out_path, n, j):
     """Exact distribution of the out-degree X_{n,j}."""
     spec = families.parse_family(family_text)
     _pmf_output(dist_desc.pmf_X(spec, n, j), fmt, out_path, value_name="x")
 
 
 @main.command("tau")
-@common_options
+@family_option
+@format_option
+@out_option
 @click.option("--n", required=True, type=int)
 @click.option("--j", required=True, type=int)
-def tau_cmd(family_text, seed, fmt, out_path, n, j):
+def tau_cmd(family_text, fmt, out_path, n, j):
     """Exact distribution of the saturation time tau_{n,j} (censored at n)."""
     spec = families.parse_family(family_text)
     _pmf_output(dist_desc.pmf_tau(spec, n, j), fmt, out_path, value_name="tau")
 
 
 @main.command("convert")
-@common_options
+@out_option
 @click.option("--from", "source", required=True,
               type=click.Choice(["tree", "diamond"]))
 @click.option("--to", "target", required=True,
               type=click.Choice(["bucket", "diamond"]))
 @click.option("--b", "bound", default=2, show_default=True, type=int)
 @click.argument("text", required=False)
-def convert_cmd(family_text, seed, fmt, out_path, source, target, bound, text):
+def convert_cmd(out_path, source, target, bound, text):
     """Convert between bucket-tree and increasing-diamond codec text.
 
     Reads TEXT, or standard input when TEXT is omitted.
@@ -242,7 +254,10 @@ def convert_cmd(family_text, seed, fmt, out_path, source, target, bound, text):
 
 
 @main.command("urn")
-@common_options
+@family_option
+@seed_option
+@format_option
+@out_option
 @click.option("--steps", required=True, type=click.IntRange(min=0))
 @click.option("--replicates", default=1000, show_default=True, type=int)
 def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
@@ -272,9 +287,10 @@ def _named(family_text: str) -> families.FamilySpec:
 
 
 @main.command("urn-spectrum")
-@common_options
+@family_option
+@out_option
 @click.option("--b-range", "b_range", required=True, help="e.g. 2..10 or 5")
-def urn_spectrum_cmd(family_text, seed, fmt, out_path, b_range):
+def urn_spectrum_cmd(family_text, out_path, b_range):
     """Urn eigenvalues and phase indicators over a range of bucket sizes."""
     spec = _named(family_text)
     rows = []
@@ -291,9 +307,10 @@ def urn_spectrum_cmd(family_text, seed, fmt, out_path, b_range):
 
 
 @main.command("spectrum")
-@common_options
+@family_option
+@out_option
 @click.option("--b-range", "b_range", default=None, help="e.g. 2..30")
-def spectrum_cmd(family_text, seed, fmt, out_path, b_range):
+def spectrum_cmd(family_text, out_path, b_range):
     """Indicial-equation roots and the phase indicator per bucket size."""
     spec = _named(family_text)
     bs = _parse_b_range(b_range) if b_range else range(spec.b, spec.b + 1)
@@ -310,10 +327,11 @@ def spectrum_cmd(family_text, seed, fmt, out_path, b_range):
 
 
 @main.command("verify")
-@common_options
+@seed_option
+@out_option
 @click.option("--level", type=click.Choice(["quick", "full"]), default="quick",
               show_default=True)
-def verify_cmd(family_text, seed, fmt, out_path, level):
+def verify_cmd(seed, out_path, level):
     """Run the verification suite; exit code 0 iff every check passes."""
     results = verify.verify_suite(level=level, seed=seed)
     lines = [r.line() for r in results]

@@ -26,6 +26,7 @@ from .enumeration import (UNORDERED_GROWTH, UNORDERED_MODEL,
                           exact_statistic_pmf, expected_capacity_counts)
 from .families import FamilySpec
 from .grow import RngStream
+from .trees import iter_nodes
 
 SIGNIFICANCE = 0.001
 
@@ -211,24 +212,20 @@ def check_spectral(max_b: int = 30, boundary: int = 26) -> str:
 # 5. bijections
 
 
-def _diamond_weight(d: bijections.Diamond) -> Fraction:
-    """Weight of a diamond under the part-count weights C(k+2, k)."""
-    if d.inner is not None:
-        return Fraction(1)
-    k = len(d.parts)
-    w = Fraction((k + 1) * (k + 2), 2)
-    for p in d.parts:
-        w *= _diamond_weight(p)
-    return w
+def _diamond_weight(d: bijections.Diamond) -> int:
+    """Weight of a diamond under the part-count weights C(k+2, k): the
+    product over its composite nodes, k being the node's part count."""
+    return math.prod(math.comb(len(v.children) + 2, 2)
+                     for v in iter_nodes(d.root) if len(v.labels) == 2)
 
 
-def check_bijections(max_n_diamond: int = 7, max_n_bundle: int = 6,
+def check_bijections(max_n_diamond: int = 8, max_n_bundle: int = 6,
                      max_k: int = 6) -> str:
     notes = []
     for n in range(1, max_n_diamond + 1):
         trees = enumeration.all_trees(2, n)
         seen = set()
-        total = Fraction(0)
+        total = 0
         for tree in trees:
             d = bijections.bucket_to_diamond(tree)
             _need(bijections.diamond_to_bucket(d).root == tree.root,

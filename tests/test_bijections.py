@@ -1,19 +1,20 @@
 """Clustering, bundled bijections, induced weights, and increasing diamonds."""
 
-from fractions import Fraction
-
 import pytest
 
 from buckettrees import bijections, families
-from buckettrees.bijections import (bucket_to_diamond, cluster,
-                                    cluster_three_bundled, cluster_two_bundled,
-                                    composite, decode_diamond, diamond_to_bucket,
+from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
+                                    cluster, cluster_three_bundled,
+                                    cluster_two_bundled, composite,
+                                    decode_diamond, diamond_to_bucket,
                                     encode_diamond, expand_chains, inner_node,
                                     uncluster_three_bundled,
                                     uncluster_two_bundled,
                                     weight_preserving_phi)
 from buckettrees.enumeration import all_trees, distinct_unordered, enumerate_trees
-from buckettrees.trees import BucketNode, BucketTree, BundledNode, decode, encode
+from buckettrees.grow import RngStream, sample_tree
+from buckettrees.trees import (BucketNode, BucketTree, BundledNode, decode, encode,
+                               iter_nodes)
 
 
 def test_cluster_path_and_star():
@@ -160,6 +161,18 @@ def test_diamond_codec_round_trip():
     text = encode_diamond(d)
     assert text == "<1 6>((2),<3 5>((4)))"
     assert decode_diamond(text) == d
+    assert hash(decode_diamond(text)) == hash(d)
+    assert d.size == 6 and d.inner_count() == 2
+
+
+def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():
+    assert decode_diamond("<1 4>((2)(3))") == composite(1, 4, (inner_node(2), inner_node(3)))
+    assert decode_diamond("<1 3>((2),)") == composite(1, 3, (inner_node(2),))
+    assert decode_diamond("<1 2>()") == composite(1, 2)
+    for text in ("<1 3>((2),,)", " (1)", "<1 2>((3))", "<1 3>(,(2))", "<1 3>((2)",
+                 "(1)(2)", "<1 3>((2)))", "<1 3>", "", "(x)"):
+        with pytest.raises(ValueError):
+            decode_diamond(text)
 
 
 def test_diamond_validation():
@@ -169,6 +182,10 @@ def test_diamond_validation():
         composite(1, 3, (inner_node(3),))  # duplicate label
     with pytest.raises(ValueError):
         decode_diamond("<1 2>((3))")  # sink is not the maximum
+    with pytest.raises(ValueError, match="inner node"):
+        check_diamond(Diamond(BucketNode((2,), (BucketNode((3,)),))))
+    with pytest.raises(ValueError, match="inner node"):
+        check_diamond(Diamond(BucketNode((1, 2, 3))))
 
 
 def test_diamond_bijection_round_trip():
@@ -183,23 +200,96 @@ def test_diamond_bijection_round_trip():
         assert len(seen) == len(all_trees(2, n))
 
 
+# the recursive diamond maps the relabelling pass replaced, kept as references:
+# a diamond is a raw BucketNode tree of (source, sink) and one-label nodes
+
+def _ref_labels_sorted(node):
+    return sorted(x for v in iter_nodes(node) for x in v.labels)
+
+
+def _ref_apply_perm(node, perm):
+    return BucketNode(tuple(sorted(perm[x] for x in node.labels)),
+                      tuple(_ref_apply_perm(c, perm) for c in node.children))
+
+
+def _ref_bucket_to_diamond(node):
+    labs = _ref_labels_sorted(node)
+    if len(labs) == 1:
+        return node
+    undone = BucketNode(node.labels, tuple(_ref_bucket_to_diamond(c) for c in node.children))
+    perm = {labs[0]: labs[0], labs[1]: labs[-1]}
+    for i in range(1, len(labs) - 1):
+        perm[labs[i + 1]] = labs[i]
+    return _ref_apply_perm(undone, perm)
+
+
+def _ref_diamond_to_bucket(node):
+    labs = _ref_labels_sorted(node)
+    if len(labs) == 1:
+        return node
+    perm = {labs[0]: labs[0], labs[-1]: labs[1]}
+    for i in range(1, len(labs) - 1):
+        perm[labs[i]] = labs[i + 1]
+    permuted = _ref_apply_perm(node, perm)
+    return BucketNode(permuted.labels,
+                      tuple(_ref_diamond_to_bucket(c) for c in permuted.children))
+
+
+def _ref_encode(node):
+    if len(node.labels) == 1:
+        return f"({node.labels[0]})"
+    inside = ",".join(_ref_encode(c) for c in node.children)
+    return f"<{node.labels[0]} {node.labels[1]}>({inside})"
+
+
+def test_diamond_maps_match_the_recursive_reference():
+    for n in range(1, 8):
+        for tree in all_trees(2, n):
+            d = bucket_to_diamond(tree)
+            assert encode_diamond(d) == _ref_encode(_ref_bucket_to_diamond(tree.root))
+            assert diamond_to_bucket(d).root == _ref_diamond_to_bucket(d.root)
+
+
+def _bucket_path(buckets):
+    node = BucketNode((2 * buckets - 1, 2 * buckets))
+    for label in range(2 * buckets - 3, 0, -2):
+        node = BucketNode((label, label + 1), (node,))
+    return BucketTree(2, node)
+
+
+def test_diamond_round_trips_on_a_deep_path():
+    path = _bucket_path(3000)
+    d = bucket_to_diamond(path)
+    assert d.size == 6000 and d.inner_count() == 0
+    text = encode_diamond(d)
+    # each bucket {2i-1, 2i} becomes the pair (i, 6001-i): source and sink
+    assert text.startswith("<1 6000>(<2 5999>(<3 5998>(")
+    assert text.endswith("<3000 3001>()" + ")" * 2999)
+    back = decode_diamond(text)
+    assert back == d and hash(back) == hash(d)
+    assert diamond_to_bucket(back) == path
+
+
+def test_diamond_round_trips_on_a_large_random_tree():
+    tree = sample_tree(families.recursive(2), 10 ** 4, RngStream(5))
+    d = bucket_to_diamond(tree)
+    assert d.size == 10 ** 4
+    assert d.inner_count() == sum(1 for v in _buckets(tree) if len(v.labels) == 1)
+    assert diamond_to_bucket(decode_diamond(encode_diamond(d))).root == tree.root
+
+
 def _buckets(tree):
-    from buckettrees.trees import iter_nodes
     return list(iter_nodes(tree.root))
 
 
 def test_weighted_diamond_count_small():
-    # composite weight C(k+2, k) pulls the (2,1)-PORT totals through the map
+    # composite weight C(k+2, k) pulls the (2,1)-PORT totals through the map:
+    # a diamond weighs the product over its (source, sink) nodes
     import math
 
     def weight(d):
-        if d.inner is not None:
-            return Fraction(1)
-        k = len(d.parts)
-        w = Fraction((k + 1) * (k + 2), 2)
-        for p in d.parts:
-            w *= weight(p)
-        return w
+        return math.prod(math.comb(len(v.children) + 2, 2)
+                         for v in iter_nodes(d.root) if len(v.labels) == 2)
 
     for n in range(1, 6):
         total = sum(weight(bucket_to_diamond(t)) for t in all_trees(2, n))

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import dis
 import json
 import re
 import sys
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 from buckettrees import dist_k, families
 from buckettrees.cli import main
-from buckettrees.trees import encode, from_doc
+from buckettrees.trees import BucketNode, BucketTree, encode, from_doc
 
 
 def run(*args):
@@ -171,6 +172,16 @@ def test_convert_round_trip():
     assert back == tree
 
 
+def test_convert_round_trips_a_deep_path():
+    node = BucketNode((5999, 6000))
+    for label in range(5997, 0, -2):
+        node = BucketNode((label, label + 1), (node,))
+    tree = encode(BucketTree(2, node))
+    diamond = run("convert", "--from", "tree", "--to", "diamond", tree).strip()
+    assert diamond.startswith("<1 6000>(<2 5999>(")
+    assert run("convert", "--from", "diamond", "--to", "bucket", diamond).strip() == tree
+
+
 def test_convert_reads_stdin():
     result = CliRunner().invoke(
         main, ["convert", "--from", "tree", "--to", "bucket"], input="{1,2}({3})\n")
@@ -245,3 +256,22 @@ def test_verify_quick():
     out = run("verify", "--level", "quick", "--seed", "0")
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 6
+
+
+_LOADS = ("LOAD_DEREF", "LOAD_CLOSURE")
+
+
+def _loaded_names(fn) -> set:
+    """The local names fn's code reads: LOAD_FAST and its variants, and
+    LOAD_DEREF and LOAD_CLOSURE, so names read inside comprehensions count."""
+    names = set()
+    for ins in dis.get_instructions(fn):
+        if ins.opname.startswith("LOAD_FAST") or ins.opname in _LOADS:
+            names.update(ins.argval if isinstance(ins.argval, tuple) else (ins.argval,))
+    return names
+
+
+def test_every_declared_option_is_read():
+    unread = [(verb, p.name) for verb, cmd in main.commands.items()
+              for p in cmd.params if p.name not in _loaded_names(cmd.callback)]
+    assert unread == []
