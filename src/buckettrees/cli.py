@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+import textwrap
 from dataclasses import replace
 
 import click
@@ -334,7 +335,11 @@ def spectrum_cmd(family_text, out_path, b_range):
 def verify_cmd(seed, out_path, level):
     """Run the verification suite; exit code 0 iff every check passes."""
     results = verify.verify_suite(level=level, seed=seed)
-    lines = [r.line() for r in results]
+    lines = []
+    for r in results:
+        lines.append(r.line())
+        if r.traceback:
+            lines.append(textwrap.indent(r.traceback.rstrip("\n"), "    "))
     ok = all(r.passed for r in results)
     lines.append(f"{'ALL CHECKS PASSED' if ok else 'CHECKS FAILED'} "
                  f"({sum(r.passed for r in results)}/{len(results)})")

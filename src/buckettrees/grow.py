@@ -20,7 +20,7 @@ import numpy as np
 from . import families
 from .families import FamilySpec
 from .trees import (BucketNode, BucketTree, NodeCensus, _collector_paused,
-                    iter_nodes_with_path)
+                    _sized_tree, iter_nodes_with_path)
 
 
 @dataclass
@@ -261,7 +261,8 @@ class _Grower:
         nodes: list = [None] * len(self.cap)
         for v in reversed(order):
             nodes[v] = BucketNode(tuple(labels[v]), tuple([nodes[c] for c in children[v]]))
-        return BucketTree(self.b, nodes[0])
+        # valid by construction, and its size is the number of labels placed
+        return _sized_tree(self.b, nodes[0], self.size, True)
 
     def census(self) -> NodeCensus:
         m: dict = {}

@@ -4,15 +4,18 @@ The tree-valued sampler in `grow` is exact but one replicate at a time.
 For goodness-of-fit experiments with 1e5 - 1e6 replicates we instead
 simulate the minimal sufficient state across all replicates at once:
 the bucket-type ball counts for K and the urns, and the root degree for
-b = 1.  Y given K is a Beta-Binomial draw.  All are exact projections of
-the growth process.
+b = 1.  Y given K is a Beta-Binomial draw.  All follow the exact law of
+the growth process; the Beta draw and the root degree's waiting times
+are floating-point inversions.
 
-Each step makes one vectorized integer draw below the deterministic total
-and then only column-wise array work: the ball counts are kept as b - 1
-cumulative-count columns (the type drawn is the number of columns at or
-below the draw), and the root degree as the root's weight.  Draws are made
-in int32 while the total is below 2**31, where numpy gives the same
-integers as in int64.
+The ball-count kernel makes one vectorized integer draw below the
+deterministic total per step and then only column-wise array work: the
+counts are kept as b - 1 cumulative-count columns, and the type drawn is
+the number of columns at or below the draw.  Draws are made in int32
+while the total is below 2**31, where numpy gives the same integers as in
+int64.  The root-degree kernel draws one exponential per root hit and
+jumps to the next hit through a hazard table, so it never steps the
+labels that miss the root.
 """
 
 from __future__ import annotations
@@ -97,11 +100,19 @@ def sample_Y(spec: FamilySpec, n: int, j: int, size: int, rng) -> np.ndarray:
 def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     """`size` copies of the root out-degree for b = 1 families.
 
-    With b = 1 the root is always saturated, so its integer weight
-    w = node_weight(1, degree) is the only state: at size s a draw below
-    total(s) attaches to the root when it is below w, which adds bdeg to
-    w.  The degree is read back from w at the end.  When bdeg = 0
-    (recursive) w is constant and the hits are counted directly.
+    With b = 1 the root is always saturated, so at degree d it weighs
+    w_d = node_weight(1, d) against the deterministic total T_s, and step
+    1 always hits it, since it is the only bucket.  The kernel jumps from
+    one root hit to the next instead of stepping every label.  In round d
+    every live copy has degree d, so one hazard table serves them all:
+    H(t) = sum over s in (lo, t] of -log(1 - w_d / T_s), from the least
+    step lo a live copy has reached.  A copy at step `at` draws
+    E = -log U as a standard exponential and hits next at the first t with
+    H(t) > H(at) + E: its waiting time inverted from the exact survival
+    function exp(-(H(t) - H(at))).  A copy whose next hit falls past
+    step n - 1 keeps degree d.  The rounds end when no copy is live or
+    w_d <= 0 (a full `ary` root).  The law is exact; only each gap is
+    inverted in double precision.
     """
     families.require_named(spec)
     if spec.b != 1:
@@ -109,16 +120,25 @@ def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     gc = families.growth_coeffs(spec)
-    dtype = _draw_dtype(gc.total(n))
     gen = _as_rng(rng).generator
-    w0 = gc.node_weight(1, 0)
-    if gc.bdeg == 0:
-        deg = np.zeros(size, dtype=dtype)
-        for s in range(1, n):
-            deg += gen.integers(0, gc.total(s), size, dtype=dtype) < w0
-        return deg.astype(np.int64)
-    w = np.full(size, w0, dtype=dtype)
-    bdeg = dtype(gc.bdeg)
-    for s in range(1, n):
-        w += (gen.integers(0, gc.total(s), size, dtype=dtype) < w) * bdeg
-    return (w.astype(np.int64) - w0) // gc.bdeg
+    deg = np.zeros(size, dtype=np.int64)
+    if n == 1:
+        return deg
+    live = np.arange(size)
+    at = np.ones(size, dtype=np.int64)  # steps taken, the last one a hit
+    d = 1
+    while live.size and (w := gc.node_weight(1, d)) > 0:
+        lo = int(at.min())
+        totals = gc.a * np.arange(lo + 1, n, dtype=np.float64) + gc.total_c
+        hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-w / totals))))
+        target = hazard[at - lo] + gen.standard_exponential(live.size)
+        # sorted keys search several times faster; live follows the order
+        order = np.argsort(target)
+        live = live[order]
+        at = lo + np.searchsorted(hazard, target[order], side="right")
+        hit = at < n
+        deg[live[~hit]] = d
+        live, at = live[hit], at[hit]
+        d += 1
+    deg[live] = d
+    return deg

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -448,6 +449,7 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+    traceback: str = ""  # the formatted exception of a check that raised
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -496,12 +498,14 @@ def verify_suite(level: str = "quick", seed: int = 0) -> list[CheckResult]:
         if "seed" in fn.__code__.co_varnames:
             kwargs.setdefault("seed", RngStream(seed).child(i).integers(2 ** 62))
         start = time.perf_counter()
+        trace = ""
         try:
             detail = fn(**kwargs)
             passed = True
         except Exception as exc:  # a failed check is report content, not a crash
             detail = f"{type(exc).__name__}: {exc}"
             passed = False
+            trace = traceback.format_exc()
         results.append(CheckResult(name, passed, detail,
-                                   time.perf_counter() - start))
+                                   time.perf_counter() - start, trace))
     return results

@@ -7,7 +7,7 @@ import sys
 
 from click.testing import CliRunner
 
-from buckettrees import dist_k, families
+from buckettrees import dist_k, families, verify
 from buckettrees.cli import main
 from buckettrees.trees import BucketNode, BucketTree, encode, from_doc
 
@@ -256,6 +256,27 @@ def test_verify_quick():
     out = run("verify", "--level", "quick", "--seed", "0")
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 6
+
+
+def _planted_failure():
+    raise ZeroDivisionError("planted")
+
+
+def test_verify_keeps_the_traceback_of_a_check_that_raises(monkeypatch):
+    monkeypatch.setattr(verify, "QUICK_PARAMS", {"1-fine": (lambda: "ok", {}),
+                                                 "2-broken": (_planted_failure, {})})
+    fine, broken = verify.verify_suite(level="quick")
+    assert fine.passed and fine.traceback == ""
+    assert not broken.passed and broken.detail == "ZeroDivisionError: planted"
+    assert broken.traceback.startswith("Traceback (most recent call last):")
+    assert "in _planted_failure" in broken.traceback
+    result = CliRunner().invoke(main, ["verify", "--level", "quick"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0].startswith("PASS 1-fine") and lines[1].startswith("FAIL 2-broken")
+    assert lines[2] == "    Traceback (most recent call last):"
+    assert lines[-2] == "    ZeroDivisionError: planted"
+    assert lines[-1] == "CHECKS FAILED (1/2)"
 
 
 _LOADS = ("LOAD_DEREF", "LOAD_CLOSURE")

@@ -213,3 +213,17 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
                        for v, (c, d) in enumerate(zip(g.cap, g.deg)))
+
+
+@pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(3),
+                                  families.ary(1, 2), families.ary(2, 3),
+                                  families.port(1, Fraction(1, 2)), families.port(3, 2)]
+                         + LINEAR_RULES, ids=lambda s: s.describe())
+def test_grown_trees_come_out_marked_valid_and_sized(spec):
+    """build() marks its tree valid and sizes it without a walk; both are
+    checked here by the full validation and a fresh size walk."""
+    for seed, n in enumerate((1, 2, 3, 40, 700)):
+        tree = sample_tree(spec, n, seed)
+        assert tree._valid and tree.size == n
+        assert validate(tree) == []
+        assert BucketTree(tree.b, tree.root).size == n

@@ -179,12 +179,13 @@ def _digests_b1(spec) -> tuple:
             _digest(montecarlo.sample_urn_counts(spec, 40, 300, RngStream(2))))
 
 
-# digests of (sample_root_degree, sample_urn_counts) draws for b = 1, recorded
-# with the row-wise kernels; the same rule as SEEDED_KERNELS holds
+# digests of (sample_root_degree, sample_urn_counts) draws for b = 1: the urn
+# counts recorded with the row-wise kernels, the root degree with the
+# waiting-time kernel; the same rule as SEEDED_KERNELS holds
 SEEDED_ONE_TYPE_KERNELS = {
-    families.recursive(1): ("e6246d2f75b287b5", "c3edd0d568462817"),
-    families.ary(1, 3): ("b1a05332b17b38f6", "d102ed464a8b4b64"),
-    families.port(1, 2): ("30a09968bce69e02", "897bf130f4155592"),
+    families.recursive(1): ("eaee55575a62ed39", "c3edd0d568462817"),
+    families.ary(1, 3): ("fa7b25d7ca3143a2", "d102ed464a8b4b64"),
+    families.port(1, 2): ("255d328b04657c13", "897bf130f4155592"),
 }
 
 
@@ -257,12 +258,6 @@ def _assert_ball_dynamics_identical(spec, n, size):
     assert np.array_equal(counts, ref_counts) and np.array_equal(last, ref_last)
 
 
-def _assert_root_degree_identical(spec, n, size):
-    deg, ref = _same_draws(montecarlo.sample_root_degree, _per_step_root_degree,
-                           spec, n, size)
-    assert deg.dtype == np.int64 and np.array_equal(deg, ref)
-
-
 def _assert_simulate_urn_identical(spec, steps):
     model = urns.urn_model(spec)
     traj, (draws, counts) = _same_draws(urns.simulate_urn, _per_step_simulate_urn,
@@ -275,8 +270,6 @@ def test_kernels_match_row_wise_per_step_references(spec):
     for n in (1, 2, 17, 150):
         for size in (0, 1, 300):
             _assert_ball_dynamics_identical(spec, n, size)
-            if spec.b == 1:
-                _assert_root_degree_identical(spec, n, size)
         _assert_simulate_urn_identical(spec, n - 1)
 
 
@@ -286,5 +279,47 @@ def test_kernels_match_references_across_the_int32_bound(n):
     assert _draw_dtype(urns.urn_model(wide).total(n)) == (np.int32 if n == 2147 else np.int64)
     _assert_ball_dynamics_identical(wide, n, 50)
     _assert_ball_dynamics_identical(wide_b1, n, 50)
-    _assert_root_degree_identical(wide_b1, n, 50)
     _assert_simulate_urn_identical(wide, n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the waiting-time root-degree kernel draws a different stream from the
+# per-step one, so it is held to the exact law and to the per-step kernel
+# in distribution
+
+ROOT_DEGREE_SPECS = [spec for spec in IDENTITY_SPECS if spec.b == 1] + [
+    families.port(1, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("n", [3, 17, 150])
+@pytest.mark.parametrize("spec", ROOT_DEGREE_SPECS, ids=lambda s: s.describe())
+def test_root_degree_matches_exact_law(spec, n):
+    samples = montecarlo.sample_root_degree(spec, n, 40000, RngStream(12))
+    exact = dist_desc.pmf_X(spec, n, 1)
+    # each half on its own: a copy's degree must not depend on its position
+    for half in (samples[:20000], samples[20000:]):
+        report = gof.chi_square(half, exact)
+        assert report.passed(LEVEL), str(report)
+
+
+@pytest.mark.parametrize("spec", ROOT_DEGREE_SPECS, ids=lambda s: s.describe())
+def test_root_degree_edge_cases(spec):
+    one = montecarlo.sample_root_degree(spec, 1, 30, RngStream(13))
+    two = montecarlo.sample_root_degree(spec, 2, 30, RngStream(13))
+    empty = montecarlo.sample_root_degree(spec, 150, 0, RngStream(13))
+    assert one.dtype == two.dtype == empty.dtype == np.int64
+    assert (one == 0).all() and (two == 1).all() and empty.shape == (0,)
+    a = montecarlo.sample_root_degree(spec, 150, 300, RngStream(14))
+    b = montecarlo.sample_root_degree(spec, 150, 300, RngStream(14))
+    assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert (a >= 1).all() and (a <= 149).all()
+    if spec.kind == families.ARY:
+        assert (a <= spec.d).all()
+
+
+def test_root_degree_matches_per_step_kernel_across_the_int32_bound():
+    wide_b1, n = WIDE[1], 2200
+    assert _draw_dtype(families.growth_coeffs(wide_b1).total(n)) == np.int64
+    fast = montecarlo.sample_root_degree(wide_b1, n, 20000, RngStream(15))
+    slow = _per_step_root_degree(wide_b1, n, 20000, RngStream(16))
+    assert _two_sample_p(fast, slow) >= LEVEL
