@@ -9,7 +9,8 @@ bijections to increasing diamonds and clustered increasing trees.
 from .families import FamilySpec, ary, custom, linear, parse_family, port, recursive
 from .grow import RngStream, sample_census, sample_tree
 from .pmf import Pmf
-from .trees import BucketNode, BucketTree, canonicalize, census, decode, encode
+from .trees import (BucketNode, BucketTree, canonicalize, census, decode, encode,
+                    from_doc, to_doc)
 
 __version__ = "0.1.0"
 
@@ -18,5 +19,6 @@ __all__ = [
     "RngStream", "sample_census", "sample_tree",
     "Pmf",
     "BucketNode", "BucketTree", "canonicalize", "census", "decode", "encode",
+    "from_doc", "to_doc",
     "__version__",
 ]

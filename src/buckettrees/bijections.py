@@ -19,9 +19,9 @@ from heapq import heappop, heappush
 
 from .enumeration import all_trees
 from .families import frac_binom
-from .trees import (BucketNode, BucketTree, BundledBucketTree, BundledNode,
-                    ParseError, _build_up, _children, _collector_paused,
-                    _sized_tree, canonicalize, check_valid, iter_nodes)
+from .trees import (BucketNode, BucketTree, BundledBucketTree, ParseError,
+                    _assemble, _build_up, _children, _collector_paused,
+                    _sized_tree, canonicalize, check_valid, iter_nodes, min_label)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -139,29 +139,76 @@ def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
 # bundled clustering bijections (bucket size two)
 
 
-def _min_child_index(node: BucketNode) -> int:
-    best = min(range(len(node.children)), key=lambda i: node.children[i].labels[0])
-    return best
+def _cluster_bundled(tree: BucketTree, d: int) -> BundledBucketTree:
+    """The d-bundled clustering, d = 3 or 2, in one preorder pass.
+
+    Each node v with children takes its smallest child u into its bucket.
+    The pass records the bucket's labels, its bundled children and the
+    bundle sizes, and the tree is assembled bottom-up at the end.
+    """
+    labels, degrees, cuts, stack = [], [], [], [tree.root]
+    while stack:
+        v = stack.pop()
+        kids = v.children
+        if kids:
+            if d == 3:  # left of u, u's children, right of u
+                firsts = [c.labels[0] for c in kids]
+                i = firsts.index(min(firsts))
+                u = kids[i]
+                cuts.append((v.labels[0], (i, len(u.children), len(kids) - i - 1)))
+                kids = kids[:i] + u.children + kids[i + 1:]
+            else:  # canonical, so u comes first: the rest, then u's children
+                u = kids[0]
+                cuts.append((v.labels[0], (len(kids) - 1, len(u.children))))
+                kids = kids[1:] + u.children
+            labels.append((v.labels[0], u.labels[0]))
+        else:
+            labels.append(v.labels)
+        degrees.append(len(kids))
+        stack += kids
+    return BundledBucketTree(2, d, _assemble(labels, degrees), tuple(sorted(cuts)))
 
 
-def _three_children(node: BucketNode) -> tuple:
-    """The nodes that become node's bundled children: its own children with
-    the smallest one replaced by that child's children."""
-    kids = node.children
-    if not kids:
-        return ()
-    i = _min_child_index(node)
-    return kids[:i] + kids[i].children + kids[i + 1:]
+@_collector_paused
+def _uncluster_bundled(tree: BundledBucketTree, d: int) -> BucketTree:
+    """The inverse of the d-bundled clustering, in one postorder pass: each
+    bucket splits into its first label and, below it, its second."""
+    if (tree.b, tree.d) != (2, d):
+        raise ValueError(f"expected a {d}-bundled tree with bucket size two")
+    cuts, order, stack = dict(tree.cuts), [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += v.children
+    done: list = []
+    for v in reversed(order):  # v's unclustered children are on top of done
+        k = len(v.children)
+        if len(v.labels) == 1:
+            if k:
+                raise ValueError("unsaturated bucket with children")
+            done.append(v)  # a leaf is its own preimage
+            continue
+        sizes = cuts.get(v.labels[0], ())
+        if len(sizes) != d or min(sizes) < 0 or sum(sizes) != k:
+            raise ValueError(f"bucket {v.labels}: bundle sizes {sizes} do not split "
+                             f"its {k} children into {d} bundles")
+        below = done[len(done) - k:]
+        del done[len(done) - k:]
+        i = sizes[0]
+        if d == 3:
+            m = i + sizes[1]
+            mid = BucketNode(v.labels[1:], tuple(below[i:m]))
+            done.append(BucketNode(v.labels[:1], (*below[:i], mid, *below[m:])))
+        else:
+            mid = BucketNode(v.labels[1:], _sort_by_min(below[i:]))
+            done.append(BucketNode(v.labels[:1], _sort_by_min([mid, *below[:i]])))
+    out = BucketTree(1, done[0])
+    check_valid(out)
+    return out
 
 
-def _three_bundled_node(node: BucketNode, below: list) -> BundledNode:
-    if not node.children:
-        return BundledNode(node.labels)
-    i = _min_child_index(node)
-    u = node.children[i]
-    m = i + len(u.children)
-    return BundledNode((node.labels[0], u.labels[0]),
-                       (tuple(below[:i]), tuple(below[i:m]), tuple(below[m:])))
+def _sort_by_min(nodes) -> tuple:
+    return tuple(sorted(nodes, key=min_label))
 
 
 def cluster_three_bundled(tree: BucketTree) -> BundledBucketTree:
@@ -172,83 +219,28 @@ def cluster_three_bundled(tree: BucketTree) -> BundledBucketTree:
     children, bundle three the remainder.
     """
     _require_plain(tree)
-    return BundledBucketTree(2, 3, _build_up(tree.root, _three_children, _three_bundled_node))
-
-
-def _bundled_children(node: BundledNode) -> tuple:
-    return node.children
-
-
-def _unbundled_leaf(node: BundledNode) -> BucketNode:
-    if any(node.bundles):
-        raise ValueError("unsaturated bucket with children")
-    return BucketNode(node.labels)
-
-
-def _three_unbundled_node(node: BundledNode, below: list) -> BucketNode:
-    if len(node.labels) == 1:
-        return _unbundled_leaf(node)
-    b1, b2, b3 = node.bundles
-    i, m = len(b1), len(b1) + len(b2)
-    mid = BucketNode((node.labels[1],), tuple(below[i:m]))
-    return BucketNode((node.labels[0],), (*below[:i], mid, *below[m:]))
+    return _cluster_bundled(tree, 3)
 
 
 def uncluster_three_bundled(tree: BundledBucketTree) -> BucketTree:
-    if (tree.b, tree.d) != (2, 3):
-        raise ValueError("expected a three-bundled tree with bucket size two")
-    out = BucketTree(1, _build_up(tree.root, _bundled_children, _three_unbundled_node))
-    check_valid(out)
-    return out
-
-
-def _sort_by_min(nodes) -> tuple:
-    return tuple(sorted(nodes, key=lambda v: v.labels[0]))
-
-
-def _two_children(node: BucketNode) -> tuple:
-    """The nodes that become node's bundled children: its children after the
-    smallest one, then the smallest one's children (the input is canonical)."""
-    kids = node.children
-    return kids[1:] + kids[0].children if kids else ()
-
-
-def _two_bundled_node(node: BucketNode, below: list) -> BundledNode:
-    kids = node.children
-    if not kids:
-        return BundledNode(node.labels)
-    m = len(kids) - 1
-    return BundledNode((node.labels[0], kids[0].labels[0]),
-                       (_sort_by_min(below[:m]), _sort_by_min(below[m:])))
+    return _uncluster_bundled(tree, 3)
 
 
 def cluster_two_bundled(tree: BucketTree) -> BundledBucketTree:
     """Recursive trees -> two-bundled bucket recursive trees, bijective.
 
     Both sides are unordered families, so the input must be canonical and
-    the bundles come out sorted by smallest label.
+    the bundles come out sorted by smallest label: bundle one holds the
+    first label's other children, bundle two the second label's children.
     """
     _require_plain(tree)
     if canonicalize(tree).root != tree.root:
         raise ValueError("two-bundled clustering expects the canonical representative")
-    return BundledBucketTree(2, 2, _build_up(tree.root, _two_children, _two_bundled_node))
-
-
-def _two_unbundled_node(node: BundledNode, below: list) -> BucketNode:
-    if len(node.labels) == 1:
-        return _unbundled_leaf(node)
-    b1, b2 = node.bundles
-    i = len(b1)
-    u = BucketNode((node.labels[1],), _sort_by_min(below[i:]))
-    return BucketNode((node.labels[0],), _sort_by_min([u, *below[:i]]))
+    return _cluster_bundled(tree, 2)
 
 
 def uncluster_two_bundled(tree: BundledBucketTree) -> BucketTree:
-    if (tree.b, tree.d) != (2, 2):
-        raise ValueError("expected a two-bundled tree with bucket size two")
-    out = BucketTree(1, _build_up(tree.root, _bundled_children, _two_unbundled_node))
-    check_valid(out)
-    return out
+    return _uncluster_bundled(tree, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +286,6 @@ def check_diamond(d: Diamond) -> None:
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels in diamond")
     _build_up(d.root, _children, _span)
-
-
-def inner_node(label: int) -> Diamond:
-    return Diamond(BucketNode((label,)))
-
-
-def composite(source: int, sink: int, parts=()) -> Diamond:
-    d = Diamond(BucketNode((source, sink), tuple(p.root for p in parts)))
-    check_diamond(d)
-    return d
 
 
 def _rest(labels: list, second: int) -> list:

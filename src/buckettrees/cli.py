@@ -5,7 +5,8 @@ Every verb takes --out to write to a file instead of stdout, and only the
 other options it reads: --family in the compact form 'kind:key=value,...'
 (e.g. recursive:b=2, ary:b=2,d=3, port:b=3,alpha=1/2), --seed for anything
 random, --format csv|doc for the output encoding.  Exit code 0 iff all
-requested checks pass.
+requested checks pass; an input the library rejects with ValueError is a
+usage error, exit code 2 with its message.
 """
 
 from __future__ import annotations
@@ -103,14 +104,24 @@ def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value",
 
 
 def _parse_b_range(text: str) -> range:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return range(int(lo), int(hi) + 1)
-    b = int(text)
-    return range(b, b + 1)
+    lo, dots, hi = text.partition("..")
+    bs = range(int(lo), int(hi if dots else lo) + 1)
+    if not bs:
+        raise ValueError(f"--b-range {text} is empty")
+    return bs
 
 
-@click.group()
+class _Verbs(click.Group):
+    """The verb group: a ValueError from the library is a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Verbs)
 def main():
     """Bucket increasing trees: samplers, oracles, exact laws, urns."""
 
@@ -121,7 +132,7 @@ def main():
 @format_option
 @out_option
 @click.option("--n", required=True, type=int, help="tree size (label count)")
-@click.option("--count", default=1, show_default=True, type=int)
+@click.option("--count", default=1, show_default=True, type=click.IntRange(min=0))
 def grow_cmd(family_text, seed, fmt, out_path, n, count):
     """Sample random trees from the family's growth process."""
     spec = families.parse_family(family_text)
@@ -260,7 +271,8 @@ def convert_cmd(out_path, source, target, bound, text):
 @format_option
 @out_option
 @click.option("--steps", required=True, type=click.IntRange(min=0))
-@click.option("--replicates", default=1000, show_default=True, type=int)
+@click.option("--replicates", default=1000, show_default=True,
+              type=click.IntRange(min=1))
 def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
     """Simulate the bucket-type urn; mean compositions and node estimates."""
     spec = _named(family_text)
@@ -282,8 +294,7 @@ def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
 
 def _named(family_text: str) -> families.FamilySpec:
     spec = families.parse_family(family_text)
-    if spec.kind not in families.NAMED_KINDS:
-        raise click.UsageError(f"this verb needs a named family, not {spec.kind!r}")
+    families.require_named(spec)
     return spec
 
 

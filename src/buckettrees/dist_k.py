@@ -16,7 +16,7 @@ from operator import mul
 from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
 from .pmf import Pmf, point_mass
-from .spectral import IndicialRoots, cbinom, family_roots, harmonic_diff
+from .spectral import IndicialRoots, family_roots, harmonic_diff
 
 IMAG_TOL = 1e-10
 
@@ -48,7 +48,7 @@ def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
                  / (float(frac_binom(Fraction(b), m - 1)) * (b - m + 1) * cb))
         total = 0j
         for lam, ratio, h in per_root:
-            total += ratio * cbinom(lam + b - 1, b - m) / h
+            total += ratio * frac_binom(lam + b - 1, b - m) / h
         val = front * total
         if abs(val.imag) > IMAG_TOL:
             raise ArithmeticError(f"imaginary residue {val.imag:.3e} in P(K={m})")

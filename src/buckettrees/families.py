@@ -128,15 +128,16 @@ def parse_family(text: str) -> FamilySpec:
     return spec
 
 
-def frac_binom(x, m: int) -> Fraction:
-    """Generalized binomial C(x, m) for rational x and integer m >= 0."""
+def frac_binom(x, m: int):
+    """Generalized binomial C(x, m) for integer m: exact for rational x, a
+    complex number for complex x (m >= 1), and 0 for m < 0."""
     if m < 0:
         return Fraction(0)
-    x = Fraction(x)
+    if not isinstance(x, complex):
+        x = Fraction(x)
     out = Fraction(1)
     for i in range(m):
-        out *= (x - i)
-        out /= (i + 1)
+        out *= (x - i) / (i + 1)
     return out
 
 
@@ -188,13 +189,6 @@ def psi(spec: FamilySpec, k: int) -> Fraction:
     if spec.kind == CUSTOM:
         return Fraction(spec.custom_psi[k - 1])
     raise ValueError(f"family kind {spec.kind!r} has no combinatorial weights")
-
-
-def weights(spec: FamilySpec):
-    """Return (phi as a callable k -> weight, psi list of length b-1)."""
-    if spec.kind == LINEAR:
-        raise ValueError("the linear family only has a growth rule, not weights")
-    return (lambda k: phi(spec, k)), [psi(spec, k) for k in range(1, spec.b)]
 
 
 def tree_weight(spec: FamilySpec, tree: BucketTree) -> Fraction:

@@ -3,11 +3,13 @@
 Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
 bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
 step draws one uniform integer below the total weight and resolves it to a
-node in O(1) amortized time, through a label, slot or weight-group table
-chosen from the coefficients.  When bdeg + c == 0 the totals are
-deterministic and every draw is made up front; otherwise each label is
-drawn against the live total, which also counts the nodes.  The resulting
-tree has exactly the distribution induced by the family's growth rule.
+node through a label, slot or weight-group table chosen from the
+coefficients, in O(1) amortized time for every rule but those with
+a < 0 < bdeg, which keep one weight group per degree and scan them.
+When bdeg + c == 0 the totals are deterministic and every draw is made
+up front; otherwise each label is drawn against the live total, which
+also counts the nodes.  The resulting tree has exactly the distribution
+induced by the family's growth rule.
 """
 
 from __future__ import annotations

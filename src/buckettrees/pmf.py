@@ -22,7 +22,10 @@ class Pmf:
         return sum(self.mass.values())
 
     def __getitem__(self, value: int):
-        return self.mass.get(value, Fraction(0) if self.exact else 0.0)
+        p = self.mass.get(value)
+        if p is None:  # the zero's type needs a scan of every atom: only on a miss
+            return Fraction(0) if self.exact else 0.0
+        return p
 
     def check(self, tol: float = 1e-9):
         """Exact pmfs must sum to exactly 1; floating ones within tolerance."""
@@ -42,39 +45,23 @@ class Pmf:
     def mean(self):
         return sum(v * p for v, p in self.mass.items())
 
-    def cdf_table(self):
-        acc, out = 0, []
-        for v in self.support:
-            acc = acc + self.mass[v]
-            out.append((v, acc))
-        return out
-
     def max_abs_diff(self, other: "Pmf") -> float:
         keys = set(self.mass) | set(other.mass)
         return max(abs(float(self[v]) - float(other[v])) for v in keys)
 
 
-def point_mass(value: int, exact: bool = True) -> Pmf:
-    return Pmf({value: Fraction(1) if exact else 1.0})
+def point_mass(value: int) -> Pmf:
+    return Pmf({value: Fraction(1)})
 
 
-def from_counts(counts: dict) -> Pmf:
-    total = sum(counts.values())
-    return Pmf({v: Fraction(c, total) for v, c in counts.items()})
-
-
-def mixture(components: list[tuple], exact: bool = True) -> Pmf:
+def mixture(components: list[tuple]) -> Pmf:
     """Mix (weight, Pmf) pairs; weights need not be pre-normalized."""
-    zero = Fraction(0) if exact else 0.0
     mass: dict = {}
-    wsum = zero
+    wsum = Fraction(0)
     for w, pmf in components:
         wsum = wsum + w
         for v, p in pmf.mass.items():
-            mass[v] = mass.get(v, zero) + w * p
-    if exact:
-        if wsum != 1:
-            mass = {v: p / wsum for v, p in mass.items()}
-    else:
+            mass[v] = mass.get(v, Fraction(0)) + w * p
+    if wsum != 1:
         mass = {v: p / wsum for v, p in mass.items()}
     return Pmf(mass)

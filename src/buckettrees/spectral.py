@@ -214,12 +214,3 @@ def harmonic_diff(lam, b: int):
         out += 1 / (lam + complex(k))
     return out
 
-
-def cbinom(x, m: int):
-    """Generalized binomial C(x, m) for complex x."""
-    if m < 0:
-        return 0j
-    out = complex(1)
-    for i in range(m):
-        out *= (x - i) / (i + 1)
-    return out

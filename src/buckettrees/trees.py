@@ -60,12 +60,6 @@ class BucketNode:
     labels: tuple[int, ...]
     children: tuple["BucketNode", ...] = ()
 
-    def capacity(self) -> int:
-        return len(self.labels)
-
-    def degree(self) -> int:
-        return len(self.children)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -193,6 +187,22 @@ def _build_up(root, children_of: Callable, make: Callable):
         else:
             kids = []
         done.append(make(node, kids))
+    return done[0]
+
+
+@_collector_paused
+def _assemble(labels: list, degrees: list) -> BucketNode:
+    """The tree whose buckets, listed in the mirrored preorder that
+    `_build_up` walks, hold labels[i] and have degrees[i] children: built
+    as `_build_up` builds, with no call per node but the constructor's."""
+    done: list = []
+    for lab, d in zip(reversed(labels), reversed(degrees)):
+        if d:
+            kids = tuple(done[-d:])
+            del done[-d:]
+            done.append(BucketNode(lab, kids))
+        else:
+            done.append(BucketNode(lab))
     return done[0]
 
 
@@ -433,55 +443,17 @@ def from_doc(doc: dict) -> BucketTree:
 # bundled trees: children partitioned into a fixed number of ordered bundles
 
 
-@dataclass(frozen=True, eq=False)
-class BundledNode:
-    """A bucket whose children are split into d ordered (possibly empty) bundles."""
-
-    labels: tuple[int, ...]
-    bundles: tuple[tuple["BundledNode", ...], ...] = ()
-
-    @property
-    def children(self) -> tuple["BundledNode", ...]:
-        return tuple(c for bundle in self.bundles for c in bundle)
-
-    def _shape(self) -> tuple:
-        return self.labels, tuple(map(len, self.bundles))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        xs, ys = [self], [other]
-        while xs:
-            x = xs.pop()
-            y = ys.pop()
-            if x is not y:
-                if x._shape() != y._shape():
-                    return False
-                xs += x.children
-                ys += y.children
-        return True
-
-    def __hash__(self):
-        # the labels and bundle sizes in (mirrored) preorder determine the subtree
-        seq, stack = [], [self]
-        while stack:
-            v = stack.pop()
-            seq.append(v._shape())
-            stack.extend(v.children)
-        return hash(tuple(seq))
-
-
 @dataclass(frozen=True)
 class BundledBucketTree:
+    """A bucket tree whose saturated buckets split their children into d
+    ordered, possibly empty bundles.
+
+    root is a plain bucket tree.  cuts holds one (first label, bundle
+    sizes) pair per saturated bucket, sorted by label, so two bundled trees
+    are equal, and hash equal, iff their trees and bundle boundaries are.
+    """
+
     b: int
-    d: int  # bundles per saturated node
-    root: BundledNode
-
-
-def _plain_node(node: BundledNode, kids: list) -> BucketNode:
-    return BucketNode(node.labels, tuple(kids))
-
-
-def strip_bundles(node: BundledNode) -> BucketNode:
-    """Forget bundle boundaries, keeping the concatenated child order."""
-    return _build_up(node, _children, _plain_node)
+    d: int  # bundles per saturated bucket
+    root: BucketNode
+    cuts: tuple

@@ -214,8 +214,3 @@ def urn_spectrum(model: UrnModel) -> UrnSpectrum:
         raise AssertionError("principal eigenvalue does not equal the balance")
     return UrnSpectrum(model, tuple(coeffs), eigs, Fraction(gc.a), (gc.a, -gc.c))
 
-
-def numeric_eigenvalues(model: UrnModel) -> list[complex]:
-    """Eigenvalues of the replacement matrix by plain dense linear algebra."""
-    eigs = np.linalg.eigvals(np.array(model.replacement, dtype=float))
-    return sorted((complex(z) for z in eigs), key=lambda z: (-z.real, -z.imag))

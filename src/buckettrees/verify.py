@@ -135,7 +135,15 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
             diff = closed.max_abs_diff(exact)
             _need(diff <= 1e-10,
                   f"{spec.describe()} n={n}: closed K pmf off recursion by {diff:.3e}")
-    notes.append(f"closed form within 1e-10 of the oracle for n <= {max_n}")
+            if spec.b >= 2 and n >= 2:
+                # the node-type relation: K_n from the oracle's E[N_{n-1,k}]
+                related = dist_k.node_type_relation(
+                    spec, n - 1, expected_capacity_counts(spec, n - 1))
+                _need(related.mass == exact.mass,
+                      f"{spec.describe()} n={n}: K pmf from the node-type relation "
+                      f"{related.mass} != exact {exact.mass}")
+    notes.append(f"closed form within 1e-10 of the oracle for n <= {max_n}, and the "
+                 "node-type relation on the oracle's mean node counts exact")
 
     stream = RngStream(seed)
     worst = 1.0
@@ -338,13 +346,18 @@ def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
 
     for i, spec in enumerate(kind_grid(2) + [families.recursive(3)]):
         est = estimates(spec, growth_n, urn_reps, stream.child(100 + i))
+        model = urns.build_urn(spec)
         sim = np.zeros((growth_reps, spec.b))
         tree_stream = stream.child(200 + i)
         for r in range(growth_reps):
             cen = grow.sample_census(spec, growth_n, tree_stream.child(r))
-            for k, c in cen.m.items():
-                sim[r, k - 1] = c
-            sim[r, spec.b - 1] = sum(cen.n_deg.values())
+            nodes = {k: cen.m.get(k, 0) for k in range(1, spec.b)}
+            nodes[spec.b] = sum(cen.n_deg.values())
+            # the urn-tree coupling: the census's ball counts give its nodes back
+            back = urns.node_type_estimates(model, urns.census_counts(model, cen))
+            _need(back == nodes, f"{spec.describe()}: census nodes {nodes} read "
+                                 f"back from its ball counts as {back}")
+            sim[r] = [nodes[k] for k in range(1, spec.b + 1)]
         for k in range(1, spec.b + 1):
             a, bvals = est[k], sim[:, k - 1]
             se = math.hypot(a.std(ddof=1) / math.sqrt(len(a)),
@@ -353,7 +366,8 @@ def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
             _need(abs(z) <= 3.0,
                   f"{spec.describe()} N_{k} at n={growth_n}: urn vs growth "
                   f"differ by {z:.2f} sigma")
-    notes.append(f"urn means match growth-simulation means at n={growth_n} (3 sigma)")
+    notes.append(f"urn means match growth-simulation means at n={growth_n} (3 sigma), "
+                 "and every sampled census reads back from its ball counts exactly")
     return "; ".join(notes)
 
 

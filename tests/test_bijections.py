@@ -5,16 +5,16 @@ import pytest
 from buckettrees import bijections, families
 from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
                                     cluster, cluster_three_bundled,
-                                    cluster_two_bundled, composite,
+                                    cluster_two_bundled,
                                     decode_diamond, diamond_to_bucket,
-                                    encode_diamond, expand_chains, inner_node,
+                                    encode_diamond, expand_chains,
                                     uncluster_three_bundled,
                                     uncluster_two_bundled,
                                     weight_preserving_phi)
 from buckettrees.enumeration import all_trees, distinct_unordered, enumerate_trees
 from buckettrees.grow import RngStream, sample_tree
-from buckettrees.trees import (BucketNode, BucketTree, BundledNode, decode, encode,
-                               iter_nodes)
+from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, check_valid,
+                               decode, encode, iter_nodes)
 
 
 def test_cluster_path_and_star():
@@ -89,15 +89,15 @@ def test_cluster_and_expand_on_a_deep_path():
 def test_three_bundled_examples():
     path = decode("{1}({2}({3}))", 1)
     star = decode("{1}({2},{3})", 1)
-    leaf = BundledNode((3,))
-    assert cluster_three_bundled(path).root == BundledNode((1, 2), ((), (leaf,), ()))
-    assert cluster_three_bundled(star).root == BundledNode((1, 2), ((), (), (leaf,)))
+    root = decode("{1,2}({3})", 2).root
+    assert cluster_three_bundled(path) == BundledBucketTree(2, 3, root, ((1, (0, 1, 0)),))
+    assert cluster_three_bundled(star) == BundledBucketTree(2, 3, root, ((1, (0, 0, 1)),))
 
 
 def test_two_bundled_example():
     star = decode("{1}({2},{3})", 1)
-    leaf = BundledNode((3,))
-    assert cluster_two_bundled(star).root == BundledNode((1, 2), ((leaf,), ()))
+    root = decode("{1,2}({3})", 2).root
+    assert cluster_two_bundled(star) == BundledBucketTree(2, 2, root, ((1, (1, 0)),))
 
 
 def test_two_bundled_requires_canonical():
@@ -106,14 +106,67 @@ def test_two_bundled_requires_canonical():
         cluster_two_bundled(tree)
 
 
+def _ref_three_bundled(node):
+    """The recursive three-bundled map the folds replaced: (labels, bundles)."""
+    if not node.children:
+        return node.labels, ()
+    i = min(range(len(node.children)), key=lambda k: node.children[k].labels[0])
+    u = node.children[i]
+    return ((node.labels[0], u.labels[0]),
+            (tuple(map(_ref_three_bundled, node.children[:i])),
+             tuple(map(_ref_three_bundled, u.children)),
+             tuple(map(_ref_three_bundled, node.children[i + 1:]))))
+
+
+def _ref_two_bundled(node):
+    """The recursive two-bundled map the folds replaced, on canonical trees."""
+    if not node.children:
+        return node.labels, ()
+    u = node.children[0]
+    return ((node.labels[0], u.labels[0]),
+            (tuple(map(_ref_two_bundled, node.children[1:])),
+             tuple(map(_ref_two_bundled, u.children))))
+
+
+def _as_bundled(root, cuts):
+    """A bundled tree in the (labels, bundles) form of the references."""
+    sizes = dict(cuts)
+    kids = [_as_bundled(c, cuts) for c in root.children]
+    if len(root.labels) == 1:
+        assert not kids
+        return root.labels, ()
+    bundles, start = [], 0
+    for size in sizes[root.labels[0]]:
+        bundles.append(tuple(kids[start:start + size]))
+        start += size
+    return root.labels, tuple(bundles)
+
+
 def test_bundled_round_trips():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for tree in all_trees(1, n):
             bt = cluster_three_bundled(tree)
             assert uncluster_three_bundled(bt).root == tree.root
+            assert _as_bundled(bt.root, bt.cuts) == _ref_three_bundled(tree.root)
+            check_valid(BucketTree(2, bt.root))  # a bundled tree is a bucket tree
         for tree in distinct_unordered(enumerate_trees(families.recursive(1), n)):
             bt = cluster_two_bundled(tree)
             assert uncluster_two_bundled(bt).root == tree.root
+            assert _as_bundled(bt.root, bt.cuts) == _ref_two_bundled(tree.root)
+            check_valid(BucketTree(2, bt.root))
+
+
+def test_uncluster_rejects_malformed_bundles():
+    root = decode("{1,2}({3})", 2).root
+    with pytest.raises(ValueError, match="expected a 3-bundled tree"):
+        uncluster_three_bundled(BundledBucketTree(2, 2, root, ((1, (1, 0)),)))
+    with pytest.raises(ValueError, match="do not split"):
+        uncluster_two_bundled(BundledBucketTree(2, 2, root, ((1, (1, 1)),)))
+    with pytest.raises(ValueError, match="do not split"):
+        uncluster_three_bundled(BundledBucketTree(2, 3, root, ()))
+    leafy = BucketNode((1,), (BucketNode((2, 3)),))
+    with pytest.raises(ValueError, match="unsaturated bucket with children"):
+        uncluster_two_bundled(BundledBucketTree(2, 2, leafy, ((2, (0, 0)),)))
 
 
 def _plain_path(depth):
@@ -132,19 +185,23 @@ def test_bundled_round_trips_on_a_deep_path():
     # the bundled trees compare and hash without recursion too
     assert three == cluster_three_bundled(path)
     assert hash(three) == hash(cluster_three_bundled(path))
-    assert two.root != three.root
-    # both put {1, 2} on top and {3, 4} in the bundle of 2's children
-    assert three.root.labels == two.root.labels == (1, 2)
-    assert [len(b) for b in three.root.bundles] == [0, 1, 0]
-    assert [len(b) for b in two.root.bundles] == [0, 1]
+    # both pair up the path's labels, {1, 2} on top with {3, 4} in the
+    # bundle of 2's children: only the bundle boundaries tell them apart
+    assert two.root == three.root and two != three
+    assert three.root.labels == (1, 2) and three.root.children[0].labels == (3, 4)
+    assert three.cuts[0] == (1, (0, 1, 0)) and two.cuts[0] == (1, (0, 1))
+    assert len(three.cuts) == len(two.cuts) == 1500
 
 
-def test_bundled_node_equality_sees_bundle_boundaries():
-    leaf = BundledNode((3,))
-    assert BundledNode((1, 2), ((leaf,), ())) == BundledNode((1, 2), ((leaf,), ()))
-    assert BundledNode((1, 2), ((leaf,), ())) != BundledNode((1, 2), ((), (leaf,)))
-    assert len({BundledNode((1, 2), ((leaf,), ())), BundledNode((1, 2), ((leaf,), ())),
-                BundledNode((1, 2), ((), (leaf,)))}) == 2
+def test_bundled_tree_equality_sees_bundle_boundaries():
+    root = decode("{1,2}({3})", 2).root
+
+    def bundled(sizes):
+        return BundledBucketTree(2, 2, root, ((1, sizes),))
+
+    assert bundled((1, 0)) == bundled((1, 0))
+    assert bundled((1, 0)) != bundled((0, 1))
+    assert len({bundled((1, 0)), bundled((1, 0)), bundled((0, 1))}) == 2
 
 
 def test_weight_preserving_phi_matches_named_families():
@@ -156,8 +213,14 @@ def test_weight_preserving_phi_matches_named_families():
             assert weight_preserving_phi(phi1, 2, k) == families.phi(target, k)
 
 
+def _diamond(labels, *parts):
+    """The diamond of one node: an inner label, or a (source, sink) pair and parts."""
+    return Diamond(BucketNode(labels, tuple(p.root for p in parts)))
+
+
 def test_diamond_codec_round_trip():
-    d = composite(1, 6, (inner_node(2), composite(3, 5, (inner_node(4),))))
+    d = _diamond((1, 6), _diamond((2,)), _diamond((3, 5), _diamond((4,))))
+    check_diamond(d)
     text = encode_diamond(d)
     assert text == "<1 6>((2),<3 5>((4)))"
     assert decode_diamond(text) == d
@@ -166,9 +229,9 @@ def test_diamond_codec_round_trip():
 
 
 def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():
-    assert decode_diamond("<1 4>((2)(3))") == composite(1, 4, (inner_node(2), inner_node(3)))
-    assert decode_diamond("<1 3>((2),)") == composite(1, 3, (inner_node(2),))
-    assert decode_diamond("<1 2>()") == composite(1, 2)
+    assert decode_diamond("<1 4>((2)(3))") == _diamond((1, 4), _diamond((2,)), _diamond((3,)))
+    assert decode_diamond("<1 3>((2),)") == _diamond((1, 3), _diamond((2,)))
+    assert decode_diamond("<1 2>()") == _diamond((1, 2))
     for text in ("<1 3>((2),,)", " (1)", "<1 2>((3))", "<1 3>(,(2))", "<1 3>((2)",
                  "(1)(2)", "<1 3>((2)))", "<1 3>", "", "(x)"):
         with pytest.raises(ValueError):
@@ -176,10 +239,10 @@ def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():
 
 
 def test_diamond_validation():
-    with pytest.raises(ValueError):
-        composite(2, 1, ())  # source must be the minimum
-    with pytest.raises(ValueError):
-        composite(1, 3, (inner_node(3),))  # duplicate label
+    with pytest.raises(ValueError, match="extremes"):
+        check_diamond(_diamond((2, 1)))  # source must be the minimum
+    with pytest.raises(ValueError, match="duplicate"):
+        check_diamond(_diamond((1, 3), _diamond((3,))))
     with pytest.raises(ValueError):
         decode_diamond("<1 2>((3))")  # sink is not the maximum
     with pytest.raises(ValueError, match="inner node"):

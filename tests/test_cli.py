@@ -5,6 +5,7 @@ import json
 import re
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from buckettrees import dist_k, families, verify
@@ -250,6 +251,27 @@ def test_out_file(tmp_path):
 def test_bad_family_fails():
     result = CliRunner().invoke(main, ["grow", "--family", "nope:b=2", "--n", "3"])
     assert result.exit_code != 0
+
+
+BAD_INPUTS = {
+    "grow --n 0": "tree size must be >= 1",
+    "grow --n 3 --family foo": "unknown family kind 'foo'",
+    "pmf-k --n 0": "n must be >= 1",
+    "descendants --n 5 --j 9": "label j=9 outside 1..5",
+    "spectrum --b-range 0..3": "capacity bound b must be >= 1",
+    "spectrum --b-range 5..2": "--b-range 5..2 is empty",
+    "grow --n 3 --count -1": "Invalid value for '--count'",
+    "urn --steps 3 --replicates 0": "Invalid value for '--replicates'",
+    "urn --steps 3 --replicates -1": "Invalid value for '--replicates'",
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_INPUTS))
+def test_bad_input_is_a_usage_error(args):
+    result = CliRunner().invoke(main, args.split())
+    assert result.exit_code == 2, result.output
+    assert BAD_INPUTS[args] in result.output
+    assert "Traceback" not in result.output
 
 
 def test_verify_quick():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckettrees import families
+from buckettrees import families, spectral, verify
 from buckettrees.families import (FamilySpec, ary, frac_binom, growth_coeffs,
                                   kappa, linear, parse_family, phi, port,
                                   psi, recursive, total_weight_closed,
@@ -106,6 +106,31 @@ def test_frac_binom():
     assert frac_binom(5, -1) == 0
 
 
+def _complex_binom(x, m):
+    """The complex binomial frac_binom absorbed, kept as its reference."""
+    if m < 0:
+        return 0j
+    out = complex(1)
+    for i in range(m):
+        out *= (x - i) / (i + 1)
+    return out
+
+
+def test_frac_binom_complex():
+    z = frac_binom(0.5 + 0j, 2)
+    assert type(z) is complex and z == pytest.approx(-1 / 8)
+    assert frac_binom(4 + 0j, 4) == pytest.approx(1)   # C(lam+n-2, n-1), lam=1, n=5
+    assert frac_binom(1 + 0j, 3) == 0                  # C(lam+n-2, n-1), lam=-2, n=4
+    assert frac_binom(2 + 1j, 2) == pytest.approx((1 + 3j) / 2)
+    assert frac_binom(3 + 0j, -1) == 0
+    # on the indicial roots, where pmf_K evaluates it, the same floats bit for bit
+    for spec in verify.family_grid() + [recursive(5), port(4, Fraction(1, 3)), ary(6, 3)]:
+        for lam in spectral.family_roots(spec).roots:
+            for m in range(spec.b + 1):
+                assert complex(frac_binom(lam + spec.b - 1, m)) == _complex_binom(
+                    lam + spec.b - 1, m)
+
+
 @settings(max_examples=50, deadline=None)
 @given(num=st.integers(-8, 8), den=st.integers(1, 5), m=st.integers(0, 8))
 def test_frac_binom_pascal(num, den, m):
@@ -155,5 +180,8 @@ def test_describe_round_trips():
 
 
 def test_weights_rejects_linear():
-    with pytest.raises(ValueError):
-        families.weights(linear(2, 1, 0, 1))
+    # a linear rule has a growth rule only, no combinatorial weights
+    with pytest.raises(ValueError, match="no combinatorial weights"):
+        phi(linear(2, 1, 0, 1), 0)
+    with pytest.raises(ValueError, match="no combinatorial weights"):
+        psi(linear(2, 1, 0, 1), 1)

@@ -3,22 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from buckettrees.pmf import Pmf, from_counts, mixture, point_mass
+from buckettrees.pmf import Pmf, mixture, point_mass
 
 
 def test_point_mass():
     pm = point_mass(3)
     assert pm.exact and pm[3] == 1 and pm[4] == 0
     assert pm.check() is pm
-
-
-def test_from_counts():
-    pmf = from_counts({1: 2, 2: 1})
-    assert pmf.mass == {1: Fraction(2, 3), 2: Fraction(1, 3)}
-    assert pmf.mean() == Fraction(4, 3)
 
 
 def test_check_rejects_bad_totals():
@@ -31,32 +23,28 @@ def test_check_rejects_bad_totals():
 
 
 def test_as_float_and_diff():
-    pmf = from_counts({1: 2, 2: 1})
+    pmf = Pmf({1: Fraction(2, 3), 2: Fraction(1, 3)})
     f = pmf.as_float()
     assert not f.exact
     assert pmf.max_abs_diff(f) <= 1e-15
     assert pmf.max_abs_diff(point_mass(1)) == pytest.approx(1 / 3)
 
 
-def test_cdf_table():
-    pmf = from_counts({1: 1, 2: 1, 5: 2})
-    assert pmf.cdf_table() == [(1, Fraction(1, 4)), (2, Fraction(1, 2)),
-                               (5, Fraction(1))]
-
-
 def test_mixture_normalizes():
     mixed = mixture([(Fraction(1, 2), point_mass(0)),
-                     (Fraction(1, 2), from_counts({0: 1, 1: 1}))])
+                     (Fraction(1, 2), Pmf({0: Fraction(1, 2), 1: Fraction(1, 2)}))])
     assert mixed.mass == {0: Fraction(3, 4), 1: Fraction(1, 4)}
     # unnormalized weights are rescaled
     mixed = mixture([(Fraction(1), point_mass(0)), (Fraction(1), point_mass(1))])
     assert mixed.mass == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.dictionaries(st.integers(0, 20), st.integers(1, 50), min_size=1))
-def test_from_counts_always_checks(counts):
-    pmf = from_counts(counts)
-    pmf.check()
-    assert pmf.support == sorted(counts)
-    assert pmf.total() == 1
+def test_reading_an_atom_does_not_scan_the_support(monkeypatch):
+    scans = []
+    monkeypatch.setattr(Pmf, "exact", property(lambda self: scans.append(1) or True))
+    pmf = Pmf({v: Fraction(1, 1000) for v in range(1000)})
+    assert sum(pmf[v] for v in pmf.support) == 1
+    assert scans == []
+    zero = pmf[1000]  # a miss pays one scan, for the zero's type
+    assert zero == 0 and type(zero) is Fraction and scans == [1]
+    assert Pmf({0: 0.5, 1: 0.5})[2] == 0.0

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from buckettrees import verify
-from buckettrees.spectral import (cbinom, harmonic_diff, indicial_coeffs,
+from buckettrees.spectral import (harmonic_diff, indicial_coeffs,
                                   indicial_roots, _deflate, _mpf)
 
 # the pairs whose roots the solver once handed to mp.polyroots
@@ -146,10 +146,3 @@ def test_harmonic_diff_examples():
     assert harmonic_diff(1.0 + 0j, 2) == pytest.approx(1.5)
     with pytest.raises(ZeroDivisionError):
         harmonic_diff(0j, 2)
-
-
-def test_cbinom_examples():
-    assert cbinom(0.5, 2) == pytest.approx(-1 / 8)
-    assert cbinom(4, 4) == pytest.approx(1)    # C(lam+n-2, n-1), lam=1, n=5
-    assert cbinom(1, 3) == pytest.approx(0)    # C(lam+n-2, n-1), lam=-2, n=4
-    assert cbinom(3, -1) == 0

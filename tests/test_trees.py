@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckettrees import families, grow, trees
-from buckettrees.trees import (BucketNode, BucketTree, BundledNode, ParseError,
+from buckettrees.trees import (BucketNode, BucketTree, ParseError,
                                canonicalize, census, check_valid, decode, encode,
-                               from_doc, iter_nodes, strip_bundles, to_doc, validate)
+                               from_doc, iter_nodes, to_doc, validate)
 
 
 def test_encode_decode_round_trip():
@@ -145,10 +145,6 @@ def test_deep_path_through_every_walk():
     cen = census(tree)
     assert (cen.m, cen.n_deg) == ({}, {0: 1, 1: DEPTH - 1})
     assert from_doc(to_doc(tree)) == tree
-    bundled = BundledNode((DEPTH,))
-    for label in range(DEPTH - 1, 0, -1):
-        bundled = BundledNode((label,), ((bundled,), ()))
-    assert strip_bundles(bundled) == tree.root
 
 
 def test_deep_path_violation_names_its_path():

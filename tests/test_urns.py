@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from buckettrees import dist_k, families, grow, montecarlo, urns, verify
 from buckettrees.grow import RngStream
 from buckettrees.urns import (build_urn, census_counts, char_poly,
                               char_poly_closed, node_type_estimates,
-                              numeric_eigenvalues, simulate_urn, urn_spectrum)
+                              simulate_urn, urn_spectrum)
 
 SPECS = [families.recursive(2), families.recursive(3), families.ary(2, 2),
          families.ary(2, 3), families.port(2, 1), families.port(2, 2),
@@ -58,6 +59,13 @@ def test_affine_maps():
     assert urn_spectrum(build_urn(families.recursive(3))).affine == (1, 0)
     assert urn_spectrum(build_urn(families.ary(2, 3))).affine == (2, -1)
     assert urn_spectrum(build_urn(families.port(2, 1))).affine == (2, 1)
+
+
+def numeric_eigenvalues(model):
+    """Eigenvalues of the replacement matrix by plain dense linear algebra,
+    sorted as `urn_spectrum` sorts them: the reference for its affine map."""
+    eigs = np.linalg.eigvals(np.array(model.replacement, dtype=float))
+    return sorted((complex(z) for z in eigs), key=lambda z: (-z.real, -z.imag))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
