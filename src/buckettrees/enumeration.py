@@ -46,6 +46,8 @@ class EnumerationBoundError(ValueError):
 
 
 def _check_bound(n: int, max_n) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, not {n}")
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise EnumerationBoundError(

@@ -5,29 +5,37 @@ The indicial polynomial is
     p(lambda) = lambda (lambda+1) ... (lambda+b-1)  -  (b+kappa)(b+kappa-1) ... (1+kappa)
               = (lambda)_b - (1+kappa)_b
 
-with kappa the unified family parameter.  lambda = 1 + kappa is always a
-root (the two products then coincide term by term); it is kept exact and
-checked by exact deflation.  The other b-1 roots are found from the
-product form of p, never from its expanded coefficients, which reach
-(b+kappa)! and ruin any double-precision solve:
+with kappa the unified family parameter.  (lambda)_b has integer (Stirling)
+coefficients, `rising_coeffs`, and only the constant (1+kappa)_b is
+rational; the exact coefficients, the exact value and the residuals all
+read that one definition.  lambda = 1 + kappa is always a root (the two
+products then coincide term by term); it is kept exact and checked by
+exact evaluation.  The other b-1 roots are found from the product form of
+p, never from its expanded coefficients, which reach (b+kappa)! and ruin
+any double-precision solve:
 
 * an Aberth-Ehrlich iteration in double precision finds all of them at
   once, with the Newton ratio p/p' = (1 - prod_k (1+kappa+k)/(lambda+k))
   / harmonic_diff(lambda, b), a product of bounded ratios;
 * each root in the closed upper half-plane is polished by Newton on the
-  factor-by-factor product at doubling precision up to the working
-  precision; the lower half-plane roots are their exact conjugates.
+  factor-by-factor product in fixed point on Python integers,
+  z = (x + iy) / 2^P, at doubling precision up to P = ceil(dps log2 10)
+  bits with dps = max(50, 3b + 30); the lower half-plane roots are their
+  exact conjugates.  No mpmath arithmetic runs in the solve: `roots_mp`
+  is made from the fixed-point values at the end.
 
 Every root is then accepted only if its residual on the expanded
-polynomial, evaluated at the working precision, is at most RESIDUAL_TOL,
-and the roots are pairwise SEPARATION_TOL apart and clear of the poles
+polynomial, by fixed-point Horner at P bits, is at most RESIDUAL_TOL, and
+the roots are pairwise SEPARATION_TOL apart and clear of the poles
 0, -1, ..., -(b-1) of harmonic_diff.  Any failure raises ArithmeticError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -39,39 +47,52 @@ RESIDUAL_TOL = 1e-10
 SEPARATION_TOL = 1e-8
 
 
-def indicial_coeffs(b: int, kap) -> list[Fraction]:
-    """Exact coefficients of p(lambda), ascending by power (monic, degree b)."""
+@lru_cache(maxsize=None)
+def rising_coeffs(b: int) -> tuple[int, ...]:
+    """Integer coefficients of (lambda)_b, ascending by power.
+
+    They are the unsigned Stirling numbers of the first kind [b, i]; with the
+    rational constant (1+kappa)_b they are the one definition of p that the
+    exact checks and the residuals read.
+    """
     if b < 1:
         raise ValueError("b must be >= 1")
-    kap = Fraction(kap)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for i in range(b):  # multiply by (lambda + i)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            new[j] += c * i
-            new[j + 1] += c
-        coeffs = new
-    const = Fraction(1)
-    for i in range(b):
-        const *= b + kap - i
-    coeffs[0] -= const
+        coeffs = [i * c + d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def _rising(x: Fraction, b: int) -> Fraction:
+    """(x)_b = x (x+1) ... (x+b-1), exactly."""
+    u, v = x.numerator, x.denominator
+    return Fraction(math.prod(u + k * v for k in range(b)), v ** b)
+
+
+def indicial_coeffs(b: int, kap) -> list[Fraction]:
+    """Exact coefficients of p(lambda), ascending by power (monic, degree b)."""
+    coeffs = [Fraction(c) for c in rising_coeffs(b)]
+    coeffs[0] -= _rising(1 + Fraction(kap), b)
     return coeffs
 
 
-def _deflate(asc: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Divide an ascending-coefficient polynomial by (lambda - root), exactly."""
-    desc = list(reversed(asc))
-    quot = [desc[0]]
-    for c in desc[1:]:
-        quot.append(c + root * quot[-1])
-    remainder = quot.pop()
-    if remainder != 0:
-        raise ValueError(f"{root} is not an exact root (remainder {remainder})")
-    return list(reversed(quot))
+def indicial_value(b: int, kap, lam) -> Fraction:
+    """p(lam), exactly, by Horner on the Stirling coefficients of (lambda)_b."""
+    acc = Fraction(0)
+    for c in reversed(rising_coeffs(b)):
+        acc = acc * lam + c
+    return acc - _rising(1 + Fraction(kap), b)
 
 
-def _mpf(x: Fraction):
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+def _bits(dps: int) -> int:
+    """Fraction bits of a fixed-point number carrying dps decimal digits."""
+    return math.ceil(dps * math.log2(10))
+
+
+def _fixed(x, bits: int) -> int:
+    """floor(x * 2^bits), exactly, for a float or a Fraction x."""
+    n, d = x.as_integer_ratio()
+    return (n << bits) // d
 
 
 @dataclass(frozen=True)
@@ -136,53 +157,92 @@ def _aberth(b: int, lam1: float) -> np.ndarray:
     raise ArithmeticError(f"Aberth iteration did not converge for b={b}, lambda1={lam1}")
 
 
-def _polish(z, const, b: int, dps: int):
-    """Newton on the product form at doubling precision, ending at dps.
+def _polish(x: float, y: float, const: Fraction, b: int, dps: int) -> tuple[int, int]:
+    """Newton on the product form in fixed point, at doubling precision ending at dps.
 
-    p = D - const with D = z (z+1) ... (z+b-1); D and D' are built factor by
-    factor, so a step costs 2b multiplications and a single division.
+    z = (x + iy) / 2^bits on Python integers, and p = D - const with
+    D = z (z+1) ... (z+b-1); D and D' are built factor by factor, so a step
+    costs 2b products and one division.  A real start (y = 0) stays on the
+    real line in real arithmetic; a complex step n/e is (n conj(e)) / |e|^2.
+    Returns the fixed-point (x, y) at _bits(dps).
     """
     precisions = [dps]
     while precisions[-1] > 30:
         precisions.append(precisions[-1] // 2 + 1)
-    for prec in precisions[::-1] + [dps]:
-        with mp.workdps(prec):
-            d, dd = mp.mpf(1), mp.mpf(0)
+    ladder = [_bits(prec) for prec in precisions[::-1] + [dps]]
+    real = y == 0
+    bits = ladder[0]
+    x, y = _fixed(x, bits), _fixed(y, bits)
+    for new in ladder:
+        x, y, bits = x << (new - bits), y << (new - bits), new
+        one = 1 << bits
+        c = _fixed(const, bits)
+        if real:
+            d, dd = one, 0
             for k in range(b):
-                term = z + k
-                dd = dd * term + d
-                d = d * term
-            z = z - (d - const) / dd
-    return z
+                t = x + k * one
+                dd = (dd * t >> bits) + d
+                d = d * t >> bits
+            x -= ((d - c) << bits) // dd
+            continue
+        dr, di, er, ei = one, 0, 0, 0  # D and D'
+        for k in range(b):
+            t = x + k * one
+            er, ei = ((er * t - ei * y) >> bits) + dr, ((er * y + ei * t) >> bits) + di
+            dr, di = (dr * t - di * y) >> bits, (dr * y + di * t) >> bits
+        dr -= c
+        norm = er * er + ei * ei
+        x, y = (x - ((dr * er + di * ei) << bits) // norm,
+                y - ((di * er - dr * ei) << bits) // norm)
+    return x, y
+
+
+def _residual(stirling: tuple, c: int, x: int, y: int, bits: int) -> float:
+    """|p(z)| at z = (x + iy) / 2^bits, by fixed-point Horner on the expanded
+    polynomial, whose constant (1+kappa)_b is c / 2^bits."""
+    vr = vi = 0
+    for s in reversed(stirling):
+        vr, vi = ((vr * x - vi * y) >> bits) + (s << bits), (vr * y + vi * x) >> bits
+    one = 1 << bits
+    return abs(complex((vr - c) / one, vi / one))
 
 
 def indicial_roots(b: int, kap) -> IndicialRoots:
     kap = Fraction(kap)
     lam1 = 1 + kap
-    asc = indicial_coeffs(b, kap)
+    if indicial_value(b, kap, lam1) != 0:
+        raise ArithmeticError(f"1 + kappa = {lam1} is not an exact root for b={b}")
+    stirling = rising_coeffs(b)
+    const = _rising(lam1, b)
     dps = max(50, 3 * b + 30)
+    bits = _bits(dps)
+    c = _fixed(const, bits)
+    found = [(_fixed(lam1, bits), 0)]
+    upper = []
+    if b > 1:
+        approx = _aberth(b, float(lam1))
+        # p has real coefficients: refine the real roots on the real line
+        # and the upper half-plane roots, and conjugate those for the rest
+        scale = np.maximum(1.0, np.abs(approx))
+        real = approx[np.abs(approx.imag) <= 1e-6 * scale].real
+        upper = approx[approx.imag > 1e-6 * scale]
+        if 2 * len(upper) + len(real) != b - 1:
+            raise ArithmeticError(f"roots for b={b}, kappa={kap} are not "
+                                  "closed under conjugation")
+        found += [_polish(float(x), 0.0, const, b, dps) for x in real]
+    # (x, y, residual), a conjugate taking its partner's residual
+    fixed = [(x, y, _residual(stirling, c, x, y, bits)) for x, y in found]
+    for w in upper:
+        x, y = _polish(w.real, w.imag, const, b, dps)
+        res = _residual(stirling, c, x, y, bits)
+        fixed += [(x, y, res), (x, -y, res)]
+    fixed.sort(key=lambda t: (-t[0], -t[1]))
+    one = 1 << bits
+    roots = tuple(complex(x / one, y / one) for x, y, _ in fixed)
+    residuals = tuple(res for _, _, res in fixed)
     with mp.workdps(dps):
-        roots_mp = [mp.mpc(_mpf(lam1))]
-        if b > 1:
-            _deflate(asc, lam1)  # lam1 must be an exact root
-            approx = _aberth(b, float(lam1))
-            # p has real coefficients: refine the real roots on the real line
-            # and the upper half-plane roots, and conjugate those for the rest
-            scale = np.maximum(1.0, np.abs(approx))
-            real = approx[np.abs(approx.imag) <= 1e-6 * scale].real
-            upper = approx[approx.imag > 1e-6 * scale]
-            if 2 * len(upper) + len(real) != b - 1:
-                raise ArithmeticError(f"roots for b={b}, kappa={kap} are not "
-                                      "closed under conjugation")
-            const = -_mpf(asc[0])  # (1+kappa)_b, as p(0) = -(1+kappa)_b
-            roots_mp.extend(mp.mpc(_polish(mp.mpf(x), const, b, dps)) for x in real)
-            for w in upper:
-                z = _polish(mp.mpc(w), const, b, dps)
-                roots_mp.extend((z, mp.conj(z)))
-        roots_mp.sort(key=lambda z: (-mp.re(z), -mp.im(z)))
-        full_desc = [_mpf(c) for c in reversed(asc)]
-        residuals = tuple(float(abs(mp.polyval(full_desc, z))) for z in roots_mp)
-        roots = tuple(complex(z) for z in roots_mp)
+        roots_mp = tuple(mp.mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits))
+                         for x, y, _ in fixed)
     if max(residuals) > RESIDUAL_TOL:
         raise ArithmeticError(f"root residual {max(residuals):.3e} exceeds {RESIDUAL_TOL}")
     for i in range(len(roots)):
@@ -192,7 +252,7 @@ def indicial_roots(b: int, kap) -> IndicialRoots:
         for k in range(b):  # poles of the harmonic-difference factor
             if abs(roots[i] + k) <= SEPARATION_TOL:
                 raise ArithmeticError(f"root {roots[i]} collides with pole {-k}")
-    return IndicialRoots(b, kap, lam1, roots, tuple(roots_mp), residuals)
+    return IndicialRoots(b, kap, lam1, roots, roots_mp, residuals)
 
 
 def family_roots(spec: FamilySpec) -> IndicialRoots:

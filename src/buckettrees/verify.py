@@ -195,11 +195,10 @@ def check_spectral(max_b: int = 30, boundary: int = 26) -> str:
                   f"b={b} kappa={kap}: residual {max(r.residuals):.3e}")
             _need(abs(r.roots[0] - complex(1 + kap)) <= 1e-12,
                   f"b={b} kappa={kap}: principal root is not 1 + kappa")
-            coeffs = spectral.indicial_coeffs(b, kap)
-            value = sum(coeffs[i] * (1 + kap) ** i for i in range(len(coeffs)))
-            _need(value == 0,
+            _need(spectral.indicial_value(b, kap, 1 + kap) == 0,
                   f"b={b} kappa={kap}: 1 + kappa is not an exact root")
             # the root sum must match the second-highest coefficient
+            coeffs = spectral.indicial_coeffs(b, kap)
             root_sum = sum(r.roots)
             _need(abs(root_sum - complex(-coeffs[b - 1])) <= 1e-10 * max(
                 1.0, abs(coeffs[b - 1])),

@@ -257,6 +257,8 @@ BAD_INPUTS = {
     "grow --n 0": "tree size must be >= 1",
     "grow --n 3 --family foo": "unknown family kind 'foo'",
     "pmf-k --n 0": "n must be >= 1",
+    "enumerate --n 0": "n must be >= 1",
+    "enumerate --n 0 --pmf K": "n must be >= 1",
     "descendants --n 5 --j 9": "label j=9 outside 1..5",
     "spectrum --b-range 0..3": "capacity bound b must be >= 1",
     "spectrum --b-range 5..2": "--b-range 5..2 is empty",

@@ -109,6 +109,18 @@ def test_enumeration_bound_guard():
     assert len(all_trees(1, 4, max_n=4)) > 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_oracle_rejects_n_below_one(n):
+    spec = families.recursive(2)
+    calls = (lambda: all_trees(2, n), lambda: enumerate_trees(spec, n),
+             lambda: expected_capacity_counts(spec, n),
+             lambda: exact_statistic_pmf(spec, n, "K"))
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be >= 1") as caught:
+            call()
+        assert not isinstance(caught.value, EnumerationBoundError)
+
+
 def test_enumerate_rejects_linear():
     with pytest.raises(ValueError):
         enumerate_trees(families.linear(2, 1, 0, 1), 3)

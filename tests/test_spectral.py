@@ -3,15 +3,139 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from buckettrees import verify
-from buckettrees.spectral import (harmonic_diff, indicial_coeffs,
-                                  indicial_roots, _deflate, _mpf)
+from buckettrees import spectral, verify
+from buckettrees.spectral import (RESIDUAL_TOL, harmonic_diff, indicial_coeffs,
+                                  indicial_roots, indicial_value, rising_coeffs)
 
 # the pairs whose roots the solver once handed to mp.polyroots
 FORMER_FALLBACKS = ((28, Fraction(-1, 2)), (29, Fraction(-1, 2)),
                     (30, Fraction(-1, 2)), (30, Fraction(-1, 3)))
+
+
+def _mpf(x: Fraction):
+    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _deflate(asc: list[Fraction], root: Fraction) -> list[Fraction]:
+    """Divide an ascending-coefficient polynomial by (lambda - root), exactly."""
+    desc = list(reversed(asc))
+    quot = [desc[0]]
+    for c in desc[1:]:
+        quot.append(c + root * quot[-1])
+    remainder = quot.pop()
+    if remainder != 0:
+        raise ValueError(f"{root} is not an exact root (remainder {remainder})")
+    return list(reversed(quot))
+
+
+def _expanded_coeffs(b: int, kap) -> list[Fraction]:
+    """p's coefficients, ascending, by multiplying out the product in Fractions."""
+    coeffs = [Fraction(1)]
+    for i in range(b):  # multiply by (lambda + i)
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            new[j] += c * i
+            new[j + 1] += c
+        coeffs = new
+    const = Fraction(1)
+    for i in range(b):
+        const *= b + Fraction(kap) - i
+    coeffs[0] -= const
+    return coeffs
+
+
+def _mp_polish(z, const, b: int, dps: int):
+    """Newton on the product form in mpmath arithmetic, at doubling precision."""
+    precisions = [dps]
+    while precisions[-1] > 30:
+        precisions.append(precisions[-1] // 2 + 1)
+    for prec in precisions[::-1] + [dps]:
+        with mp.workdps(prec):
+            d, dd = mp.mpf(1), mp.mpf(0)
+            for k in range(b):
+                term = z + k
+                dd = dd * term + d
+                d = d * term
+            z = z - (d - const) / dd
+    return z
+
+
+def _mp_reference(b, kap):
+    """The high-precision half of the solve on mpmath numbers: the same
+    Aberth starts, polished by mpmath Newton, with residuals by mp.polyval on
+    the exact coefficients.  Returns (float roots, residuals)."""
+    kap = Fraction(kap)
+    lam1 = 1 + kap
+    asc = _expanded_coeffs(b, kap)
+    dps = max(50, 3 * b + 30)
+    with mp.workdps(dps):
+        roots_mp = [mp.mpc(_mpf(lam1))]
+        if b > 1:
+            _deflate(asc, lam1)
+            approx = spectral._aberth(b, float(lam1))
+            scale = np.maximum(1.0, np.abs(approx))
+            const = -_mpf(asc[0])
+            for w, s in zip(approx, scale):
+                if abs(w.imag) <= 1e-6 * s:
+                    roots_mp.append(mp.mpc(_mp_polish(mp.mpf(w.real), const, b, dps)))
+                elif w.imag > 1e-6 * s:
+                    z = _mp_polish(mp.mpc(w), const, b, dps)
+                    roots_mp.extend((z, mp.conj(z)))
+        roots_mp.sort(key=lambda z: (-mp.re(z), -mp.im(z)))
+        desc = [_mpf(c) for c in reversed(asc)]
+        residuals = [float(abs(mp.polyval(desc, z))) for z in roots_mp]
+        return [complex(z) for z in roots_mp], residuals
+
+
+MP_REFERENCE_PAIRS = ([[(b, k) for b in range(1, 31)] for k in verify.kappa_grid()]
+                      + [[(60, Fraction(-1, 2))]])
+
+
+@pytest.mark.parametrize("pairs", MP_REFERENCE_PAIRS,
+                         ids=[f"kappa={p[0][1]},b<={p[-1][0]}" for p in MP_REFERENCE_PAIRS])
+def test_fixed_point_roots_match_mpmath_reference(pairs):
+    # the integer solve must give the mpmath polish's floats bit for bit
+    for b, kap in pairs:
+        r = indicial_roots(b, kap)
+        roots, residuals = _mp_reference(b, kap)
+        assert r.roots == tuple(roots), (b, kap)
+        assert max(r.residuals) <= RESIDUAL_TOL and max(residuals) <= RESIDUAL_TOL
+        assert [complex(z) for z in r.roots_mp] == roots
+
+
+def test_a_moved_root_fails_the_residual():
+    b, kap = 6, Fraction(1, 2)
+    r = indicial_roots(b, kap)
+    bits = spectral._bits(max(50, 3 * b + 30))
+    c = spectral._fixed(spectral._rising(1 + kap, b), bits)
+    desc = [_mpf(x) for x in reversed(_expanded_coeffs(b, kap))]
+    for z in r.roots:
+        moved = z + 1e-6
+        res = spectral._residual(rising_coeffs(b), c, spectral._fixed(moved.real, bits),
+                                 spectral._fixed(moved.imag, bits), bits)
+        assert res > RESIDUAL_TOL
+        with mp.workdps(60):
+            assert res == pytest.approx(float(abs(mp.polyval(desc, mp.mpc(moved)))),
+                                        rel=1e-12)
+
+
+def test_stirling_definition_matches_the_expanded_product():
+    assert rising_coeffs(4) == (0, 6, 11, 6, 1)
+    for kap in verify.kappa_grid():
+        for b in range(1, 31):
+            assert indicial_coeffs(b, kap) == _expanded_coeffs(b, kap), (b, kap)
+
+
+def test_indicial_value_is_horner_on_the_coefficients():
+    for b in (1, 2, 5, 9):
+        for kap in (Fraction(0), Fraction(-1, 3), Fraction(7, 2)):
+            coeffs = _expanded_coeffs(b, kap)
+            for lam in (Fraction(1, 2), Fraction(-5, 3), Fraction(4), 1 + kap):
+                want = sum(c * lam ** i for i, c in enumerate(coeffs))
+                assert indicial_value(b, kap, lam) == want
 
 
 def test_indicial_coeffs_recursive_b2():
