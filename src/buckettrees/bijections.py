@@ -21,7 +21,7 @@ from .enumeration import all_trees
 from .families import frac_binom
 from .trees import (BucketNode, BucketTree, BundledBucketTree, ParseError,
                     _assemble, _build_up, _children, _collector_paused,
-                    _sized_tree, canonicalize, check_valid, iter_nodes, min_label)
+                    _flat_tree, canonicalize, check_valid, iter_nodes, min_label)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -53,10 +53,6 @@ def _merge(node: BucketNode, b: int) -> tuple:
     return labels, [c for v in merged for c in v.children if id(c) not in taken]
 
 
-def _cluster(item: tuple, kids: list) -> BucketNode:
-    return BucketNode(item[0], tuple(kids))
-
-
 def cluster(tree: BucketTree, b: int) -> BucketTree:
     """Merge each smallest-remaining node with the b-1 next labels below it.
 
@@ -68,21 +64,15 @@ def cluster(tree: BucketTree, b: int) -> BucketTree:
     if b < 2:
         raise ValueError("clustering needs b >= 2")
     check_valid(tree)
-
-    def below(item: tuple) -> list:
-        return [_merge(c, b) for c in item[1]]
-
-    out = _sized_tree(b, _build_up(_merge(tree.root, b), below, _cluster), tree.size)
+    labels, degrees, stack = [], [], [tree.root]
+    while stack:
+        bucket, below = _merge(stack.pop(), b)
+        labels.append(bucket)
+        degrees.append(len(below))
+        stack += reversed(below)
+    out = _flat_tree(b, tuple(labels), tuple(degrees), tree.size)
     check_valid(out)
     return out
-
-
-def _chain(node: BucketNode, kids: list) -> BucketNode:
-    labels = node.labels
-    cur = BucketNode(labels[-1:], tuple(kids))
-    for i in range(len(labels) - 2, -1, -1):
-        cur = BucketNode((labels[i],), (cur,))
-    return cur
 
 
 def expand_chains(tree: BucketTree) -> BucketTree:
@@ -92,8 +82,14 @@ def expand_chains(tree: BucketTree) -> BucketTree:
     the result reproduces the original tree including child order.
     """
     check_valid(tree)
-    # chains of a valid tree's increasing buckets form a valid increasing tree
-    return _sized_tree(1, _build_up(tree.root, _children, _chain), tree.size, True)
+    # a chain's nodes follow each other in preorder, its last one taking
+    # the bucket's children; chains of increasing buckets form a valid tree
+    labels, degrees = [], []
+    for held, d in zip(tree.labels, tree.degrees):
+        labels += [(x,) for x in held]
+        degrees += [1] * (len(held) - 1)
+        degrees.append(d)
+    return _flat_tree(1, tuple(labels), tuple(degrees), tree.size, True)
 
 
 def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
@@ -115,7 +111,7 @@ def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
 
     out = Fraction(0)
     for tree in all_trees(1, b):
-        degs = {v.labels[0]: len(v.children) for v in iter_nodes(tree.root)}
+        degs = {held[0]: d for held, d in zip(tree.labels, tree.degrees)}
         w = Fraction(1)
         for d in degs.values():
             w *= base[d]
@@ -165,7 +161,7 @@ def _cluster_bundled(tree: BucketTree, d: int) -> BundledBucketTree:
         else:
             labels.append(v.labels)
         degrees.append(len(kids))
-        stack += kids
+        stack += kids[::-1]
     return BundledBucketTree(2, d, _assemble(labels, degrees), tuple(sorted(cuts)))
 
 
@@ -234,7 +230,7 @@ def cluster_two_bundled(tree: BucketTree) -> BundledBucketTree:
     first label's other children, bundle two the second label's children.
     """
     _require_plain(tree)
-    if canonicalize(tree).root != tree.root:
+    if canonicalize(tree) != tree:
         raise ValueError("two-bundled clustering expects the canonical representative")
     return _cluster_bundled(tree, 2)
 

@@ -105,7 +105,10 @@ def _pmf_output(pmf: Pmf, fmt: str, out_path, value_name: str = "value",
 
 def _parse_b_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
-    bs = range(int(lo), int(hi if dots else lo) + 1)
+    try:
+        bs = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--b-range {text}: expected lo..hi or one b, as in 2..30") from None
     if not bs:
         raise ValueError(f"--b-range {text} is empty")
     return bs

@@ -11,8 +11,8 @@ the deg + 1 child gaps of a saturated one (Bergeron, Flajolet & Salvy
 1992). `_Walk` runs depth first over those choices on flat per-bucket
 lists, undoing each step on the way back, and calls a visitor at every
 complete tree. The statistic pmfs read each statistic from that flat
-state and build no tree; the tree lists build each tree's nodes bottom-up
-at its leaf of the walk and are cached per (b, n).
+state and build no tree; the tree lists read each tree's bucket preorder
+off it at its leaf of the walk and are cached per (b, n).
 
 A tree's weight is the product of phi(out-degree) over its saturated
 buckets and psi(capacity) over its unsaturated ones, so it depends only on
@@ -28,11 +28,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
-from .trees import BucketNode, BucketTree, _sized_tree, canonicalize, iter_nodes
+from .trees import BucketTree, _collector_paused, _numbered_tree, _parents, canonicalize
 
 DEFAULT_MAX_N = 10
 
@@ -128,18 +129,14 @@ class _Walk:
     def at(cls, tree: BucketTree) -> "_Walk":
         """The state the walk holds at `tree`, buckets numbered in preorder."""
         walk = cls(tree.b, tree.size)
-        walk.labels, walk.kids, walk.holder = [], [], [0] * (tree.size + 1)
-        stack = [(tree.root, None)]
-        while stack:
-            node, up = stack.pop()
-            v = len(walk.labels)
-            walk.labels.append(list(node.labels))
-            walk.kids.append([])
-            if up is not None:
+        walk.labels = [list(held) for held in tree.labels]
+        walk.kids = [[] for _ in tree.labels]
+        walk.holder = [0] * (tree.size + 1)
+        for v, up in enumerate(_parents(tree.degrees)):
+            if up >= 0:
                 walk.kids[up].append(v)
-            for label in node.labels:
+            for label in tree.labels[v]:
                 walk.holder[label] = v
-            stack += [(c, v) for c in reversed(node.children)]
         return walk
 
 
@@ -180,35 +177,27 @@ def _check_oracle(spec: FamilySpec, n: int, max_n) -> None:
 
 
 @lru_cache(maxsize=None)
+@_collector_paused
 def _trees(b: int, n: int) -> tuple:
-    """(roots, signature index per tree, signatures) of every ordered tree
+    """(trees, signature index per tree, signatures) of every ordered tree
     on labels 1..n with bound b, in the order of the walk."""
     walk = _Walk(b, n)
     labels, kids = walk.labels, walk.kids
-    roots, of_tree, index = [], [], {}
-    # one node per distinct subtree, keyed by its labels, a 0, and the ids
-    # of its children, which the dict keeps alive
-    nodes: dict = {}
+    trees, of_tree, index = [], [], {}
+    shared: dict = {}  # one tuple per distinct bucket, shared by the trees
 
     def visit(signature, y):
-        built = [None] * len(labels)
-        for v in range(len(labels) - 1, -1, -1):  # children before parents
-            below = tuple(map(built.__getitem__, kids[v]))
-            key = (*labels[v], 0, *map(id, below))
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = BucketNode(tuple(labels[v]), below)
-            built[v] = node
-        roots.append(built[0])
+        held = [shared.setdefault(t, t) for t in map(tuple, labels)]
+        trees.append(_numbered_tree(b, held, kids, n, True))
         of_tree.append(index.setdefault(signature, len(index)))
 
     walk.run(visit)
-    return tuple(roots), tuple(of_tree), tuple(index)
+    return tuple(trees), tuple(of_tree), tuple(index)
 
 
 def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
     _check_bound(n, max_n)
-    return [_sized_tree(b, root, n) for root in _trees(b, n)[0]]
+    return list(_trees(b, n)[0])
 
 
 @dataclass
@@ -224,27 +213,14 @@ class WeightedTreeSet:
 def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     """All valid ordered trees of size n with their exact weights (zeros dropped)."""
     _check_oracle(spec, n, max_n)
-    roots, of_tree, signatures = _trees(spec.b, n)
+    trees, of_tree, signatures = _trees(spec.b, n)
     weights = list(_weights(spec, n, signatures).values())
-    b = spec.b
-    items = [(_sized_tree(b, root, n), weights[s])
-             for root, s in zip(roots, of_tree) if weights[s]]
+    items = [(tree, weights[s]) for tree, s in zip(trees, of_tree) if weights[s]]
     return WeightedTreeSet(spec, n, items)
 
 
 # ---------------------------------------------------------------------------
 # exact probabilities under the three measures
-
-
-def _is_canonical(node: BucketNode) -> bool:
-    stack = [node]
-    while stack:
-        kids = stack.pop().children
-        mins = [c.labels[0] for c in kids]
-        if mins != sorted(mins):
-            return False
-        stack += kids
-    return True
 
 
 def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
@@ -284,17 +260,12 @@ def exact_probability(spec: FamilySpec, tree: BucketTree, measure: str,
         w = families.tree_weight(spec, tree)
         return w / total_weight_closed(spec, tree.size)
     if measure in (UNORDERED_MODEL, UNORDERED_GROWTH):
-        if not _is_canonical(tree.root):
+        if canonicalize(tree) != tree:
             raise ValueError("unordered measures require the canonical ordered representative")
         if measure == UNORDERED_GROWTH:
             return growth_history_probability(spec, tree)
         w = families.tree_weight(spec, tree)
-        orderings = Fraction(1)
-        for node in iter_nodes(tree.root):
-            f = 1
-            for i in range(2, len(node.children) + 1):
-                f *= i
-            orderings *= f
+        orderings = prod(map(factorial, tree.degrees))
         return w * orderings / total_weight_closed(spec, tree.size)
     raise ValueError(f"unknown measure {measure!r}")
 
@@ -357,21 +328,24 @@ def stat_saturation_time(tree: BucketTree, j: int) -> int:
 
 def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     """(name, argument) of a statistic such as 'K', 'N:k' or 'Y:j'."""
-    name, _, arg = statistic.partition(":")
+    name, colon, arg = statistic.partition(":")
     name = name.strip()
+    if name not in ("K", "N", "Y", "X", "tau"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if name == "K" and colon:
+        raise ValueError(f"statistic {statistic!r}: K takes no argument")
     if name == "K":
         return name, 0
-    if name == "N":
-        k = int(arg)
-        if not 1 <= k <= b:
-            raise ValueError(f"capacity {k} outside 1..{b}")
-        return name, k
-    if name not in ("Y", "X", "tau"):
-        raise ValueError(f"unknown statistic {statistic!r}")
-    j = int(arg)
-    if not 1 <= j <= n:
-        raise ValueError(f"statistic argument {j} outside 1..{n}")
-    return name, j
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ValueError(f"statistic {statistic!r}: {name} needs an integer argument, "
+                         f"as in {name}:1") from None
+    if name == "N" and not 1 <= value <= b:
+        raise ValueError(f"capacity {value} outside 1..{b}")
+    if name != "N" and not 1 <= value <= n:
+        raise ValueError(f"statistic argument {value} outside 1..{n}")
+    return name, value
 
 
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
@@ -429,5 +403,5 @@ def distinct_unordered(ts: WeightedTreeSet) -> list:
     seen = {}
     for tree, _ in ts.items:
         c = canonicalize(tree)
-        seen[c.root] = c
+        seen[c] = c
     return list(seen.values())

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .trees import BucketTree, check_valid, iter_nodes
+from .trees import BucketTree, check_valid
 
 RECURSIVE = "recursive"
 ARY = "ary"
@@ -197,11 +197,8 @@ def tree_weight(spec: FamilySpec, tree: BucketTree) -> Fraction:
         raise ValueError("tree capacity bound does not match the family")
     check_valid(tree)
     w = Fraction(1)
-    for node in iter_nodes(tree.root):
-        if len(node.labels) == spec.b:
-            w *= phi(spec, len(node.children))
-        else:
-            w *= psi(spec, len(node.labels))
+    for k, d in zip(map(len, tree.labels), tree.degrees):
+        w *= phi(spec, d) if k == spec.b else psi(spec, k)
     return w
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketNode, BucketTree, NodeCensus, _collector_paused,
-                    _sized_tree, iter_nodes_with_path)
+from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _numbered_tree,
+                    iter_nodes_with_path)
 
 
 @dataclass
@@ -92,8 +92,8 @@ class _Grower:
 
     Node v holds cap[v] labels and has deg[v] children; parent[v] is its
     parent (-1 at the root) and where[i] is the node holding label i + 1.
-    Children are numbered in the order they are born, so the tree itself is
-    only materialized by build().
+    Children are numbered in the order they are born, and build() lists the
+    buckets in preorder, which is the form a BucketTree stores.
     """
 
     def __init__(self, spec: FamilySpec):
@@ -246,35 +246,18 @@ class _Grower:
 
     @_collector_paused
     def build(self) -> BucketTree:
+        """The grown tree, its buckets listed in preorder."""
         labels: list[list[int]] = [[] for _ in self.cap]
         for label, v in enumerate(self.where, start=1):
             labels[v].append(label)
         children: list[list[int]] = [[] for _ in self.cap]
         for v in range(1, len(self.cap)):
             children[self.parent[v]].append(v)
-        # make the nodes in postorder, each subtree before its parent: the
-        # walks that follow then read nodes in about the order they sit in
-        # memory, which a leaves-first pass by index does not give
-        order, stack = [], [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack += children[v]
-        nodes: list = [None] * len(self.cap)
-        for v in reversed(order):
-            nodes[v] = BucketNode(tuple(labels[v]), tuple([nodes[c] for c in children[v]]))
         # valid by construction, and its size is the number of labels placed
-        return _sized_tree(self.b, nodes[0], self.size, True)
+        return _numbered_tree(self.b, list(map(tuple, labels)), children, self.size, True)
 
     def census(self) -> NodeCensus:
-        m: dict = {}
-        n_deg: dict = {}
-        for k, d in zip(self.cap, self.deg):
-            if k < self.b:
-                m[k] = m.get(k, 0) + 1
-            else:
-                n_deg[d] = n_deg.get(d, 0) + 1
-        return NodeCensus(self.b, self.size, m, n_deg)
+        return _census(self.b, self.size, self.cap, self.deg)
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:

@@ -3,35 +3,35 @@
 A bucket tree is a rooted ordered tree whose nodes are buckets holding
 between 1 and b labels.  Labels increase inside every bucket and along
 every root-to-leaf path, and every internal (non-leaf) bucket is full.
-All structures here are immutable tuples, so trees can be shared freely
-between workers; growth and rewriting always build new trees.
 
-Every walk over a tree (validation, canonicalization, the codecs,
-equality and hashing) is a loop over an explicit stack, so trees of any
-depth work under the default recursion limit.
+A `BucketTree` stores the preorder of its buckets: `labels[i]`, the
+labels of the i-th bucket, and `degrees[i]`, its number of children.  The
+grower, the oracle and the codecs write that form, and validation,
+canonicalization, the census, the text codec, equality, hashing and
+pickling are loops over it.  `root`, the same tree as `BucketNode`
+objects for the bijections and the document codec, is built on first use
+and kept.  No walk recurses, so trees of any depth work.
 
-A tree is validated at most once.  Nodes are slotted and frozen, their
-labels and children are tuples, and a tree is acyclic and never changes
-after it is made, so a tree that has passed `validate` stays valid:
-`check_valid` records the success on the tree object and returns at once
-the next time.  A failure records nothing.  `canonicalize` only reorders
-children, which keeps a tree valid, so its result comes out marked.
+A tree never changes after it is made, so a tree that has passed
+`validate` stays valid: `check_valid` marks it and returns at once the
+next time, and trees that are valid by construction come out marked.
 
-Building or walking a big tree allocates one container per node, and
 CPython's cyclic collector would re-scan every live container many times
-over while it does.  Acyclic nodes give it nothing to free, so the bulk
-builders and the validation walk run with the collector paused, and put
-back the state they found, on error too.
+over while a big tree is built, and acyclic trees give it nothing to
+free, so the bulk builders pause it and put back the state they found,
+on error too.
 """
 
 from __future__ import annotations
 
 import gc
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import repeat
-from operator import attrgetter, is_, lt
+from itertools import chain, islice
+from math import inf
+from operator import attrgetter, lt
 from typing import Callable, Iterator
 
 
@@ -60,69 +60,93 @@ class BucketNode:
     labels: tuple[int, ...]
     children: tuple["BucketNode", ...] = ()
 
+    # a subtree is determined by its preorder, which a loop reads at any depth
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        xs, ys = [self], [other]
-        while xs:
-            x = xs.pop()
-            y = ys.pop()
-            if x is not y:
-                xc = x.children
-                yc = y.children
-                if x.labels != y.labels or len(xc) != len(yc):
-                    return False
-                xs += xc
-                ys += yc
-        return True
+        return self is other or _preorder(self) == _preorder(other)
 
     def __hash__(self):
-        # the labels and degrees in (mirrored) preorder determine the subtree
-        seq, stack = [], [self]
-        while stack:
-            v = stack.pop()
-            seq.append(v.labels)
-            seq.append(len(v.children))
-            stack.extend(v.children)
-        return hash(tuple(seq))
+        return hash(_preorder(self))
 
 
-@dataclass(frozen=True)
+def _preorder(root: BucketNode) -> tuple:
+    """(labels, degrees) of the buckets of root's subtree, in preorder."""
+    labels, degrees, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        labels.append(node.labels)
+        degrees.append(len(kids))
+        stack += reversed(kids)
+    return tuple(labels), tuple(degrees)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class BucketTree:
-    """A bucket tree together with its capacity bound b."""
+    """A bucket tree with its capacity bound b, stored as its bucket preorder.
+
+    labels[i] holds the labels of the i-th bucket in preorder and
+    degrees[i] is its number of children; size is the label count.  Two
+    trees are equal, and hash equal, iff their b, labels and degrees are.
+    """
 
     b: int
-    root: BucketNode
-    size: int = field(init=False)
+    labels: tuple
+    degrees: tuple
+    size: int = field(compare=False, repr=False)
+    _valid: bool = field(compare=False, repr=False)  # known to be valid
+    _root: BucketNode | None = field(compare=False, repr=False)
 
-    # true once the tree is known to be valid: set by check_valid on success,
-    # or by _sized_tree for a tree that is valid by construction
-    _valid = False
+    def __init__(self, b: int, root: BucketNode):
+        labels, degrees = _preorder(root)
+        _flat_tree(b, labels, degrees, sum(map(len, labels)), root=root, into=self)
 
-    def __post_init__(self):
-        size, stack = 0, [self.root]
-        while stack:
-            node = stack.pop()
-            size += len(node.labels)
-            stack += node.children
-        object.__setattr__(self, "size", size)
+    @property
+    def root(self) -> BucketNode:
+        """The tree as BucketNode objects, built on first use and kept."""
+        if self._root is None:
+            object.__setattr__(self, "_root", _assemble(self.labels, self.degrees))
+        return self._root
 
     def __reduce__(self):
-        # through the text codec, which is iterative, so any depth pickles; a
-        # tree that is not valid may not encode, and pickles field by field
-        if self._valid or not validate(self):
-            return _unpickle, (encode(self), self.b)
-        return BucketTree, (self.b, self.root)
+        # the flat form pickles at any depth; the node view is rebuilt on use
+        return _flat_tree, (self.b, self.labels, self.degrees, self.size, self._valid)
 
 
-def _sized_tree(b: int, root: BucketNode, size: int, valid: bool = False) -> BucketTree:
-    """A BucketTree whose size is already known, made without the size walk.
+def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = False,
+               root: BucketNode | None = None, into: BucketTree | None = None) -> BucketTree:
+    """The BucketTree of a preorder whose label count is known.
 
     valid=True marks it as checked, for a tree that is valid by construction.
     """
-    tree = object.__new__(BucketTree)
-    tree.__dict__.update(b=b, root=root, size=size, _valid=valid)
+    tree = object.__new__(BucketTree) if into is None else into
+    for name, value in zip(("b", "labels", "degrees", "size", "_valid", "_root"),
+                           (b, labels, degrees, size, valid, root)):
+        object.__setattr__(tree, name, value)
     return tree
+
+
+def _numbered_tree(b: int, held, kids: list, size: int, valid: bool = False) -> BucketTree:
+    """The BucketTree of buckets numbered in any order, bucket 0 the root:
+    held[v] is the label tuple of bucket v and kids[v] its children in order."""
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += reversed(kids[v])
+    return _flat_tree(b, tuple([held[v] for v in order]),
+                      tuple([len(kids[v]) for v in order]), size, valid)
+
+
+def _parents(degrees) -> list:
+    """The parent of each bucket of a preorder; the root's is -1."""
+    up, pending = [], [-1]  # each bucket once per child still to come
+    for v, d in enumerate(degrees):
+        up.append(pending.pop())
+        if d:
+            pending += [v] * d
+    return up
 
 
 @dataclass(frozen=True)
@@ -170,8 +194,6 @@ def _build_up(root, children_of: Callable, make: Callable):
     whose reverse is the postorder, so each node finds its folded children
     in order on top of the result stack.
     """
-    # nodes and degrees go in two lists: a tuple per node would be a
-    # garbage-collected allocation that triggers collections over the tree
     order, degrees, stack = [], [], [root]
     while stack:
         node = stack.pop()
@@ -191,14 +213,14 @@ def _build_up(root, children_of: Callable, make: Callable):
 
 
 @_collector_paused
-def _assemble(labels: list, degrees: list) -> BucketNode:
-    """The tree whose buckets, listed in the mirrored preorder that
-    `_build_up` walks, hold labels[i] and have degrees[i] children: built
-    as `_build_up` builds, with no call per node but the constructor's."""
+def _assemble(labels, degrees) -> BucketNode:
+    """The nodes of the tree whose buckets, in preorder, hold labels[i] and
+    have degrees[i] children.  Read backwards, a preorder puts each bucket
+    just after its children, the first one last, on the result stack."""
     done: list = []
     for lab, d in zip(reversed(labels), reversed(degrees)):
         if d:
-            kids = tuple(done[-d:])
+            kids = tuple(done[-1:-d - 1:-1])
             del done[-d:]
             done.append(BucketNode(lab, kids))
         else:
@@ -209,57 +231,49 @@ def _assemble(labels: list, degrees: list) -> BucketNode:
 _children = attrgetter("children")
 
 
-def _where(link) -> str:
-    """Render a (parent link, child index) chain as the path 'i/j/...' or 'root'."""
-    path = []
-    while link:
-        link, i = link
-        path.append(str(i))
-    return "/".join(reversed(path)) or "root"
-
-
 @_collector_paused
 def validate(tree: BucketTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
-    Violations name the offending node by its child-index path from the root.
+    Violations name the offending bucket by its child-index path from the
+    root and come in preorder, a bucket's own before those of its children.
     """
     b = tree.b
     if b < 1:
         return ["capacity bound b must be >= 1"]
-    violations = []
-    all_labels: list = []
-    # each entry carries its node's link (parent link, child index), from
-    # which the path is rendered only when a violation is reported
-    stack = [(tree.root, ())]
-    while stack:
-        node, link = stack.pop()
-        labels, kids = node.labels, node.children
+    found = []  # (bucket, -1 or child index, violation), in preorder once sorted
+    stack: list = []  # [bucket, top label, child being read, last child] per ancestor
+
+    def where(depth: int) -> str:
+        return "/".join(str(above[2]) for above in stack[:depth]) or "root"
+
+    for v, (labels, d) in enumerate(zip(tree.labels, tree.degrees)):
         k = len(labels)
-        all_labels += labels
-        where = None
+        if stack:
+            above = stack[-1]
+            above[2] += 1
+            if labels and min(labels) <= above[1]:
+                found.append((above[0], above[2],
+                              f"{where(len(stack) - 1)}/{above[2]}: child label "
+                              f"{min(labels)} not above parent maximum {above[1]}"))
         if not (k == 1 and labels[0] >= 1
-                or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:]))):
-            where = _where(link)
-            if not 1 <= k <= b:
-                violations.append(f"{where}: bucket capacity {k} outside 1..{b}")
-            if any(x < 1 for x in labels):
-                violations.append(f"{where}: labels must be positive")
-            if any(x >= y for x, y in zip(labels, labels[1:])):
-                violations.append(f"{where}: bucket labels not strictly increasing")
-        if not kids:
-            continue
-        if k != b:
-            where = where or _where(link)
-            violations.append(f"{where}: internal node unsaturated (capacity {k} < {b})")
-        if labels:
-            top = max(labels)
-            for i, child in enumerate(kids):
-                if child.labels and min(child.labels) <= top:
-                    where = where or _where(link)
-                    violations.append(f"{where}/{i}: child label {min(child.labels)} "
-                                      f"not above parent maximum {top}")
-        stack.extend(zip(reversed(kids), zip(repeat(link), range(len(kids) - 1, -1, -1))))
+                or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:]))
+                ) or d and k != b:
+            for bad, text in ((not 1 <= k <= b, f"bucket capacity {k} outside 1..{b}"),
+                              (any(x < 1 for x in labels), "labels must be positive"),
+                              (not all(map(lt, labels, labels[1:])),
+                               "bucket labels not strictly increasing"),
+                              (d and k != b, f"internal node unsaturated (capacity {k} < {b})")):
+                if bad:
+                    found.append((v, -1, f"{where(len(stack))}: {text}"))
+        if d:
+            stack.append([v, max(labels, default=-inf), -1, d - 1])
+        else:
+            while stack and stack[-1][2] == stack[-1][3]:
+                stack.pop()
+    found.sort(key=lambda f: f[:2])
+    violations = [text for _, _, text in found]
+    all_labels = list(chain.from_iterable(tree.labels))
     n = len(all_labels)
     if sorted(all_labels) != list(range(1, n + 1)):
         violations.append(f"label multiset is not {{1..{n}}}")
@@ -284,36 +298,40 @@ def min_label(node: BucketNode) -> int:
     return node.labels[0]
 
 
-def _canon_node(node: BucketNode, kids: list) -> BucketNode:
-    kids.sort(key=min_label)
-    if all(map(is_, kids, node.children)):
-        return node  # already canonical: share the subtree
-    return BucketNode(node.labels, tuple(kids))
-
-
 def canonicalize(tree: BucketTree) -> BucketTree:
-    """Canonical ordered representative: children sorted by smallest contained label."""
+    """Canonical ordered representative: children sorted by smallest contained label.
+
+    A canonical tree, as every grown one is, is returned as it is; any other
+    has its preorder rebuilt with each bucket's children in that order.
+    """
     check_valid(tree)
+    labels = tree.labels
+    up = _parents(tree.degrees)
+    latest = [0] * len(up)  # first label of each bucket's latest child so far
+    for lab, p in zip(islice(labels, 1, None), islice(up, 1, None)):
+        if lab[0] < latest[p]:
+            break
+        latest[p] = lab[0]
+    else:
+        return tree
+    kids: list = [[] for _ in up]
+    for v in sorted(range(1, len(up)), key=lambda v: labels[v][0]):
+        kids[up[v]].append(v)  # in order of first labels
     # reordering children keeps every invariant, so the result is valid too
-    return _sized_tree(tree.b, _build_up(tree.root, _children, _canon_node), tree.size, True)
+    return _numbered_tree(tree.b, labels, kids, tree.size, True)
 
 
 def census(tree: BucketTree) -> NodeCensus:
     check_valid(tree)
-    b = tree.b
-    m: dict = {}
-    n_deg: dict = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        k = len(node.labels)
-        if k < b:
-            m[k] = m.get(k, 0) + 1
-        else:
-            d = len(node.children)
-            n_deg[d] = n_deg.get(d, 0) + 1
-        stack.extend(reversed(node.children))  # preorder, so the counts fill in that order
-    return NodeCensus(b, tree.size, m, n_deg)
+    return _census(tree.b, tree.size, map(len, tree.labels), tree.degrees)
+
+
+def _census(b: int, n: int, caps, degrees) -> NodeCensus:
+    """The census of buckets of the given capacities and out-degrees, each
+    count filed in the order its key first occurs."""
+    caps = list(caps)
+    return NodeCensus(b, n, dict(Counter(k for k in caps if k < b)),
+                      dict(Counter(d for k, d in zip(caps, degrees) if k >= b)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +340,21 @@ def census(tree: BucketTree) -> NodeCensus:
 
 def encode(tree: BucketTree) -> str:
     parts = []
-    # tails[i] closes the subtree of nodes[i]: ',' before a next sibling,
-    # else one ')' per subtree it ends
-    nodes, tails = [tree.root], [""]
-    while nodes:
-        node = nodes.pop()
-        tail = tails.pop()
-        kids = node.children
-        if kids:
-            parts.append("{%s}(" % ",".join(map(str, node.labels)))
-            nodes += reversed(kids)
-            tails.append(")" + tail)
-            tails += repeat(",", len(kids) - 1)
-        else:
-            parts.append("{%s}%s" % (",".join(map(str, node.labels)), tail))
+    left = []  # children still to write, per bucket whose '(' is open
+    for labels, d in zip(tree.labels, tree.degrees):
+        if d:
+            parts.append("{%s}(" % ",".join(map(str, labels)))
+            left.append(d)
+            continue
+        parts.append("{%s}" % ",".join(map(str, labels)))
+        # a leaf ends its parent's subtree when it is the last child, and so on up
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                parts.append(",")
+                break
+            left.pop()
+            parts.append(")")
     return "".join(parts)
 
 
@@ -366,51 +385,47 @@ def _bucket_error(text: str, pos: int) -> ParseError:
 
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result."""
-    tree = _sized_tree(b, *_parse(text))
+    tree = _flat_tree(b, *_parse(text))
     check_valid(tree)
     return tree
 
 
-def _unpickle(text: str, b: int) -> BucketTree:
-    # the text was encoded from a valid tree, so it is not validated again
-    return _sized_tree(b, *_parse(text), True)
-
-
 @_collector_paused
 def _parse(text: str) -> tuple:
-    """(root, label count) of the canonical text form."""
+    """(labels, degrees, label count) of the canonical text form, buckets in preorder."""
     end = len(text)
     pos = size = 0
-    open_nodes = []  # (labels, children so far) of each node whose '(' is open
-    root = None
-    while root is None:
+    labels, degrees = [], []
+    open_buckets = []  # preorder index of each bucket whose '(' is open
+    while True:
         m = _BUCKET.match(text, pos)
         if m is None:
             raise _bucket_error(text, pos)
-        labels = tuple(map(int, m.group(1).split(",")))
-        size += len(labels)
+        held = tuple(map(int, m.group(1).split(",")))
+        size += len(held)
+        if open_buckets:
+            degrees[open_buckets[-1]] += 1
+        labels.append(held)
+        degrees.append(0)
         pos = m.end()
         if pos < end and text[pos] == "(":
-            open_nodes.append((labels, []))
+            open_buckets.append(len(degrees) - 1)
             pos += 1
             continue
-        node = BucketNode(labels)
-        # attach the finished node, closing every parent it completes
-        while open_nodes:
-            open_nodes[-1][1].append(node)
+        # close every bucket this leaf completes
+        while open_buckets:
             if pos < end and text[pos] == ",":
                 pos += 1
                 break
             if pos >= end or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
             pos += 1
-            labels, kids = open_nodes.pop()
-            node = BucketNode(labels, tuple(kids))
+            open_buckets.pop()
         else:
-            root = node
+            break
     if pos != end:
         raise ParseError("trailing input", pos)
-    return root, size
+    return tuple(labels), tuple(degrees), size
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +440,34 @@ def _node_doc(node: BucketNode, kids: list) -> dict:
     return {"labels": list(node.labels), "children": kids}
 
 
-def _doc_children(doc: dict) -> list:
-    return doc.get("children", [])
+def _doc_field(doc, name: str, kind: type, default=None):
+    """doc[name], which must be a `kind`; default stands in for a missing field."""
+    if type(doc) is not dict:
+        raise ValueError(f"tree document: a node must be an object, not {type(doc).__name__}")
+    value = doc.get(name, default)
+    if type(value) is not kind:
+        raise ValueError(f"tree document: missing field {name!r}" if value is None else
+                         f"tree document: field {name!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
 
 
-def _node_from_doc(doc: dict, kids: list) -> BucketNode:
-    return BucketNode(tuple(int(x) for x in doc["labels"]), tuple(kids))
-
-
+@_collector_paused
 def from_doc(doc: dict) -> BucketTree:
-    tree = BucketTree(int(doc["b"]), _build_up(doc["root"], _doc_children, _node_from_doc))
+    """The validated tree of a document; a missing or ill-typed field
+    raises ValueError naming it."""
+    b = _doc_field(doc, "b", int)
+    labels, degrees, stack = [], [], [_doc_field(doc, "root", dict)]
+    while stack:
+        node = stack.pop()
+        held = _doc_field(node, "labels", list)
+        if not all(type(x) is int for x in held):
+            raise ValueError(f"tree document: field 'labels' must hold integers, not {held}")
+        kids = _doc_field(node, "children", list, [])
+        labels.append(tuple(held))
+        degrees.append(len(kids))
+        stack += reversed(kids)
+    tree = _flat_tree(b, tuple(labels), tuple(degrees), sum(map(len, labels)))
     check_valid(tree)
     return tree
 

@@ -262,6 +262,10 @@ BAD_INPUTS = {
     "descendants --n 5 --j 9": "label j=9 outside 1..5",
     "spectrum --b-range 0..3": "capacity bound b must be >= 1",
     "spectrum --b-range 5..2": "--b-range 5..2 is empty",
+    "spectrum --b-range x": "--b-range x: expected lo..hi",
+    "spectrum --b-range 2..y": "--b-range 2..y: expected lo..hi",
+    "enumerate --n 4 --pmf Y": "statistic 'Y': Y needs an integer argument",
+    "enumerate --n 4 --pmf K:3": "statistic 'K:3': K takes no argument",
     "grow --n 3 --count -1": "Invalid value for '--count'",
     "urn --steps 3 --replicates 0": "Invalid value for '--replicates'",
     "urn --steps 3 --replicates -1": "Invalid value for '--replicates'",

@@ -84,6 +84,21 @@ def test_statistic_pmf_argument_checks():
         exact_statistic_pmf(spec, 4, "tau:0")
 
 
+@pytest.mark.parametrize("statistic, message", [
+    ("Y", "statistic 'Y': Y needs an integer argument"),
+    ("Y:", "statistic 'Y:': Y needs an integer argument"),
+    ("X:a", "statistic 'X:a': X needs an integer argument"),
+    ("N:1.5", "statistic 'N:1.5': N needs an integer argument"),
+    ("tau", "statistic 'tau': tau needs an integer argument"),
+    ("K:3", "statistic 'K:3': K takes no argument"),
+    ("K:", "statistic 'K:': K takes no argument"),
+])
+def test_a_malformed_statistic_is_named_in_the_error(statistic, message):
+    with pytest.raises(ValueError) as info:
+        exact_statistic_pmf(families.recursive(2), 4, statistic)
+    assert str(info.value).startswith(message)
+
+
 def test_capacity_statistic_is_checked_against_b_not_n():
     # a size-2 tree of bound 3 is one unsaturated bucket: no full bucket
     assert exact_statistic_pmf(families.recursive(3), 2, "N:3").mass == {0: 1}
@@ -448,9 +463,9 @@ def test_statistic_pmfs_build_no_tree(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the statistic path built a tree")
 
-    monkeypatch.setattr(enumeration, "BucketNode", refuse)
-    monkeypatch.setattr(enumeration, "BucketTree", refuse)
-    monkeypatch.setattr(enumeration, "_sized_tree", refuse)
+    monkeypatch.setattr(BucketNode, "__init__", refuse)
+    monkeypatch.setattr(BucketTree, "__init__", refuse)
+    monkeypatch.setattr(enumeration, "_numbered_tree", refuse)
     spec = families.recursive(2)
     for statistic in ("K", "N:1", "Y:3", "X:2", "tau:2"):
         assert exact_statistic_pmf(spec, 6, statistic).total() == 1

@@ -1,6 +1,7 @@
 """Tree structure, validation, canonicalization, census, and codecs."""
 
 import gc
+import hashlib
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckettrees import families, grow, trees
+from buckettrees import bijections, enumeration, families, grow, trees, verify
 from buckettrees.trees import (BucketNode, BucketTree, ParseError,
                                canonicalize, census, check_valid, decode, encode,
                                from_doc, iter_nodes, to_doc, validate)
@@ -173,10 +174,128 @@ def test_deep_corrupted_text_is_a_parse_error(pos, char):
 
 def test_decoded_size_is_the_label_count(monkeypatch):
     deep = _path_text(DEPTH)
-    monkeypatch.setattr(BucketTree, "__post_init__", None)  # decode makes no size walk
+
+    def refuse(*args):
+        raise AssertionError("decode flattened a node tree to size it")
+
+    monkeypatch.setattr(BucketTree, "__init__", refuse)  # decode makes no size walk
     assert decode(deep, 1).size == DEPTH
     assert decode("{1,2}({3,4}({5}),{6})", 2).size == 6
     assert decode(text="{1,2}({3})", b=2).size == 3  # the collector pause keeps the signature
+
+
+# ---------------------------------------------------------------------------
+# one stored form: the bucket preorder, with the nodes as a view
+
+
+def _same_form(tree):
+    assert (tree.labels, tree.degrees) == trees._preorder(tree.root)
+    assert tree.size == sum(map(len, tree.labels))
+
+
+def test_every_producer_stores_the_preorder_of_its_nodes():
+    spec = families.recursive(2)
+    grown = grow.sample_tree(spec, 300, 4)
+    messy = decode("{1,2}({5},{3,4}({7},{6}))", 2)
+    produced = [grown, decode(encode(grown), 2), from_doc(to_doc(grown)), messy,
+                BucketTree(2, messy.root), canonicalize(messy),
+                pickle.loads(pickle.dumps(grown)), pickle.loads(pickle.dumps(messy))]
+    produced += enumeration.all_trees(2, 5)
+    produced += [t for t, _ in enumeration.enumerate_trees(families.port(1, 1), 5).items]
+    for tree in enumeration.all_trees(1, 5):
+        produced += [bijections.cluster(tree, 2), bijections.expand_chains(tree)]
+    for tree in produced:
+        _same_form(tree)
+    assert canonicalize(grown) is grown  # a grown tree is canonical already
+    assert encode(canonicalize(messy)) == "{1,2}({3,4}({6},{7}),{5})"
+
+
+def test_the_codec_pipeline_builds_no_node(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a BucketNode was built")
+
+    monkeypatch.setattr(BucketNode, "__init__", refuse)
+    for spec in _KINDS + [families.linear(1, 0, -1, 1)]:
+        tree = grow.sample_tree(spec, 400, 2)
+        cen = census(canonicalize(decode(encode(tree), spec.b)))
+        assert cen.n == 400 and cen.node_sum_identity()
+    assert census(canonicalize(decode("{1,2}({4},{3})", 2))).m == {1: 2}
+
+
+@pytest.mark.parametrize("b, n", [(1, DEPTH), (2, 10 ** 4)])
+def test_a_deep_path_through_every_flat_operation_and_the_nodes(b, n):
+    """A path of n labels, b per bucket: every flat operation, and the
+    node view, at depth n / b."""
+    buckets = [tuple(range(i, i + b)) for i in range(1, n + 1, b)]
+    node = BucketNode(buckets[-1])
+    for held in reversed(buckets[:-1]):
+        node = BucketNode(held, (node,))
+    tree = BucketTree(b, node)
+    text = "".join("{%s}(" % ",".join(map(str, h)) for h in buckets[:-1])
+    text += "{%s}" % ",".join(map(str, buckets[-1])) + ")" * (len(buckets) - 1)
+    assert validate(tree) == [] and encode(tree) == text
+    back = decode(text, b)
+    assert back == tree and hash(back) == hash(tree) and back.size == n
+    assert canonicalize(back) is back
+    assert census(back).n_deg == {0: 1, 1: len(buckets) - 1}
+    assert pickle.loads(pickle.dumps(back)) == tree
+    assert from_doc(to_doc(back)) == tree
+    assert back.root == node and trees._preorder(back.root) == (back.labels, back.degrees)
+    spec = families.recursive(b)
+    assert (families.tree_weight(spec, back)
+            == families.phi(spec, 1) ** (len(buckets) - 1) * families.phi(spec, 0))
+    assert enumeration.stat_descendants(back, 1) == n
+    assert enumeration.stat_out_degree(back, n) == 0
+    chains = bijections.expand_chains(back)
+    assert chains.size == n and bijections.cluster(chains, b) == back if b > 1 else chains == back
+
+
+# sha256 over n = 1, 10, 10^3, 5*10^4 (seed n) of each grown tree's codec
+# string and census, as the node-based trees of the previous release gave them
+_RECORDED = {
+    "recursive:b=1": "19a22d3a6ee44677",
+    "recursive:b=2": "86145683995c0ed6",
+    "recursive:b=3": "f59b010aa6944f15",
+    "ary:b=1,d=2": "fc2dc0f158b03fc2",
+    "ary:b=1,d=3": "e580a0fb24d3347b",
+    "ary:b=2,d=2": "85725d22c191b2e9",
+    "ary:b=2,d=3": "b4389bc66aa3c715",
+    "port:b=1,alpha=1": "59580ff4d4cc5230",
+    "port:b=1,alpha=2": "b4bfdb0ed06e3732",
+    "port:b=2,alpha=1": "a6feea65d5454409",
+    "port:b=2,alpha=2": "24a54660e6a33d78",
+    "linear:b=2,a=1,beta=1,m=1": "586756269e536b22",
+    "linear:b=3,a=-1,beta=1,m=3": "4ed43cca726dd8b7",
+}
+
+
+@pytest.mark.parametrize("spec", verify.family_grid() + [families.linear(2, 1, 1, 1),
+                                                          families.linear(3, -1, 1, 3)],
+                         ids=lambda s: s.describe())
+def test_seeded_trees_and_censuses_match_recorded_values(spec):
+    h = hashlib.sha256()
+    for n in (1, 10, 10 ** 3, 5 * 10 ** 4):
+        tree = grow.sample_tree(spec, n, n)
+        cen = census(tree)
+        h.update(encode(tree).encode())
+        h.update(repr((cen.m, cen.n_deg)).encode())
+    assert h.hexdigest()[:16] == _RECORDED[spec.describe()]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"b": 1}, "'root'"),
+    ({"root": {"labels": [1]}}, "'b'"),
+    ({"b": "1", "root": {"labels": [1]}}, "'b'"),
+    ({"b": 1, "root": {"children": []}}, "'labels'"),
+    ({"b": 1, "root": {"labels": 1}}, "'labels'"),
+    ({"b": 1, "root": {"labels": [1, None]}}, "'labels'"),
+    ({"b": 1, "root": {"labels": [1], "children": 5}}, "'children'"),
+    ({"b": 1, "root": {"labels": [1], "children": [5]}}, "a node must be an object"),
+    ([], "a node must be an object"),
+])
+def test_a_malformed_document_is_a_value_error_naming_the_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +369,37 @@ def test_collector_state_is_restored(case, enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_bulk_builds_and_the_validation_walk_pause_the_collector(monkeypatch):
-    states = []
+def test_bulk_builds_and_the_validation_walk_pause_the_collector():
+    """With a threshold of 50 allocations, each of these would start the
+    collector many times over if it ran with the collector on."""
+    grower = grow._grown(families.recursive(2), 2000, 1)
+    text = encode(grower.build())
+    tree = decode(text, 2)
+    calls = [(grower.build,), (trees._parse, text), (validate, tree),
+             (trees._assemble, tree.labels, tree.degrees), (from_doc, to_doc(tree)),
+             (enumeration._trees.__wrapped__, 1, 5)]
+    starts = []
 
-    def node(labels, children=()):
-        states.append(gc.isenabled())
-        return BucketNode(labels, children)
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info)
 
-    def where(link):
-        states.append(gc.isenabled())
-        return "somewhere"
-
-    monkeypatch.setattr(grow, "BucketNode", node)
-    monkeypatch.setattr(trees, "BucketNode", node)
-    monkeypatch.setattr(trees, "_where", where)
-    calls = [(grow.sample_tree, families.recursive(2), 20, 1),
-             (decode, "{1,2}({3,4}({5}),{6})", 2),
-             (from_doc, {"b": 1, "root": {"labels": [1], "children": [{"labels": [2]}]}}),
-             (validate, BucketTree(2, BucketNode((2, 1))))]
-    for fn, *args in calls:
-        del states[:]
-        fn(*args)
-        assert states and not any(states), fn.__name__
-        assert gc.isenabled()
+    threshold = gc.get_threshold()
+    gc.callbacks.append(count)
+    gc.set_threshold(50)
+    try:
+        for fn, *args in calls:
+            gc.collect()  # the count of allocations restarts from 0
+            del starts[:]
+            fn(*args)
+            # read before anything allocates: the first allocation after the
+            # collector is put back starts it, since the count kept rising
+            during = len(starts)
+            assert during == 0, fn.__qualname__
+            assert gc.isenabled()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
 
 
 def test_nodes_are_slotted_and_frozen():

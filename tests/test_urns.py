@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -148,3 +149,32 @@ def test_one_type_urn():
     counts = montecarlo.sample_urn_counts(families.port(1, 2), 9, 5, RngStream(1))
     assert (counts[:, 0] == model.total(9)).all()
     assert node_type_estimates(model, (model.total(9),)) == {1: 9}
+
+
+def _mp_relative_residual(coeffs, z):
+    """Check 6's former 60-digit mpmath residual, kept as the reference."""
+    with mp.workdps(60):
+        zz = mp.mpc(z)
+        value = mp.mpf(0) * 1j
+        scale = mp.mpf(0)
+        power = mp.mpc(1)
+        for c in coeffs:
+            cc = mp.mpf(c.numerator) / mp.mpf(c.denominator)
+            value += cc * power
+            scale += abs(cc) * abs(power)
+            power *= zz
+        return float(abs(value) / max(scale, mp.mpf(1)))
+
+
+@pytest.mark.parametrize("b", [2, 3, 9, 26, 27, 30])
+def test_exact_residual_matches_the_mpmath_reference(b):
+    """The exact residual of check 6 agrees with 60-digit mpmath on every
+    eigenvalue image, and on each moved off its root by a relative 1e-9."""
+    for spec in verify.kind_grid(b):
+        model = build_urn(spec)
+        coeffs = char_poly_closed(model)
+        for z in urn_spectrum(model).eigenvalues:
+            for point in (z, z * (1 + 1e-9)):
+                want = _mp_relative_residual(coeffs, point)
+                assert verify._relative_residual(coeffs, point) == pytest.approx(
+                    want, rel=1e-13, abs=1e-300), (spec.describe(), point)
