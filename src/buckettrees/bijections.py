@@ -6,7 +6,10 @@
 * bundled refinements of the clustering map that are genuine bijections
   (plane-oriented / three-bundled, recursive / two-bundled);
 * the bijection between bucket trees with b = 2 and increasing diamonds,
-  which are stored as bucket nodes: one relabelling pass, either way.
+  which are stored as a bucket preorder: one relabelling pass, either way.
+
+Every map reads and writes the (labels, degrees) preorder a `BucketTree`
+stores, and walks it through the child lists of `trees._kids`.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 
 from .enumeration import all_trees
 from .families import frac_binom
-from .trees import (BucketNode, BucketTree, BundledBucketTree, ParseError,
-                    _assemble, _build_up, _children, _collector_paused,
-                    _flat_tree, canonicalize, check_valid, iter_nodes, min_label)
+from .trees import (BucketTree, BundledBucketTree, ParseError, _collector_paused,
+                    _flat_tree, _kids, _numbered_tree, canonicalize, check_valid)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -33,24 +36,24 @@ def _require_plain(tree: BucketTree) -> None:
 # clustering
 
 
-def _merge(node: BucketNode, b: int) -> tuple:
-    """The bucket clustering makes at node, and the nodes left below it.
+def _merge(v: int, b: int, labels, kids: list) -> tuple:
+    """The bucket clustering makes at node v, and the nodes left below it.
 
-    The bucket holds the b smallest labels of node's subtree.  Labels
+    The bucket holds the b smallest labels of v's subtree.  Labels
     increase downwards, so they are the first b nodes a heap-ordered walk
-    from node pops.  The nodes left below are the children of the merged
+    from v pops.  The nodes left below are the children of the merged
     nodes that were not merged, in (bucket position, original position)
     order.
     """
-    merged, frontier = [], [(node.labels[0], node)]
+    merged, frontier = [], [(labels[v][0], v)]
     while frontier and len(merged) < b:
-        v = heappop(frontier)[1]
-        merged.append(v)
-        for c in v.children:
-            heappush(frontier, (c.labels[0], c))
-    taken = set(map(id, merged))
-    labels = tuple(v.labels[0] for v in merged)
-    return labels, [c for v in merged for c in v.children if id(c) not in taken]
+        u = heappop(frontier)[1]
+        merged.append(u)
+        for c in kids[u]:
+            heappush(frontier, (labels[c][0], c))
+    taken = set(merged)
+    return (tuple(labels[u][0] for u in merged),
+            [c for u in merged for c in kids[u] if c not in taken])
 
 
 def cluster(tree: BucketTree, b: int) -> BucketTree:
@@ -64,9 +67,10 @@ def cluster(tree: BucketTree, b: int) -> BucketTree:
     if b < 2:
         raise ValueError("clustering needs b >= 2")
     check_valid(tree)
-    labels, degrees, stack = [], [], [tree.root]
+    kids = _kids(tree.degrees)
+    labels, degrees, stack = [], [], [0]
     while stack:
-        bucket, below = _merge(stack.pop(), b)
+        bucket, below = _merge(stack.pop(), b, tree.labels, kids)
         labels.append(bucket)
         degrees.append(len(below))
         stack += reversed(below)
@@ -135,76 +139,77 @@ def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
 # bundled clustering bijections (bucket size two)
 
 
+@_collector_paused
 def _cluster_bundled(tree: BucketTree, d: int) -> BundledBucketTree:
     """The d-bundled clustering, d = 3 or 2, in one preorder pass.
 
     Each node v with children takes its smallest child u into its bucket.
     The pass records the bucket's labels, its bundled children and the
-    bundle sizes, and the tree is assembled bottom-up at the end.
+    bundle sizes, so it writes the bundled tree's preorder.
     """
-    labels, degrees, cuts, stack = [], [], [], [tree.root]
+    held, kids = tree.labels, _kids(tree.degrees)
+    labels, degrees, cuts, stack = [], [], [], [0]
     while stack:
         v = stack.pop()
-        kids = v.children
-        if kids:
+        below = kids[v]
+        if below:
             if d == 3:  # left of u, u's children, right of u
-                firsts = [c.labels[0] for c in kids]
+                firsts = [held[c][0] for c in below]
                 i = firsts.index(min(firsts))
-                u = kids[i]
-                cuts.append((v.labels[0], (i, len(u.children), len(kids) - i - 1)))
-                kids = kids[:i] + u.children + kids[i + 1:]
+                u = below[i]
+                cuts.append((held[v][0], (i, len(kids[u]), len(below) - i - 1)))
+                below = below[:i] + kids[u] + below[i + 1:]
             else:  # canonical, so u comes first: the rest, then u's children
-                u = kids[0]
-                cuts.append((v.labels[0], (len(kids) - 1, len(u.children))))
-                kids = kids[1:] + u.children
-            labels.append((v.labels[0], u.labels[0]))
+                u = below[0]
+                cuts.append((held[v][0], (len(below) - 1, len(kids[u]))))
+                below = below[1:] + kids[u]
+            labels.append((held[v][0], held[u][0]))
         else:
-            labels.append(v.labels)
-        degrees.append(len(kids))
-        stack += kids[::-1]
-    return BundledBucketTree(2, d, _assemble(labels, degrees), tuple(sorted(cuts)))
+            labels.append(held[v])
+        degrees.append(len(below))
+        stack += below[::-1]
+    return BundledBucketTree(d, _flat_tree(2, tuple(labels), tuple(degrees), tree.size),
+                             tuple(sorted(cuts)))
 
 
 @_collector_paused
-def _uncluster_bundled(tree: BundledBucketTree, d: int) -> BucketTree:
-    """The inverse of the d-bundled clustering, in one postorder pass: each
-    bucket splits into its first label and, below it, its second."""
-    if (tree.b, tree.d) != (2, d):
+def _uncluster_bundled(bundled: BundledBucketTree, d: int) -> BucketTree:
+    """The inverse of the d-bundled clustering, in one pass: each bucket v
+    splits into its first label, which keeps v's number, and below it its
+    second, which takes the next free number."""
+    tree = bundled.tree
+    if (tree.b, bundled.d) != (2, d):
         raise ValueError(f"expected a {d}-bundled tree with bucket size two")
-    cuts, order, stack = dict(tree.cuts), [], [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack += v.children
-    done: list = []
-    for v in reversed(order):  # v's unclustered children are on top of done
-        k = len(v.children)
-        if len(v.labels) == 1:
+    cuts, kids = dict(bundled.cuts), _kids(tree.degrees)
+    held = [lab[:1] for lab in tree.labels]
+    out: list = [[] for _ in held]  # children of each unclustered node
+
+    def first(w):
+        return held[w][0]
+
+    for v, (lab, below) in enumerate(zip(tree.labels, kids)):
+        k = len(below)
+        if len(lab) == 1:
             if k:
                 raise ValueError("unsaturated bucket with children")
-            done.append(v)  # a leaf is its own preimage
-            continue
-        sizes = cuts.get(v.labels[0], ())
+            continue  # a leaf is its own preimage
+        sizes = cuts.get(lab[0], ())
         if len(sizes) != d or min(sizes) < 0 or sum(sizes) != k:
-            raise ValueError(f"bucket {v.labels}: bundle sizes {sizes} do not split "
+            raise ValueError(f"bucket {lab}: bundle sizes {sizes} do not split "
                              f"its {k} children into {d} bundles")
-        below = done[len(done) - k:]
-        del done[len(done) - k:]
+        mid = len(held)
+        held.append(lab[1:])
         i = sizes[0]
         if d == 3:
             m = i + sizes[1]
-            mid = BucketNode(v.labels[1:], tuple(below[i:m]))
-            done.append(BucketNode(v.labels[:1], (*below[:i], mid, *below[m:])))
+            out.append(below[i:m])
+            out[v] = [*below[:i], mid, *below[m:]]
         else:
-            mid = BucketNode(v.labels[1:], _sort_by_min(below[i:]))
-            done.append(BucketNode(v.labels[:1], _sort_by_min([mid, *below[:i]])))
-    out = BucketTree(1, done[0])
-    check_valid(out)
-    return out
-
-
-def _sort_by_min(nodes) -> tuple:
-    return tuple(sorted(nodes, key=min_label))
+            out.append(sorted(below[i:], key=first))
+            out[v] = sorted([mid, *below[:i]], key=first)
+    result = _numbered_tree(1, held, out, tree.size)
+    check_valid(result)
+    return result
 
 
 def cluster_three_bundled(tree: BucketTree) -> BundledBucketTree:
@@ -245,43 +250,56 @@ def uncluster_two_bundled(tree: BundledBucketTree) -> BucketTree:
 
 @dataclass(frozen=True)
 class Diamond:
-    """An increasing diamond, stored as the bucket tree of its decomposition.
+    """An increasing diamond, stored as the bucket preorder of its decomposition.
 
     A one-label node is an inner node.  A two-label node (source, sink) is
     a composite diamond, and its children are its parts, in order.
+    labels[i] and degrees[i] are the labels and the part count of the i-th
+    node in preorder, as in a `BucketTree`.
     """
 
-    root: BucketNode
+    labels: tuple
+    degrees: tuple
 
     @property
     def size(self) -> int:
-        return sum(len(v.labels) for v in iter_nodes(self.root))
+        return sum(map(len, self.labels))
 
     def inner_count(self) -> int:
-        return sum(len(v.labels) == 1 for v in iter_nodes(self.root))
-
-
-def _span(node: BucketNode, spans: list) -> tuple:
-    """(smallest, largest) label of a diamond node's subtree, which must be
-    the node's own labels."""
-    labels = node.labels
-    if len(labels) == 1 and not spans:
-        return labels[0], labels[0]
-    if len(labels) != 2:
-        raise ValueError(f"diamond node {labels}: an inner node holds one label "
-                         "and no parts, a composite a (source, sink) pair")
-    source, sink = labels
-    if source > sink or not all(source < lo and hi < sink for lo, hi in spans):
-        raise ValueError(f"source/sink {source}/{sink} are not the "
-                         "extremes of their sub-diamond")
-    return labels
+        return sum(len(lab) == 1 for lab in self.labels)
 
 
 def check_diamond(d: Diamond) -> None:
-    labels = [x for v in iter_nodes(d.root) for x in v.labels]
+    """Raise ValueError unless d is one well-formed increasing diamond.
+
+    Read backwards, a preorder puts each node just after its parts, so a
+    stack holds the (smallest, largest) label of every finished subtree.
+    """
+    labels = list(chain.from_iterable(d.labels))
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels in diamond")
-    _build_up(d.root, _children, _span)
+    shapeless = "diamond part counts do not describe one tree"
+    if len(d.labels) != len(d.degrees):
+        raise ValueError(shapeless)
+    spans: list = []
+    for lab, k in zip(reversed(d.labels), reversed(d.degrees)):
+        if not 0 <= k <= len(spans):
+            raise ValueError(shapeless)
+        parts = spans[len(spans) - k:]
+        del spans[len(spans) - k:]
+        if len(lab) == 1 and not k:
+            spans.append((lab[0], lab[0]))
+            continue
+        if len(lab) != 2:
+            raise ValueError(f"diamond node {lab}: an inner node holds one label "
+                             "and no parts, a composite a (source, sink) pair")
+        source, sink = lab
+        if source > sink or not all(source < lo and hi < sink for lo, hi in parts):
+            raise ValueError(f"source/sink {source}/{sink} are not the "
+                             "extremes of their sub-diamond")
+        spans.append(lab)
+    if len(spans) != 1:
+        raise ValueError(shapeless)
 
 
 def _rest(labels: list, second: int) -> list:
@@ -289,45 +307,45 @@ def _rest(labels: list, second: int) -> list:
     return labels[2:] if second == 1 else labels[1:-1]
 
 
-@_collector_paused
-def _relabel(root: BucketNode, second: int) -> BucketNode:
-    """The same shape with each subtree renumbered within its own labels.
+def _relabel(labels: tuple, degrees: tuple, second: int) -> tuple:
+    """The new labels, in preorder, of the same shape with each subtree
+    renumbered within its own labels.
 
     A node moves from positions (0, -second) of its subtree's sorted labels
     to positions (0, second), and the other new labels go, in order, to the
-    children holding the other old labels.  A b = 2 bucket node holds the
-    two smallest labels of its subtree and a diamond node the smallest and
-    the largest (source and sink), so second = -1 maps a valid bucket tree
-    to its diamond and 1 maps a valid diamond back.  Each node slices its
+    children holding the other old labels.  A b = 2 bucket holds the two
+    smallest labels of its subtree and a diamond node the smallest and the
+    largest (source and sink), so second = -1 maps a valid bucket tree to
+    its diamond and 1 maps a valid diamond back.  Each node slices its
     subtree's labels: the cost is the sum of the subtree sizes.
     """
     # labels in preorder: a subtree's labels are a run starting at its first
     # label's rank, so a label lies below the last child starting at or before it
-    rank = {x: i for i, x in enumerate(x for v in iter_nodes(root) for x in v.labels)}
-    new = {}  # a node's new labels, by its first old label (labels are distinct)
-    labels = sorted(rank)
-    todo = [(root, labels, labels)]
+    rank = {x: i for i, x in enumerate(chain.from_iterable(labels))}
+    kids = _kids(degrees)
+    new: list = [None] * len(labels)
+    flat = sorted(rank)
+    todo = [(0, flat, flat)]
     while todo:
-        node, old, fresh = todo.pop()
-        new[node.labels[0]] = (fresh[0], fresh[second]) if len(node.labels) == 2 else (fresh[0],)
-        kids = node.children
-        if len(kids) == 1:
-            todo.append((kids[0], _rest(old, -second), _rest(fresh, second)))
-        elif kids:
-            starts = [rank[c.labels[0]] for c in kids]
-            olds, freshes = [[] for _ in kids], [[] for _ in kids]
+        v, old, fresh = todo.pop()
+        new[v] = (fresh[0], fresh[second]) if len(labels[v]) == 2 else (fresh[0],)
+        below = kids[v]
+        if len(below) == 1:
+            todo.append((below[0], _rest(old, -second), _rest(fresh, second)))
+        elif below:
+            starts = [rank[labels[c][0]] for c in below]
+            olds, freshes = [[] for _ in below], [[] for _ in below]
             for x, y in zip(_rest(old, -second), _rest(fresh, second)):
                 j = bisect_right(starts, rank[x]) - 1
                 olds[j].append(x)
                 freshes[j].append(y)
-            todo += zip(kids, olds, freshes)
-    return _build_up(root, _children,
-                     lambda node, kids: BucketNode(new[node.labels[0]], tuple(kids)))
+            todo += zip(below, olds, freshes)
+    return tuple(new)
 
 
 def diamond_to_bucket(d: Diamond) -> BucketTree:
     check_diamond(d)
-    tree = BucketTree(2, _relabel(d.root, 1))
+    tree = _flat_tree(2, _relabel(d.labels, d.degrees, 1), d.degrees, d.size)
     check_valid(tree)
     return tree
 
@@ -336,7 +354,7 @@ def bucket_to_diamond(tree: BucketTree) -> Diamond:
     if tree.b != 2:
         raise ValueError("the diamond bijection needs bucket size two")
     check_valid(tree)
-    d = Diamond(_relabel(tree.root, -1))
+    d = Diamond(_relabel(tree.labels, tree.degrees, -1), tree.degrees)
     check_diamond(d)
     return d
 
@@ -345,14 +363,27 @@ def bucket_to_diamond(tree: BucketTree) -> Diamond:
 # diamond text codec: (v) for inner nodes, <s t>(p1,p2,...) otherwise
 
 
-def _diamond_text(node: BucketNode, parts: list) -> str:
-    if len(node.labels) == 1:
-        return "(%d)" % node.labels
-    return "<%d %d>(%s)" % (*node.labels, ",".join(parts))
-
-
 def encode_diamond(d: Diamond) -> str:
-    return _build_up(d.root, _children, _diamond_text)
+    parts = []
+    left = []  # parts still to write, per composite whose '(' is open
+    for lab, k in zip(d.labels, d.degrees):
+        if len(lab) == 2:
+            parts.append("<%d %d>(" % lab)
+            if k:
+                left.append(k)
+                continue
+            parts.append(")")
+        else:
+            parts.append("(%d)" % lab)
+        # a finished node ends its parent when it is the last part, and so on up
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                parts.append(",")
+                break
+            left.pop()
+            parts.append(")")
+    return "".join(parts)
 
 
 _PART = re.compile(r"\((\d+)\)|<(\d+) (\d+)>\(")
@@ -361,29 +392,32 @@ _PART = re.compile(r"\((\d+)\)|<(\d+) (\d+)>\(")
 @_collector_paused
 def decode_diamond(text: str) -> Diamond:
     """Parse and check the text form; a comma may follow any part."""
-    open_parts = []  # (source, sink) and parts so far of each composite whose '(' is open
+    labels, degrees = [], []
+    open_parts = []  # preorder index of each composite whose '(' is open
     pos = 0
     while True:
         if open_parts and text.startswith(")", pos):
-            labels, parts = open_parts.pop()
-            node = BucketNode(labels, tuple(parts))
+            open_parts.pop()
             pos += 1
         else:
             m = _PART.match(text, pos)
             if m is None:
                 raise ParseError("expected '(' or '<'", pos)
             pos = m.end()
+            if open_parts:
+                degrees[open_parts[-1]] += 1
+            degrees.append(0)
             if m[1] is None:
-                open_parts.append(((int(m[2]), int(m[3])), []))
+                labels.append((int(m[2]), int(m[3])))
+                open_parts.append(len(degrees) - 1)
                 continue
-            node = BucketNode((int(m[1]),))
+            labels.append((int(m[1]),))
         if not open_parts:
             break
-        open_parts[-1][1].append(node)
         if text.startswith(",", pos):
             pos += 1
     if pos != len(text):
         raise ParseError("trailing input", pos)
-    d = Diamond(node)
+    d = Diamond(tuple(labels), tuple(degrees))
     check_diamond(d)
     return d

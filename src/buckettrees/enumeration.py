@@ -33,7 +33,7 @@ from math import factorial, prod
 from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
-from .trees import BucketTree, _collector_paused, _numbered_tree, _parents, canonicalize
+from .trees import BucketTree, _collector_paused, _kids, _numbered_tree, canonicalize
 
 DEFAULT_MAX_N = 10
 
@@ -130,12 +130,10 @@ class _Walk:
         """The state the walk holds at `tree`, buckets numbered in preorder."""
         walk = cls(tree.b, tree.size)
         walk.labels = [list(held) for held in tree.labels]
-        walk.kids = [[] for _ in tree.labels]
+        walk.kids = _kids(tree.degrees)
         walk.holder = [0] * (tree.size + 1)
-        for v, up in enumerate(_parents(tree.degrees)):
-            if up >= 0:
-                walk.kids[up].append(v)
-            for label in tree.labels[v]:
+        for v, held in enumerate(tree.labels):
+            for label in held:
                 walk.holder[label] = v
         return walk
 
@@ -231,15 +229,13 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
     """
     # (capacity, out-degree) of the node that received each label j > 1
     state = [None] * (tree.size + 1)
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        for rank in range(1, len(v.labels)):
-            state[v.labels[rank]] = (rank, 0)  # v was unsaturated with rank labels
-        firsts = sorted(c.labels[0] for c in v.children)
+    labels = tree.labels
+    for held, below in zip(labels, _kids(tree.degrees)):
+        for rank in range(1, len(held)):
+            state[held[rank]] = (rank, 0)  # the bucket was unsaturated with rank labels
+        firsts = sorted(labels[c][0] for c in below)
         for deg, j in enumerate(firsts):
-            state[j] = (tree.b, deg)  # saturated v had deg children below j
-        stack += v.children
+            state[j] = (tree.b, deg)  # the saturated bucket had deg children below j
     gc = families.growth_coeffs(spec)
     prob = Fraction(1)
     node_count = 1  # nodes of the restriction to labels < j

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _numbered_tree,
-                    iter_nodes_with_path)
+from .trees import BucketTree, NodeCensus, _census, _collector_paused, _kids, _numbered_tree
 
 
 @dataclass
@@ -63,7 +62,9 @@ def _draw_dtype(high: int):
 
 
 def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
-    """Exact attraction probability of every bucket: [(path, node, Fraction)].
+    """Exact attraction probability of every bucket, in preorder:
+    [(path, labels, Fraction)], path being the bucket's child indices from
+    the root.
 
     Each bucket's weight is `gc.node_weight` over `gc.total(size, nodes)`,
     so the probabilities sum to one on every tree.  A tree with a negative
@@ -71,13 +72,17 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     ValueError.
     """
     gc = families.growth_coeffs(spec)
-    nodes = list(iter_nodes_with_path(tree.root))
-    weights = [gc.node_weight(len(node.labels), len(node.children)) for _, node in nodes]
-    total = gc.total(tree.size, len(nodes))
+    weights = [gc.node_weight(len(lab), d) for lab, d in zip(tree.labels, tree.degrees)]
+    total = gc.total(tree.size, len(weights))
     if total <= 0 or min(weights) < 0:
         raise ValueError(f"growth rule {spec.describe()} cannot grow this tree: "
                          f"total weight {total}, least bucket weight {min(weights)}")
-    return [(path, node, Fraction(w, total)) for (path, node), w in zip(nodes, weights)]
+    paths = [()] * len(weights)  # a parent comes before its children in preorder
+    for v, below in enumerate(_kids(tree.degrees)):
+        for i, c in enumerate(below):
+            paths[c] = (*paths[v], i)
+    return [(path, lab, Fraction(w, total))
+            for path, lab, w in zip(paths, tree.labels, weights)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ every root-to-leaf path, and every internal (non-leaf) bucket is full.
 
 A `BucketTree` stores the preorder of its buckets: `labels[i]`, the
 labels of the i-th bucket, and `degrees[i]`, its number of children.  The
-grower, the oracle and the codecs write that form, and validation,
-canonicalization, the census, the text codec, equality, hashing and
-pickling are loops over it.  `root`, the same tree as `BucketNode`
-objects for the bijections and the document codec, is built on first use
-and kept.  No walk recurses, so trees of any depth work.
+grower, the oracle, the codecs and the bijections write that form, and
+validation, canonicalization, the census, both codecs, equality, hashing
+and pickling are loops over it.  `root`, the same tree as `BucketNode`
+objects, is a view built on first use and kept.  No walk recurses, so
+trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, islice
 from math import inf
-from operator import attrgetter, lt
-from typing import Callable, Iterator
+from operator import lt
+from typing import Callable
 
 
 def _collector_paused(fn: Callable) -> Callable:
@@ -68,6 +68,9 @@ class BucketNode:
 
     def __hash__(self):
         return hash(_preorder(self))
+
+    def __reduce__(self):
+        return _assemble, _preorder(self)
 
 
 def _preorder(root: BucketNode) -> tuple:
@@ -139,6 +142,18 @@ def _numbered_tree(b: int, held, kids: list, size: int, valid: bool = False) -> 
                       tuple([len(kids[v]) for v in order]), size, valid)
 
 
+def _kids(degrees) -> list:
+    """The children of each bucket of a preorder, in order."""
+    kids, pending = [], []  # each bucket once per child still to come
+    for v, d in enumerate(degrees):
+        if pending:
+            kids[pending.pop()].append(v)
+        kids.append([])
+        if d:
+            pending += [v] * d
+    return kids
+
+
 def _parents(degrees) -> list:
     """The parent of each bucket of a preorder; the root's is -1."""
     up, pending = [], [-1]  # each bucket once per child still to come
@@ -167,51 +182,6 @@ class NodeCensus:
         return 1 == sum(self.m.values()) - sum((k - 1) * c for k, c in self.n_deg.items())
 
 
-def iter_nodes(node: BucketNode) -> Iterator[BucketNode]:
-    """Preorder iteration over all buckets."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        stack.extend(reversed(cur.children))
-
-
-def iter_nodes_with_path(node: BucketNode) -> Iterator[tuple[tuple, BucketNode]]:
-    """Preorder iteration over all buckets, each with its child-index path."""
-    stack = [((), node)]
-    while stack:
-        path, cur = stack.pop()
-        yield path, cur
-        kids = cur.children
-        stack.extend(((*path, i), kids[i]) for i in range(len(kids) - 1, -1, -1))
-
-
-@_collector_paused
-def _build_up(root, children_of: Callable, make: Callable):
-    """Fold a tree bottom-up: make(node, [folded children]) for every node, root last.
-
-    Pushing the children in order and popping gives a mirrored preorder,
-    whose reverse is the postorder, so each node finds its folded children
-    in order on top of the result stack.
-    """
-    order, degrees, stack = [], [], [root]
-    while stack:
-        node = stack.pop()
-        kids = children_of(node)
-        order.append(node)
-        degrees.append(len(kids))
-        stack += kids
-    done: list = []
-    for node, d in zip(reversed(order), reversed(degrees)):
-        if d:
-            kids = done[-d:]
-            del done[-d:]
-        else:
-            kids = []
-        done.append(make(node, kids))
-    return done[0]
-
-
 @_collector_paused
 def _assemble(labels, degrees) -> BucketNode:
     """The nodes of the tree whose buckets, in preorder, hold labels[i] and
@@ -226,9 +196,6 @@ def _assemble(labels, degrees) -> BucketNode:
         else:
             done.append(BucketNode(lab))
     return done[0]
-
-
-_children = attrgetter("children")
 
 
 @_collector_paused
@@ -291,11 +258,6 @@ def check_valid(tree: BucketTree) -> None:
     if violations:
         raise ValueError("invalid bucket tree: " + "; ".join(violations))
     object.__setattr__(tree, "_valid", True)
-
-
-def min_label(node: BucketNode) -> int:
-    # labels increase along paths, so the subtree minimum sits in the root bucket
-    return node.labels[0]
 
 
 def canonicalize(tree: BucketTree) -> BucketTree:
@@ -432,12 +394,14 @@ def _parse(text: str) -> tuple:
 # structured-document codec (one object per node), for machine interchange
 
 
+@_collector_paused
 def to_doc(tree: BucketTree) -> dict:
-    return {"b": tree.b, "root": _build_up(tree.root, _children, _node_doc)}
-
-
-def _node_doc(node: BucketNode, kids: list) -> dict:
-    return {"labels": list(node.labels), "children": kids}
+    done: list = []  # read backwards, as in _assemble
+    for lab, d in zip(reversed(tree.labels), reversed(tree.degrees)):
+        kids = done[-1:-d - 1:-1]
+        del done[len(done) - d:]
+        done.append({"labels": list(lab), "children": kids})
+    return {"b": tree.b, "root": done[0]}
 
 
 def _doc_field(doc, name: str, kind: type, default=None):
@@ -481,12 +445,12 @@ class BundledBucketTree:
     """A bucket tree whose saturated buckets split their children into d
     ordered, possibly empty bundles.
 
-    root is a plain bucket tree.  cuts holds one (first label, bundle
-    sizes) pair per saturated bucket, sorted by label, so two bundled trees
-    are equal, and hash equal, iff their trees and bundle boundaries are.
+    tree is the plain bucket tree, with b = 2.  cuts holds one (first
+    label, bundle sizes) pair per saturated bucket, sorted by label, so two
+    bundled trees are equal, and hash equal, iff their trees and bundle
+    boundaries are.
     """
 
-    b: int
     d: int  # bundles per saturated bucket
-    root: BucketNode
+    tree: BucketTree
     cuts: tuple

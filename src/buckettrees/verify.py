@@ -26,7 +26,6 @@ from .enumeration import (UNORDERED_GROWTH, UNORDERED_MODEL,
                           exact_statistic_pmf, expected_capacity_counts)
 from .families import FamilySpec
 from .grow import RngStream
-from .trees import iter_nodes
 
 SIGNIFICANCE = 0.001
 
@@ -222,8 +221,8 @@ def check_spectral(max_b: int = 30, boundary: int = 26) -> str:
 def _diamond_weight(d: bijections.Diamond) -> int:
     """Weight of a diamond under the part-count weights C(k+2, k): the
     product over its composite nodes, k being the node's part count."""
-    return math.prod(math.comb(len(v.children) + 2, 2)
-                     for v in iter_nodes(d.root) if len(v.labels) == 2)
+    return math.prod(math.comb(k + 2, 2) for lab, k in zip(d.labels, d.degrees)
+                     if len(lab) == 2)
 
 
 def check_bijections(max_n_diamond: int = 8, max_n_bundle: int = 6,

@@ -1,8 +1,12 @@
 """Clustering, bundled bijections, induced weights, and increasing diamonds."""
 
+import hashlib
+import json
+import pickle
+
 import pytest
 
-from buckettrees import bijections, families
+from buckettrees import bijections, families, verify
 from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
                                     cluster, cluster_three_bundled,
                                     cluster_two_bundled,
@@ -11,10 +15,20 @@ from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
                                     uncluster_three_bundled,
                                     uncluster_two_bundled,
                                     weight_preserving_phi)
-from buckettrees.enumeration import all_trees, distinct_unordered, enumerate_trees
-from buckettrees.grow import RngStream, sample_tree
-from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, check_valid,
-                               decode, encode, iter_nodes)
+from buckettrees.enumeration import (all_trees, distinct_unordered, enumerate_trees,
+                                     growth_history_probability)
+from buckettrees.grow import RngStream, attraction_probs, sample_tree
+from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, _assemble,
+                               canonicalize, check_valid, decode, encode, from_doc, to_doc)
+
+
+def iter_nodes(node):
+    """The nodes of node's subtree in preorder."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        stack.extend(reversed(cur.children))
 
 
 def test_cluster_path_and_star():
@@ -89,15 +103,15 @@ def test_cluster_and_expand_on_a_deep_path():
 def test_three_bundled_examples():
     path = decode("{1}({2}({3}))", 1)
     star = decode("{1}({2},{3})", 1)
-    root = decode("{1,2}({3})", 2).root
-    assert cluster_three_bundled(path) == BundledBucketTree(2, 3, root, ((1, (0, 1, 0)),))
-    assert cluster_three_bundled(star) == BundledBucketTree(2, 3, root, ((1, (0, 0, 1)),))
+    top = decode("{1,2}({3})", 2)
+    assert cluster_three_bundled(path) == BundledBucketTree(3, top, ((1, (0, 1, 0)),))
+    assert cluster_three_bundled(star) == BundledBucketTree(3, top, ((1, (0, 0, 1)),))
 
 
 def test_two_bundled_example():
     star = decode("{1}({2},{3})", 1)
-    root = decode("{1,2}({3})", 2).root
-    assert cluster_two_bundled(star) == BundledBucketTree(2, 2, root, ((1, (1, 0)),))
+    top = decode("{1,2}({3})", 2)
+    assert cluster_two_bundled(star) == BundledBucketTree(2, top, ((1, (1, 0)),))
 
 
 def test_two_bundled_requires_canonical():
@@ -147,26 +161,28 @@ def test_bundled_round_trips():
         for tree in all_trees(1, n):
             bt = cluster_three_bundled(tree)
             assert uncluster_three_bundled(bt).root == tree.root
-            assert _as_bundled(bt.root, bt.cuts) == _ref_three_bundled(tree.root)
-            check_valid(BucketTree(2, bt.root))  # a bundled tree is a bucket tree
+            assert _as_bundled(bt.tree.root, bt.cuts) == _ref_three_bundled(tree.root)
+            check_valid(bt.tree)  # a bundled tree is a bucket tree
         for tree in distinct_unordered(enumerate_trees(families.recursive(1), n)):
             bt = cluster_two_bundled(tree)
             assert uncluster_two_bundled(bt).root == tree.root
-            assert _as_bundled(bt.root, bt.cuts) == _ref_two_bundled(tree.root)
-            check_valid(BucketTree(2, bt.root))
+            assert _as_bundled(bt.tree.root, bt.cuts) == _ref_two_bundled(tree.root)
+            check_valid(bt.tree)
 
 
 def test_uncluster_rejects_malformed_bundles():
-    root = decode("{1,2}({3})", 2).root
+    top = decode("{1,2}({3})", 2)
     with pytest.raises(ValueError, match="expected a 3-bundled tree"):
-        uncluster_three_bundled(BundledBucketTree(2, 2, root, ((1, (1, 0)),)))
+        uncluster_three_bundled(BundledBucketTree(2, top, ((1, (1, 0)),)))
+    with pytest.raises(ValueError, match="expected a 3-bundled tree"):
+        uncluster_three_bundled(BundledBucketTree(3, decode("{1}({2}({3}))", 1), ()))
     with pytest.raises(ValueError, match="do not split"):
-        uncluster_two_bundled(BundledBucketTree(2, 2, root, ((1, (1, 1)),)))
+        uncluster_two_bundled(BundledBucketTree(2, top, ((1, (1, 1)),)))
     with pytest.raises(ValueError, match="do not split"):
-        uncluster_three_bundled(BundledBucketTree(2, 3, root, ()))
-    leafy = BucketNode((1,), (BucketNode((2, 3)),))
+        uncluster_three_bundled(BundledBucketTree(3, top, ()))
+    leafy = BucketTree(2, BucketNode((1,), (BucketNode((2, 3)),)))
     with pytest.raises(ValueError, match="unsaturated bucket with children"):
-        uncluster_two_bundled(BundledBucketTree(2, 2, leafy, ((2, (0, 0)),)))
+        uncluster_two_bundled(BundledBucketTree(2, leafy, ((2, (0, 0)),)))
 
 
 def _plain_path(depth):
@@ -187,17 +203,17 @@ def test_bundled_round_trips_on_a_deep_path():
     assert hash(three) == hash(cluster_three_bundled(path))
     # both pair up the path's labels, {1, 2} on top with {3, 4} in the
     # bundle of 2's children: only the bundle boundaries tell them apart
-    assert two.root == three.root and two != three
-    assert three.root.labels == (1, 2) and three.root.children[0].labels == (3, 4)
+    assert two.tree == three.tree and two != three
+    assert three.tree.labels[:2] == ((1, 2), (3, 4)) and three.tree.degrees[:2] == (1, 1)
     assert three.cuts[0] == (1, (0, 1, 0)) and two.cuts[0] == (1, (0, 1))
     assert len(three.cuts) == len(two.cuts) == 1500
 
 
 def test_bundled_tree_equality_sees_bundle_boundaries():
-    root = decode("{1,2}({3})", 2).root
+    top = decode("{1,2}({3})", 2)
 
     def bundled(sizes):
-        return BundledBucketTree(2, 2, root, ((1, sizes),))
+        return BundledBucketTree(2, top, ((1, sizes),))
 
     assert bundled((1, 0)) == bundled((1, 0))
     assert bundled((1, 0)) != bundled((0, 1))
@@ -215,7 +231,8 @@ def test_weight_preserving_phi_matches_named_families():
 
 def _diamond(labels, *parts):
     """The diamond of one node: an inner label, or a (source, sink) pair and parts."""
-    return Diamond(BucketNode(labels, tuple(p.root for p in parts)))
+    return Diamond((labels, *(x for p in parts for x in p.labels)),
+                   (len(parts), *(k for p in parts for k in p.degrees)))
 
 
 def test_diamond_codec_round_trip():
@@ -246,9 +263,23 @@ def test_diamond_validation():
     with pytest.raises(ValueError):
         decode_diamond("<1 2>((3))")  # sink is not the maximum
     with pytest.raises(ValueError, match="inner node"):
-        check_diamond(Diamond(BucketNode((2,), (BucketNode((3,)),))))
+        check_diamond(Diamond(((2,), (3,)), (1, 0)))
     with pytest.raises(ValueError, match="inner node"):
-        check_diamond(Diamond(BucketNode((1, 2, 3))))
+        check_diamond(Diamond(((1, 2, 3),), (0,)))
+
+
+@pytest.mark.parametrize("labels, degrees", [
+    (((1, 3),), (2,)),           # more parts than nodes follow
+    (((1, 3), (2,)), (0, 0)),    # two trees
+    (((1, 3), (2,)), (1,)),      # a node without a part count
+    (((1, 3), (2,)), (-1, 0)),   # a negative part count
+    ((), ()),                    # no node at all
+])
+def test_check_diamond_rejects_a_preorder_of_no_single_tree(labels, degrees):
+    with pytest.raises(ValueError, match="do not describe one tree"):
+        check_diamond(Diamond(labels, degrees))
+    with pytest.raises(ValueError):
+        diamond_to_bucket(Diamond(labels, degrees))
 
 
 def test_diamond_bijection_round_trip():
@@ -310,7 +341,8 @@ def test_diamond_maps_match_the_recursive_reference():
         for tree in all_trees(2, n):
             d = bucket_to_diamond(tree)
             assert encode_diamond(d) == _ref_encode(_ref_bucket_to_diamond(tree.root))
-            assert diamond_to_bucket(d).root == _ref_diamond_to_bucket(d.root)
+            assert diamond_to_bucket(d).root == _ref_diamond_to_bucket(
+                _assemble(d.labels, d.degrees))
 
 
 def _bucket_path(buckets):
@@ -352,7 +384,8 @@ def test_weighted_diamond_count_small():
 
     def weight(d):
         return math.prod(math.comb(len(v.children) + 2, 2)
-                         for v in iter_nodes(d.root) if len(v.labels) == 2)
+                         for v in iter_nodes(_assemble(d.labels, d.degrees))
+                         if len(v.labels) == 2)
 
     for n in range(1, 6):
         total = sum(weight(bucket_to_diamond(t)) for t in all_trees(2, n))
@@ -362,3 +395,75 @@ def test_weighted_diamond_count_small():
 def test_diamond_needs_b2():
     with pytest.raises(ValueError):
         bucket_to_diamond(decode("{1}", 1))
+
+
+def test_deep_diamonds_and_bundled_trees_pickle_and_print():
+    path = _plain_path(3000)
+    for obj in (bucket_to_diamond(_bucket_path(3000)), cluster_three_bundled(path),
+                cluster_two_bundled(path)):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+        assert repr(back) == repr(obj) and repr(obj).startswith(type(obj).__name__ + "(")
+    assert uncluster_three_bundled(pickle.loads(pickle.dumps(cluster_three_bundled(path)))) == path
+
+
+def test_the_maps_and_the_doc_codec_build_no_node(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a BucketNode was built")
+
+    monkeypatch.setattr(BucketNode, "__init__", refuse)
+    for spec in (families.recursive(1), families.port(1, 1)):
+        plain = sample_tree(spec, 400, 3)
+        assert cluster(expand_chains(cluster(plain, 3)), 3) == cluster(plain, 3)
+        assert uncluster_three_bundled(cluster_three_bundled(plain)) == plain
+        assert uncluster_two_bundled(cluster_two_bundled(plain)) == plain
+        assert sum(p for _, _, p in attraction_probs(spec, plain)) == 1
+        assert 0 < growth_history_probability(spec, plain) < 1
+    for spec in (families.recursive(2), families.port(2, 1)):
+        tree = sample_tree(spec, 400, 3)
+        d = bucket_to_diamond(tree)
+        assert decode_diamond(encode_diamond(d)) == d and diamond_to_bucket(d) == tree
+        assert from_doc(to_doc(tree)) == tree
+        assert sum(p for _, _, p in attraction_probs(spec, tree)) == 1
+        assert 0 < growth_history_probability(spec, tree) < 1
+
+
+# sha256 of the outputs below, recorded with the node-walking maps, document
+# codec and attraction probabilities that the preorder loops replaced
+RECORDED_DIGESTS = {
+    "diamonds": (1338, "c03d053613f9b9c52d7001a92ecda19d2ed71ec8c248a5ddadfe1f2be9404a76"),
+    "bundled": (59947, "9efa53405d6e79930a67caa1df08c7708fa911047f5584984915c9afc39d0905"),
+    "grown": (432, "038a8dca02402695c83a698bd02f60364c79f4796798baa51516a91d7a1ab52e"),
+}
+
+
+def _digest_lines():
+    diamonds = []
+    for n in range(1, 8):
+        for tree in all_trees(2, n):
+            d = bucket_to_diamond(tree)
+            diamonds += [encode_diamond(d), encode(diamond_to_bucket(d))]
+    bundled = []
+    for n in range(1, 8):
+        for tree in all_trees(1, n):
+            bundled += [encode(cluster(tree, b)) for b in (2, 3)]
+            maps = [(cluster_three_bundled, uncluster_three_bundled)]
+            if canonicalize(tree) == tree:
+                maps.append((cluster_two_bundled, uncluster_two_bundled))
+            for there, back in maps:
+                bt = there(tree)
+                bundled += [repr(bt.cuts), encode(bt.tree), encode(back(bt))]
+    grown = []
+    for spec in verify.family_grid() + [families.linear(2, 1, 1, 1)]:
+        for seed in range(3):
+            for n in (1, 2, 7, 60):
+                tree = sample_tree(spec, n, RngStream(seed))
+                grown += [json.dumps(to_doc(tree)), repr(attraction_probs(spec, tree)),
+                          repr(growth_history_probability(spec, tree))]
+    return {"diamonds": diamonds, "bundled": bundled, "grown": grown}
+
+
+def test_outputs_match_the_recorded_digests():
+    got = {name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+           for name, lines in _digest_lines().items()}
+    assert got == RECORDED_DIGESTS

@@ -16,7 +16,16 @@ from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
                                      growth_history_probability, stat_capacity_count,
                                      stat_descendants, stat_initial_bucket_size,
                                      stat_out_degree, stat_saturation_time)
-from buckettrees.trees import BucketNode, BucketTree, decode, encode, iter_nodes, validate
+from buckettrees.trees import BucketNode, BucketTree, decode, encode, validate
+
+
+def iter_nodes(node):
+    """The nodes of node's subtree in preorder."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        stack.extend(reversed(cur.children))
 
 
 def test_all_trees_are_valid():

@@ -149,7 +149,7 @@ def test_attraction_probs_on_a_deep_path():
         node = BucketNode((label,), (node,))
     tree = BucketTree(1, node)
     path, leaf, p = attraction_probs(PATH_RULE, tree)[-1]
-    assert (path, leaf.labels, p) == ((0,) * (depth - 1), (depth,), 1)
+    assert (path, leaf, p) == ((0,) * (depth - 1), (depth,), 1)
     assert sum(p for _, _, p in attraction_probs(families.recursive(1), tree)) == 1
 
 

@@ -1,12 +1,15 @@
 """Every public module-level function and class of the package has a caller.
 
-A name is live when another module of the package (the CLI included) or a
-file under `benchmarks/` mentions it (benchmarks also name functions in
-'module.name' strings, to trace them), when the package exports it in
-`__all__`, or when its own module registers it: mentions it in top-level
-code (a table of checks, say) or makes it a CLI verb.  A definition that
-a live one of its own module mentions is live too.  Mentions in the tests
-do not count: a function that only its own tests call is a dead surface.
+A name f of module m is live when another module of the package (the CLI
+and `__init__` included) or a file under `benchmarks/` reads it through a
+binding to m: `from .m import f`, `from <package>.m import f`, or `alias.f`
+where an import binds alias to module m (benchmarks also name functions
+in 'm.f' strings, to trace them).  A local variable that happens to share
+f's name is no mention.  A name is live too when its own module registers
+it: mentions it in top-level code (a table of checks, say) or makes it a
+CLI verb.  A definition that a live one of its own module mentions is live
+too.  Mentions in the tests do not count: a function that only its own
+tests call is a dead surface.
 """
 
 import ast
@@ -21,28 +24,41 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _mentioned(tree: ast.AST, dotted_strings: bool = False) -> set:
-    """Every name a module reads, imports or reads as an attribute, and with
-    dotted_strings the name in each 'module.name' string constant."""
+def _mentioned(tree: ast.AST) -> set:
+    """Every name a definition reads or reads as an attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-        elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"^\w+\.(\w+)$", node.value))
     return names
 
 
-def _exported(tree: ast.Module) -> set:
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
+def _bound(tree: ast.Module, package: str, dotted_strings: bool = False) -> set:
+    """The (module, name) pairs a file reads from the package's modules
+    through an import, and with dotted_strings each 'module.name' string.
+
+    An alias bound anywhere in the file counts everywhere in it.
+    """
+    modules, pairs = {}, set()  # modules: alias -> module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if source in (".", package):  # from . import m
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif source.startswith((".", package + ".")):  # from .m import f
+                pairs.update((source.rpartition(".")[2], a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.rpartition(".")[2]) for a in node.names
+                           if a.asname and a.name.startswith(package + "."))
+        elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            pairs.update(re.findall(r"^(\w+)\.(\w+)$", node.value))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            pairs.add((modules[node.value.id], node.attr))
+    return pairs
 
 
 def _is_verb(node) -> bool:
@@ -73,14 +89,14 @@ def _unreached(tree: ast.Module, seeds: set) -> list:
 
 def unused_public_names(package: Path = PACKAGE, benchmarks: Path = ROOT / "benchmarks") -> list:
     modules = {path.stem: _parse(path) for path in sorted(package.glob("*.py"))}
-    outside = set().union(*(_mentioned(_parse(p), dotted_strings=True)
+    outside = set().union(*(_bound(_parse(p), package.name, dotted_strings=True)
                             for p in sorted(benchmarks.glob("*.py"))))
-    outside |= _exported(modules["__init__"])
     unused = []
     for name, tree in modules.items():
-        elsewhere = outside.union(*(_mentioned(t) for other, t in modules.items()
+        elsewhere = outside.union(*(_bound(t, package.name) for other, t in modules.items()
                                     if other != name))
-        unused += [f"{name}.{d}" for d in _unreached(tree, elsewhere)]
+        seeds = {f for m, f in elsewhere if m == name}
+        unused += [f"{name}.{d}" for d in _unreached(tree, seeds)]
     return unused
 
 
@@ -131,6 +147,18 @@ class Used:
 
 def _private():
     pass
+
+
+def shadowed():
+    pass
+
+
+def aliased():
+    pass
+
+
+def named_elsewhere():
+    pass
 """
 
 
@@ -140,6 +168,13 @@ def test_the_scan_sees_what_nothing_live_reaches(tmp_path):
     benchmarks.mkdir()
     (package / "__init__.py").write_text('from .a import exported\n__all__ = ["exported"]\n')
     (package / "a.py").write_text(SAMPLE)
-    (package / "b.py").write_text("from .a import Used\n")
-    (benchmarks / "run.py").write_text("import a\na.benched()\nTRACED = {'a.traced'}\n")
-    assert unused_public_names(package, benchmarks) == ["a.lonely", "a.lonely_helper"]
+    # b's local `shadowed` and c's `named_elsewhere` of another module are
+    # not reads of a's functions
+    (package / "b.py").write_text("from .a import Used\n\n\ndef _read(shadowed):\n"
+                                  "    return shadowed.named_elsewhere\n")
+    (package / "c.py").write_text("from . import a as first, b\n"
+                                  "first.aliased()\nb.named_elsewhere()\n")
+    (benchmarks / "run.py").write_text("from pkg import a\na.benched()\n"
+                                       "TRACED = {'a.traced'}\n")
+    assert unused_public_names(package, benchmarks) == [
+        "a.lonely", "a.lonely_helper", "a.shadowed", "a.named_elsewhere"]

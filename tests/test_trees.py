@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from buckettrees import bijections, enumeration, families, grow, trees, verify
 from buckettrees.trees import (BucketNode, BucketTree, ParseError,
                                canonicalize, census, check_valid, decode, encode,
-                               from_doc, iter_nodes, to_doc, validate)
+                               from_doc, to_doc, validate)
 
 
 def test_encode_decode_round_trip():
@@ -87,10 +87,12 @@ def test_doc_codec_round_trip():
     assert from_doc(doc).root == tree.root
 
 
-def test_iter_nodes_preorder():
+def test_kids_lists_children_in_preorder():
     tree = decode("{1,2}({3,4}({5}),{6})", 2)
-    firsts = [node.labels[0] for node in iter_nodes(tree.root)]
-    assert firsts == [1, 3, 5, 6]
+    assert [held[0] for held in tree.labels] == [1, 3, 5, 6]
+    assert trees._kids(tree.degrees) == [[1, 3], [2], [], []]
+    assert trees._kids((0,)) == [[]]
+    assert trees._kids((3, 0, 1, 0, 0)) == [[1, 2, 4], [], [3], [], []]
 
 
 _KINDS = [families.recursive(1), families.recursive(2), families.recursive(3),
@@ -377,6 +379,7 @@ def test_bulk_builds_and_the_validation_walk_pause_the_collector():
     tree = decode(text, 2)
     calls = [(grower.build,), (trees._parse, text), (validate, tree),
              (trees._assemble, tree.labels, tree.degrees), (from_doc, to_doc(tree)),
+             (to_doc, tree),
              (enumeration._trees.__wrapped__, 1, 5)]
     starts = []
 
@@ -412,6 +415,13 @@ def test_nodes_are_slotted_and_frozen():
     deep, again = _path(DEPTH), _path(DEPTH)
     assert deep == again and hash(deep) == hash(again)
     assert deep != _path(DEPTH - 1)
+
+
+def test_a_deep_node_pickles():
+    node = _path(DEPTH)
+    back = pickle.loads(pickle.dumps(node))
+    assert back == node and back is not node
+    assert back.children[0].children[0].labels == (3,)
 
 
 def test_deep_tree_pickles():
