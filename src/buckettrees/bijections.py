@@ -147,6 +147,7 @@ def _cluster_bundled(tree: BucketTree, d: int) -> BundledBucketTree:
     The pass records the bucket's labels, its bundled children and the
     bundle sizes, so it writes the bundled tree's preorder.
     """
+    check_valid(tree)
     held, kids = tree.labels, _kids(tree.degrees)
     labels, degrees, cuts, stack = [], [], [], [0]
     while stack:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import scipy.stats
+import numpy as np
 
 from . import families
 from .dist_k import limit_K, pmf_K_exact
@@ -177,31 +177,38 @@ def limit_reference(spec: FamilySpec, regime: str, j: Optional[int] = None,
     if regime == "fixed-j":
         if j is None or j <= spec.b:
             raise ValueError("fixed-j regime needs a fixed label j > b")
+        from scipy.special import betainc
         kj = pmf_K_exact(spec, j)
-        parts = [(float(kj[ell]), scipy.stats.beta(ell + kap, j - ell))
-                 for ell in kj.support if ell < j]
+        parts = [(float(kj[ell]), ell + kap, j - ell) for ell in kj.support if ell < j]
         def cdf(x):
-            return sum(w * d.cdf(x) for w, d in parts)
+            x = np.clip(x, 0.0, 1.0)
+            return sum(w * betainc(a, b, x) for w, a, b in parts)
         return LimitReference(regime, f"Beta mixture over K_{j}", cdf,
                               lambda y, n: y / n)
     if regime == "small-j":
         if j is None:
             raise ValueError("small-j regime needs the label j used for sampling")
+        from scipy.special import gammainc
         lim = limit_K(spec)
-        parts = [(float(lim[ell]), scipy.stats.gamma(ell + kap))
-                 for ell in lim.support]
+        parts = [(float(lim[ell]), ell + kap) for ell in lim.support]
         def cdf(x):
-            return sum(w * d.cdf(x) for w, d in parts)
+            x = np.maximum(x, 0.0)
+            return sum(w * gammainc(a, x) for w, a in parts)
         return LimitReference(regime, "Gamma mixture over the K limit", cdf,
                               lambda y, n, jj=j: jj * y / n)
     if regime == "central":
         if rho is None or not 0 < float(rho) < 1:
             raise ValueError("central regime needs a ratio rho in (0, 1)")
+        from scipy.special import betainc
         lim = limit_K(spec)
-        parts = [(float(lim[ell]), scipy.stats.nbinom(ell + kap, float(rho)))
-                 for ell in lim.support]
+        p = float(rho)
+        parts = [(float(lim[ell]), ell + kap) for ell in lim.support]
         def cdf(x):
-            return sum(w * d.cdf(x) for w, d in parts)
+            # P{NegBin(r, p) <= k} = I_p(r, k + 1), and 0 below the support
+            x = np.asarray(x, dtype=float)
+            k = np.floor(np.maximum(x, 0.0))
+            return np.where(x < 0, 0.0,
+                            sum(w * betainc(r, k + 1, p) for w, r in parts))[()]
         return LimitReference(regime, f"negative binomial mixture at rho={rho}",
                               cdf, lambda y, n: y - 1)
     if regime == "large-j":

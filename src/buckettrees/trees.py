@@ -53,7 +53,7 @@ def _collector_paused(fn: Callable) -> Callable:
     return paused
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BucketNode:
     """One bucket: a strictly increasing label tuple plus ordered children."""
 
@@ -71,6 +71,25 @@ class BucketNode:
 
     def __reduce__(self):
         return _assemble, _preorder(self)
+
+    def __repr__(self):
+        # the dataclass's text, written from the preorder as `encode` writes
+        # a tree: a leaf closes each parent whose last child it ends
+        parts = []
+        left = []  # [children still to write, children in all] per open bucket
+        for labels, d in zip(*_preorder(self)):
+            if d:
+                parts.append(f"BucketNode(labels={labels!r}, children=(")
+                left.append([d, d])
+                continue
+            parts.append(f"BucketNode(labels={labels!r}, children=())")
+            while left:
+                left[-1][0] -= 1
+                if left[-1][0]:
+                    parts.append(", ")
+                    break
+                parts.append(",))" if left.pop()[1] == 1 else "))")
+        return "".join(parts)
 
 
 def _preorder(root: BucketNode) -> tuple:

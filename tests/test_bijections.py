@@ -58,6 +58,12 @@ def test_cluster_rejects_an_invalid_tree():
         cluster(BucketTree(1, BucketNode((2,), (BucketNode((1,)),))), 2)
 
 
+@pytest.mark.parametrize("clustering", [cluster_three_bundled, cluster_two_bundled])
+def test_bundled_clusterings_reject_an_invalid_tree(clustering):
+    with pytest.raises(ValueError, match="not above parent maximum"):
+        clustering(BucketTree(1, BucketNode((2,), (BucketNode((1,)),))))
+
+
 # the recursive clustering and chain expansion the walks replaced, kept as references
 
 def _ref_cluster_node(node, b):

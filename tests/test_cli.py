@@ -1,9 +1,14 @@
 """End-to-end checks of the command-line surface."""
 
+import ast
 import dis
 import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -26,6 +31,33 @@ def test_grow_csv():
     assert lines[0] == "index,tree"
     assert lines[1] == "0,{1,2}({3})"
     assert len(lines) == 3
+
+
+def test_the_package_and_a_cli_call_leave_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the tests use it
+    code = textwrap.dedent("""
+        import importlib, json, pkgutil, sys
+        import buckettrees
+        from buckettrees import cli
+        for module in pkgutil.iter_modules(buckettrees.__path__):
+            importlib.import_module("buckettrees." + module.name)
+        cli.main(["grow", "--n", "10"], standalone_mode=False)
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    lines = out.strip().splitlines()
+    assert lines[0] == "index,tree" and lines[1].startswith("0,{1,2}")
+    assert json.loads(lines[-1]) == []  # not even scipy.special
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.startswith("scipy.stats") for name in names), path
 
 
 def test_grow_doc():

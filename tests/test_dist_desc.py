@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.stats
 
 from buckettrees import families
 from buckettrees.dist_desc import (limit_reference, pmf_tau, pmf_X, pmf_Y,
                                    pmf_Y_conditional)
-from buckettrees.dist_k import pmf_K_exact
+from buckettrees.dist_k import limit_K, pmf_K_exact
 from buckettrees.enumeration import exact_statistic_pmf
 
 SPECS = [families.recursive(2), families.port(2, 1)]
@@ -151,6 +153,46 @@ def test_limit_reference_regimes():
 
     ref = limit_reference(spec, "large-j")
     assert ref.cdf(0.5) == 0.0 and ref.cdf(1.0) == 1.0
+
+
+def _frozen_mixture(spec, regime, j=None, rho=None):
+    """The limit CDF as a mixture of frozen scipy.stats laws, the reference."""
+    kap = float(families.kappa(spec))
+    if regime == "fixed-j":
+        kj = pmf_K_exact(spec, j)
+        parts = [(float(kj[ell]), scipy.stats.beta(ell + kap, j - ell))
+                 for ell in kj.support if ell < j]
+    elif regime == "small-j":
+        lim = limit_K(spec)
+        parts = [(float(lim[ell]), scipy.stats.gamma(ell + kap)) for ell in lim.support]
+    else:
+        lim = limit_K(spec)
+        parts = [(float(lim[ell]), scipy.stats.nbinom(ell + kap, float(rho)))
+                 for ell in lim.support]
+    return lambda x: sum(w * d.cdf(x) for w, d in parts)
+
+
+@pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(2),
+                                  families.ary(2, 3), families.port(3, Fraction(1, 2))],
+                         ids=lambda spec: spec.describe())
+@pytest.mark.parametrize("regime, kwargs, lo, hi", [
+    ("fixed-j", {"j": 4}, -0.5, 1.5),
+    ("fixed-j", {"j": 7}, -0.5, 1.5),
+    ("small-j", {"j": 10}, -3.0, 40.0),
+    ("central", {"rho": Fraction(1, 3)}, -3.0, 40.0),
+    ("central", {"rho": Fraction(4, 5)}, -3.0, 40.0),
+])
+def test_limit_cdfs_are_the_frozen_scipy_mixtures_bitwise(spec, regime, kwargs, lo, hi):
+    # inside and outside the support, on arrays and on scalars
+    new = limit_reference(spec, regime, **kwargs).cdf
+    old = _frozen_mixture(spec, regime, **kwargs)
+    rng = np.random.default_rng(7)
+    edges = [-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 1e5, np.inf]
+    xs = np.concatenate([rng.uniform(lo, hi, 1000), edges])
+    assert np.array_equal(new(xs), old(xs))
+    for x in edges + [0, 1, 3, -2] + xs[:40].tolist():
+        got, want = new(x), old(x)
+        assert got == want and type(got) is type(want), x
 
 
 def test_limit_reference_guards():

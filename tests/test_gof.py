@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from buckettrees import families
+from buckettrees.dist_desc import limit_reference
+from buckettrees.dist_k import limit_K, pmf_K_exact
 from buckettrees.gof import chi_square, kolmogorov_smirnov, mean_within_sigma
 from buckettrees.pmf import Pmf
 
@@ -84,6 +87,57 @@ def test_ks_p_decreases_with_statistic():
     p_values = [kolmogorov_smirnov(np.clip(base + eps, 0, 1), uniform).p_value
                 for eps in (0.0, 0.01, 0.03)]
     assert p_values[0] > p_values[1] > p_values[2]
+
+
+def test_chi_square_p_value_is_scipy_chi2_sf_bitwise():
+    # scipy.stats stays the reference for the p-value gof computes itself
+    rng = np.random.default_rng(3)
+    seen = set()
+    for cells in range(2, 14):
+        weights = rng.integers(1, 20, cells)
+        pmf = Pmf({v: Fraction(int(w), int(weights.sum())) for v, w in enumerate(weights)})
+        for n in (60, 600, 6000):
+            samples = rng.choice(cells, size=n, p=weights / weights.sum())
+            for skew in (0, 1, 3):  # more and more mass moved to the first value
+                samples[:skew * n // 40] = 0
+                report = chi_square(samples, pmf)
+                assert report.p_value == float(scipy.stats.chi2.sf(report.statistic, report.dof))
+                seen.add(report.dof)
+    exact = chi_square([1] * 400 + [2] * 200, TWO_THIRDS)
+    assert exact.statistic == 0 and exact.p_value == scipy.stats.chi2.sf(0.0, 1) == 1.0
+    assert seen == set(range(1, 13))
+
+
+def _mixture_draws(spec, regime, j, size, rng):
+    """Draws from the Beta (fixed-j) or Gamma (small-j) mixture of check 7."""
+    kap = float(families.kappa(spec))
+    law = pmf_K_exact(spec, j) if regime == "fixed-j" else limit_K(spec)
+    ells = [ell for ell in law.support if regime != "fixed-j" or ell < j]
+    weights = np.array([float(law[ell]) for ell in ells])
+    ell = rng.choice(ells, size=size, p=weights / weights.sum())
+    return rng.beta(ell + kap, j - ell) if regime == "fixed-j" else rng.gamma(ell + kap)
+
+
+@pytest.mark.parametrize("n", [2000, 10 ** 5])
+@pytest.mark.parametrize("regime, j", [("fixed-j", 4), ("fixed-j", 6), ("small-j", 316)])
+def test_ks_matches_scipy_kstest_on_the_check_7_limits(n, regime, j):
+    # D is kstest's bitwise; the p-value is 2 * smirnov(n, D), kstest's
+    # mode='approx', which never undercuts the exact p and is within 1e-4
+    # of it wherever the exact p is below 0.05
+    spec = families.recursive(2)
+    ref = limit_reference(spec, regime, j=j)
+    rng = np.random.default_rng(j + n)
+    small = 0
+    for shift in np.linspace(0.0, 4.0, 9):
+        samples = _mixture_draws(spec, regime, j, n, rng) * (1 + shift / np.sqrt(n))
+        exact = scipy.stats.kstest(samples, ref.cdf)
+        report = kolmogorov_smirnov(samples, ref.cdf)
+        assert report.statistic == float(exact.statistic)
+        assert report.p_value >= float(exact.pvalue)
+        if exact.pvalue < 0.05:
+            small += 1
+            assert report.p_value == pytest.approx(float(exact.pvalue), rel=1e-4)
+    assert small >= 3
 
 
 def test_mean_within_sigma():

@@ -424,6 +424,18 @@ def test_a_deep_node_pickles():
     assert back.children[0].children[0].labels == (3,)
 
 
+def test_node_repr_is_the_dataclass_text_at_any_depth():
+    node = decode("{1,2}({3,4}({5}),{6})", 2).root
+    assert repr(node) == ("BucketNode(labels=(1, 2), children=("
+                          "BucketNode(labels=(3, 4), children=("
+                          "BucketNode(labels=(5,), children=()),)), "
+                          "BucketNode(labels=(6,), children=())))")
+    assert eval(repr(node)) == node
+    text = repr(BucketTree(1, _path(DEPTH)).root)
+    assert text.startswith("BucketNode(labels=(1,), children=(BucketNode(labels=(2,), ")
+    assert text.endswith("BucketNode(labels=(3000,), children=())" + ",))" * (DEPTH - 1))
+
+
 def test_deep_tree_pickles():
     tree = grow.sample_tree(families.linear(1, 0, -1, 1), DEPTH, 0)
     back = pickle.loads(pickle.dumps(tree))
