@@ -387,7 +387,7 @@ def encode_diamond(d: Diamond) -> str:
     return "".join(parts)
 
 
-_PART = re.compile(r"\((\d+)\)|<(\d+) (\d+)>\(")
+_PART = re.compile(r"\(([0-9]+)\)|<([0-9]+) ([0-9]+)>\(")
 
 
 @_collector_paused

@@ -29,9 +29,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import inf
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable
 
 
@@ -320,14 +320,17 @@ def _census(b: int, n: int, caps, degrees) -> NodeCensus:
 
 
 def encode(tree: BucketTree) -> str:
+    # the format of a bucket of k labels, "{%s,...,%s}", by k
+    formats = ["{" + ",".join(["%s"] * k) + "}" for k in range(max(map(len, tree.labels)) + 1)]
     parts = []
     left = []  # children still to write, per bucket whose '(' is open
     for labels, d in zip(tree.labels, tree.degrees):
+        text = formats[len(labels)] % labels
         if d:
-            parts.append("{%s}(" % ",".join(map(str, labels)))
+            parts.append(text + "(")
             left.append(d)
             continue
-        parts.append("{%s}" % ",".join(map(str, labels)))
+        parts.append(text)
         # a leaf ends its parent's subtree when it is the last child, and so on up
         while left:
             left[-1] -= 1
@@ -345,8 +348,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_BUCKET = re.compile(r"\{(\d+(?:,\d+)*)\}")
-_DIGITS = re.compile(r"\d+")
+_SPLIT = re.compile(r"\{([0-9,]*)\}")  # a bucket's braces; the rest is separators
+_BODIES = re.compile(r"[0-9]+(?:[,}][0-9]+)*")  # one bucket's body, or several joined by '}'
+_DIGITS = re.compile(r"[0-9]+")
+_SAME_BUCKET = bytes.maketrans(b",}", b"\x01\x00")  # between two labels: 1 inside a bucket
 
 
 def _bucket_error(text: str, pos: int) -> ParseError:
@@ -364,49 +369,79 @@ def _bucket_error(text: str, pos: int) -> ParseError:
         pos += 1
 
 
-def decode(text: str, b: int) -> BucketTree:
-    """Parse the canonical text form and validate the result."""
-    tree = _flat_tree(b, *_parse(text))
-    check_valid(tree)
-    return tree
+def _separator_error(text: str, pos: int, sep: str, depth: int) -> ParseError:
+    """The error for a separator sep, at pos, that does not fit after a
+    bucket with depth buckets open around it."""
+    if sep.startswith("("):
+        return _bucket_error(text, pos + 1)
+    closed = min(depth, len(sep) - len(sep.lstrip(")")))
+    pos += closed
+    if closed == depth:
+        return ParseError("trailing input", pos)
+    if sep.startswith(",", closed):
+        return _bucket_error(text, pos + 1)
+    return ParseError("expected ')'", pos)
 
 
 @_collector_paused
-def _parse(text: str) -> tuple:
-    """(labels, degrees, label count) of the canonical text form, buckets in preorder."""
-    end = len(text)
-    pos = size = 0
-    labels, degrees = [], []
-    open_buckets = []  # preorder index of each bucket whose '(' is open
-    while True:
-        m = _BUCKET.match(text, pos)
-        if m is None:
-            raise _bucket_error(text, pos)
-        held = tuple(map(int, m.group(1).split(",")))
-        size += len(held)
-        if open_buckets:
-            degrees[open_buckets[-1]] += 1
-        labels.append(held)
-        degrees.append(0)
-        pos = m.end()
-        if pos < end and text[pos] == "(":
-            open_buckets.append(len(degrees) - 1)
-            pos += 1
-            continue
-        # close every bucket this leaf completes
-        while open_buckets:
-            if pos < end and text[pos] == ",":
-                pos += 1
+def decode(text: str, b: int) -> BucketTree:
+    """Parse the canonical text form and validate the result, in one pass.
+
+    ParseError names the first character the grammar refuses; a tree that
+    breaks an invariant raises the ValueError of `check_valid`.
+    """
+    parts = _SPLIT.split(text)
+    seps, bodies = parts[::2], parts[1::2]  # seps[v] comes just before bucket v
+    k = len(bodies)
+    if seps[0] or not k:
+        raise _bucket_error(text, 0)
+    joined = "}".join(bodies)
+    bad = k if _BODIES.fullmatch(joined) else next(  # the first malformed bucket
+        v for v, body in enumerate(bodies) if not _BODIES.fullmatch(body))
+    up = []  # the parent of each bucket but the root
+    degrees = [0] * k
+    open_ = []  # the buckets whose '(' is open
+    for v, sep in enumerate(islice(seps, 1, k), 1):
+        if sep == "(":
+            open_.append(v - 1)
+        elif sep != ",":
+            closed = len(sep) - 1
+            if closed >= len(open_) or sep != ")" * closed + ",":
                 break
-            if pos >= end or text[pos] != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            open_buckets.pop()
-        else:
+            del open_[-closed:]
+        elif not open_:
             break
-    if pos != end:
-        raise ParseError("trailing input", pos)
-    return tuple(labels), tuple(degrees), size
+        parent = open_[-1]
+        up.append(parent)
+        degrees[parent] += 1
+    else:  # v = k: the last separator does not close every open bucket
+        v = k if seps[k] != ")" * len(open_) else k + 1
+    if v <= k or bad < k:
+        # the error is at the bad separator before bucket v or at the first
+        # malformed bucket, whichever comes first in the text
+        at = sum(map(len, parts[:2 * min(v, bad)])) + 2 * min(v, bad)
+        if bad < v:
+            raise _bucket_error(text, at + len(seps[bad]))
+        raise _separator_error(text, at, seps[v], len(open_))
+    flat = tuple(map(int, joined.replace("}", ",").split(",")))
+    n = len(flat)
+    if n == k:  # one label per bucket
+        labels, increasing = tuple(zip(flat)), True
+    else:
+        # 1 between two labels of one bucket, 0 between buckets
+        inside = joined.encode().translate(_SAME_BUCKET, b"0123456789")
+        ends = list(accumulate(map((1).__add__, map(len, inside.split(b"\0")))))
+        labels = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
+        increasing = all(compress(map(lt, flat, islice(flat, 1, None)), inside))
+    sizes = list(map(len, labels))
+    valid = (increasing and max(sizes) <= b
+             and all(map(b.__eq__, compress(sizes, degrees)))  # internal buckets are full
+             and all(map(lt, map(itemgetter(-1), map(labels.__getitem__, up)),
+                         map(itemgetter(0), islice(labels, 1, None))))
+             and len(set(flat)) == n and min(flat) == 1 and max(flat) == n)
+    tree = _flat_tree(b, labels, tuple(degrees), n, valid)
+    check_valid(tree)  # an invalid tree raises, its violations named by validate
+    return tree
 
 
 # ---------------------------------------------------------------------------

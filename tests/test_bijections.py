@@ -18,7 +18,7 @@ from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
 from buckettrees.enumeration import (all_trees, distinct_unordered, enumerate_trees,
                                      growth_history_probability)
 from buckettrees.grow import RngStream, attraction_probs, sample_tree
-from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, _assemble,
+from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, ParseError, _assemble,
                                canonicalize, check_valid, decode, encode, from_doc, to_doc)
 
 
@@ -259,6 +259,12 @@ def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():
                  "(1)(2)", "<1 3>((2)))", "<1 3>", "", "(x)"):
         with pytest.raises(ValueError):
             decode_diamond(text)
+
+
+@pytest.mark.parametrize("text", ["(\u0661)", "<\u0661 3>((2))", "<1 3>((\u0662))"])
+def test_diamond_codec_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError):
+        decode_diamond(text)
 
 
 def test_diamond_validation():

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -28,9 +29,10 @@ def test_decode_single_bucket():
     assert tree.size == 1
 
 
-# "{²}": str.isdigit accepts superscripts but int() does not
+# "{²}": str.isdigit accepts superscripts but int() does not; "{١}": int() reads
+# Arabic-Indic digits, but a label is ASCII digits so that every text round-trips
 @pytest.mark.parametrize("bad", ["", "{1}x", "{}", "{1}(", "{1}({2}", "({1})", "{1,}",
-                                 "{\u00b2}", "{1\u00b2}"])
+                                 "{\u00b2}", "{1\u00b2}", "{\u0661}", "{1}({\u0662})"])
 def test_decode_rejects_malformed(bad):
     with pytest.raises(ParseError):
         decode(bad, 1)
@@ -186,6 +188,43 @@ def test_decoded_size_is_the_label_count(monkeypatch):
     assert decode(text="{1,2}({3})", b=2).size == 3  # the collector pause keeps the signature
 
 
+def test_decode_a_deep_path():
+    depth = 10 ** 5
+    tree = decode(_path_text(depth), 1)
+    assert tree.size == depth and tree.labels[-1] == (depth,)
+    assert tree.degrees == (1,) * (depth - 1) + (0,)
+
+
+def _ref_encode(tree):
+    """The encoder before bucket templates: each bucket's labels joined by ','."""
+    parts = []
+    left = []
+    for labels, d in zip(tree.labels, tree.degrees):
+        if d:
+            parts.append("{%s}(" % ",".join(map(str, labels)))
+            left.append(d)
+            continue
+        parts.append("{%s}" % ",".join(map(str, labels)))
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                parts.append(",")
+                break
+            left.pop()
+            parts.append(")")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("spec", verify.family_grid() + [families.linear(2, 1, 1, 1)],
+                         ids=lambda s: s.describe())
+def test_large_trees_round_trip_without_a_validation_walk(spec, walks):
+    tree = grow.sample_tree(spec, 2 * 10 ** 4, 20)
+    text = encode(tree)
+    assert text == _ref_encode(tree)
+    assert decode(text, spec.b) == tree
+    assert walks == []
+
+
 # ---------------------------------------------------------------------------
 # one stored form: the bucket preorder, with the nodes as a view
 
@@ -322,7 +361,7 @@ def test_decode_canonicalize_census_validates_once(walks):
     text = encode(grow.sample_tree(families.recursive(2), 300, 5))
     cen = census(canonicalize(decode(text, 2)))
     assert cen.n == 300
-    assert len(walks) == 1
+    assert len(walks) == 0  # decode checks the invariants in its own pass
 
 
 def test_hand_built_tree_is_validated_on_first_census(walks):
@@ -377,7 +416,7 @@ def test_bulk_builds_and_the_validation_walk_pause_the_collector():
     grower = grow._grown(families.recursive(2), 2000, 1)
     text = encode(grower.build())
     tree = decode(text, 2)
-    calls = [(grower.build,), (trees._parse, text), (validate, tree),
+    calls = [(grower.build,), (decode, text, 2), (validate, tree),
              (trees._assemble, tree.labels, tree.degrees), (from_doc, to_doc(tree)),
              (to_doc, tree),
              (enumeration._trees.__wrapped__, 1, 5)]
@@ -492,7 +531,7 @@ def _ref_validate(tree):
 
 def _ref_parse_int(text, pos):
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ParseError("expected integer", pos)
@@ -599,12 +638,41 @@ def test_validate_matches_recursive_reference(spec, n, seed, data):
     assert validate(tree) == _ref_validate(tree)
 
 
-@settings(max_examples=400, deadline=None)
+@pytest.mark.parametrize("text, b", [
+    ("{2,1}", 2), ("{1,2}", 1), ("{1,2}({3})", 3), ("{2}({1})", 1), ("{1}({3})", 1),
+    ("{1}({1})", 1), ("{1,2}({3,4}({6}),{3})", 2), ("{0}({1})", 1), ("{1}", 0)])
+def test_decode_names_each_broken_invariant_as_the_reference_does(text, b):
+    # one invariant broken each: order in a bucket, capacity, saturation, heap
+    # order, a label above n, a repeated label (twice: with and without a
+    # label above n), a label below 1, bound b
+    outcome = _outcome(decode, text, b)
+    assert outcome[0] == "invalid"
+    assert outcome == _outcome(_ref_decode, text, b)
+
+
+@settings(max_examples=600, deadline=None)
 @given(spec=st.sampled_from(_KINDS), n=st.integers(1, 25), seed=st.integers(0, 2 ** 31),
        data=st.data())
 def test_decode_matches_recursive_reference(spec, n, seed, data):
     text = encode(grow.sample_tree(spec, n, seed))
-    for _ in range(data.draw(st.integers(1, 3))):
+    # label edits keep the grammar and break one invariant or none
+    for _ in range(data.draw(st.integers(0, 2))):
+        labels = list(re.finditer("[0-9]+", text))
+        i = data.draw(st.integers(0, len(labels) - 1))
+        m = labels[i]
+        kind = data.draw(st.sampled_from(("label", "add", "swap")))
+        if kind == "label":  # another number: 0, above n or reused, maybe zero-padded
+            number = data.draw(st.sampled_from([0, n + 1]) | st.integers(1, n))
+            digits = data.draw(st.sampled_from(["%d", "0%d"])) % number
+            text = text[:m.start()] + digits + text[m.end():]
+        elif kind == "add":  # n + 1 after m: an overfull bucket or a heap-order break
+            text = text[:m.end()] + ",%d" % (n + 1) + text[m.end():]
+        elif i + 1 < len(labels):  # m and the next label trade places
+            after = labels[i + 1]
+            text = (text[:m.start()] + after[0] + text[m.end():after.start()] + m[0]
+                    + text[after.end():])
+    # character edits mostly break the grammar
+    for _ in range(data.draw(st.integers(0, 3))):
         pos = data.draw(st.integers(0, len(text)))
         char = data.draw(st.sampled_from("{}(),0123456789x "))
         kind = data.draw(st.sampled_from(("truncate", "delete", "insert", "replace")))
@@ -616,5 +684,6 @@ def test_decode_matches_recursive_reference(spec, n, seed, data):
             text = text[:pos] + char + text[pos:]
         else:
             text = text[:pos] + char + text[pos + 1:]
-    b = data.draw(st.sampled_from([spec.b, spec.b + 1]))
+    b = data.draw(st.sampled_from([spec.b - 1, spec.b, spec.b + 1] if spec.b > 1
+                                  else [spec.b, spec.b + 1]))
     assert _outcome(decode, text, b) == _outcome(_ref_decode, text, b)
