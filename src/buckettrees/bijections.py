@@ -387,7 +387,8 @@ def encode_diamond(d: Diamond) -> str:
     return "".join(parts)
 
 
-_PART = re.compile(r"\(([0-9]+)\)|<([0-9]+) ([0-9]+)>\(")
+# a label has no leading zeros, as encode_diamond writes it
+_PART = re.compile(r"\((0|[1-9][0-9]*)\)|<(0|[1-9][0-9]*) (0|[1-9][0-9]*)>\(")
 
 
 @_collector_paused

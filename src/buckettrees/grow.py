@@ -3,25 +3,31 @@
 Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
 bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
 step draws one uniform integer below the total weight and resolves it to a
-node through a label, slot or weight-group table chosen from the
-coefficients, in O(1) amortized time for every rule but those with
-a < 0 < bdeg, which keep one weight group per degree and scan them.
-When bdeg + c == 0 the totals are deterministic and every draw is made
-up front; otherwise each label is drawn against the live total, which
-also counts the nodes.  The resulting tree has exactly the distribution
-induced by the family's growth rule.
+node, by the path the coefficients choose: a uniform label when the weight
+is a*c, block arithmetic on the running totals when no weight ever falls
+(each label adds one block of weight units, owned by at most two nodes),
+and weight groups otherwise.  A label costs O(1) amortized time but in
+two cases: a rule with a < 0 < bdeg keeps one weight group per degree and
+scans them, and live blocks are found by bisection.  When bdeg + c == 0
+the totals are deterministic and every draw is made up front, so the
+block of every draw comes from one numpy divmod; otherwise each label is
+drawn against the live total, which also counts the nodes.  The
+resulting tree has exactly the distribution induced by the family's
+growth rule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import BucketTree, NodeCensus, _census, _collector_paused, _kids, _numbered_tree
+from .trees import BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _kids
 
 
 @dataclass
@@ -98,7 +104,8 @@ class _Grower:
     Node v holds cap[v] labels and has deg[v] children; parent[v] is its
     parent (-1 at the root) and where[i] is the node holding label i + 1.
     Children are numbered in the order they are born, and build() lists the
-    buckets in preorder, which is the form a BucketTree stores.
+    buckets in preorder, which is the form a BucketTree stores, from these
+    lists alone.
     """
 
     def __init__(self, spec: FamilySpec):
@@ -113,10 +120,17 @@ class _Grower:
             # weight a*c(v): u // a is a uniform label, where[] its node
             self.path = "label"
         elif gc.a >= 0 and gc.bdeg >= 0:
-            # weights only ever increase, so the weight units form an
-            # append-only table of node indices that a draw indexes directly
-            self.path = "slot"
-            self.slots = [0] * gc.node_weight(1, 0)
+            # Weights only ever increase, so the weight units can stay in the
+            # order they were added: placing label j + 1 adds the block
+            # [T_j, T_j+1) of units, T_j being the total before it.  Its
+            # first node_weight(1, 0) units belong to the node the label
+            # entered, owner[2j], and the rest to the node the draw chose,
+            # owner[2j + 1]; the two differ only when the label opens a child.
+            # The root's units [0, T_1) are block 0, all of them the root's.
+            # totals holds T_0 .. T_j when the totals are live.
+            self.path = "block"
+            self.owner = [0, 0]
+            self.totals = [0]
         else:
             # Nodes of equal weight share a group, so one uniform integer
             # resolves to a node exactly: groups[g] holds the nodes with
@@ -141,7 +155,10 @@ class _Grower:
         run = getattr(self, "_grow_by_" + self.path)
         if gc.bdeg + gc.c:
             # the total counts the nodes, which are random: draw label by label
-            run(self._live_draws(count, stream))
+            if self.path == "block":
+                run(self._live_blocks(count, stream))
+            else:
+                run(self._live_draws(count, stream))
             return
         if count == 0:
             return
@@ -153,16 +170,33 @@ class _Grower:
         draws = stream.generator.integers(0, totals)
         if self.path == "label":
             draws //= gc.a
+        elif self.path == "block":
+            # T_j = a*j + total_c for j >= 1, so every block but the root's
+            # holds a units, and u - total_c < a throughout the root's
+            block, offset = np.divmod(draws - gc.total_c, gc.a)
+            draws = 2 * block + (offset >= gc.node_weight(1, 0))
         for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
             run(draws[start:start + _CHUNK].tolist())
 
-    def _live_draws(self, count: int, stream: RngStream):
+    def _live_draws(self, count: int, stream: RngStream, totals: list | None = None):
+        """One draw per label below the live total, each total appended to
+        `totals` when it is given."""
         gc, cap, where = self.gc, self.cap, self.where
         for _ in range(count):
             total = gc.total(len(where), len(cap))
             if total <= 0:
                 self._stuck(len(where) + 1)
+            if totals is not None:
+                totals.append(total)
             yield stream.integers(total)
+
+    def _live_blocks(self, count: int, stream: RngStream):
+        """The owner index of each live draw, its block found by bisection
+        over the totals so far."""
+        totals, fresh = self.totals, self.gc.node_weight(1, 0)
+        for u in self._live_draws(count, stream, totals):
+            j = bisect_right(totals, u) - 1
+            yield 2 * j + (u - totals[j] >= fresh)
 
     def _stuck(self, label: int):
         raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
@@ -187,16 +221,17 @@ class _Grower:
                 parent.append(v)
                 deg[v] += 1
 
-    def _grow_by_slot(self, draws) -> None:
-        cap, deg, parent, where, slots = self.cap, self.deg, self.parent, self.where, self.slots
-        b, a, bdeg, fresh = self.b, self.gc.a, self.gc.bdeg, self.gc.node_weight(1, 0)
-        for u in draws:
-            v = slots[u]
+    def _grow_by_block(self, picks) -> None:
+        cap, deg, parent, where, owner = self.cap, self.deg, self.parent, self.where, self.owner
+        b = self.b
+        for i in picks:
+            v = owner[i]
             c = cap[v]
             if c < b:
                 cap[v] = c + 1
                 where.append(v)
-                slots.extend([v] * a)
+                owner.append(v)
+                owner.append(v)
             else:
                 child = len(cap)
                 where.append(child)
@@ -204,8 +239,8 @@ class _Grower:
                 deg.append(0)
                 parent.append(v)
                 deg[v] += 1
-                slots.extend([child] * fresh)
-                slots.extend([v] * bdeg)
+                owner.append(child)
+                owner.append(v)
 
     def _grow_by_group(self, draws) -> None:
         cap, deg, parent, where = self.cap, self.deg, self.parent, self.where
@@ -251,15 +286,47 @@ class _Grower:
 
     @_collector_paused
     def build(self) -> BucketTree:
-        """The grown tree, its buckets listed in preorder."""
-        labels: list[list[int]] = [[] for _ in self.cap]
-        for label, v in enumerate(self.where, start=1):
-            labels[v].append(label)
-        children: list[list[int]] = [[] for _ in self.cap]
-        for v in range(1, len(self.cap)):
-            children[self.parent[v]].append(v)
+        """The grown tree, its buckets listed in preorder.
+
+        A child is numbered after its parent, so one reverse pass sums the
+        subtree sizes; children are numbered in birth order, so one forward
+        pass hands each child the next free preorder position of its parent.
+        The labels, read in order and sorted stably by their bucket's
+        position, are the preorder's labels, cut per bucket.
+        """
+        parent, cap, n = self.parent, self.cap, self.size
+        nodes = len(cap)
+        size = [1] * nodes
+        # the iterator reads size[v] once every child of v has added its own
+        for p, s in zip(islice(reversed(parent), nodes - 1), reversed(size)):
+            size[p] += s
+        # the next free position in each bucket's subtree, which ends at
+        # pos[v] + size[v] once all of v's children have taken theirs
+        after = [1] * nodes
+        for v, p, s in zip(range(1, nodes), islice(parent, 1, None), islice(size, 1, None)):
+            at = after[p]
+            after[p] = at + s
+            after[v] = at + 1
+        pos = np.array(after, dtype=np.intp) - np.array(size, dtype=np.intp)
+        # the labels in preorder: a stable argsort of pos[where], as one sort
+        # of distinct keys
+        keys = pos[np.array(self.where, dtype=np.intp)] * n + np.arange(n)
+        flat = np.sort(keys) % n + 1
+        caps = np.empty(nodes, dtype=np.intp)
+        caps[pos] = cap
+        degrees = np.empty(nodes, dtype=np.intp)
+        degrees[pos] = self.deg
+        starts = np.cumsum(caps) - caps
+        # the buckets of capacity k, in preorder, as k-tuples zipped from k
+        # label columns; each bucket takes the next one of its capacity
+        capacities = caps.tolist()
+        rows = {}
+        for k in set(capacities):
+            first = starts[caps == k]
+            rows[k] = zip(*[flat[first + i].tolist() for i in range(k)])
+        labels = tuple(map(next, map(rows.__getitem__, capacities)))
         # valid by construction, and its size is the number of labels placed
-        return _numbered_tree(self.b, list(map(tuple, labels)), children, self.size, True)
+        return _flat_tree(self.b, labels, tuple(degrees.tolist()), n, True)
 
     def census(self) -> NodeCensus:
         return _census(self.b, self.size, self.cap, self.deg)

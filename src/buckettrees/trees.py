@@ -349,8 +349,11 @@ class ParseError(ValueError):
 
 
 _SPLIT = re.compile(r"\{([0-9,]*)\}")  # a bucket's braces; the rest is separators
-_BODIES = re.compile(r"[0-9]+(?:[,}][0-9]+)*")  # one bucket's body, or several joined by '}'
-_DIGITS = re.compile(r"[0-9]+")
+_LABEL = re.compile(r"0|[1-9][0-9]*")  # no leading zeros, as encode writes a label
+# one bucket's body, or several joined by '}'; most texts hold no label 0,
+# and those pass the first pattern, which is quicker to match
+_POSITIVE_BODIES = re.compile(r"[1-9][0-9]*(?:[,}][1-9][0-9]*)*")
+_BODIES = re.compile(r"(?:0|[1-9][0-9]*)(?:[,}](?:0|[1-9][0-9]*))*")
 _SAME_BUCKET = bytes.maketrans(b",}", b"\x01\x00")  # between two labels: 1 inside a bucket
 
 
@@ -360,7 +363,7 @@ def _bucket_error(text: str, pos: int) -> ParseError:
         return ParseError("expected '{'", pos)
     pos += 1
     while True:
-        m = _DIGITS.match(text, pos)
+        m = _LABEL.match(text, pos)
         if m is None:
             return ParseError("expected integer", pos)
         pos = m.end()
@@ -396,7 +399,8 @@ def decode(text: str, b: int) -> BucketTree:
     if seps[0] or not k:
         raise _bucket_error(text, 0)
     joined = "}".join(bodies)
-    bad = k if _BODIES.fullmatch(joined) else next(  # the first malformed bucket
+    # the first malformed bucket, or k if there is none
+    bad = k if _POSITIVE_BODIES.fullmatch(joined) or _BODIES.fullmatch(joined) else next(
         v for v, body in enumerate(bodies) if not _BODIES.fullmatch(body))
     up = []  # the parent of each bucket but the root
     degrees = [0] * k
@@ -423,7 +427,11 @@ def decode(text: str, b: int) -> BucketTree:
         if bad < v:
             raise _bucket_error(text, at + len(seps[bad]))
         raise _separator_error(text, at, seps[v], len(open_))
-    flat = tuple(map(int, joined.replace("}", ",").split(",")))
+    try:
+        flat = tuple(map(int, joined.replace("}", ",").split(",")))
+    except ValueError:  # a label past int's digit limit, far above any tree's n
+        n = joined.count(",") + k
+        raise ValueError(f"invalid bucket tree: label multiset is not {{1..{n}}}") from None
     n = len(flat)
     if n == k:  # one label per bucket
         labels, increasing = tuple(zip(flat)), True

@@ -267,6 +267,13 @@ def test_diamond_codec_takes_ascii_digits_only(text):
         decode_diamond(text)
 
 
+# encode_diamond writes no leading zeros, so a padded label would not round-trip
+@pytest.mark.parametrize("text", ["(01)", "<01 3>((2))", "<1 03>((2))", "<1 3>((02))"])
+def test_diamond_codec_refuses_zero_padded_labels(text):
+    with pytest.raises(ParseError):
+        decode_diamond(text)
+
+
 def test_diamond_validation():
     with pytest.raises(ValueError, match="extremes"):
         check_diamond(_diamond((2, 1)))  # source must be the minimum

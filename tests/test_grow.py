@@ -1,15 +1,19 @@
 """Growth sampler: exact attraction probabilities and sampled distributions."""
 
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from buckettrees import families, gof
+from buckettrees import dist_k, families, gof
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
 from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
                               sample_tree)
-from buckettrees.trees import BucketNode, BucketTree, canonicalize, decode, encode, validate
+from buckettrees.trees import (BucketNode, BucketTree, _numbered_tree, canonicalize, decode,
+                               encode, validate)
+from buckettrees.verify import SIGNIFICANCE
 
 
 def test_attraction_probs_recursive_example():
@@ -51,7 +55,7 @@ def test_sampling_is_deterministic_given_seed():
 
 
 # Seeded trees as the growth sampler draws them; each selection path (label
-# table, slot table, weight groups) keeps its node order, so the streams
+# table, weight blocks, weight groups) keeps its node order, so the streams
 # stay fixed.
 SEEDED_TREES = {
     families.recursive(2): "{1,2}({3,6}({9}),{4,5}({7},{8},{11},{13,14}),{10},{12})",
@@ -64,6 +68,35 @@ SEEDED_TREES = {
 @pytest.mark.parametrize("spec", list(SEEDED_TREES), ids=lambda s: s.describe())
 def test_seeded_stream_is_stable(spec):
     assert encode(sample_tree(spec, 14, 11)) == SEEDED_TREES[spec]
+
+
+# sha256 of encode(sample_tree(spec, 20000, 21)) and of repr(sample_census(spec,
+# 20000, 21)), one rule per selection path: past _CHUNK (8192) labels, so the
+# pre-drawn streams are read in more than one chunk.
+STREAM_DIGESTS = {
+    families.recursive(2): (
+        "38ce607f8d9abfc67f524e719b21b5f8e63d70c91220a40e988370d8d99eafdb",
+        "9c7e4125f63a6f71ec6b0a1eeacad0da900f5a9815b0262e637fbe27db753e84"),
+    families.port(2, 1): (
+        "47e45fdec271d7497348d25bed4117d593922b0bf4dc7ee3da4c238f799dc2df",
+        "da64406cf69376a9f3e41bef4f086ca878534536a56304908355ab8d99291536"),
+    families.port(3, 2): (
+        "b3cfab5ee8637c030506ade308248c70985d6ab0c147885be381a127c296a7a5",
+        "581c9c5fb4bcbf551a8dd96bb8206adb512a2583a7b06c5e61c3f8a104375fb0"),
+    families.linear(2, 1, 1, 1): (
+        "5d9eca4dee9ea75338580b15b65abe6b500e912336db1b4b49ec26c33c8e0113",
+        "b6395f30822376ce94f27ec5604997f62a2a6f598c3a0fd815c73877ea84f4cb"),
+    families.ary(2, 3): (
+        "63fcea0b721caff15fee99cf02f222ff7ce245c5872b293df7d1f835d5c09679",
+        "f05d9f1a77988aa730e1ef6c6604291bb2331696440be2ef2f0007db1ac2f99c"),
+}
+
+
+@pytest.mark.parametrize("spec", list(STREAM_DIGESTS), ids=lambda s: s.describe())
+def test_seeded_streams_past_one_chunk_are_stable(spec):
+    tree, census = STREAM_DIGESTS[spec]
+    assert hashlib.sha256(encode(sample_tree(spec, 20000, 21)).encode()).hexdigest() == tree
+    assert hashlib.sha256(repr(sample_census(spec, 20000, 21)).encode()).hexdigest() == census
 
 
 def test_rng_child_streams_are_independent():
@@ -104,7 +137,7 @@ def test_size_guard():
 # tree size per rule, so that the chi-square keeps at least 3 degrees of freedom
 SHAPE_SIZES = {
     families.recursive(2): 5, families.ary(2, 2): 5, families.port(2, 1): 5,
-    families.linear(2, 1, 1, 1): 5,  # slot table, live total
+    families.linear(2, 1, 1, 1): 5,  # weight blocks, live total
     families.linear(2, 1, Fraction(-2, 3), 1): 6,  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3): 6,  # groups without end, live total
     families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: pre-drawn
@@ -185,9 +218,9 @@ def test_linear_rule_whose_total_weight_reaches_zero_names_the_rule(sampler):
 
 
 LINEAR_RULES = [
-    families.linear(2, 1, 1, 1),  # slot table, live total
-    families.linear(1, 0, 2, Fraction(1, 2)),  # slot table, new buckets add one unit
-    families.linear(2, 2, 1, 1),  # m = a - beta: slot table, pre-drawn
+    families.linear(2, 1, 1, 1),  # weight blocks, live total
+    families.linear(1, 0, 2, Fraction(1, 2)),  # weight blocks, new buckets add one unit
+    families.linear(2, 2, 1, 1),  # m = a - beta: weight blocks, pre-drawn
     families.linear(2, 1, Fraction(-2, 3), 1),  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3),  # groups without end (a < 0 < beta), live total
     families.linear(2, -1, 0, 2),  # groups without end (a < 0, beta = 0), live total
@@ -196,23 +229,61 @@ LINEAR_RULES = [
 ]
 
 
+def _units_owned(g) -> list:
+    """How many of the weight units below the total each node owns, when
+    every unit is resolved through g.owner.
+
+    Placing label j + 1 adds the units [T_j, T_j+1), T_j = gc.total(j, nodes
+    after j labels) and T_0 = 0; the first node_weight(1, 0) units of that
+    block are owner[2j]'s and the rest owner[2j + 1]'s.
+    """
+    gc = g.gc
+    nodes = np.maximum.accumulate(g.where) + 1  # after labels 1 .. j
+    starts = np.array([0] + [gc.total(j, int(nodes[j - 1])) for j in range(1, g.size + 1)])
+    units = np.arange(starts[-1])
+    block = np.searchsorted(starts, units, side="right") - 1
+    at = 2 * block + (units - starts[block] >= gc.node_weight(1, 0))
+    return np.bincount(np.array(g.owner)[at], minlength=len(g.cap)).tolist()
+
+
 @pytest.mark.parametrize("spec", LINEAR_RULES, ids=lambda s: s.describe())
 def test_grown_linear_trees_conserve_the_total_weight(spec):
     """The node weights of a grown tree sum to gc.total(n, N), none is
-    negative, and the selection table holds exactly that total."""
+    negative, and the selection state holds exactly each node's weight."""
     gc = families.growth_coeffs(spec)
     for seed, n in enumerate((1, 2, 7, 60, 500, 4000)):
         g = _grown(spec, n, seed)
         nodes = len(g.cap)
+        weights = list(map(gc.node_weight, g.cap, g.deg))
         total = gc.a * sum(g.cap) + gc.bdeg * sum(g.deg) + gc.c * nodes
-        assert total == gc.total(n, nodes)
-        assert min(map(gc.node_weight, g.cap, g.deg)) >= 0
-        if g.path == "slot":
-            assert len(g.slots) == total
+        assert total == gc.total(n, nodes) == sum(weights)
+        assert min(weights) >= 0
+        if g.path == "block":
+            assert len(g.owner) == 2 * n
+            assert _units_owned(g) == weights
         elif g.path == "group":
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
                        for v, (c, d) in enumerate(zip(g.cap, g.deg)))
+
+
+# one named rule per selection path: label table, weight blocks, weight groups
+K_LAW_RULES = [families.recursive(2), families.port(2, 1), families.ary(2, 3)]
+
+
+@pytest.mark.parametrize("spec", K_LAW_RULES, ids=lambda s: s.describe())
+def test_grown_K_n_follows_the_exact_law(spec):
+    """Chi-square of K_n, the capacity of the bucket holding label n, read
+    from the grower's flat lists, against pmf_K_exact; the significance
+    level is split over the rules."""
+    n, trees = 1000, 1000
+    stream = RngStream(1021)
+    samples = []
+    for i in range(trees):
+        g = _grown(spec, n, stream.child(i))
+        samples.append(g.cap[g.where[n - 1]])
+    report = gof.chi_square(samples, dist_k.pmf_K_exact(spec, n))
+    assert report.passed(SIGNIFICANCE / len(K_LAW_RULES)), str(report)
 
 
 @pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(3),
@@ -221,9 +292,20 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
                          + LINEAR_RULES, ids=lambda s: s.describe())
 def test_grown_trees_come_out_marked_valid_and_sized(spec):
     """build() marks its tree valid and sizes it without a walk; both are
-    checked here by the full validation and a fresh size walk."""
+    checked here by the full validation and a fresh size walk.  Its preorder
+    equals the one a walk over per-bucket child lists gives, kept here as the
+    reference."""
     for seed, n in enumerate((1, 2, 3, 40, 700)):
-        tree = sample_tree(spec, n, seed)
+        g = _grown(spec, n, seed)
+        tree = g.build()
         assert tree._valid and tree.size == n
         assert validate(tree) == []
         assert BucketTree(tree.b, tree.root).size == n
+        held = [[] for _ in g.cap]
+        for label, v in enumerate(g.where, start=1):
+            held[v].append(label)
+        kids = [[] for _ in g.cap]
+        for v in range(1, len(g.cap)):
+            kids[g.parent[v]].append(v)
+        reference = _numbered_tree(g.b, list(map(tuple, held)), kids, n)
+        assert (tree.labels, tree.degrees) == (reference.labels, reference.degrees)

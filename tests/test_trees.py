@@ -44,6 +44,25 @@ def test_decode_validates():
         decode("{1}({2})", 2)
 
 
+# encode writes no leading zeros, so a zero-padded label would decode to a
+# tree whose text differs from the one read
+@pytest.mark.parametrize("text, pos", [("{01}", 2), ("{1}({02})", 6), ("{1,2}({3,04})", 10),
+                                       ("{00}", 2)])
+def test_decode_refuses_zero_padded_labels(text, pos):
+    with pytest.raises(ParseError, match="expected '}'") as info:
+        decode(text, 2)
+    assert info.value.pos == pos
+    assert _outcome(decode, text, 2) == _outcome(_ref_decode, text, 2)
+
+
+@pytest.mark.parametrize("text, n", [("{" + "1" * 5000 + "}", 1),
+                                     ("{1}({" + "2" * 4301 + "})", 2)])
+def test_decode_names_a_label_past_the_digit_limit_as_a_violation(text, n):
+    # no tree of n labels has a label of 4301 digits
+    with pytest.raises(ValueError, match=re.escape(f"label multiset is not {{1..{n}}}")):
+        decode(text, 1)
+
+
 def test_validate_unsaturated_internal():
     tree = BucketTree(2, BucketNode((1,), (BucketNode((2,)),)))
     problems = validate(tree)
@@ -533,6 +552,8 @@ def _ref_parse_int(text, pos):
     start = pos
     while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
+        if text[start] == "0":  # a label has no leading zeros: a 0 stands alone
+            break
     if pos == start:
         raise ParseError("expected integer", pos)
     return int(text[start:pos]), pos
