@@ -155,10 +155,8 @@ class _Grower:
         run = getattr(self, "_grow_by_" + self.path)
         if gc.bdeg + gc.c:
             # the total counts the nodes, which are random: draw label by label
-            if self.path == "block":
-                run(self._live_blocks(count, stream))
-            else:
-                run(self._live_draws(count, stream))
+            live = self._live_blocks if self.path == "block" else self._live_draws
+            run(live(count, stream))
             return
         if count == 0:
             return
@@ -178,23 +176,26 @@ class _Grower:
         for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
             run(draws[start:start + _CHUNK].tolist())
 
-    def _live_draws(self, count: int, stream: RngStream, totals: list | None = None):
-        """One draw per label below the live total, each total appended to
-        `totals` when it is given."""
+    def _live_draws(self, count: int, stream: RngStream):
+        """One draw per label below the live total."""
         gc, cap, where = self.gc, self.cap, self.where
         for _ in range(count):
             total = gc.total(len(where), len(cap))
             if total <= 0:
                 self._stuck(len(where) + 1)
-            if totals is not None:
-                totals.append(total)
             yield stream.integers(total)
 
     def _live_blocks(self, count: int, stream: RngStream):
-        """The owner index of each live draw, its block found by bisection
-        over the totals so far."""
-        totals, fresh = self.totals, self.gc.node_weight(1, 0)
-        for u in self._live_draws(count, stream, totals):
+        """The owner index of one draw per label below the live total, its
+        block found by bisection over the totals so far."""
+        gc, cap, where, totals = self.gc, self.cap, self.where, self.totals
+        fresh = gc.node_weight(1, 0)
+        for _ in range(count):
+            total = gc.total(len(where), len(cap))
+            if total <= 0:
+                self._stuck(len(where) + 1)
+            totals.append(total)
+            u = stream.integers(total)
             j = bisect_right(totals, u) - 1
             yield 2 * j + (u - totals[j] >= fresh)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
@@ -350,10 +351,8 @@ class ParseError(ValueError):
 
 _SPLIT = re.compile(r"\{([0-9,]*)\}")  # a bucket's braces; the rest is separators
 _LABEL = re.compile(r"0|[1-9][0-9]*")  # no leading zeros, as encode writes a label
-# one bucket's body, or several joined by '}'; most texts hold no label 0,
-# and those pass the first pattern, which is quicker to match
-_POSITIVE_BODIES = re.compile(r"[1-9][0-9]*(?:[,}][1-9][0-9]*)*")
-_BODIES = re.compile(r"(?:0|[1-9][0-9]*)(?:[,}](?:0|[1-9][0-9]*))*")
+# one bucket's body, or several joined by '}'
+_BODIES = re.compile(r"(?:[1-9][0-9]*|0)(?:[,}](?:[1-9][0-9]*|0))*")
 _SAME_BUCKET = bytes.maketrans(b",}", b"\x01\x00")  # between two labels: 1 inside a bucket
 
 
@@ -386,6 +385,21 @@ def _separator_error(text: str, pos: int, sep: str, depth: int) -> ParseError:
     return ParseError("expected ')'", pos)
 
 
+def _stand_ins(texts: list[str]) -> tuple[int, ...]:
+    """The labels written in texts, each one past int's digit limit replaced
+    by a stand-in above every other label, in the order of the labels it
+    replaces: validate then finds the same violations, the label multiset's
+    among them, as it would with the labels themselves, though a message
+    that quotes such a label quotes its stand-in."""
+    limit = sys.get_int_max_str_digits()
+    # above n, so a tree with a stand-in is never valid
+    top = max([len(texts)] + [int(s) for s in texts if len(s) <= limit]) + 1
+    # written without leading zeros, labels compare as (length, digits)
+    long = sorted({s for s in texts if len(s) > limit}, key=lambda s: (len(s), s))
+    stand_in = dict(zip(long, range(top, top + len(long))))
+    return tuple(stand_in[s] if len(s) > limit else int(s) for s in texts)
+
+
 @_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result, in one pass.
@@ -400,7 +414,7 @@ def decode(text: str, b: int) -> BucketTree:
         raise _bucket_error(text, 0)
     joined = "}".join(bodies)
     # the first malformed bucket, or k if there is none
-    bad = k if _POSITIVE_BODIES.fullmatch(joined) or _BODIES.fullmatch(joined) else next(
+    bad = k if _BODIES.fullmatch(joined) else next(
         v for v, body in enumerate(bodies) if not _BODIES.fullmatch(body))
     up = []  # the parent of each bucket but the root
     degrees = [0] * k
@@ -429,9 +443,8 @@ def decode(text: str, b: int) -> BucketTree:
         raise _separator_error(text, at, seps[v], len(open_))
     try:
         flat = tuple(map(int, joined.replace("}", ",").split(",")))
-    except ValueError:  # a label past int's digit limit, far above any tree's n
-        n = joined.count(",") + k
-        raise ValueError(f"invalid bucket tree: label multiset is not {{1..{n}}}") from None
+    except ValueError:  # a label past int's digit limit
+        flat = _stand_ins(joined.replace("}", ",").split(","))
     n = len(flat)
     if n == k:  # one label per bucket
         labels, increasing = tuple(zip(flat)), True

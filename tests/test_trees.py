@@ -55,12 +55,23 @@ def test_decode_refuses_zero_padded_labels(text, pos):
     assert _outcome(decode, text, 2) == _outcome(_ref_decode, text, 2)
 
 
-@pytest.mark.parametrize("text, n", [("{" + "1" * 5000 + "}", 1),
-                                     ("{1}({" + "2" * 4301 + "})", 2)])
-def test_decode_names_a_label_past_the_digit_limit_as_a_violation(text, n):
+_HUGE = "7" * 4400  # past int's digit limit of 4300
+
+
+@pytest.mark.parametrize("text, b, violations", [
+    ("{" + "1" * 5000 + "}", 1, []),
+    ("{1}({" + "2" * 4301 + "})", 1, []),
+    # every violation is named, not only the label multiset's
+    ("{1,2,3," + _HUGE + "}", 2, ["root: bucket capacity 4 outside 1..2"]),
+    ("{1," + _HUGE + "}({" + _HUGE + ",8" + _HUGE + "})", 2,
+     ["root/0: child label 5 not above parent maximum 5"]),
+])
+def test_decode_names_a_label_past_the_digit_limit_as_a_violation(text, b, violations):
     # no tree of n labels has a label of 4301 digits
-    with pytest.raises(ValueError, match=re.escape(f"label multiset is not {{1..{n}}}")):
-        decode(text, 1)
+    n = text.count(",") + text.count("{")
+    message = "; ".join(violations + [f"label multiset is not {{1..{n}}}"])
+    with pytest.raises(ValueError, match=re.escape(f"invalid bucket tree: {message}") + "$"):
+        decode(text, b)
 
 
 def test_validate_unsaturated_internal():
