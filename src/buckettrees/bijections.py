@@ -24,7 +24,8 @@ from itertools import chain
 from .enumeration import all_trees
 from .families import frac_binom
 from .trees import (BucketTree, BundledBucketTree, ParseError, _collector_paused,
-                    _flat_tree, _kids, _numbered_tree, canonicalize, check_valid)
+                    _flat_tree, _fold, _kids, _nest, _NotOneTree, _numbered_tree,
+                    canonicalize, check_valid)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -271,26 +272,15 @@ class Diamond:
 
 
 def check_diamond(d: Diamond) -> None:
-    """Raise ValueError unless d is one well-formed increasing diamond.
-
-    Read backwards, a preorder puts each node just after its parts, so a
-    stack holds the (smallest, largest) label of every finished subtree.
-    """
+    """Raise ValueError unless d is one well-formed increasing diamond; the
+    preorder folds into the (smallest, largest) label of every subtree."""
     labels = list(chain.from_iterable(d.labels))
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels in diamond")
-    shapeless = "diamond part counts do not describe one tree"
-    if len(d.labels) != len(d.degrees):
-        raise ValueError(shapeless)
-    spans: list = []
-    for lab, k in zip(reversed(d.labels), reversed(d.degrees)):
-        if not 0 <= k <= len(spans):
-            raise ValueError(shapeless)
-        parts = spans[len(spans) - k:]
-        del spans[len(spans) - k:]
-        if len(lab) == 1 and not k:
-            spans.append((lab[0], lab[0]))
-            continue
+
+    def span(lab, parts):
+        if len(lab) == 1 and not parts:
+            return lab[0], lab[0]
         if len(lab) != 2:
             raise ValueError(f"diamond node {lab}: an inner node holds one label "
                              "and no parts, a composite a (source, sink) pair")
@@ -298,9 +288,12 @@ def check_diamond(d: Diamond) -> None:
         if source > sink or not all(source < lo and hi < sink for lo, hi in parts):
             raise ValueError(f"source/sink {source}/{sink} are not the "
                              "extremes of their sub-diamond")
-        spans.append(lab)
-    if len(spans) != 1:
-        raise ValueError(shapeless)
+        return lab
+
+    try:
+        _fold(d.labels, d.degrees, span)
+    except _NotOneTree:
+        raise ValueError("diamond part counts do not describe one tree") from None
 
 
 def _rest(labels: list, second: int) -> list:
@@ -365,26 +358,9 @@ def bucket_to_diamond(tree: BucketTree) -> Diamond:
 
 
 def encode_diamond(d: Diamond) -> str:
-    parts = []
-    left = []  # parts still to write, per composite whose '(' is open
-    for lab, k in zip(d.labels, d.degrees):
-        if len(lab) == 2:
-            parts.append("<%d %d>(" % lab)
-            if k:
-                left.append(k)
-                continue
-            parts.append(")")
-        else:
-            parts.append("(%d)" % lab)
-        # a finished node ends its parent when it is the last part, and so on up
-        while left:
-            left[-1] -= 1
-            if left[-1]:
-                parts.append(",")
-                break
-            left.pop()
-            parts.append(")")
-    return "".join(parts)
+    # a composite with no parts writes its empty list itself
+    return _nest([("<%d %d>" if k else "<%d %d>()") % lab if len(lab) == 2 else "(%d)" % lab
+                  for lab, k in zip(d.labels, d.degrees)], d.degrees)
 
 
 # a label has no leading zeros, as encode_diamond writes it
@@ -409,11 +385,14 @@ def decode_diamond(text: str) -> Diamond:
             if open_parts:
                 degrees[open_parts[-1]] += 1
             degrees.append(0)
+            try:
+                labels.append((int(m[1]),) if m[1] else (int(m[2]), int(m[3])))
+            except ValueError:  # the longest label is past int's digit limit
+                g = max((1, 2, 3), key=lambda g: len(m[g] or ""))
+                raise ParseError("label longer than int's digit limit", m.start(g)) from None
             if m[1] is None:
-                labels.append((int(m[2]), int(m[3])))
                 open_parts.append(len(degrees) - 1)
                 continue
-            labels.append((int(m[1]),))
         if not open_parts:
             break
         if text.startswith(",", pos):

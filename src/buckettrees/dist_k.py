@@ -53,7 +53,7 @@ def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
         if abs(val.imag) > IMAG_TOL:
             raise ArithmeticError(f"imaginary residue {val.imag:.3e} in P(K={m})")
         mass[m] = val.real
-    return Pmf(mass).check(tol=1e-9)
+    return Pmf(mass).check()
 
 
 def limit_K(spec: FamilySpec) -> Pmf:

@@ -108,17 +108,25 @@ def parse_family(text: str) -> FamilySpec:
             if not value:
                 raise ValueError(f"malformed family parameter {item!r}")
             params[key.strip()] = value.strip()
-    b = int(params.pop("b", 1))
+
+    def read(key: str, cast: type = Fraction):  # ValueError naming a key that does not parse
+        value = params.pop(key)
+        try:
+            return cast(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"family parameter {key}={value} is not "
+                             f"{'an integer' if cast is int else 'a rational number'}") from None
+
     try:
+        b = read("b", int) if "b" in params else 1
         if kind == RECURSIVE:
             spec = recursive(b)
         elif kind == ARY:
-            spec = ary(b, int(params.pop("d")))
+            spec = ary(b, read("d", int))
         elif kind == PORT:
-            spec = port(b, Fraction(params.pop("alpha")))
+            spec = port(b, read("alpha"))
         elif kind == LINEAR:
-            spec = linear(b, Fraction(params.pop("a")), Fraction(params.pop("beta")),
-                          Fraction(params.pop("m")))
+            spec = linear(b, read("a"), read("beta"), read("m"))
         else:
             raise ValueError(f"unknown family kind {kind!r}")
     except KeyError as exc:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .pmf import Pmf
 
+MIN_EXPECTED = 5.0  # the least expected count of a chi-square cell
 
 @dataclass(frozen=True)
 class GofReport:
@@ -29,10 +30,10 @@ class GofReport:
                 f"p={self.p_value:.4g} (n={self.n_samples})")
 
 
-def chi_square(samples, pmf: Pmf, min_expected: float = 5.0) -> GofReport:
+def chi_square(samples, pmf: Pmf) -> GofReport:
     """Pearson chi-square of integer samples against an exact pmf.
 
-    Support points whose expected count falls below `min_expected` are
+    Support points whose expected count falls below `MIN_EXPECTED` are
     pooled with their neighbour to keep the asymptotics honest.
     """
     samples = np.asarray(samples)
@@ -44,13 +45,13 @@ def chi_square(samples, pmf: Pmf, min_expected: float = 5.0) -> GofReport:
     if outside:
         raise ValueError(f"{int(outside)} samples fall outside the pmf support")
     # pool left to right: a cell closes once its expected count reaches
-    # min_expected, and a short remainder at the right end joins the last cell
+    # MIN_EXPECTED, and a short remainder at the right end joins the last cell
     obs, exp = [], []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             obs.append(acc_o)
             exp.append(acc_e)
             acc_o = acc_e = 0.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _kids
+from .trees import BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _paths
 
 
 @dataclass
@@ -83,12 +83,8 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     if total <= 0 or min(weights) < 0:
         raise ValueError(f"growth rule {spec.describe()} cannot grow this tree: "
                          f"total weight {total}, least bucket weight {min(weights)}")
-    paths = [()] * len(weights)  # a parent comes before its children in preorder
-    for v, below in enumerate(_kids(tree.degrees)):
-        for i, c in enumerate(below):
-            paths[c] = (*paths[v], i)
     return [(path, lab, Fraction(w, total))
-            for path, lab, w in zip(paths, tree.labels, weights)]
+            for path, lab, w in zip(_paths(tree.degrees), tree.labels, weights)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+SUM_TOL = 1e-9  # how far from 1 the masses of a floating pmf may sum
 
 @dataclass(frozen=True)
 class Pmf:
@@ -27,7 +28,7 @@ class Pmf:
             return Fraction(0) if self.exact else 0.0
         return p
 
-    def check(self, tol: float = 1e-9):
+    def check(self):
         """Exact pmfs must sum to exactly 1; floating ones within tolerance."""
         if self.exact:
             if self.total() != 1:
@@ -35,8 +36,8 @@ class Pmf:
         else:
             if any(p < -1e-12 for p in self.mass.values()):
                 raise ValueError("negative probability mass")
-            if abs(self.total() - 1.0) > tol:
-                raise ValueError(f"pmf sums to {self.total()}, off by more than {tol}")
+            if abs(self.total() - 1.0) > SUM_TOL:
+                raise ValueError(f"pmf sums to {self.total()}, off by more than {SUM_TOL}")
         return self
 
     def as_float(self) -> "Pmf":

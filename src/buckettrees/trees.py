@@ -5,12 +5,12 @@ between 1 and b labels.  Labels increase inside every bucket and along
 every root-to-leaf path, and every internal (non-leaf) bucket is full.
 
 A `BucketTree` stores the preorder of its buckets: `labels[i]`, the
-labels of the i-th bucket, and `degrees[i]`, its number of children.  The
-grower, the oracle, the codecs and the bijections write that form, and
-validation, canonicalization, the census, both codecs, equality, hashing
-and pickling are loops over it.  `root`, the same tree as `BucketNode`
-objects, is a view built on first use and kept.  No walk recurses, so
-trees of any depth work.
+labels of the i-th bucket, and `degrees[i]`, its number of children.  How
+a preorder nests is read by five helpers only: `_nest` writes it as text,
+`_fold` folds it children first, and `_kids`, `_parents` and `_paths` give
+each bucket's children, parent and path.  `root`, the same tree as
+`BucketNode` objects, is a view built on first use and kept.  No walk
+recurses, so trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
@@ -27,6 +27,7 @@ from __future__ import annotations
 import gc
 import re
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
@@ -74,8 +75,9 @@ class BucketNode:
         return _assemble, _preorder(self)
 
     def __repr__(self):
-        # the dataclass's text, written from the preorder as `encode` writes
-        # a tree: a leaf closes each parent whose last child it ends
+        # the dataclass's text, written from the preorder as `_nest` writes a
+        # tree, but a one-child tuple closes as ",)": a leaf closes each parent
+        # whose last child it ends
         parts = []
         left = []  # [children still to write, children in all] per open bucket
         for labels, d in zip(*_preorder(self)):
@@ -184,6 +186,60 @@ def _parents(degrees) -> list:
     return up
 
 
+def _paths(degrees) -> list:
+    """The child-index path from the root of each bucket of a preorder."""
+    paths, pending = [], [()]  # the path of each child still to come, next last
+    for d in degrees:
+        paths.append(pending.pop())
+        pending += [(*paths[-1], i) for i in range(d - 1, -1, -1)]
+    return paths
+
+
+def _nest(texts, degrees) -> str:
+    """The nested text of a preorder whose buckets write as texts: '(' opens
+    a bucket's children, ',' separates siblings and ')' closes the last child."""
+    parts = []
+    left = []  # children still to write, per bucket whose '(' is open
+    for text, d in zip(texts, degrees):
+        if d:
+            parts.append(text + "(")
+            left.append(d)
+            continue
+        parts.append(text)
+        # a leaf ends its parent's subtree when it is the last child, and so on up
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                parts.append(",")
+                break
+            left.pop()
+            parts.append(")")
+    return "".join(parts)
+
+
+class _NotOneTree(ValueError):
+    """Degrees that do not describe exactly one tree."""
+
+
+def _fold(labels, degrees, join: Callable):
+    """join(labels[v], the values of v's children in order) at the root, made
+    children first: read backwards, a preorder puts each bucket just after its
+    children, the first one last, on the stack of finished values.  Raises
+    _NotOneTree when the degrees do not describe exactly one tree."""
+    done: list = []
+    if len(labels) == len(degrees):
+        for lab, d in zip(reversed(labels), reversed(degrees)):
+            if not 0 <= d <= len(done):
+                break
+            kids = done[-1:-d - 1:-1]
+            del done[len(done) - d:]
+            done.append(join(lab, kids))
+        else:
+            if len(done) == 1:
+                return done[0]
+    raise _NotOneTree("degrees do not describe one tree")
+
+
 @dataclass(frozen=True)
 class NodeCensus:
     """Counts of unsaturated buckets by capacity and saturated buckets by out-degree."""
@@ -204,18 +260,8 @@ class NodeCensus:
 
 @_collector_paused
 def _assemble(labels, degrees) -> BucketNode:
-    """The nodes of the tree whose buckets, in preorder, hold labels[i] and
-    have degrees[i] children.  Read backwards, a preorder puts each bucket
-    just after its children, the first one last, on the result stack."""
-    done: list = []
-    for lab, d in zip(reversed(labels), reversed(degrees)):
-        if d:
-            kids = tuple(done[-1:-d - 1:-1])
-            del done[-d:]
-            done.append(BucketNode(lab, kids))
-        else:
-            done.append(BucketNode(lab))
-    return done[0]
+    """The BucketNode view of the tree whose bucket preorder is (labels, degrees)."""
+    return _fold(labels, degrees, lambda lab, kids: BucketNode(lab, tuple(kids)))
 
 
 @_collector_paused
@@ -228,38 +274,31 @@ def validate(tree: BucketTree) -> list[str]:
     b = tree.b
     if b < 1:
         return ["capacity bound b must be >= 1"]
-    found = []  # (bucket, -1 or child index, violation), in preorder once sorted
-    stack: list = []  # [bucket, top label, child being read, last child] per ancestor
-
-    def where(depth: int) -> str:
-        return "/".join(str(above[2]) for above in stack[:depth]) or "root"
-
-    for v, (labels, d) in enumerate(zip(tree.labels, tree.degrees)):
+    held, kids = tree.labels, _kids(tree.degrees)
+    lows = [min(lab, default=inf) for lab in held]
+    violations = []
+    for v, (labels, below) in enumerate(zip(held, kids)):
         k = len(labels)
-        if stack:
-            above = stack[-1]
-            above[2] += 1
-            if labels and min(labels) <= above[1]:
-                found.append((above[0], above[2],
-                              f"{where(len(stack) - 1)}/{above[2]}: child label "
-                              f"{min(labels)} not above parent maximum {above[1]}"))
-        if not (k == 1 and labels[0] >= 1
-                or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:]))
-                ) or d and k != b:
-            for bad, text in ((not 1 <= k <= b, f"bucket capacity {k} outside 1..{b}"),
-                              (any(x < 1 for x in labels), "labels must be positive"),
-                              (not all(map(lt, labels, labels[1:])),
-                               "bucket labels not strictly increasing"),
-                              (d and k != b, f"internal node unsaturated (capacity {k} < {b})")):
-                if bad:
-                    found.append((v, -1, f"{where(len(stack))}: {text}"))
-        if d:
-            stack.append([v, max(labels, default=-inf), -1, d - 1])
-        else:
-            while stack and stack[-1][2] == stack[-1][3]:
-                stack.pop()
-    found.sort(key=lambda f: f[:2])
-    violations = [text for _, _, text in found]
+        # increasing labels from 1 up, full if internal, every child's labels above
+        if ((k == 1 and labels[0] >= 1
+             or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:])))
+                and not (below and (k != b or min(map(lows.__getitem__, below)) <= labels[-1]))):
+            continue
+        # v's path alone (all of _paths is quadratic in a path's depth): in
+        # preorder, v lies below the last child that comes at or before it
+        path, u = [], 0
+        while u != v:
+            path.append(bisect_right(kids[u], v) - 1)
+            u = kids[u][path[-1]]
+        where = "/".join(map(str, path)) or "root"
+        violations += [f"{where}: {text}" for bad, text in (
+            (not 1 <= k <= b, f"bucket capacity {k} outside 1..{b}"),
+            (any(x < 1 for x in labels), "labels must be positive"),
+            (not all(map(lt, labels, labels[1:])), "bucket labels not strictly increasing"),
+            (below and k != b, f"internal node unsaturated (capacity {k} < {b})")) if bad]
+        top = max(labels, default=-inf)
+        violations += [f"{where}/{i}: child label {lows[c]} not above parent maximum {top}"
+                       for i, c in enumerate(below) if lows[c] <= top]
     all_labels = list(chain.from_iterable(tree.labels))
     n = len(all_labels)
     if sorted(all_labels) != list(range(1, n + 1)):
@@ -323,24 +362,7 @@ def _census(b: int, n: int, caps, degrees) -> NodeCensus:
 def encode(tree: BucketTree) -> str:
     # the format of a bucket of k labels, "{%s,...,%s}", by k
     formats = ["{" + ",".join(["%s"] * k) + "}" for k in range(max(map(len, tree.labels)) + 1)]
-    parts = []
-    left = []  # children still to write, per bucket whose '(' is open
-    for labels, d in zip(tree.labels, tree.degrees):
-        text = formats[len(labels)] % labels
-        if d:
-            parts.append(text + "(")
-            left.append(d)
-            continue
-        parts.append(text)
-        # a leaf ends its parent's subtree when it is the last child, and so on up
-        while left:
-            left[-1] -= 1
-            if left[-1]:
-                parts.append(",")
-                break
-            left.pop()
-            parts.append(")")
-    return "".join(parts)
+    return _nest([formats[len(lab)] % lab for lab in tree.labels], tree.degrees)
 
 
 class ParseError(ValueError):
@@ -471,12 +493,8 @@ def decode(text: str, b: int) -> BucketTree:
 
 @_collector_paused
 def to_doc(tree: BucketTree) -> dict:
-    done: list = []  # read backwards, as in _assemble
-    for lab, d in zip(reversed(tree.labels), reversed(tree.degrees)):
-        kids = done[-1:-d - 1:-1]
-        del done[len(done) - d:]
-        done.append({"labels": list(lab), "children": kids})
-    return {"b": tree.b, "root": done[0]}
+    return {"b": tree.b, "root": _fold(tree.labels, tree.degrees, lambda lab, kids: {
+        "labels": list(lab), "children": kids})}
 
 
 def _doc_field(doc, name: str, kind: type, default=None):
@@ -485,9 +503,9 @@ def _doc_field(doc, name: str, kind: type, default=None):
         raise ValueError(f"tree document: a node must be an object, not {type(doc).__name__}")
     value = doc.get(name, default)
     if type(value) is not kind:
-        raise ValueError(f"tree document: missing field {name!r}" if value is None else
-                         f"tree document: field {name!r} must be a {kind.__name__}, "
-                         f"not {type(value).__name__}")
+        raise ValueError(f"tree document: field {name!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}" if name in doc else
+                         f"tree document: missing field {name!r}")
     return value
 
 

@@ -299,12 +299,6 @@ def _relative_residual(coeffs: list[Fraction], z: complex) -> float:
     return value / max(scale, 1)
 
 
-def _mean_band(samples: np.ndarray, target: float, sigmas: float = 3.0) -> float:
-    ok, z = gof.mean_within_sigma(samples, target, sigmas)
-    _need(ok, f"sample mean {samples.mean():.5f} is {z:.2f} sigma from {target:.5f}")
-    return z
-
-
 def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
                exact_n: int = 7, exact_reps: int = 10 ** 6,
                growth_n: int = 10 ** 3, growth_reps: int = 300,
@@ -340,7 +334,9 @@ def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
         exact = expected_capacity_counts(spec, exact_n)
         est = estimates(spec, exact_n, exact_reps, stream.child(i))
         for k in range(1, spec.b + 1):
-            _mean_band(est[k], float(exact[k]))
+            target = float(exact[k])
+            ok, z = gof.mean_within_sigma(est[k], target)  # within three standard errors
+            _need(ok, f"sample mean {est[k].mean():.5f} is {z:.2f} sigma from {target:.5f}")
     notes.append(f"urn means match enumeration means at n={exact_n} "
                  f"({exact_reps} replicates, 3 sigma)")
 

@@ -249,6 +249,21 @@ def test_diamond_codec_round_trip():
     assert decode_diamond(text) == d
     assert hash(decode_diamond(text)) == hash(d)
     assert d.size == 6 and d.inner_count() == 2
+    # a composite without parts writes its empty part list
+    d = _diamond((1, 5), _diamond((2, 3)), _diamond((4,)))
+    assert encode_diamond(d) == "<1 5>(<2 3>(),(4))" and decode_diamond(encode_diamond(d)) == d
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("(" + "1" * 5000 + ")", 1),                  # an inner node's label
+    ("<" + "1" * 5000 + " 9>()", 1),              # a source
+    ("<1 " + "9" * 5000 + ">()", 3),              # a sink
+    ("<1 9>((" + "2" * 5000 + "))", 7),           # a part's label
+])
+def test_a_diamond_label_past_the_digit_limit_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="label longer than int.s digit limit") as err:
+        decode_diamond(text)
+    assert err.value.pos == pos
 
 
 def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():

@@ -247,6 +247,16 @@ def test_urn_of_a_linear_rule_is_a_usage_error():
     assert result.exit_code == 2 and "needs a named family, not 'linear'" in result.output
 
 
+@pytest.mark.parametrize("family, message", [
+    ("recursive:b=x", "family parameter b=x is not an integer"),
+    ("ary:b=2,d=2.5", "family parameter d=2.5 is not an integer"),
+    ("port:b=2,alpha=x", "family parameter alpha=x is not a rational number"),
+])
+def test_a_family_parameter_that_does_not_parse_is_a_usage_error(family, message):
+    result = CliRunner().invoke(main, ["grow", "--family", family, "--n", "3"])
+    assert result.exit_code == 2 and message in result.output
+
+
 def test_urn_spectrum_one_type():
     out = run("urn-spectrum", "--family", "recursive:b=1", "--b-range", "1..2")
     assert out == ("b,balance,second_real,phase_indicator,eigenvalues\n"

@@ -153,6 +153,19 @@ def test_parse_family_rejects(bad):
         parse_family(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("recursive:b=x", "family parameter b=x is not an integer"),
+    ("ary:b=2,d=2.5", "family parameter d=2.5 is not an integer"),
+    ("port:b=2,alpha=x", "family parameter alpha=x is not a rational number"),
+    ("port:b=2,alpha=1/0", "family parameter alpha=1/0 is not a rational number"),
+    ("linear:b=2,a=1,beta=y,m=1", "family parameter beta=y is not a rational number"),
+])
+def test_parse_family_names_the_parameter_that_does_not_parse(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_family(text)
+    assert str(err.value) == message
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("recursive", 0)

@@ -2,8 +2,11 @@
 
 import gc
 import hashlib
+import inspect
 import pickle
 import re
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -127,6 +130,20 @@ def test_kids_lists_children_in_preorder():
     assert trees._kids((3, 0, 1, 0, 0)) == [[1, 2, 4], [], [3], [], []]
 
 
+def test_the_nesting_helpers_read_one_preorder():
+    degrees = (3, 0, 1, 0, 0)  # a root with children 1, 2 and 4; 3 under 2
+    names = ("r", "a", "b", "c", "d")
+    assert trees._paths(degrees) == [(), (0,), (1,), (1, 0), (2,)]
+    assert trees._paths((0,)) == [()]
+    assert trees._nest(names, degrees) == "r(a,b(c),d)"
+    assert trees._nest(["x"], (0,)) == "x"
+    assert trees._fold(names, degrees, lambda x, kids: x + "".join(kids)) == "rabcd"
+    for labels, bad in ((names, (3, 0, 1, 0)), (names, (2, 0, 1, 0, 0)),
+                        (names, (4, 0, 1, 0, 0)), (names, (3, 0, -1, 0, 0)), ((), ())):
+        with pytest.raises(ValueError, match="do not describe one tree"):
+            trees._fold(labels, bad, lambda x, kids: x)
+
+
 _KINDS = [families.recursive(1), families.recursive(2), families.recursive(3),
           families.ary(2, 2), families.port(2, 1)]
 
@@ -190,6 +207,32 @@ def test_deep_path_violation_names_its_path():
     assert validate(BucketTree(1, node)) == [
         f"{where}/0: child label 1 not above parent maximum {DEPTH}",
         f"label multiset is not {{1..{DEPTH + 1}}}"]
+
+
+def test_deep_path_violations_at_both_ends_name_their_paths():
+    # the root holds 0 and the bottom bucket (DEPTH, 1): one violation at the
+    # top, three at the bottom, the heap one named from the bottom's parent
+    labels = ((0,), *((x,) for x in range(2, DEPTH)), (DEPTH, 1))
+    tree = trees._flat_tree(1, labels, (1,) * (DEPTH - 1) + (0,), DEPTH + 1)
+    bottom = "/".join(["0"] * (DEPTH - 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)  # no walk may recurse
+    tracemalloc.start()
+    try:
+        found = validate(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    # memory linear in the size: every bucket's path would take 36 MB here
+    assert peak < 8e6
+    assert found == [
+        "root: labels must be positive",
+        f"{bottom}: child label 1 not above parent maximum {DEPTH - 1}",
+        f"{bottom}: bucket capacity 2 outside 1..1",
+        f"{bottom}: bucket labels not strictly increasing",
+        f"label multiset is not {{1..{DEPTH + 1}}}"]
+    assert bottom.count("0") == DEPTH - 1 and tree._root is None
 
 
 @pytest.mark.parametrize("cut", [1, 5, DEPTH * 3, -DEPTH // 2, -1])
@@ -363,6 +406,12 @@ def test_seeded_trees_and_censuses_match_recorded_values(spec):
     ({"b": 1, "root": {"labels": [1], "children": 5}}, "'children'"),
     ({"b": 1, "root": {"labels": [1], "children": [5]}}, "a node must be an object"),
     ([], "a node must be an object"),
+    # a field present as null is ill-typed, not missing
+    ({"b": None, "root": {"labels": [1]}}, "field 'b' must be a int, not NoneType"),
+    ({"b": 1, "root": None}, "field 'root' must be a dict, not NoneType"),
+    ({"b": 1, "root": {"labels": None}}, "field 'labels' must be a list, not NoneType"),
+    ({"b": 1, "root": {"labels": [1], "children": None}},
+     "field 'children' must be a list, not NoneType"),
 ])
 def test_a_malformed_document_is_a_value_error_naming_the_field(doc, field):
     with pytest.raises(ValueError, match=field):
