@@ -16,13 +16,17 @@ from operator import mul
 from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
 from .pmf import Pmf, point_mass
-from .spectral import IndicialRoots, family_roots, harmonic_diff
+from .spectral import family_roots, harmonic_diff
 
 IMAG_TOL = 1e-10
 
 
-def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
-    """P{K_n = m}, m = 1..b, via the spectral closed form."""
+def pmf_K(spec: FamilySpec, n: int) -> Pmf:
+    """P{K_n = m}, m = 1..b, via the spectral closed form.
+
+    The sum runs over the family's own indicial roots, solved on each call;
+    each root's ratio is a product of n - 1 factors, so the cost is O(n).
+    """
     families.require_named(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -30,8 +34,7 @@ def pmf_K(spec: FamilySpec, n: int, roots: IndicialRoots = None) -> Pmf:
     if n <= b:
         return point_mass(n)  # the first b labels all land in the root bucket
     kap = family_kappa(spec)
-    if roots is None:
-        roots = family_roots(spec)
+    roots = family_roots(spec)
     kapf = float(kap)
     cb = float(frac_binom(b + kap, b))
     # per root: C(lam+n-2, n-1) / C(n-1+kappa, n-1), kept as a product of

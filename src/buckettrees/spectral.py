@@ -162,29 +162,22 @@ def _polish(x: float, y: float, const: Fraction, b: int, dps: int) -> tuple[int,
 
     z = (x + iy) / 2^bits on Python integers, and p = D - const with
     D = z (z+1) ... (z+b-1); D and D' are built factor by factor, so a step
-    costs 2b products and one division.  A real start (y = 0) stays on the
-    real line in real arithmetic; a complex step n/e is (n conj(e)) / |e|^2.
+    costs 2b products and one division.  A complex step n/e is
+    (n conj(e)) / |e|^2.  A real start is the y = 0 case: every imaginary
+    term is then exactly 0, and ((dr er) << bits) // er^2 equals
+    (dr << bits) // er, so the iterate stays on the real line.
     Returns the fixed-point (x, y) at _bits(dps).
     """
     precisions = [dps]
     while precisions[-1] > 30:
         precisions.append(precisions[-1] // 2 + 1)
     ladder = [_bits(prec) for prec in precisions[::-1] + [dps]]
-    real = y == 0
     bits = ladder[0]
     x, y = _fixed(x, bits), _fixed(y, bits)
     for new in ladder:
         x, y, bits = x << (new - bits), y << (new - bits), new
         one = 1 << bits
         c = _fixed(const, bits)
-        if real:
-            d, dd = one, 0
-            for k in range(b):
-                t = x + k * one
-                dd = (dd * t >> bits) + d
-                d = d * t >> bits
-            x -= ((d - c) << bits) // dd
-            continue
         dr, di, er, ei = one, 0, 0, 0  # D and D'
         for k in range(b):
             t = x + k * one

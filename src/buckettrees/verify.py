@@ -63,16 +63,6 @@ def _double_factorial_odd(n: int) -> int:
     return math.prod(range(2 * n - 3, 0, -2))
 
 
-_ROOT_CACHE: dict = {}
-
-
-def _roots(b: int, kap: Fraction) -> spectral.IndicialRoots:
-    key = (b, kap)
-    if key not in _ROOT_CACHE:
-        _ROOT_CACHE[key] = spectral.indicial_roots(b, kap)
-    return _ROOT_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # 1. total weights
 
@@ -122,9 +112,8 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
                          limit_n: int = 10 ** 4, seed: int = 0) -> str:
     notes = []
     for spec in family_grid():
-        roots = _roots(spec.b, families.kappa(spec))
         for n in range(1, max_n + 1):
-            closed = dist_k.pmf_K(spec, n, roots)
+            closed = dist_k.pmf_K(spec, n)
             oracle = exact_statistic_pmf(spec, n, "K")
             diff = closed.max_abs_diff(oracle)
             _need(diff <= 1e-10,
@@ -158,8 +147,7 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
     for spec in family_grid():
         if spec.b < 2:
             continue
-        roots = _roots(spec.b, families.kappa(spec))
-        finite = dist_k.pmf_K(spec, limit_n, roots)
+        finite = dist_k.pmf_K(spec, limit_n)
         route = finite.max_abs_diff(dist_k.pmf_K_exact(spec, limit_n))
         _need(route <= 1e-10,
               f"{spec.describe()} n={limit_n}: closed K pmf off the exact product "
@@ -183,11 +171,16 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
 # 4. spectral machinery
 
 
-def check_spectral(max_b: int = 30, boundary: int = 26) -> str:
+# the recursive family's phase indicator crosses 1/2 between b = 26 and 27
+PHASE_BOUNDARY = 26
+
+
+def check_spectral(max_b: int = 30) -> str:
     worst = 0.0
+    solved = {}
     for kap in kappa_grid():
         for b in range(1, max_b + 1):
-            r = _roots(b, kap)
+            r = solved[b, kap] = spectral.indicial_roots(b, kap)
             worst = max(worst, max(r.residuals))
             _need(max(r.residuals) <= 1e-10,
                   f"b={b} kappa={kap}: residual {max(r.residuals):.3e}")
@@ -201,15 +194,14 @@ def check_spectral(max_b: int = 30, boundary: int = 26) -> str:
             _need(abs(root_sum - complex(-coeffs[b - 1])) <= 1e-10 * max(
                 1.0, abs(coeffs[b - 1])),
                 f"b={b} kappa={kap}: root sum {root_sum} != {-coeffs[b - 1]}")
-    if max_b >= boundary + 1:
-        lo = _roots(boundary, Fraction(0)).gap_ratio()
-        hi = _roots(boundary + 1, Fraction(0)).gap_ratio()
+    extra = ""
+    if max_b > PHASE_BOUNDARY:
+        lo = solved[PHASE_BOUNDARY, Fraction(0)].gap_ratio()
+        hi = solved[PHASE_BOUNDARY + 1, Fraction(0)].gap_ratio()
         _need(lo < 0.5 < hi,
               f"recursive phase indicator {lo:.4f} -> {hi:.4f} does not cross "
-              f"1/2 between b={boundary} and b={boundary + 1}")
-        extra = f"; phase indicator crosses 1/2 at b={boundary}->{boundary + 1}"
-    else:
-        extra = ""
+              f"1/2 between b={PHASE_BOUNDARY} and b={PHASE_BOUNDARY + 1}")
+        extra = f"; phase indicator crosses 1/2 at b={PHASE_BOUNDARY}->{PHASE_BOUNDARY + 1}"
     return (f"residuals <= {worst:.2e} for b <= {max_b} across the kappa grid"
             + extra)
 

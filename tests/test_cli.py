@@ -2,6 +2,7 @@
 
 import ast
 import dis
+import hashlib
 import json
 import os
 import re
@@ -282,6 +283,25 @@ def test_spectrum():
     lines = out.strip().splitlines()
     assert lines[0] == "b,kappa,root,re,im,residual,phase_indicator"
     assert lines[1].split(",")[3] == "1"  # principal root of the b=2 row
+
+
+# sha256 of the CSV of `spectrum --b-range 1..30` and of `urn-spectrum
+# --b-range 2..30`, one family per kappa of the verification grid
+_SPECTRUM_RECORDED = {
+    "recursive:b=2": "a8ca7c046547544c",
+    "ary:b=2,d=2": "65d98b794ae0ce91",
+    "ary:b=2,d=3": "54be2800ce8e88b0",
+    "port:b=2,alpha=1": "cc2fb9d3a568f918",
+    "port:b=2,alpha=2": "2879b604e808d3d0",
+}
+
+
+@pytest.mark.parametrize("family", list(_SPECTRUM_RECORDED))
+def test_spectrum_csvs_match_recorded_values(family):
+    h = hashlib.sha256()
+    h.update(run("spectrum", "--family", family, "--b-range", "1..30").encode())
+    h.update(run("urn-spectrum", "--family", family, "--b-range", "2..30").encode())
+    assert h.hexdigest()[:16] == _SPECTRUM_RECORDED[family]
 
 
 def test_out_file(tmp_path):

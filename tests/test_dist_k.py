@@ -1,5 +1,6 @@
 """The law of K_n: spectral route, exact recursion, limit, node-type link."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,29 @@ def test_pmf_K_matches_oracle(spec):
 def test_spectral_and_recursive_routes_agree(spec):
     for n in (10, 25, 60):
         assert pmf_K(spec, n).max_abs_diff(pmf_K_exact(spec, n)) <= 1e-10
+
+
+# sha256 of the float-hex atoms of pmf_K(spec, n) at n = b + 1, 10^3 and
+# 2 * 10^4, recorded while pmf_K still took a roots parameter
+_PMF_K_RECORDED = {
+    "recursive:b=2": "a5586435d168a75f",
+    "recursive:b=3": "02a576da9d948601",
+    "ary:b=2,d=2": "5a3a0654a2537e28",
+    "ary:b=2,d=3": "23d07e76c5d10e12",
+    "port:b=2,alpha=1": "8462e4df32b63cdf",
+    "port:b=2,alpha=2": "63df646e348bc6f1",
+    "port:b=3,alpha=2": "306cbf08a40cd6f5",
+}
+
+
+@pytest.mark.parametrize("spec", [s for s in verify.family_grid() if s.b >= 2]
+                         + [families.port(3, 2)], ids=lambda s: s.describe())
+def test_pmf_K_matches_recorded_atoms(spec):
+    h = hashlib.sha256()
+    for n in (spec.b + 1, 10 ** 3, 2 * 10 ** 4):
+        for m, p in sorted(pmf_K(spec, n).mass.items()):
+            h.update(f"{n} {m} {float(p).hex()};".encode())
+    assert h.hexdigest()[:16] == _PMF_K_RECORDED[spec.describe()]
 
 
 def test_pmf_K_example():
