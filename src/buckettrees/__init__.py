@@ -6,7 +6,7 @@ saturation / out-degree distributions, Polya urn representations, and
 bijections to increasing diamonds and clustered increasing trees.
 """
 
-from .families import FamilySpec, ary, custom, linear, parse_family, port, recursive
+from .families import FamilySpec, ary, linear, parse_family, port, recursive
 from .grow import RngStream, sample_census, sample_tree
 from .pmf import Pmf
 from .trees import (BucketNode, BucketTree, canonicalize, census, decode, encode,
@@ -15,7 +15,7 @@ from .trees import (BucketNode, BucketTree, canonicalize, census, decode, encode
 __version__ = "0.1.0"
 
 __all__ = [
-    "FamilySpec", "ary", "custom", "linear", "parse_family", "port", "recursive",
+    "FamilySpec", "ary", "linear", "parse_family", "port", "recursive",
     "RngStream", "sample_census", "sample_tree",
     "Pmf",
     "BucketNode", "BucketTree", "canonicalize", "census", "decode", "encode",

@@ -185,7 +185,8 @@ def enumerate_cmd(family_text, fmt, out_path, n, statistic, max_n):
 def pmf_k_cmd(family_text, fmt, out_path, n, limit):
     """Distribution of the initial bucket size K_n: exact rationals up to
     n = 10^4, spectral floats above, or the limit law. The `method` column
-    (doc field) says which: exact, spectral or limit."""
+    (doc field) says which: exact, spectral or limit. The spectral route
+    costs O(b n) per call with no ceiling on n: n = 10^7 takes seconds."""
     spec = families.parse_family(family_text)
     if limit:
         pmf, method = dist_k.limit_K(spec), "limit"
@@ -279,7 +280,7 @@ def convert_cmd(out_path, source, target, bound, text):
 def urn_cmd(family_text, seed, fmt, out_path, steps, replicates):
     """Simulate the bucket-type urn; mean compositions and node estimates."""
     spec = _named(family_text)
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     counts = montecarlo.sample_urn_counts(spec, steps + 1, replicates,
                                           RngStream(seed)).astype(float)
     est = urns.node_type_estimates(model, counts)
@@ -310,7 +311,7 @@ def urn_spectrum_cmd(family_text, out_path, b_range):
     spec = _named(family_text)
     rows = []
     for b in _parse_b_range(b_range):
-        sp = urns.urn_spectrum(urns.urn_model(replace(spec, b=b)))
+        sp = urns.urn_spectrum(urns.build_urn(replace(spec, b=b)))
         second, phase = "", ""  # a one-type urn has no second eigenvalue
         if b > 1:
             second = sp.eigenvalues[1].real

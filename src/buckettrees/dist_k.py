@@ -83,7 +83,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     """E[Q_{n,k}] for k = 1..b: expected total attraction weight by bucket type.
 
     Q_{n,k} is the summed growth weight of all capacity-k buckets at size n,
-    the ball count of type k in `urns.urn_model`.  A step from size s draws
+    the ball count of type k in `urns.build_urn`.  A step from size s draws
     type k with probability Q_k / T_s and adds replacement row k, so the mean
     steps by q <- (T_s I + R^T) q / T_s, and q_n = p(R^T) q_1 / prod_s T_s for
     the integer polynomial p(x) = prod_{s<n} (x + T_s).  By Cayley-Hamilton p
@@ -91,7 +91,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     and prod_s T_s come from binary splitting, and one division at the end
     gives the exact Fractions.
     """
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     b = model.b
     # chi(x) = x^b + sum_j chi[j] x^j; the closed form is det(R - x I)
     chi = [int(c) * (-1) ** b for c in urns.char_poly_closed(model)[:b]]
@@ -128,11 +128,16 @@ def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
         raise ValueError("n must be >= 1")
     if n == 1 or spec.b == 1:
         return point_mass(1)
-    gc = families.growth_coeffs(spec)
-    q = mean_type_masses(spec, n - 1)
-    total = Fraction(gc.total(n - 1))
-    mass = {m: q[m - 2] / total for m in range(2, spec.b + 1)}
-    mass[1] = q[spec.b - 1] / total
+    return _k_law(mean_type_masses(spec, n - 1), families.growth_coeffs(spec).total(n - 1))
+
+
+def _k_law(q, total: int) -> Pmf:
+    """P{K = m} from the ball masses q of types 1..b summing to `total`:
+    drawing type m - 1 < b fills a bucket to capacity m, and drawing type
+    b opens a new bucket, K = 1."""
+    b = len(q)
+    mass = {m: q[m - 2] / total for m in range(2, b + 1)}
+    mass[1] = q[b - 1] / total
     return Pmf({m: p for m, p in mass.items() if p != 0}).check()
 
 
@@ -148,8 +153,6 @@ def node_type_relation(spec: FamilySpec, n: int, expected_counts: dict) -> Pmf:
     gc = families.growth_coeffs(spec)
     b = spec.b
     e = {k: Fraction(expected_counts.get(k, 0)) for k in range(1, b + 1)}
-    nodes = sum(e.values())
-    total = gc.total(n)
-    mass = {m: e[m - 1] * gc.node_weight(m - 1, 0) / total for m in range(2, b + 1)}
-    mass[1] = (e[b] * gc.node_weight(b, 0) + gc.bdeg * (nodes - 1)) / total
-    return Pmf({m: p for m, p in mass.items() if p != 0}).check()
+    q = [e[k] * gc.node_weight(k, 0) for k in range(1, b + 1)]
+    q[b - 1] += gc.bdeg * (sum(e.values()) - 1)
+    return _k_law(q, gc.total(n))

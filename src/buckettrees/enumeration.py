@@ -249,9 +249,7 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
     return prob
 
 
-def exact_probability(spec: FamilySpec, tree: BucketTree, measure: str,
-                      max_n=None) -> Fraction:
-    _check_bound(tree.size, max_n)
+def exact_probability(spec: FamilySpec, tree: BucketTree, measure: str) -> Fraction:
     if measure == ORDERED_MODEL:
         w = families.tree_weight(spec, tree)
         return w / total_weight_closed(spec, tree.size)

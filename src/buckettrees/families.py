@@ -2,8 +2,7 @@
 
 Three named families are supported (bucket recursive, (b,d)-ary, and
 (b,alpha) plane-oriented), plus a linear generalization that only has a
-growth rule, and a custom escape hatch with explicit weight sequences.
-All weights are exact rationals.
+growth rule.  All weights are exact rationals.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .trees import BucketTree, check_valid
 
@@ -20,7 +19,6 @@ RECURSIVE = "recursive"
 ARY = "ary"
 PORT = "port"
 LINEAR = "linear"
-CUSTOM = "custom"
 
 NAMED_KINDS = (RECURSIVE, ARY, PORT)
 
@@ -41,9 +39,6 @@ class FamilySpec:
     lin_a: Optional[Fraction] = None
     lin_beta: Optional[Fraction] = None
     lin_m: Optional[Fraction] = None
-    # custom combinatorial family
-    custom_phi: Optional[Callable[[int], Fraction]] = None
-    custom_psi: Optional[Sequence[Fraction]] = None
 
     def __post_init__(self):
         if self.b < 1:
@@ -57,11 +52,6 @@ class FamilySpec:
         elif self.kind == LINEAR:
             if self.lin_a is None or self.lin_beta is None or self.lin_m is None:
                 raise ValueError("linear family needs parameters a, beta, m")
-        elif self.kind == CUSTOM:
-            if self.custom_phi is None:
-                raise ValueError("custom family needs a phi sequence")
-            if self.custom_psi is None or len(self.custom_psi) != self.b - 1:
-                raise ValueError(f"custom family needs b-1 = {self.b - 1} psi weights")
         elif self.kind != RECURSIVE:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
@@ -72,9 +62,7 @@ class FamilySpec:
             return f"ary:b={self.b},d={self.d}"
         if self.kind == PORT:
             return f"port:b={self.b},alpha={self.alpha}"
-        if self.kind == LINEAR:
-            return f"linear:b={self.b},a={self.lin_a},beta={self.lin_beta},m={self.lin_m}"
-        return f"custom:b={self.b}"
+        return f"linear:b={self.b},a={self.lin_a},beta={self.lin_beta},m={self.lin_m}"
 
 
 def recursive(b: int) -> FamilySpec:
@@ -91,10 +79,6 @@ def port(b: int, alpha) -> FamilySpec:
 
 def linear(b: int, a, beta, m) -> FamilySpec:
     return FamilySpec(LINEAR, b, lin_a=Fraction(a), lin_beta=Fraction(beta), lin_m=Fraction(m))
-
-
-def custom(b: int, phi: Callable[[int], Fraction], psi: Sequence[Fraction]) -> FamilySpec:
-    return FamilySpec(CUSTOM, b, custom_phi=phi, custom_psi=tuple(psi))
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -175,8 +159,6 @@ def phi(spec: FamilySpec, k: int) -> Fraction:
         return (math.factorial(b - 1) * a1 ** (b - 1)
                 * frac_binom(Fraction(b - 1) - 1 / a1, b - 1)
                 * frac_binom(a1 * b - 2 + k, k))
-    if spec.kind == CUSTOM:
-        return Fraction(spec.custom_phi(k))
     raise ValueError(f"family kind {spec.kind!r} has no combinatorial weights")
 
 
@@ -194,8 +176,6 @@ def psi(spec: FamilySpec, k: int) -> Fraction:
         a1 = spec.alpha + 1
         return (math.factorial(k - 1) * a1 ** (k - 1)
                 * frac_binom(Fraction(k - 1) - 1 / a1, k - 1))
-    if spec.kind == CUSTOM:
-        return Fraction(spec.custom_psi[k - 1])
     raise ValueError(f"family kind {spec.kind!r} has no combinatorial weights")
 
 

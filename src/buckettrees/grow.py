@@ -75,7 +75,8 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     Each bucket's weight is `gc.node_weight` over `gc.total(size, nodes)`,
     so the probabilities sum to one on every tree.  A tree with a negative
     bucket weight or a zero total, which the rule cannot grow, raises
-    ValueError.
+    ValueError.  The paths hold sum-of-depths entries in all, quadratic on
+    a path: about 37 MB at depth 3000.
     """
     gc = families.growth_coeffs(spec)
     weights = [gc.node_weight(len(lab), d) for lab, d in zip(tree.labels, tree.degrees)]

@@ -39,7 +39,7 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
     t adds row t of the cumulative replacement matrix to the columns.
     Counts are rebuilt from the columns once, at the end.
     """
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     dtype = _draw_dtype(model.total(n))
     gen = _as_rng(rng).generator
     cum_rows = np.cumsum(model.replacement, axis=1, dtype=dtype).T

@@ -2,7 +2,7 @@
 
 Ball type k carries the total attraction weight of capacity-k buckets, in
 the denominator-cleared integer form, so drawing a ball is exactly the
-growth step and the urn is balanced with balance a.  `urn_model` is the
+growth step and the urn is balanced with balance a.  `build_urn` is the
 one definition of the urn (initial counts, replacement rows, divisors and
 growth coefficients): the vectorized kernel in `montecarlo` steps with its
 rows, and `dist_k.mean_type_masses` takes the mean of the same step, as
@@ -35,18 +35,13 @@ class UrnModel:
     replacement: tuple      # b x b integer matrix; row = type drawn
     initial: tuple          # ball counts at tree size 1
     divisors: tuple         # weight of one capacity-k bucket, k = 1..b
-    coeffs: GrowthCoeffs    # the growth rule the urn draws with
-
-    @property
-    def balance(self) -> int:
-        """Every row sums to this."""
-        return self.coeffs.a
+    coeffs: GrowthCoeffs    # the growth rule the urn draws with; rows sum to coeffs.a
 
     def total(self, n: int) -> int:
         return self.coeffs.total(n)
 
 
-def urn_model(spec: FamilySpec) -> UrnModel:
+def build_urn(spec: FamilySpec) -> UrnModel:
     """The bucket-type urn of a named family; b = 1 gives the one-type urn [a]."""
     families.require_named(spec)
     gc = families.growth_coeffs(spec)
@@ -64,17 +59,8 @@ def urn_model(spec: FamilySpec) -> UrnModel:
     return UrnModel(spec, b, tuple(map(tuple, rows)), initial, w, gc)
 
 
-def build_urn(spec: FamilySpec) -> UrnModel:
-    """The urn of a named family with at least two bucket types."""
-    families.require_named(spec)
-    if spec.b < 2:
-        raise ValueError("the urn needs at least two bucket types (b >= 2)")
-    return urn_model(spec)
-
-
 @dataclass
 class UrnTrajectory:
-    model: UrnModel
     draws: list            # type index (0-based) drawn at each step
     counts: list           # ball counts after each step, counts[0] = initial
 
@@ -106,7 +92,7 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
         for i, delta in enumerate(model.replacement[k]):
             q[i] += delta
         counts.append(tuple(q))
-    return UrnTrajectory(model, draws, counts)
+    return UrnTrajectory(draws, counts)
 
 
 def census_counts(model: UrnModel, census: NodeCensus) -> tuple:
@@ -197,11 +183,9 @@ def char_poly_closed(model: UrnModel) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class UrnSpectrum:
-    model: UrnModel
     char_coeffs: tuple       # exact, ascending
-    eigenvalues: tuple       # complex, sorted by (-Re, -Im)
-    principal: Fraction      # equals the balance
-    affine: tuple            # (a, -c): lambda_urn = a * lambda_ind - c
+    eigenvalues: tuple       # complex, sorted by (-Re, -Im); a * lambda_ind - c
+    principal: Fraction      # equals the balance a
 
 
 def urn_spectrum(model: UrnModel) -> UrnSpectrum:
@@ -212,5 +196,5 @@ def urn_spectrum(model: UrnModel) -> UrnSpectrum:
     principal = gc.a * (1 + family_kappa(spec)) - gc.c
     if principal != gc.a:
         raise AssertionError("principal eigenvalue does not equal the balance")
-    return UrnSpectrum(model, tuple(coeffs), eigs, Fraction(gc.a), (gc.a, -gc.c))
+    return UrnSpectrum(tuple(coeffs), eigs, Fraction(gc.a))
 

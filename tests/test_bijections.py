@@ -235,6 +235,29 @@ def test_weight_preserving_phi_matches_named_families():
             assert weight_preserving_phi(phi1, 2, k) == families.phi(target, k)
 
 
+def _clustering_pairs():
+    """Check 5's (b = 1 base, bound-b target) pairs of the same family."""
+    pairs = []
+    for b in (2, 3):
+        pairs.append((families.recursive(1), families.recursive(b)))
+        pairs += [(families.ary(1, d), families.ary(b, d)) for d in (2, 3)]
+        pairs += [(families.port(1, a), families.port(b, a)) for a in (1, 2)]
+    return pairs
+
+
+@pytest.mark.parametrize("base, target", _clustering_pairs(),
+                         ids=lambda s: s.describe())
+def test_clustering_maps_the_base_measure_onto_the_target(base, target):
+    # the weights of the base trees, summed per clustered image, are the
+    # target's weights exactly: the ratio of the two measures is 1
+    for n in range(1, 7):
+        pushed = {}
+        for tree, w in enumerate_trees(base, n).items:
+            image = cluster(tree, target.b)
+            pushed[image] = pushed.get(image, 0) + w
+        assert pushed == dict(enumerate_trees(target, n).items), n
+
+
 def _diamond(labels, *parts):
     """The diamond of one node: an inner label, or a (source, sink) pair and parts."""
     return Diamond((labels, *(x for p in parts for x in p.labels)),

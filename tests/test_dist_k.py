@@ -126,7 +126,7 @@ def test_mean_type_masses_match_inline_recursion(spec):
                          ids=lambda s: s.describe())
 def test_mean_type_masses_first_two_sizes(spec):
     # one bucket of capacity one, then the first draw is that bucket: row 0 is added
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     assert mean_type_masses(spec, 1) == tuple(map(Fraction, model.initial))
     assert mean_type_masses(spec, 2) == tuple(
         Fraction(q + r) for q, r in zip(model.initial, model.replacement[0]))

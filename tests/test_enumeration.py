@@ -158,14 +158,14 @@ def test_unordered_measure_on_a_deep_path():
     path = BucketTree(1, node)
     spec = families.recursive(1)
     expected = Fraction(1, math.factorial(depth - 1))
-    assert exact_probability(spec, path, UNORDERED_MODEL, max_n=depth) == expected
-    assert exact_probability(spec, path, ORDERED_MODEL, max_n=depth) == expected
+    assert exact_probability(spec, path, UNORDERED_MODEL) == expected
+    assert exact_probability(spec, path, ORDERED_MODEL) == expected
     # a fork at the bottom of the path whose children are out of order
     node = BucketNode((depth - 2,), (BucketNode((depth,)), BucketNode((depth - 1,))))
     for label in range(depth - 3, 0, -1):
         node = BucketNode((label,), (node,))
     with pytest.raises(ValueError, match="canonical"):
-        exact_probability(spec, BucketTree(1, node), UNORDERED_MODEL, max_n=depth)
+        exact_probability(spec, BucketTree(1, node), UNORDERED_MODEL)
 
 
 
@@ -246,8 +246,8 @@ def test_growth_history_on_a_deep_path_and_a_wide_star():
     assert growth_history_probability(families.port(1, 1), _path(1, n)) == Fraction(1, odd)
     assert growth_history_probability(families.port(1, 1), _star(1, n)) == \
         Fraction(math.factorial(n - 1), odd)
-    assert exact_probability(families.recursive(1), _star(1, n), UNORDERED_GROWTH,
-                             max_n=n) == Fraction(1, math.factorial(n - 1))
+    assert exact_probability(families.recursive(1), _star(1, n), UNORDERED_GROWTH) == \
+        Fraction(1, math.factorial(n - 1))
 
 # ---------------------------------------------------------------------------
 # the per-tree summation the oracle used before it grouped trees by node
@@ -302,10 +302,6 @@ def _per_tree_capacity_counts(spec, items):
     return {k: v / total for k, v in out.items()}
 
 
-def _custom_phi(k):
-    return Fraction(0) if k == 2 else Fraction(k * k + 1, k + 1)
-
-
 def _statistic_fns(b, n):
     yield "K", stat_initial_bucket_size
     for k in range(1, b + 1):
@@ -315,11 +311,17 @@ def _statistic_fns(b, n):
             yield f"{name}:{j}", lambda t, stat=stat, j=j: stat(t, j)
 
 
+# (kept, all) trees where a (b, d)-ary family gives some trees weight 0
+ZERO_WEIGHT_DROPS = {("ary:b=1,d=2", 5): (39, 105), ("ary:b=2,d=2", 6): (53, 77)}
+
+
 def test_oracle_matches_per_tree_reference():
-    specs = verify.family_grid() + [families.custom(2, _custom_phi, [Fraction(3, 2)])]
-    for spec in specs:
+    for spec in verify.family_grid():
         for n in range(1, 7):
             items = _per_tree_items(spec, n)
+            if (spec.describe(), n) in ZERO_WEIGHT_DROPS:
+                assert (len(items), len(all_trees(spec.b, n))) == \
+                    ZERO_WEIGHT_DROPS[spec.describe(), n]
             got = enumerate_trees(spec, n).items
             assert [(encode(t), w) for t, w in got] == [(encode(t), w) for t, w in items]
             counts = expected_capacity_counts(spec, n)

@@ -175,15 +175,11 @@ def test_spec_validation():
         port(2, 0)
 
 
-def test_custom_needs_b_minus_one_psi_weights():
-    phi_seq = lambda k: Fraction(1)
-    with pytest.raises(ValueError, match="psi"):
-        families.custom(3, phi_seq, [1])
-    with pytest.raises(ValueError, match="psi"):
-        families.custom(2, phi_seq, [1, 1])
-    spec = families.custom(3, phi_seq, [1, Fraction(1, 2)])
-    assert psi(spec, 2) == Fraction(1, 2)
-    assert families.custom(1, phi_seq, []).b == 1
+def test_custom_kind_is_unknown():
+    with pytest.raises(ValueError, match="unknown family kind"):
+        FamilySpec("custom", 2)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        parse_family("custom:b=2")
 
 
 def test_describe_round_trips():

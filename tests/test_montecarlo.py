@@ -199,7 +199,7 @@ def test_seeded_one_type_kernels_are_stable(spec):
 
 
 def _row_wise_ball_dynamics(spec, n, size, stream):
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     rows = np.array(model.replacement, dtype=np.int64)
     counts = np.tile(np.array(model.initial, dtype=np.int64), (size, 1))
     last = np.full(size, -1, dtype=np.int64)
@@ -259,7 +259,7 @@ def _assert_ball_dynamics_identical(spec, n, size):
 
 
 def _assert_simulate_urn_identical(spec, steps):
-    model = urns.urn_model(spec)
+    model = urns.build_urn(spec)
     traj, (draws, counts) = _same_draws(urns.simulate_urn, _per_step_simulate_urn,
                                         model, steps)
     assert traj.draws == draws and traj.counts == counts
@@ -276,7 +276,7 @@ def test_kernels_match_row_wise_per_step_references(spec):
 @pytest.mark.parametrize("n", [2147, 2200])
 def test_kernels_match_references_across_the_int32_bound(n):
     wide, wide_b1 = WIDE
-    assert _draw_dtype(urns.urn_model(wide).total(n)) == (np.int32 if n == 2147 else np.int64)
+    assert _draw_dtype(urns.build_urn(wide).total(n)) == (np.int32 if n == 2147 else np.int64)
     _assert_ball_dynamics_identical(wide, n, 50)
     _assert_ball_dynamics_identical(wide_b1, n, 50)
     _assert_simulate_urn_identical(wide, n - 1)

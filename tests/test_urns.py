@@ -24,9 +24,9 @@ def test_replacement_matrices():
 
 
 def test_balances():
-    assert build_urn(families.recursive(2)).balance == 1
-    assert build_urn(families.port(2, 1)).balance == 2
-    assert build_urn(families.ary(2, 2)).balance == 1
+    assert build_urn(families.recursive(2)).coeffs.a == 1
+    assert build_urn(families.port(2, 1)).coeffs.a == 2
+    assert build_urn(families.ary(2, 2)).coeffs.a == 1
 
 
 def test_deterministic_opening_trace():
@@ -44,7 +44,7 @@ def test_char_poly_routes_agree(spec):
 @pytest.mark.parametrize("b", range(1, 31))
 def test_char_poly_matches_product_form_to_b30(b):
     for spec in verify.kind_grid(b):
-        model = urns.urn_model(spec)
+        model = urns.build_urn(spec)
         coeffs = char_poly(model)
         assert coeffs == char_poly_closed(model)
         assert all(type(c) is Fraction for c in coeffs)
@@ -57,9 +57,11 @@ def test_port_eigenvalues():
 
 
 def test_affine_maps():
-    assert urn_spectrum(build_urn(families.recursive(3))).affine == (1, 0)
-    assert urn_spectrum(build_urn(families.ary(2, 3))).affine == (2, -1)
-    assert urn_spectrum(build_urn(families.port(2, 1))).affine == (2, 1)
+    for spec, affine in ((families.recursive(3), (1, 0)), (families.ary(2, 3), (2, -1)),
+                         (families.port(2, 1), (2, 1))):
+        gc = families.growth_coeffs(spec)
+        assert (gc.a, -gc.c) == affine
+        assert urn_spectrum(build_urn(spec)).principal == gc.a
 
 
 def numeric_eigenvalues(model):
@@ -104,8 +106,7 @@ def test_trajectory_totals_are_deterministic():
 
 
 def test_urn_guards():
-    with pytest.raises(ValueError):
-        build_urn(families.recursive(1))
+    assert build_urn(families.recursive(1)).replacement == ((1,),)
     with pytest.raises(ValueError):
         build_urn(families.linear(2, 1, 0, 1))
 
@@ -143,9 +144,9 @@ def test_simulate_urn_guard():
 
 
 def test_one_type_urn():
-    model = urns.urn_model(families.port(1, 2))
+    model = urns.build_urn(families.port(1, 2))
     assert model.replacement == ((3,),) and model.initial == (2,)
-    assert model.balance == 3
+    assert model.coeffs.a == 3
     counts = montecarlo.sample_urn_counts(families.port(1, 2), 9, 5, RngStream(1))
     assert (counts[:, 0] == model.total(9)).all()
     assert node_type_estimates(model, (model.total(9),)) == {1: 9}
