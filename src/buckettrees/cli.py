@@ -186,12 +186,15 @@ def pmf_k_cmd(family_text, fmt, out_path, n, limit):
     """Distribution of the initial bucket size K_n: exact rationals up to
     n = 10^4, spectral floats above, or the limit law. The `method` column
     (doc field) says which: exact, spectral or limit. The spectral route
-    costs O(b n) per call with no ceiling on n: n = 10^7 takes seconds."""
+    costs O(b n) per call, so n is capped at 10^8: n = 10^7 takes seconds."""
     spec = families.parse_family(family_text)
     if limit:
         pmf, method = dist_k.limit_K(spec), "limit"
     elif n <= 10 ** 4:
         pmf, method = dist_k.pmf_K_exact(spec, n), "exact"
+    elif n > 10 ** 8:
+        raise ValueError(f"--n {n} is above the ceiling of 10^8: the spectral "
+                         "route costs O(b n), and n = 10^7 takes seconds")
     else:  # exact rationals get huge; the spectral route is float but fast
         pmf, method = dist_k.pmf_K(spec, n), "spectral"
     _pmf_output(pmf, fmt, out_path, value_name="m", method=method)
@@ -345,7 +348,7 @@ def spectrum_cmd(family_text, out_path, b_range):
 @main.command("verify")
 @seed_option
 @out_option
-@click.option("--level", type=click.Choice(["quick", "full"]), default="quick",
+@click.option("--level", type=click.Choice(verify.LEVELS), default="quick",
               show_default=True)
 def verify_cmd(seed, out_path, level):
     """Run the verification suite; exit code 0 iff every check passes."""

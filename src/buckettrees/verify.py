@@ -6,7 +6,13 @@ machinery against exact enumeration, bijection round trips on exhaustive
 corpora, and calibrated stochastic checks of the samplers.  Exact claims
 use rational equality or stated tolerances; stochastic claims use a 0.001
 significance level (or a 3-sigma band for means) so flake rates stay
-negligible.  Everything is deterministic given the seed.
+negligible.
+
+Every check is called as `check(level, seed)` and picks its sizes from the
+level where it uses them: `quick` runs all eight in seconds, `full` is the
+acceptance configuration.  `run_check` runs one check by name, deriving its
+seed from the suite seed and the check's index, so everything is
+deterministic given the seed; `verify_suite` runs all eight in order.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ def _double_factorial_odd(n: int) -> int:
 # 1. total weights
 
 
-def check_total_weights(max_n: int = 8) -> str:
+def check_total_weights(level: str, seed: int) -> str:
+    max_n = 6 if level == "quick" else 8
     count = 0
     for spec in family_grid():
         for n in range(1, max_n + 1):
@@ -90,7 +97,8 @@ def check_total_weights(max_n: int = 8) -> str:
 # 2. measure equality
 
 
-def check_measure_equality(max_n: int = 6) -> str:
+def check_measure_equality(level: str, seed: int) -> str:
+    max_n = 5 if level == "quick" else 6
     count = 0
     for spec in family_grid():
         for n in range(1, max_n + 1):
@@ -108,8 +116,11 @@ def check_measure_equality(max_n: int = 6) -> str:
 # 3. bucket-size distribution K
 
 
-def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 ** 6,
-                         limit_n: int = 10 ** 4, seed: int = 0) -> str:
+def check_k_distribution(level: str, seed: int) -> str:
+    quick = level == "quick"
+    max_n = 6 if quick else 8
+    mc_n, mc_samples = (30, 30000) if quick else (50, 10 ** 6)
+    limit_n = 2000 if quick else 10 ** 4
     notes = []
     for spec in family_grid():
         for n in range(1, max_n + 1):
@@ -175,7 +186,8 @@ def check_k_distribution(max_n: int = 8, mc_n: int = 50, mc_samples: int = 10 **
 PHASE_BOUNDARY = 26
 
 
-def check_spectral(max_b: int = 30) -> str:
+def check_spectral(level: str, seed: int) -> str:
+    max_b = 12 if level == "quick" else 30
     worst = 0.0
     solved = {}
     for kap in kappa_grid():
@@ -217,8 +229,10 @@ def _diamond_weight(d: bijections.Diamond) -> int:
                      if len(lab) == 2)
 
 
-def check_bijections(max_n_diamond: int = 8, max_n_bundle: int = 6,
-                     max_k: int = 6) -> str:
+def check_bijections(level: str, seed: int) -> str:
+    quick = level == "quick"
+    max_n_diamond, max_n_bundle = (6, 5) if quick else (8, 6)
+    max_k = 4 if quick else 6
     notes = []
     for n in range(1, max_n_diamond + 1):
         trees = enumeration.all_trees(2, n)
@@ -291,10 +305,11 @@ def _relative_residual(coeffs: list[Fraction], z: complex) -> float:
     return value / max(scale, 1)
 
 
-def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
-               exact_n: int = 7, exact_reps: int = 10 ** 6,
-               growth_n: int = 10 ** 3, growth_reps: int = 300,
-               urn_reps: int = 4000, seed: int = 0) -> str:
+def check_urns(level: str, seed: int) -> str:
+    quick = level == "quick"
+    charpoly_max_b, affine_max_b = (6, 10) if quick else (30, 30)
+    exact_n, exact_reps = (6, 30000) if quick else (7, 10 ** 6)
+    growth_n, growth_reps, urn_reps = (150, 60, 1000) if quick else (10 ** 3, 300, 4000)
     notes = []
     for b in range(2, charpoly_max_b + 1):
         for spec in kind_grid(b):
@@ -363,10 +378,11 @@ def check_urns(charpoly_max_b: int = 30, affine_max_b: int = 30,
 # 7. descendants, saturation, out-degree
 
 
-def check_descendants(max_n: int = 8, harmonic_max_n: int = 40,
-                      beta_n: int = 10 ** 4, beta_js: tuple = (4, 6),
-                      gamma_n: int = 10 ** 5, ks_samples: int = 10 ** 5,
-                      seed: int = 0) -> str:
+def check_descendants(level: str, seed: int) -> str:
+    quick = level == "quick"
+    max_n = 6 if quick else 8
+    beta_n, gamma_n = (2000, 10 ** 4) if quick else (10 ** 4, 10 ** 5)
+    ks_samples = 2 * 10 ** 4 if quick else 10 ** 5
     notes = []
     for spec in (families.recursive(2), families.port(2, 1), families.ary(2, 2)):
         for n in range(1, max_n + 1):
@@ -382,23 +398,23 @@ def check_descendants(max_n: int = 8, harmonic_max_n: int = 40,
     notes.append(f"Y, tau, X pmfs equal the oracle exactly for n <= {max_n}")
 
     one = families.recursive(1)
-    for n in range(2, harmonic_max_n + 1):
+    for n in range(2, 41):
         mean = dist_desc.pmf_X(one, n, 1).mean()
         harmonic = sum(Fraction(1, s) for s in range(1, n))
         _need(mean == harmonic,
               f"E[X_{{{n},1}}] = {mean} is not the harmonic number H_{n - 1}")
         _need(abs(float(mean) - float(harmonic)) <= 1e-12, "harmonic float gap")
-    notes.append(f"E[X_n,1] equals H_(n-1) exactly for b=1 recursive, n <= {harmonic_max_n}")
+    notes.append("E[X_n,1] equals H_(n-1) exactly for b=1 recursive, n <= 40")
 
     spec = families.recursive(2)
     stream = RngStream(seed)
-    for i, j in enumerate(beta_js):
+    for i, j in enumerate((4, 6)):
         ref = dist_desc.limit_reference(spec, "fixed-j", j=j)
         y = montecarlo.sample_Y(spec, beta_n, j, ks_samples, stream.child(i))
         report = gof.kolmogorov_smirnov(ref.rescale(y, beta_n), ref.cdf)
         _need(report.passed(SIGNIFICANCE),
               f"Beta-mixture KS failed at j={j}: {report}")
-    notes.append(f"KS vs the Beta mixture passes at n={beta_n}, j in {beta_js}")
+    notes.append(f"KS vs the Beta mixture passes at n={beta_n}, j in (4, 6)")
 
     j = int(math.isqrt(gamma_n))
     ref = dist_desc.limit_reference(spec, "small-j", j=j)
@@ -413,8 +429,8 @@ def check_descendants(max_n: int = 8, harmonic_max_n: int = 40,
 # 8. growth-rule conservation
 
 
-def check_conservation(trees_per_family: int = 10 ** 4, max_size: int = 10 ** 3,
-                       full_check_every: int = 100, seed: int = 0) -> str:
+def check_conservation(level: str, seed: int) -> str:
+    trees_per_family, max_size = (300, 300) if level == "quick" else (10 ** 4, 10 ** 3)
     stream = RngStream(seed)
     checked = 0
     for i, spec in enumerate(family_grid()):
@@ -432,7 +448,7 @@ def check_conservation(trees_per_family: int = 10 ** 4, max_size: int = 10 ** 3,
             _need(total == gc.total(g.size),
                   f"{spec.describe()} size={size}: node weights sum to {total}, "
                   f"not {gc.total(g.size)}")
-            if r % full_check_every == 0:
+            if r % 100 == 0:
                 probs = grow.attraction_probs(spec, g.build())
                 _need(sum(p for _, _, p in probs) == 1,
                       f"{spec.describe()}: attraction probabilities do not sum to 1")
@@ -458,56 +474,34 @@ class CheckResult:
         return f"{status} {self.name} ({self.seconds:.2f}s): {self.detail}"
 
 
-FULL_PARAMS: dict = {
-    "1-total-weights": (check_total_weights, {}),
-    "2-measure-equality": (check_measure_equality, {}),
-    "3-bucket-size-distribution": (check_k_distribution, {}),
-    "4-spectral": (check_spectral, {}),
-    "5-bijections": (check_bijections, {}),
-    "6-urns": (check_urns, {}),
-    "7-descendants": (check_descendants, {}),
-    "8-conservation": (check_conservation, {}),
+CHECKS = {
+    "1-total-weights": check_total_weights,
+    "2-measure-equality": check_measure_equality,
+    "3-bucket-size-distribution": check_k_distribution,
+    "4-spectral": check_spectral,
+    "5-bijections": check_bijections,
+    "6-urns": check_urns,
+    "7-descendants": check_descendants,
+    "8-conservation": check_conservation,
 }
 
-QUICK_PARAMS: dict = {
-    "1-total-weights": (check_total_weights, {"max_n": 6}),
-    "2-measure-equality": (check_measure_equality, {"max_n": 5}),
-    "3-bucket-size-distribution": (
-        check_k_distribution,
-        {"max_n": 6, "mc_n": 30, "mc_samples": 30000, "limit_n": 2000}),
-    "4-spectral": (check_spectral, {"max_b": 12}),
-    "5-bijections": (
-        check_bijections, {"max_n_diamond": 6, "max_n_bundle": 5, "max_k": 4}),
-    "6-urns": (
-        check_urns,
-        {"charpoly_max_b": 6, "affine_max_b": 10, "exact_n": 6,
-         "exact_reps": 30000, "growth_n": 150, "growth_reps": 60,
-         "urn_reps": 1000}),
-}
+LEVELS = ("quick", "full")
+
+
+def run_check(name: str, level: str, seed: int) -> CheckResult:
+    """Run one named check at a level, seeded from the suite seed by the
+    check's index, and time it; a check that raises is a failed result."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}; use 'quick' or 'full'")
+    check_seed = RngStream(seed).child(list(CHECKS).index(name)).integers(2 ** 62)
+    start = time.perf_counter()
+    try:
+        detail, passed, trace = CHECKS[name](level, check_seed), True, ""
+    except Exception as exc:  # a failed check is report content, not a crash
+        detail, passed, trace = f"{type(exc).__name__}: {exc}", False, traceback.format_exc()
+    return CheckResult(name, passed, detail, time.perf_counter() - start, trace)
 
 
 def verify_suite(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Run the verification suite and return one result per criterion."""
-    if level == "quick":
-        table = QUICK_PARAMS
-    elif level == "full":
-        table = FULL_PARAMS
-    else:
-        raise ValueError(f"unknown level {level!r}; use 'quick' or 'full'")
-    results = []
-    for i, (name, (fn, params)) in enumerate(table.items()):
-        kwargs = dict(params)
-        if "seed" in fn.__code__.co_varnames:
-            kwargs.setdefault("seed", RngStream(seed).child(i).integers(2 ** 62))
-        start = time.perf_counter()
-        trace = ""
-        try:
-            detail = fn(**kwargs)
-            passed = True
-        except Exception as exc:  # a failed check is report content, not a crash
-            detail = f"{type(exc).__name__}: {exc}"
-            passed = False
-            trace = traceback.format_exc()
-        results.append(CheckResult(name, passed, detail,
-                                   time.perf_counter() - start, trace))
-    return results
+    return [run_check(name, level, seed) for name in CHECKS]

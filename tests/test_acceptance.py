@@ -1,10 +1,10 @@
 """The eight acceptance checks, run at full strength with stated budgets.
 
-Each test drives one numbered check from the verification suite with its
-full parameter set and the seed the suite itself would derive, asserts the
-check's exactness/tolerance claims (raised as failures inside the check),
-and enforces the wall-clock budget.  One PASS/FAIL line is printed per
-criterion.
+Each test runs one numbered check of the verification suite through
+`verify.run_check` at the full level, with the seed the suite itself
+derives, asserts that it passes (its exactness/tolerance claims are raised
+as failures inside the check), and enforces the wall-clock budget.  One
+PASS/FAIL line is printed per criterion.
 """
 
 import time
@@ -12,7 +12,6 @@ import time
 import pytest
 
 from buckettrees import verify
-from buckettrees.grow import RngStream
 
 SUITE_SEED = 0
 
@@ -28,28 +27,17 @@ BUDGETS = {
     "8-conservation": 30.0,
 }
 
-NAMES = list(verify.FULL_PARAMS)
+NAMES = list(verify.CHECKS)
 
 
 @pytest.mark.parametrize("name", NAMES, ids=NAMES)
 def test_acceptance_criterion(name):
-    index = NAMES.index(name)
-    fn, params = verify.FULL_PARAMS[name]
-    kwargs = dict(params)
-    if "seed" in fn.__code__.co_varnames:
-        kwargs["seed"] = RngStream(SUITE_SEED).child(index).integers(2 ** 62)
-    start = time.perf_counter()
-    try:
-        detail = fn(**kwargs)
-    except Exception as exc:
-        elapsed = time.perf_counter() - start
-        print(f"FAIL {name} ({elapsed:.2f}s): {type(exc).__name__}: {exc}")
-        raise
-    elapsed = time.perf_counter() - start
-    print(f"PASS {name} ({elapsed:.2f}s): {detail}")
+    result = verify.run_check(name, "full", SUITE_SEED)
+    print(result.line())
+    assert result.passed, result.traceback
     budget = BUDGETS[name]
-    assert elapsed < budget, (
-        f"{name} passed but took {elapsed:.1f}s, over the {budget:.0f}s budget")
+    assert result.seconds < budget, (
+        f"{name} passed but took {result.seconds:.1f}s, over the {budget:.0f}s budget")
 
 
 def test_quick_suite_is_fast_and_deterministic():
@@ -60,3 +48,17 @@ def test_quick_suite_is_fast_and_deterministic():
     assert elapsed < 10.0, f"quick suite took {elapsed:.1f}s"
     again = verify.verify_suite(level="quick", seed=0)
     assert [r.detail for r in results] == [r.detail for r in again]
+
+
+def test_both_levels_run_the_same_eight_checks_in_order(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS",
+                        dict.fromkeys(verify.CHECKS, lambda level, seed: level))
+    quick = verify.verify_suite(level="quick")
+    full = verify.verify_suite(level="full")
+    assert [r.name for r in quick] == [r.name for r in full] == list(BUDGETS)
+    assert [r.detail for r in quick + full] == ["quick"] * 8 + ["full"] * 8
+
+
+def test_an_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="use 'quick' or 'full'"):
+        verify.verify_suite(level="medium")

@@ -319,6 +319,7 @@ BAD_INPUTS = {
     "grow --n 0": "tree size must be >= 1",
     "grow --n 3 --family foo": "unknown family kind 'foo'",
     "pmf-k --n 0": "n must be >= 1",
+    "pmf-k --n 10000000000": "above the ceiling of 10^8: the spectral route costs O(b n)",
     "enumerate --n 0": "n must be >= 1",
     "enumerate --n 0 --pmf K": "n must be >= 1",
     "descendants --n 5 --j 9": "label j=9 outside 1..5",
@@ -344,17 +345,17 @@ def test_bad_input_is_a_usage_error(args):
 
 def test_verify_quick():
     out = run("verify", "--level", "quick", "--seed", "0")
-    assert "ALL CHECKS PASSED" in out
-    assert out.count("PASS") >= 6
+    assert "ALL CHECKS PASSED (8/8)" in out
+    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 8
 
 
-def _planted_failure():
+def _planted_failure(level, seed):
     raise ZeroDivisionError("planted")
 
 
 def test_verify_keeps_the_traceback_of_a_check_that_raises(monkeypatch):
-    monkeypatch.setattr(verify, "QUICK_PARAMS", {"1-fine": (lambda: "ok", {}),
-                                                 "2-broken": (_planted_failure, {})})
+    monkeypatch.setattr(verify, "CHECKS", {"1-fine": lambda level, seed: "ok",
+                                           "2-broken": _planted_failure})
     fine, broken = verify.verify_suite(level="quick")
     assert fine.passed and fine.traceback == ""
     assert not broken.passed and broken.detail == "ZeroDivisionError: planted"
