@@ -52,9 +52,9 @@ def _check_bound(n: int, max_n) -> None:
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise EnumerationBoundError(
-            f"n={n} exceeds the enumeration bound {bound}; pass max_n explicitly "
-            "to override (the tree count, and so the time of every oracle call "
-            "and the memory of the tree lists, grows factorially)")
+            f"n={n} exceeds the enumeration bound {bound}; pass max_n, or --max-n on "
+            "the command line, to override: the tree count, and so the time of every "
+            "oracle call and the memory of the tree lists, grows factorially")
 
 
 class _Walk:
@@ -156,21 +156,17 @@ def _weights(spec: FamilySpec, n: int, signatures) -> dict:
     psi(capacity) over unsaturated ones, as `families.tree_weight` takes it.
     """
     b = spec.b
-    factors: dict = {}
     out = {}
     for signature in signatures:
         w = Fraction(1)
         for code, count in _pairs(signature, n):
-            if code not in factors:
-                factors[code] = phi(spec, code - b + 1) if code >= b - 1 else psi(spec, code + 1)
-            w *= factors[code] ** count
+            w *= (phi(spec, code - b + 1) if code >= b - 1 else psi(spec, code + 1)) ** count
         out[signature] = w
     return out
 
 
 def _check_oracle(spec: FamilySpec, n: int, max_n) -> None:
-    if spec.kind == families.LINEAR:
-        raise ValueError("the linear family has no combinatorial weights to enumerate")
+    families.require_named(spec)
     _check_bound(n, max_n)
 
 

@@ -2,12 +2,21 @@
 
 Three named families are supported (bucket recursive, (b,d)-ary, and
 (b,alpha) plane-oriented), plus a linear generalization that only has a
-growth rule.  All weights are exact rationals.
+growth rule.  All weights are exact rationals.  A named family is a rate A
+and an offset eps, (A, eps) = (1, 0) for recursive, (d - 1, +1) for ary and
+(alpha + 1, -1) for port, with kappa = eps/A and the growth rule
+a*(c-1) + beta*deg + m = (A, -eps, A + eps); its closed forms are products
+of the terms A*i + eps:
+
+    T_n   = prod_{0<i<n} (A*i + eps)                    total weight of size n
+    psi_k = T_k                                         unsaturated bucket of k labels
+    phi_k = T_b * prod_{i<k} (A*b + eps - eps*i) / k!   saturated bucket, out-degree k
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,12 +29,10 @@ ARY = "ary"
 PORT = "port"
 LINEAR = "linear"
 
-NAMED_KINDS = (RECURSIVE, ARY, PORT)
-
 
 def require_named(spec: FamilySpec) -> None:
     """Raise ValueError unless spec is one of the named families."""
-    if spec.kind not in NAMED_KINDS:
+    if spec.kind == LINEAR:  # FamilySpec refuses any other kind
         raise ValueError(f"needs a named family, not {spec.kind!r}")
 
 
@@ -41,28 +48,26 @@ class FamilySpec:
     lin_m: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("capacity bound b must be >= 1")
+        if not isinstance(self.b, numbers.Integral) or self.b < 1:
+            raise ValueError(f"capacity bound b must be >= 1 and an integer, not b={self.b}")
         if self.kind == ARY:
-            if self.d is None or self.d < 2:
-                raise ValueError("(b,d)-ary family needs integer d >= 2")
+            if not isinstance(self.d, numbers.Integral) or self.d < 2:
+                raise ValueError(f"(b,d)-ary family needs integer d >= 2, not d={self.d}")
         elif self.kind == PORT:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("(b,alpha)-PORT family needs alpha > 0")
+            if not isinstance(self.alpha, numbers.Rational) or self.alpha <= 0:
+                raise ValueError("(b,alpha)-PORT family needs rational alpha > 0, "
+                                 f"not alpha={self.alpha}")
         elif self.kind == LINEAR:
-            if self.lin_a is None or self.lin_beta is None or self.lin_m is None:
-                raise ValueError("linear family needs parameters a, beta, m")
+            for name, value in zip(("a", "beta", "m"), (self.lin_a, self.lin_beta, self.lin_m)):
+                if not isinstance(value, numbers.Rational):
+                    raise ValueError(f"linear family needs rational {name}, not {name}={value}")
         elif self.kind != RECURSIVE:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     def describe(self) -> str:
-        if self.kind == RECURSIVE:
-            return f"recursive:b={self.b}"
-        if self.kind == ARY:
-            return f"ary:b={self.b},d={self.d}"
-        if self.kind == PORT:
-            return f"port:b={self.b},alpha={self.alpha}"
-        return f"linear:b={self.b},a={self.lin_a},beta={self.lin_beta},m={self.lin_m}"
+        params = {ARY: f",d={self.d}", PORT: f",alpha={self.alpha}",
+                  LINEAR: f",a={self.lin_a},beta={self.lin_beta},m={self.lin_m}"}
+        return f"{self.kind}:b={self.b}{params.get(self.kind, '')}"
 
 
 def recursive(b: int) -> FamilySpec:
@@ -133,50 +138,38 @@ def frac_binom(x, m: int):
     return out
 
 
-def kappa(spec: FamilySpec) -> Fraction:
-    """The unified family parameter driving the indicial equation."""
+def _shape(spec: FamilySpec) -> tuple[Fraction, int]:
+    """The rate A and offset eps of a named family."""
     if spec.kind == RECURSIVE:
-        return Fraction(0)
+        return Fraction(1), 0
     if spec.kind == ARY:
-        return Fraction(1, spec.d - 1)
+        return Fraction(spec.d - 1), 1
     if spec.kind == PORT:
-        return Fraction(-1, 1) / (spec.alpha + 1)
-    raise ValueError(f"kappa undefined for family kind {spec.kind!r}")
-
-
-def phi(spec: FamilySpec, k: int) -> Fraction:
-    """Degree weight of a saturated bucket with out-degree k."""
-    b = spec.b
-    if spec.kind == RECURSIVE:
-        return Fraction(math.factorial(b - 1) * b ** k, math.factorial(k))
-    if spec.kind == ARY:
-        d = spec.d
-        return (math.factorial(b - 1) * (d - 1) ** (b - 1)
-                * frac_binom(Fraction(b - 1) + Fraction(1, d - 1), b - 1)
-                * frac_binom(b * (d - 1) + 1, k))
-    if spec.kind == PORT:
-        a1 = spec.alpha + 1
-        return (math.factorial(b - 1) * a1 ** (b - 1)
-                * frac_binom(Fraction(b - 1) - 1 / a1, b - 1)
-                * frac_binom(a1 * b - 2 + k, k))
+        return Fraction(spec.alpha + 1), -1
     raise ValueError(f"family kind {spec.kind!r} has no combinatorial weights")
 
 
+def kappa(spec: FamilySpec) -> Fraction:
+    """The unified family parameter driving the indicial equation."""
+    A, eps = _shape(spec)
+    return eps / A
+
+
+@lru_cache(maxsize=None)  # specs are frozen; the oracle asks once per bucket
+def phi(spec: FamilySpec, k: int) -> Fraction:
+    """Degree weight of a saturated bucket with out-degree k."""
+    A, eps = _shape(spec)
+    p, q, b = A.numerator, A.denominator, spec.b
+    rise = math.prod(p * b + eps * q * (1 - i) for i in range(k))
+    return total_weight_closed(spec, b) * Fraction(rise, q ** k * math.factorial(k))
+
+
+@lru_cache(maxsize=None)
 def psi(spec: FamilySpec, k: int) -> Fraction:
     """Bucket weight of an unsaturated leaf with capacity k (1 <= k <= b-1)."""
     if not 1 <= k <= spec.b - 1:
         raise ValueError(f"psi index {k} outside 1..{spec.b - 1}")
-    if spec.kind == RECURSIVE:
-        return Fraction(math.factorial(k - 1))
-    if spec.kind == ARY:
-        d = spec.d
-        return (math.factorial(k - 1) * (d - 1) ** (k - 1)
-                * frac_binom(Fraction(k - 1) + Fraction(1, d - 1), k - 1))
-    if spec.kind == PORT:
-        a1 = spec.alpha + 1
-        return (math.factorial(k - 1) * a1 ** (k - 1)
-                * frac_binom(Fraction(k - 1) - 1 / a1, k - 1))
-    raise ValueError(f"family kind {spec.kind!r} has no combinatorial weights")
+    return total_weight_closed(spec, k)
 
 
 def tree_weight(spec: FamilySpec, tree: BucketTree) -> Fraction:
@@ -194,16 +187,9 @@ def total_weight_closed(spec: FamilySpec, n: int) -> Fraction:
     """Closed-form total weight T_n of all size-n increasingly labelled ordered trees."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = Fraction(math.factorial(n - 1))
-    if spec.kind == RECURSIVE:
-        return f
-    if spec.kind == ARY:
-        d = spec.d
-        return f * (d - 1) ** (n - 1) * frac_binom(Fraction(n - 1) + Fraction(1, d - 1), n - 1)
-    if spec.kind == PORT:
-        a1 = spec.alpha + 1
-        return f * a1 ** (n - 1) * frac_binom(Fraction(n - 1) - 1 / a1, n - 1)
-    raise ValueError(f"no closed-form total weight for family kind {spec.kind!r}")
+    A, eps = _shape(spec)
+    p, q = A.numerator, A.denominator
+    return Fraction(math.prod(p * i + eps * q for i in range(1, n)), q ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +201,11 @@ class GrowthCoeffs:
     """Integer node weight a*c(v) + bdeg*deg(v) + c.
 
     Summed over a tree of n labels in N buckets the weights give
-    a*n + (bdeg + c)*N + total_c.  For the named families bdeg + c == 0,
-    so the total needs the node count only for other linear rules.
+    a*n + (bdeg + c)*N + total_c.  A named family has (a, bdeg, c, total_c)
+    = q*(A, -eps, eps, eps), q the denominator of A: a bucket of c labels
+    and out-degree k weighs q*(A*c + eps - eps*k), the term its next label
+    or child adds to psi's or phi's product, and the total q*(A*n + eps)
+    needs the node count N only for other linear rules.
     """
 
     a: int
@@ -239,23 +228,16 @@ def growth_coeffs(spec: FamilySpec) -> GrowthCoeffs:
 
     The node weight divided by the total weight reproduces the attraction
     probability of the family's growth process exactly.  Every rule is a
-    linear one, a*(c-1) + beta*deg + m, and becomes (A, B, M - A, -B) once
-    (a, beta, m) are cleared to integers (A, B, M).  The named families
-    are the rules with m = a - beta (recursive (1, 0, 1), ary
-    (d-1, -1, d), port (alpha+1, 1, alpha)), so bdeg + c == 0 for them.
-    A rule under which some bucket can reach a negative weight raises
-    ValueError.
+    linear one, a*(c-1) + beta*deg + m, a named family's being (A, -eps,
+    A + eps), and is stored as (a, beta, m - a, -beta) once (a, beta, m)
+    are scaled to integers.  A rule under which some bucket can reach a
+    negative weight raises ValueError.
     """
-    if spec.kind == RECURSIVE:
-        rule = (1, 0, 1)
-    elif spec.kind == ARY:
-        rule = (spec.d - 1, -1, spec.d)
-    elif spec.kind == PORT:
-        rule = (spec.alpha + 1, 1, spec.alpha)
-    elif spec.kind == LINEAR:
+    if spec.kind == LINEAR:
         rule = (spec.lin_a, spec.lin_beta, spec.lin_m)
     else:
-        raise ValueError(f"no growth rule for family kind {spec.kind!r}")
+        A, eps = _shape(spec)
+        rule = (A, -eps, A + eps)
     den = math.lcm(*(Fraction(f).denominator for f in rule))
     a, beta, m = (int(f * den) for f in rule)
     gc = GrowthCoeffs(a, beta, m - a, -beta)

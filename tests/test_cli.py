@@ -322,6 +322,7 @@ BAD_INPUTS = {
     "pmf-k --n 10000000000": "above the ceiling of 10^8: the spectral route costs O(b n)",
     "enumerate --n 0": "n must be >= 1",
     "enumerate --n 0 --pmf K": "n must be >= 1",
+    "enumerate --n 11": "pass max_n, or --max-n on the command line, to override",
     "descendants --n 5 --j 9": "label j=9 outside 1..5",
     "spectrum --b-range 0..3": "capacity bound b must be >= 1",
     "spectrum --b-range 5..2": "--b-range 5..2 is empty",

@@ -1,5 +1,8 @@
 """Weight sequences, closed-form totals, growth coefficients, parsing."""
 
+import hashlib
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -167,12 +170,21 @@ def test_parse_family_names_the_parameter_that_does_not_parse(text, message):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        FamilySpec("recursive", 0)
-    with pytest.raises(ValueError):
-        ary(2, 1)
-    with pytest.raises(ValueError):
-        port(2, 0)
+    # each refusal names the field: b and d ints, alpha and a, beta, m rationals
+    for make, field in [(lambda: FamilySpec("recursive", 0), "b=0"),
+                        (lambda: recursive(2.5), "b=2.5"),
+                        (lambda: ary(2, 1), "d=1"),
+                        (lambda: ary(2, 2.5), "d=2.5"),
+                        (lambda: FamilySpec("ary", 2), "d=None"),
+                        (lambda: port(2, 0), "alpha=0"),
+                        (lambda: FamilySpec("port", 2, alpha=1.5), "alpha=1.5"),
+                        (lambda: FamilySpec("linear", 2, lin_a=1.0, lin_beta=0, lin_m=1), "a=1.0"),
+                        (lambda: FamilySpec("linear", 2, lin_a=1, lin_beta=0), "m=None")]:
+        with pytest.raises(ValueError, match=re.escape(field)):
+            make()
+    # the constructors read floats through Fraction
+    assert port(2, 1.5) == port(2, Fraction(3, 2))
+    assert linear(2, 1.0, 0.5, 1) == linear(2, 1, Fraction(1, 2), 1)
 
 
 def test_custom_kind_is_unknown():
@@ -194,3 +206,72 @@ def test_weights_rejects_linear():
         phi(linear(2, 1, 0, 1), 0)
     with pytest.raises(ValueError, match="no combinatorial weights"):
         psi(linear(2, 1, 0, 1), 1)
+
+
+# The paper's closed forms, one per kind, as families.py wrote them before
+# every named family became one (A, eps) pair: the reference its products
+# are held to.  psi_k has the form of T_k.
+def _ref_kappa(spec):
+    if spec.kind == "recursive":
+        return Fraction(0)
+    if spec.kind == "ary":
+        return Fraction(1, spec.d - 1)
+    return Fraction(-1, 1) / (spec.alpha + 1)
+
+
+def _ref_total(spec, n):
+    f = math.factorial(n - 1)
+    if spec.kind == "recursive":
+        return Fraction(f)
+    if spec.kind == "ary":
+        d = spec.d
+        return f * (d - 1) ** (n - 1) * frac_binom(Fraction(n - 1) + Fraction(1, d - 1), n - 1)
+    a1 = spec.alpha + 1
+    return f * a1 ** (n - 1) * frac_binom(Fraction(n - 1) - 1 / a1, n - 1)
+
+
+def _ref_phi(spec, k):
+    b = spec.b
+    if spec.kind == "recursive":
+        return Fraction(math.factorial(b - 1) * b ** k, math.factorial(k))
+    if spec.kind == "ary":
+        return _ref_total(spec, b) * frac_binom(b * (spec.d - 1) + 1, k)
+    a1 = spec.alpha + 1
+    return _ref_total(spec, b) * frac_binom(a1 * b - 2 + k, k)
+
+
+def _ref_rule(spec):
+    """(a, beta, m) of the growth rule a*(c-1) + beta*deg + m."""
+    if spec.kind == "recursive":
+        return 1, 0, 1
+    if spec.kind == "ary":
+        return spec.d - 1, -1, spec.d
+    return spec.alpha + 1, 1, spec.alpha
+
+
+_ALPHAS = [Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(7, 3), 5]
+_CLOSED_FORM_GRID = [spec for b in range(1, 7) for spec in
+                     [recursive(b)] + [ary(b, d) for d in range(2, 6)]
+                     + [port(b, alpha) for alpha in _ALPHAS]]
+
+# sha256 of every value below, recorded with the per-kind closed forms
+_CLOSED_FORM_DIGEST = "93e110d9f6746246fcbd084fdf7642e630ea22767c70da7d723e9e204d22056b"
+
+
+def test_weights_equal_the_papers_closed_forms():
+    h, count = hashlib.sha256(), 0
+    for spec in _CLOSED_FORM_GRID:
+        values = [("kappa", 0, kappa(spec), _ref_kappa(spec))]
+        values += [("phi", k, phi(spec, k), _ref_phi(spec, k)) for k in range(15)]
+        values += [("psi", k, psi(spec, k), _ref_total(spec, k)) for k in range(1, spec.b)]
+        values += [("T", n, total_weight_closed(spec, n), _ref_total(spec, n))
+                   for n in range(1, 25)]
+        for name, arg, got, want in values:
+            assert type(got) is Fraction and got == want, (spec.describe(), name, arg)
+            h.update(f"{spec.describe()} {name} {arg} {got}\n".encode())
+        count += len(values)
+        gc = growth_coeffs(spec)
+        assert gc == growth_coeffs(linear(spec.b, *_ref_rule(spec))), spec.describe()
+        h.update(f"{spec.describe()} growth {gc}\n".encode())
+    assert count == 2805
+    assert h.hexdigest() == _CLOSED_FORM_DIGEST
