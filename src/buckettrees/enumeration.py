@@ -1,18 +1,23 @@
 """Exhaustive exact-rational oracle over ordered bucket increasing trees.
 
-Everything here is brute force on purpose: it visits every valid ordered
-tree of a given size, weighs it, and derives probabilities and statistic
+Everything here is brute force on purpose: it visits every valid tree of
+a given size, weighs it, and derives probabilities and statistic
 distributions by direct summation, so the fast closed-form code elsewhere
-can be checked against it.
+can be checked against it. The tree lists visit every ordered tree. The
+statistic pmfs and expected counts visit each tree once up to sibling
+order, counting its prod(deg!) orderings, since every statistic and every
+weight is the same on all of them: (n-1)! trees at b = 1 stand for the
+(2n-3)!! ordered ones.
 
 Every ordered tree on labels 1..n has exactly one insertion sequence:
 label j either joins an unsaturated bucket or opens a new bucket in one of
 the deg + 1 child gaps of a saturated one (Bergeron, Flajolet & Salvy
 1992). `_Walk` runs depth first over those choices on flat per-bucket
 lists, undoing each step on the way back, and calls a visitor at every
-complete tree. The statistic pmfs read each statistic from that flat
-state and build no tree; the tree lists read each tree's bucket preorder
-off it at its leaf of the walk and are cached per (b, n).
+complete tree with the number of ordered trees it stands for. The
+statistic pmfs read each statistic from that flat state and build no
+tree; the tree lists read each tree's bucket preorder off it at its leaf
+of the walk and are cached per (b, n).
 
 A tree's weight is the product of phi(out-degree) over its saturated
 buckets and psi(capacity) over its unsaturated ones, so it depends only on
@@ -24,6 +29,7 @@ signature) pair.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +53,8 @@ class EnumerationBoundError(ValueError):
 
 
 def _check_bound(n: int, max_n) -> None:
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, not n={n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, not {n}")
     bound = DEFAULT_MAX_N if max_n is None else max_n
@@ -70,8 +78,15 @@ class _Walk:
         self.b, self.n = b, n
         self.labels, self.kids, self.holder = [[1]], [[]], [0, 0]
 
-    def run(self, visit, marked: int = 0) -> None:
-        """Call visit(signature, y) once per ordered tree, with the state complete.
+    def run(self, visit, marked: int = 0, ordered: bool = False) -> None:
+        """Call visit(signature, y, count) at each tree, with the state complete.
+
+        With `ordered`, every ordered tree is visited with count 1.
+        Otherwise a new child of a full bucket of degree d takes only the
+        last of its d + 1 gaps and multiplies the count by d + 1, so each
+        tree is visited once up to sibling order (children in label order)
+        with its prod(deg!) orderings as its count; the signature and every
+        statistic here ignore sibling order.
 
         The signature is the sum over buckets of (n+1)**(capacity + degree - 1).
         The exponent numbers the (capacity, degree) pairs, since only full
@@ -86,10 +101,13 @@ class _Walk:
         labels, kids, holder = self.labels, self.kids, self.holder
         power = [(n + 1) ** c for c in range(b + n)]
         inside = [marked == 1]  # per bucket: in the subtree of marked's bucket
+        # (gap, multiplicity) pairs for a new child of a bucket of degree d
+        gaps_at = [[(g, 1) for g in range(d + 1)] if ordered else [(d, d + 1)]
+                   for d in range(n)]
 
-        def place(j, sig, y):
+        def place(j, sig, y, count):
             if j > n:
-                visit(sig, y)
+                visit(sig, y, count)
                 return
             mark = j == marked
             for v in range(len(labels)):
@@ -100,12 +118,12 @@ class _Walk:
                     held.append(j)
                     holder.append(v)
                     inside[v], was = into, inside[v]
-                    place(j + 1, sig + power[c] - power[c - 1], y + into)
+                    place(j + 1, sig + power[c] - power[c - 1], y + into, count)
                     inside[v] = was
                     holder.pop()
                     held.pop()
                     continue
-                # j opens bucket u in one of the d + 1 child gaps of full bucket v
+                # j opens bucket u in the child gaps of full bucket v
                 gaps = kids[v]
                 d = len(gaps)
                 u = len(labels)
@@ -114,16 +132,16 @@ class _Walk:
                 inside.append(into)
                 holder.append(u)
                 s = sig + power[b + d] - power[b + d - 1] + 1
-                for g in range(d + 1):
+                for g, m in gaps_at[d]:
                     gaps.insert(g, u)
-                    place(j + 1, s, y + into)
+                    place(j + 1, s, y + into, count * m)
                     del gaps[g]
                 holder.pop()
                 inside.pop()
                 kids.pop()
                 labels.pop()
 
-        place(2, 1, int(marked == 1))  # label 1 opened the root bucket
+        place(2, 1, int(marked == 1), 1)  # label 1 opened the root bucket
 
     @classmethod
     def at(cls, tree: BucketTree) -> "_Walk":
@@ -180,12 +198,12 @@ def _trees(b: int, n: int) -> tuple:
     trees, of_tree, index = [], [], {}
     shared: dict = {}  # one tuple per distinct bucket, shared by the trees
 
-    def visit(signature, y):
+    def visit(signature, y, count):
         held = [shared.setdefault(t, t) for t in map(tuple, labels)]
         trees.append(_numbered_tree(b, held, kids, n, True))
         of_tree.append(index.setdefault(signature, len(index)))
 
-    walk.run(visit)
+    walk.run(visit, ordered=True)
     return tuple(trees), tuple(of_tree), tuple(index)
 
 
@@ -281,10 +299,17 @@ def _reader(walk: _Walk, name: str, arg: int):
     return lambda y: y
 
 
+def _check_capacity(k: int, b: int) -> None:
+    if not 1 <= k <= b:
+        raise ValueError(f"capacity {k} outside 1..{b}")
+
+
 def _statistic_of(tree: BucketTree, name: str, arg: int = 0) -> int:
     """One statistic of one tree, read from the state the walk holds at it."""
     if name in ("Y", "X", "tau") and not 1 <= arg <= tree.size:
         raise ValueError(f"label {arg} not in tree")
+    if name == "N":
+        _check_capacity(arg, tree.b)
     walk = _Walk.at(tree)
     y = 0
     if name == "Y":  # the labels from arg on in the subtree of arg's bucket
@@ -331,9 +356,9 @@ def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     except ValueError:
         raise ValueError(f"statistic {statistic!r}: {name} needs an integer argument, "
                          f"as in {name}:1") from None
-    if name == "N" and not 1 <= value <= b:
-        raise ValueError(f"capacity {value} outside 1..{b}")
-    if name != "N" and not 1 <= value <= n:
+    if name == "N":
+        _check_capacity(value, b)
+    elif not 1 <= value <= n:
         raise ValueError(f"statistic argument {value} outside 1..{n}")
     return name, value
 
@@ -341,21 +366,22 @@ def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
     """Exact distribution of a tree statistic by brute-force summation.
 
-    The walk visits every ordered tree and reads the statistic from its
-    flat state; the trees are tallied by (value, signature), so the exact
-    weights are summed once per pair. The statistics are invariant under
-    reordering of children, so summing ordered-model probabilities gives
-    the unordered-model distribution too.
+    The walk visits every tree once up to sibling order and reads the
+    statistic from its flat state; the trees are tallied by (value,
+    signature), each with its count of orderings, so the exact weights are
+    summed once per pair. The statistics are invariant under reordering of
+    children, so summing ordered-model probabilities gives the
+    unordered-model distribution too.
     """
-    name, arg = _parse_statistic(statistic, spec.b, n)
     _check_oracle(spec, n, max_n)
+    name, arg = _parse_statistic(statistic, spec.b, n)
     walk = _Walk(spec.b, n)
     value = _reader(walk, name, arg)
     tally: dict = {}
 
-    def visit(signature, y):
+    def visit(signature, y, count):
         key = (value(y), signature)
-        tally[key] = tally.get(key, 0) + 1
+        tally[key] = tally.get(key, 0) + count
 
     walk.run(visit, marked=arg if name == "Y" else 0)
     weights = _weights(spec, n, {s for _, s in tally})
@@ -373,8 +399,8 @@ def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     walk = _Walk(spec.b, n)
     trees: Counter = Counter()
 
-    def visit(signature, y):
-        trees[signature] += 1
+    def visit(signature, y, count):
+        trees[signature] += count
 
     walk.run(visit)
     weights = _weights(spec, n, trees)

@@ -91,6 +91,13 @@ def test_statistic_pmf_argument_checks():
         exact_statistic_pmf(spec, 4, "N:0")
     with pytest.raises(ValueError, match="outside 1..4"):
         exact_statistic_pmf(spec, 4, "tau:0")
+    # a tree's capacity count refuses the capacities its pmf refuses
+    tree = decode("{1,2}({3},{4,5})", 2)
+    for k in (0, -1, 3):
+        with pytest.raises(ValueError, match=rf"capacity {k} outside 1\.\.2"):
+            exact_statistic_pmf(spec, 5, f"N:{k}")
+        with pytest.raises(ValueError, match=rf"capacity {k} outside 1\.\.2"):
+            stat_capacity_count(tree, k)
 
 
 @pytest.mark.parametrize("statistic, message", [
@@ -133,16 +140,33 @@ def test_enumeration_bound_guard():
     assert len(all_trees(1, 4, max_n=4)) > 0
 
 
+def _oracle_calls(n):
+    spec = families.recursive(2)
+    return (lambda: all_trees(2, n), lambda: enumerate_trees(spec, n),
+            lambda: expected_capacity_counts(spec, n),
+            lambda: exact_statistic_pmf(spec, n, "K"))
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_oracle_rejects_n_below_one(n):
-    spec = families.recursive(2)
-    calls = (lambda: all_trees(2, n), lambda: enumerate_trees(spec, n),
-             lambda: expected_capacity_counts(spec, n),
-             lambda: exact_statistic_pmf(spec, n, "K"))
-    for call in calls:
+    for call in _oracle_calls(n):
         with pytest.raises(ValueError, match="n must be >= 1") as caught:
             call()
         assert not isinstance(caught.value, EnumerationBoundError)
+
+
+@pytest.mark.parametrize("n", [4.0, "4"])
+def test_oracle_rejects_a_non_integer_n(n):
+    for call in _oracle_calls(n):
+        with pytest.raises(ValueError, match=f"n must be an integer, not n={n!r}") as caught:
+            call()
+        assert not isinstance(caught.value, EnumerationBoundError)
+
+
+def test_oracle_takes_a_numpy_integer_n():
+    np = pytest.importorskip("numpy")
+    for call in _oracle_calls(np.int64(4)):
+        call()
 
 
 def test_enumerate_rejects_linear():
@@ -331,6 +355,42 @@ def test_oracle_matches_per_tree_reference():
                 mass = exact_statistic_pmf(spec, n, statistic).mass
                 assert list(mass.items()) == list(_per_tree_pmf(items, fn).items()), \
                     (spec.describe(), n, statistic)
+
+
+def _walk_tallies(b, n, ordered):
+    """(visits, Counter of (statistic, value, signature) -> trees covered) of one walk
+    kind; statistic None tallies the signature alone."""
+    visits = 0
+    tallies: Counter = Counter()
+
+    def tally(walk, statistic, value, marked):
+        def visit(signature, y, count):
+            nonlocal visits
+            visits += statistic is None
+            tallies[statistic, value(y), signature] += count
+        walk.run(visit, marked=marked, ordered=ordered)
+
+    tally(enumeration._Walk(b, n), None, lambda y: None, 0)
+    for statistic, _ in _statistic_fns(b, n):
+        name, arg = enumeration._parse_statistic(statistic, b, n)
+        walk = enumeration._Walk(b, n)
+        tally(walk, statistic, enumeration._reader(walk, name, arg),
+              arg if name == "Y" else 0)
+    return visits, tallies
+
+
+@pytest.mark.parametrize("b, top", [(1, 7), (2, 8), (3, 8)])
+def test_counted_walk_matches_the_ordered_walk(b, top):
+    """Walking each tree once up to sibling order with its count of orderings
+    tallies every statistic and signature as the walk over every ordered tree does."""
+    for n in range(1, top + 1):
+        ordered_visits, ordered = _walk_tallies(b, n, True)
+        visits, counted = _walk_tallies(b, n, False)
+        assert counted == ordered, (b, n)
+        assert ordered_visits == len(all_trees(b, n))
+        if b == 1:  # (n-1)! increasing trees stand for (2n-3)!! ordered ones
+            assert visits == math.factorial(n - 1)
+            assert ordered_visits == math.prod(range(1, 2 * n - 2, 2))
 
 
 def test_oracle_imports_no_fast_route():
