@@ -16,8 +16,11 @@ the deg + 1 child gaps of a saturated one (Bergeron, Flajolet & Salvy
 lists, undoing each step on the way back, and calls a visitor at every
 complete tree with the number of ordered trees it stands for. The
 statistic pmfs read each statistic from that flat state and build no
-tree; the tree lists read each tree's bucket preorder off it at its leaf
-of the walk and are cached per (b, n).
+tree. For the tree lists the walk also keeps the preorder of its bucket
+numbers, so each tree is read off at its leaf of the walk in two passes;
+the lists are cached per (b, n), and each listed tree carries its
+canonical form, the one tree of its class of orderings that the counted
+walk visits, so `canonicalize` returns it at once.
 
 A tree's weight is the product of phi(out-degree) over its saturated
 buckets and psi(capacity) over its unsaturated ones, so it depends only on
@@ -39,7 +42,8 @@ from math import factorial, prod
 from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
-from .trees import BucketTree, _collector_paused, _kids, _numbered_tree, canonicalize
+from .trees import (BucketTree, _collector_paused, _flat_tree, _kids, _mark_canonical,
+                    canonicalize)
 
 DEFAULT_MAX_N = 10
 
@@ -69,86 +73,117 @@ class _Walk:
     """The flat state of a depth-first walk over insertion sequences.
 
     Buckets are numbered in the order they open, so every child's number is
-    above its parent's. `labels[v]` holds bucket v's labels in order,
-    `kids[v]` its child buckets in order, and `holder[j]` the bucket of
-    label j (index 0 is unused).
+    above its parent's. `labels[v]` holds bucket v's label tuple, `kids[v]`
+    its child buckets in order, `holder[j]` the bucket of label j (index 0
+    is unused) and, in an ordered run, `order` the bucket numbers in
+    preorder.
     """
 
     def __init__(self, b: int, n: int):
         self.b, self.n = b, n
-        self.labels, self.kids, self.holder = [[1]], [[]], [0, 0]
+        self.labels, self.kids, self.holder, self.order = [(1,)], [[]], [0, 0], [0]
 
     def run(self, visit, marked: int = 0, ordered: bool = False) -> None:
-        """Call visit(signature, y, count) at each tree, with the state complete.
+        """Call visit(signature, y, count, key) at each tree, with the state complete.
 
-        With `ordered`, every ordered tree is visited with count 1.
-        Otherwise a new child of a full bucket of degree d takes only the
-        last of its d + 1 gaps and multiplies the count by d + 1, so each
-        tree is visited once up to sibling order (children in label order)
-        with its prod(deg!) orderings as its count; the signature and every
-        statistic here ignore sibling order.
+        With `ordered`, every ordered tree is visited with count 1, and
+        `order` is kept: a new bucket goes into the preorder just before the
+        subtree of the child whose gap it takes, or after its parent's
+        subtree in the last gap. Otherwise a new child of a full bucket of
+        degree d takes only the last of its d + 1 gaps and multiplies the
+        count by d + 1, so each tree is visited once up to sibling order
+        (children in label order) with its prod(deg!) orderings as its
+        count; the signature and every statistic here ignore sibling order.
 
         The signature is the sum over buckets of (n+1)**(capacity + degree - 1).
         The exponent numbers the (capacity, degree) pairs, since only full
         buckets have children, and no pair occurs n + 1 times, so the
-        signature determines the node signature. y counts the labels from
-        `marked` on in the subtree of the bucket that took `marked`, its
-        descendants Y_{n,marked}; it stays 0 when marked is 0.
+        signature determines the node signature. The key is the sum over
+        labels j > 1 of v_j * (n+1)**j, v_j the bucket that j joined or
+        opened a child under, so the trees with one key are the orderings of
+        one tree. The ordered walk visits the canonical one, whose every new
+        child took its parent's last gap, last of them; the counted walk
+        visits it alone. y counts the labels from `marked` on in the subtree
+        of the bucket that took `marked`, its descendants Y_{n,marked}; it
+        stays 0 when marked is 0.
         """
         b, n = self.b, self.n
         if n < 1:
             return
-        labels, kids, holder = self.labels, self.kids, self.holder
+        labels, kids, holder, order = self.labels, self.kids, self.holder, self.order
         power = [(n + 1) ** c for c in range(b + n)]
+        single = [(j,) for j in range(n + 1)]
         inside = [marked == 1]  # per bucket: in the subtree of marked's bucket
-        # (gap, multiplicity) pairs for a new child of a bucket of degree d
-        gaps_at = [[(g, 1) for g in range(d + 1)] if ordered else [(d, d + 1)]
-                   for d in range(n)]
+        up, size = [-1], [1]  # per bucket: its parent and its subtree's bucket count
 
-        def place(j, sig, y, count):
+        def place(j, sig, y, count, key):
             if j > n:
-                visit(sig, y, count)
+                visit(sig, y, count, key)
                 return
             mark = j == marked
             for v in range(len(labels)):
                 held = labels[v]
                 c = len(held)
                 into = mark or inside[v]  # j is a descendant of marked
+                k = key + v * power[j]
                 if c < b:  # j joins bucket v
-                    held.append(j)
+                    labels[v] = held + single[j]
                     holder.append(v)
                     inside[v], was = into, inside[v]
-                    place(j + 1, sig + power[c] - power[c - 1], y + into, count)
+                    place(j + 1, sig + power[c] - power[c - 1], y + into, count, k)
                     inside[v] = was
                     holder.pop()
-                    held.pop()
+                    labels[v] = held
                     continue
                 # j opens bucket u in the child gaps of full bucket v
                 gaps = kids[v]
                 d = len(gaps)
                 u = len(labels)
-                labels.append([j])
+                labels.append(single[j])
                 kids.append([])
                 inside.append(into)
                 holder.append(u)
                 s = sig + power[b + d] - power[b + d - 1] + 1
-                for g, m in gaps_at[d]:
-                    gaps.insert(g, u)
-                    place(j + 1, s, y + into, count * m)
-                    del gaps[g]
+                if not ordered:
+                    gaps.append(u)
+                    place(j + 1, s, y + into, count * (d + 1), k)
+                    gaps.pop()
+                else:
+                    up.append(v)
+                    size.append(1)
+                    w = v
+                    while w >= 0:
+                        size[w] += 1
+                        w = up[w]
+                    at = order.index(v) + 1  # u's place in the preorder at gap 0
+                    for g in range(d + 1):
+                        gaps.insert(g, u)
+                        order.insert(at, u)
+                        place(j + 1, s, y + into, count, k)
+                        del order[at]
+                        del gaps[g]
+                        if g < d:
+                            at += size[gaps[g]]
+                    w = v
+                    while w >= 0:
+                        size[w] -= 1
+                        w = up[w]
+                    size.pop()
+                    up.pop()
                 holder.pop()
                 inside.pop()
                 kids.pop()
                 labels.pop()
 
-        place(2, 1, int(marked == 1), 1)  # label 1 opened the root bucket
+        place(2, 1, int(marked == 1), 1, 0)  # label 1 opened the root bucket
 
     @classmethod
     def at(cls, tree: BucketTree) -> "_Walk":
         """The state the walk holds at `tree`, buckets numbered in preorder."""
         walk = cls(tree.b, tree.size)
-        walk.labels = [list(held) for held in tree.labels]
+        walk.labels = list(tree.labels)
         walk.kids = _kids(tree.degrees)
+        walk.order = list(range(len(tree.labels)))
         walk.holder = [0] * (tree.size + 1)
         for v, held in enumerate(tree.labels):
             for label in held:
@@ -192,22 +227,27 @@ def _check_oracle(spec: FamilySpec, n: int, max_n) -> None:
 @_collector_paused
 def _trees(b: int, n: int) -> tuple:
     """(trees, signature index per tree, signatures) of every ordered tree
-    on labels 1..n with bound b, in the order of the walk."""
+    on labels 1..n with bound b, in the order of the walk, each tree marked
+    with its canonical form: the last tree visited with its key."""
     walk = _Walk(b, n)
-    labels, kids = walk.labels, walk.kids
-    trees, of_tree, index = [], [], {}
-    shared: dict = {}  # one tuple per distinct bucket, shared by the trees
+    held, below, order = walk.labels.__getitem__, walk.kids.__getitem__, walk.order
+    trees, keys, of_tree, index = [], [], [], {}
 
-    def visit(signature, y, count):
-        held = [shared.setdefault(t, t) for t in map(tuple, labels)]
-        trees.append(_numbered_tree(b, held, kids, n, True))
+    def visit(signature, y, count, key):
+        trees.append(_flat_tree(b, tuple(map(held, order)), tuple(map(len, map(below, order))),
+                                n, True))
+        keys.append(key)
         of_tree.append(index.setdefault(signature, len(index)))
 
     walk.run(visit, ordered=True)
+    last = dict(zip(keys, trees))
+    for tree, key in zip(trees, keys):
+        _mark_canonical(tree, last[key])
     return tuple(trees), tuple(of_tree), tuple(index)
 
 
 def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
+    families.check_capacity_bound(b)
     _check_bound(n, max_n)
     return list(_trees(b, n)[0])
 
@@ -379,9 +419,9 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
     value = _reader(walk, name, arg)
     tally: dict = {}
 
-    def visit(signature, y, count):
-        key = (value(y), signature)
-        tally[key] = tally.get(key, 0) + count
+    def visit(signature, y, count, key):
+        slot = (value(y), signature)
+        tally[slot] = tally.get(slot, 0) + count
 
     walk.run(visit, marked=arg if name == "Y" else 0)
     weights = _weights(spec, n, {s for _, s in tally})
@@ -399,7 +439,7 @@ def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     walk = _Walk(spec.b, n)
     trees: Counter = Counter()
 
-    def visit(signature, y, count):
+    def visit(signature, y, count, key):
         trees[signature] += count
 
     walk.run(visit)
@@ -415,7 +455,9 @@ def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
 
 
 def distinct_unordered(ts: WeightedTreeSet) -> list:
-    """Canonical representatives present in an ordered tree set (deduplicated)."""
+    """Canonical representatives present in an ordered tree set (deduplicated),
+    in the order each first appears in the set, which callers that pick
+    trees by index rely on."""
     seen = {}
     for tree, _ in ts.items:
         c = canonicalize(tree)

@@ -30,6 +30,17 @@ PORT = "port"
 LINEAR = "linear"
 
 
+def _whole(x) -> bool:
+    """x is an integer; a bool, though an int in Python, is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_capacity_bound(b) -> None:
+    """Raise ValueError unless b is an integer >= 1."""
+    if not _whole(b) or b < 1:
+        raise ValueError(f"capacity bound b must be >= 1 and an integer, not b={b}")
+
+
 def require_named(spec: FamilySpec) -> None:
     """Raise ValueError unless spec is one of the named families."""
     if spec.kind == LINEAR:  # FamilySpec refuses any other kind
@@ -48,10 +59,9 @@ class FamilySpec:
     lin_m: Optional[Fraction] = None
 
     def __post_init__(self):
-        if not isinstance(self.b, numbers.Integral) or self.b < 1:
-            raise ValueError(f"capacity bound b must be >= 1 and an integer, not b={self.b}")
+        check_capacity_bound(self.b)
         if self.kind == ARY:
-            if not isinstance(self.d, numbers.Integral) or self.d < 2:
+            if not _whole(self.d) or self.d < 2:
                 raise ValueError(f"(b,d)-ary family needs integer d >= 2, not d={self.d}")
         elif self.kind == PORT:
             if not isinstance(self.alpha, numbers.Rational) or self.alpha <= 0:

@@ -323,8 +323,9 @@ class _Grower:
             first = starts[caps == k]
             rows[k] = zip(*[flat[first + i].tolist() for i in range(k)])
         labels = tuple(map(next, map(rows.__getitem__, capacities)))
-        # valid by construction, and its size is the number of labels placed
-        return _flat_tree(self.b, labels, tuple(degrees.tolist()), n, True)
+        # valid and canonical by construction (children in the order they
+        # opened), and its size is the number of labels placed
+        return _flat_tree(self.b, labels, tuple(degrees.tolist()), n, True, canonical=True)
 
     def census(self) -> NodeCensus:
         return _census(self.b, self.size, self.cap, self.deg)

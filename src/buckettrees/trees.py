@@ -14,7 +14,11 @@ recurses, so trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
-next time, and trees that are valid by construction come out marked.
+next time, and trees that are valid by construction come out marked.  In
+the same way a tree can know its canonical form: `canonicalize` returns
+a known one at once and records one it computes, grown trees come out
+marked canonical, and the oracle's tree lists carry each tree's
+canonical form.  A pickled copy drops that mark.
 
 CPython's cyclic collector would re-scan every live container many times
 over while a big tree is built, and acyclic trees give it nothing to
@@ -121,6 +125,8 @@ class BucketTree:
     degrees: tuple
     size: int = field(compare=False, repr=False)
     _valid: bool = field(compare=False, repr=False)  # known to be valid
+    # None (unknown), True (canonical) or the canonical tree, never self
+    _canonical: BucketTree | bool | None = field(compare=False, repr=False)
     _root: BucketNode | None = field(compare=False, repr=False)
 
     def __init__(self, b: int, root: BucketNode):
@@ -140,16 +146,27 @@ class BucketTree:
 
 
 def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = False,
-               root: BucketNode | None = None, into: BucketTree | None = None) -> BucketTree:
+               root: BucketNode | None = None, into: BucketTree | None = None,
+               canonical: bool | None = None) -> BucketTree:
     """The BucketTree of a preorder whose label count is known.
 
-    valid=True marks it as checked, for a tree that is valid by construction.
+    valid=True marks it as checked, for a tree that is valid by construction,
+    and canonical=True as canonical, for a valid tree canonical by construction.
     """
     tree = object.__new__(BucketTree) if into is None else into
-    for name, value in zip(("b", "labels", "degrees", "size", "_valid", "_root"),
-                           (b, labels, degrees, size, valid, root)):
-        object.__setattr__(tree, name, value)
+    for put, value in zip(_PUT, (b, labels, degrees, size, valid, canonical, root)):
+        put(tree, value)
     return tree
+
+
+# the slot setters of a frozen tree's fields, in _flat_tree's order of values
+_PUT = tuple(getattr(BucketTree, name).__set__
+             for name in ("b", "labels", "degrees", "size", "_valid", "_canonical", "_root"))
+
+
+def _mark_canonical(tree: BucketTree, canonical: BucketTree) -> None:
+    """Record canonical as the canonical form of the valid tree `tree`."""
+    object.__setattr__(tree, "_canonical", True if canonical is tree else canonical)
 
 
 def _numbered_tree(b: int, held, kids: list, size: int, valid: bool = False) -> BucketTree:
@@ -322,9 +339,14 @@ def check_valid(tree: BucketTree) -> None:
 def canonicalize(tree: BucketTree) -> BucketTree:
     """Canonical ordered representative: children sorted by smallest contained label.
 
-    A canonical tree, as every grown one is, is returned as it is; any other
-    has its preorder rebuilt with each bucket's children in that order.
+    A tree whose canonical form is known, as every grown and every
+    enumerated one's is, gets it at once; a computed one is recorded on the
+    tree.  A canonical tree is returned as it is; any other has its
+    preorder rebuilt with each bucket's children in that order.
     """
+    known = tree._canonical
+    if known is not None:
+        return tree if known is True else known
     check_valid(tree)
     labels = tree.labels
     up = _parents(tree.degrees)
@@ -334,12 +356,16 @@ def canonicalize(tree: BucketTree) -> BucketTree:
             break
         latest[p] = lab[0]
     else:
+        _mark_canonical(tree, tree)
         return tree
     kids: list = [[] for _ in up]
     for v in sorted(range(1, len(up)), key=lambda v: labels[v][0]):
         kids[up[v]].append(v)  # in order of first labels
     # reordering children keeps every invariant, so the result is valid too
-    return _numbered_tree(tree.b, labels, kids, tree.size, True)
+    out = _numbered_tree(tree.b, labels, kids, tree.size, True)
+    _mark_canonical(out, out)
+    _mark_canonical(tree, out)
+    return out
 
 
 def census(tree: BucketTree) -> NodeCensus:

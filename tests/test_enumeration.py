@@ -1,6 +1,8 @@
 """The brute-force oracle: totals, measures, and statistic pmfs."""
 
 import math
+import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +18,8 @@ from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
                                      growth_history_probability, stat_capacity_count,
                                      stat_descendants, stat_initial_bucket_size,
                                      stat_out_degree, stat_saturation_time)
-from buckettrees.trees import BucketNode, BucketTree, decode, encode, validate
+from buckettrees.trees import (BucketNode, BucketTree, _numbered_tree, canonicalize, decode,
+                               encode, validate)
 
 
 def iter_nodes(node):
@@ -364,7 +367,7 @@ def _walk_tallies(b, n, ordered):
     tallies: Counter = Counter()
 
     def tally(walk, statistic, value, marked):
-        def visit(signature, y, count):
+        def visit(signature, y, count, key):
             nonlocal visits
             visits += statistic is None
             tallies[statistic, value(y), signature] += count
@@ -391,6 +394,57 @@ def test_counted_walk_matches_the_ordered_walk(b, top):
         if b == 1:  # (n-1)! increasing trees stand for (2n-3)!! ordered ones
             assert visits == math.factorial(n - 1)
             assert ordered_visits == math.prod(range(1, 2 * n - 2, 2))
+
+
+def _unmarked(tree):
+    """A copy of tree with no canonical mark: pickling drops it."""
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and copy._canonical is None
+    return copy
+
+
+def test_tree_list_marks_agree_with_a_fresh_canonicalization():
+    for b in (1, 2, 3):
+        for n in range(1, 8):
+            for tree in all_trees(b, n):
+                assert tree._canonical is not None and tree._canonical is not tree
+                assert canonicalize(tree) == canonicalize(_unmarked(tree)), (b, encode(tree))
+
+
+def test_distinct_unordered_matches_unmarked_copies_in_order():
+    for spec in verify.family_grid():
+        for n in range(1, 8):
+            ts = enumerate_trees(spec, n)
+            want = list(dict.fromkeys(canonicalize(_unmarked(t)) for t, _ in ts.items))
+            assert distinct_unordered(ts) == want, (spec.describe(), n)
+
+
+@pytest.mark.parametrize("b, top", [(1, 7), (2, 8), (3, 8)])
+def test_the_counted_walk_visits_the_canonical_trees(b, top):
+    """The counted walk visits the canonical member of each class of
+    orderings, in the order the ordered walk does, with the class size as
+    its count."""
+    for n in range(1, top + 1):
+        ordered = all_trees(b, n)
+        sizes = Counter(map(canonicalize, ordered))
+        walk = enumeration._Walk(b, n)
+        visited = []
+
+        def visit(signature, y, count, key):
+            visited.append((_numbered_tree(b, walk.labels, walk.kids, n), count))
+
+        walk.run(visit)
+        assert [t for t, _ in visited] == [t for t in ordered if canonicalize(t) is t], (b, n)
+        assert [c for _, c in visited] == [sizes[t] for t, _ in visited], (b, n)
+
+
+@pytest.mark.parametrize("b", [0, -1, True, False, 2.5, "2", None])
+def test_all_trees_refuses_a_bound_that_is_not_a_positive_integer(b):
+    message = f"capacity bound b must be >= 1 and an integer, not b={b}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        all_trees(b, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        families.FamilySpec(families.RECURSIVE, b)
 
 
 def test_oracle_imports_no_fast_route():
@@ -536,7 +590,7 @@ def test_statistic_pmfs_build_no_tree(monkeypatch):
 
     monkeypatch.setattr(BucketNode, "__init__", refuse)
     monkeypatch.setattr(BucketTree, "__init__", refuse)
-    monkeypatch.setattr(enumeration, "_numbered_tree", refuse)
+    monkeypatch.setattr(enumeration, "_flat_tree", refuse)
     spec = families.recursive(2)
     for statistic in ("K", "N:1", "Y:3", "X:2", "tau:2"):
         assert exact_statistic_pmf(spec, 6, statistic).total() == 1

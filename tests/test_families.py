@@ -187,6 +187,15 @@ def test_spec_validation():
     assert linear(2, 1.0, 0.5, 1) == linear(2, 1, Fraction(1, 2), 1)
 
 
+@pytest.mark.parametrize("make, field", [(lambda: recursive(True), "b=True"),
+                                         (lambda: ary(False, 2), "b=False"),
+                                         (lambda: port(True, 1), "b=True"),
+                                         (lambda: ary(2, True), "d=True")])
+def test_a_bool_is_no_integer_parameter(make, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        make()
+
+
 def test_custom_kind_is_unknown():
     with pytest.raises(ValueError, match="unknown family kind"):
         FamilySpec("custom", 2)

@@ -107,6 +107,34 @@ def test_canonicalize_sorts_children():
     assert canonicalize(canon).root == canon.root
 
 
+def _unmarked(tree):
+    """A copy of tree with no canonical mark: pickling drops it."""
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and copy._canonical is None
+    return copy
+
+
+def test_canonicalize_records_its_answer():
+    tree = decode("{1,2}({5},{3,4}({7},{6}))", 2)
+    assert tree._canonical is None
+    canon = canonicalize(tree)
+    assert tree._canonical is canon and canon._canonical is True
+    assert canonicalize(tree) is canon and canonicalize(canon) is canon
+    # a canonical tree is marked True, never with a reference to itself
+    plain = decode("{1,2}({3},{4})", 2)
+    assert canonicalize(plain) is plain and plain._canonical is True
+    assert _unmarked(tree)._canonical is None and _unmarked(canon)._canonical is None
+
+
+def test_grown_trees_come_out_marked_canonical():
+    for spec in _KINDS + [families.linear(1, 0, -1, 1), families.linear(2, 1, 1, 1)]:
+        for n, seed in ((1, 0), (7, 1), (60, 2), (400, 3)):
+            tree = grow.sample_tree(spec, n, seed)
+            assert tree._canonical is True
+            assert canonicalize(tree) is tree
+            assert canonicalize(tree) == canonicalize(_unmarked(tree)), spec.describe()
+
+
 def test_census_counts_and_identities():
     cen = census(decode("{1,2}({3},{4})", 2))
     assert cen.m == {1: 2}
