@@ -1,5 +1,6 @@
 """Distributions tied to the bucket of a fixed label j: Pólya urn ⇒
-Beta-Binomial; one out-degree pass for every named family.
+Beta-Binomial for its descendants, one birth chain for its saturation
+time and out-degree.
 
 Y_{n,j}  counts label j together with all later labels in the subtree of
 j's bucket.  tau_{n,j} is the time that bucket saturates (censored at n),
@@ -8,10 +9,10 @@ rationals.  For the named families the total attraction weight of any
 subtree with t labels is a*t + c with the same constants as the whole
 tree, and c/a = kappa.  So given K_j = ell, j's subtree grows as a
 two-colour Pólya urn and Y - 1 ~ BetaBinomial(n - j, ell + kappa, j - ell)
-(Johnson & Kotz, *Urn Models*); its atoms, and the hit probabilities that
-give tau, follow ratio recurrences.  After saturation the bucket attracts
-with weight node_weight(b, x) at out-degree x, so one forward pass over
-the sizes, fed by the law of tau, gives X.
+(Johnson & Kotz, *Urn Models*), whose atoms follow a ratio recurrence.
+The bucket itself lives as a pure-birth chain on g = size - 1 + out-degree,
+started at K_j - 1 and moved up by each label it attracts: tau is when g
+reaches b - 1, and X = max(0, g_n - b + 1).
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .pmf import Pmf, mixture, point_mass
 
 
 def _check_nj(n: int, j: int) -> None:
+    if not families._whole(n) or not families._whole(j):
+        raise ValueError(f"size n={n!r} and label j={j!r} must be integers")
     if not 1 <= j <= n:
         raise ValueError(f"label j={j} outside 1..{n}")
 
 
-def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int,
-               count: int) -> list:
-    """P{Y - 1 = k} for k < count, `draws` labels after time j, given K_j = ell.
+def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int) -> list:
+    """P{Y - 1 = k} for k = 0..draws, `draws` labels after time j, given K_j = ell.
 
     Scaled by a, the subtree is an urn of a*ell + c white and a*(j - ell)
     black units, and each label adds a to the colour it joins.
@@ -45,7 +47,7 @@ def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int,
     p = Fraction(math.prod(range(black, black + a * draws, a)),
                  math.prod(range(gc.total(j), gc.total(j + draws), a)))
     atoms = [p]
-    for k in range(min(count, draws + 1) - 1):
+    for k in range(draws):
         p *= Fraction((draws - k) * (white + a * k),
                       (k + 1) * (black + a * (draws - k - 1)))
         atoms.append(p)
@@ -61,7 +63,7 @@ def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
     if j <= spec.b:
         # j sits in the root bucket, whose subtree is the whole tree
         return point_mass(n + 1 - j)
-    atoms = _urn_atoms(families.growth_coeffs(spec), ell, j, n - j, n - j + 1)
+    atoms = _urn_atoms(families.growth_coeffs(spec), ell, j, n - j)
     return Pmf({1 + k: p for k, p in enumerate(atoms)}).check()
 
 
@@ -77,73 +79,62 @@ def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
     return mixture(comps).check()
 
 
+def _climb(spec: FamilySpec, n: int, j: int, top: int):
+    """Yield (s, num, den) for s = j..n, with P{g_s = g} = num[g] / den.
+
+    g = size - 1 + out-degree of j's bucket starts at K_j - 1, and label
+    s + 1 joins the bucket, or becomes its child once it is full, with
+    probability node_weight(min(g+1, b), max(0, g+1-b)) / total(s).  The
+    numerators gain one state per label up to top, which absorbs:
+    num[top] / den is P{g_s >= top}.
+    """
+    b = spec.b
+    gc = families.growth_coeffs(spec)
+    kj = pmf_K_exact(spec, j)
+    den = math.lcm(*(p.denominator for p in kj.mass.values()))
+    num = [int(kj[g + 1] * den) for g in range(b)]
+    weights = [gc.node_weight(min(g + 1, b), max(0, g + 1 - b)) for g in range(top)]
+    for s in range(j, n):
+        yield s, num, den
+        total = gc.total(s)
+        nxt = [q * total for q in num] + [0] * (len(num) <= top)
+        for g, (q, w) in enumerate(zip(num, weights)):
+            move = q * w
+            nxt[g] -= move
+            nxt[g + 1] += move
+        num, den = nxt, den * total
+    yield n, num, den
+
+
 def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of tau_{n,j}: when j's bucket saturates, censored at n.
 
-    While unsaturated, j's bucket has no children, so its subtree is the
-    bucket itself and it holds b - 1 labels exactly when Y = b - K_j.  At
-    size s that has a probability with a ratio recurrence in s, and label
-    s + 1 then fills the bucket with probability node_weight(b-1, 0)/total(s).
+    The bucket is full once g reaches b - 1, so the chain is followed up
+    to that state alone, and P{tau <= s} is its mass at time s < n; the
+    rest lands at n, saturated then or censored.
     """
     families.require_named(spec)
     _check_nj(n, j)
-    b = spec.b
-    if j <= b:
-        return point_mass(min(b, n))
-    gc = families.growth_coeffs(spec)
-    a, fill = gc.a, gc.node_weight(b - 1, 0)
-    kj = pmf_K_exact(spec, j)
-    mass = {j: kj[b]} if kj[b] else {}
-    tail = Fraction(0)  # P{never saturated by n}
-    for ell in range(1, b):
-        p_ell = kj[ell]
-        if not p_ell:
-            continue
-        k, white, black = b - ell - 1, a * ell + gc.total_c, a * (j - ell)
-        # P{Y_s = b - ell} first at s = j + k, when all k labels joined
-        hit = Fraction(math.prod(range(white, white + a * k, a)),
-                       math.prod(range(gc.total(j), gc.total(j + k), a)))
-        for s in range(j + k, n):
-            mass[s + 1] = (mass.get(s + 1, Fraction(0))
-                           + p_ell * hit * Fraction(fill, gc.total(s)))
-            d = s - j
-            hit *= Fraction((d + 1) * (black + a * (d - k)), (d + 1 - k) * gc.total(s))
-        tail += p_ell * sum(_urn_atoms(gc, ell, j, n - j, b - ell))
-    if tail:
-        mass[n] = mass.get(n, Fraction(0)) + tail
+    mass, done = {}, Fraction(0)
+    for s, num, den in _climb(spec, n, j, spec.b - 1):
+        full = Fraction(num[-1], den) if s < n else Fraction(1)
+        if full != done:
+            mass[s], done = full - done, full
     return Pmf(mass).check()
 
 
 def pmf_X(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of X_{n,j}, the out-degree of j's bucket at time n.
 
-    One forward pass over the sizes s carries P{tau <= s, X_s = x} as
-    integer numerators over a common denominator: saturation at s adds
-    P{tau = s} at x = 0, and label s + 1 joins as a child with probability
-    node_weight(b, x) / total(s).  The mass of tau at n covers both
-    saturation at n and censoring; X = 0 either way.
+    X = max(0, g_n - b + 1), with the chain followed to its highest state.
     """
     families.require_named(spec)
     _check_nj(n, j)
     b = spec.b
-    gc = families.growth_coeffs(spec)
-    tau = pmf_tau(spec, n, j).mass
-    den = math.lcm(*(p.denominator for p in tau.values()))
-    num = [0]
-    for s in range(min(b, n), n + 1):
-        p = tau.get(s)
-        if p:
-            num[0] += p.numerator * (den // p.denominator)
-        if s == n:
-            break
-        total = gc.total(s)
-        nxt = [0] * (len(num) + 1)
-        for x, q in enumerate(num):
-            move = q * gc.node_weight(b, x)
-            nxt[x] += q * total - move
-            nxt[x + 1] = move
-        num, den = nxt, den * total
-    return Pmf({x: Fraction(q, den) for x, q in enumerate(num) if q}).check()
+    for _, num, den in _climb(spec, n, j, b - 1 + n - j):
+        pass
+    return Pmf({x: Fraction(q, den) for x, q in enumerate([sum(num[:b])] + num[b:])
+                if q}).check()
 
 
 # ---------------------------------------------------------------------------

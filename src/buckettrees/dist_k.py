@@ -21,6 +21,11 @@ from .spectral import family_roots, harmonic_diff
 IMAG_TOL = 1e-10
 
 
+def _check_size(n) -> None:
+    if not families._whole(n) or n < 1:
+        raise ValueError(f"n must be >= 1 and an integer, not n={n!r}")
+
+
 def pmf_K(spec: FamilySpec, n: int) -> Pmf:
     """P{K_n = m}, m = 1..b, via the spectral closed form.
 
@@ -28,8 +33,7 @@ def pmf_K(spec: FamilySpec, n: int) -> Pmf:
     each root's ratio is a product of n - 1 factors, so the cost is O(n).
     """
     families.require_named(spec)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     b = spec.b
     if n <= b:
         return point_mass(n)  # the first b labels all land in the root bucket
@@ -91,6 +95,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     and prod_s T_s come from binary splitting, and one division at the end
     gives the exact Fractions.
     """
+    _check_size(n)
     model = urns.build_urn(spec)
     b = model.b
     # chi(x) = x^b + sum_j chi[j] x^j; the closed form is det(R - x I)
@@ -124,8 +129,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
 def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
     """P{K_n = m} as exact rationals, via the mean type masses' exact product."""
     families.require_named(spec)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     if n == 1 or spec.b == 1:
         return point_mass(1)
     return _k_law(mean_type_masses(spec, n - 1), families.growth_coeffs(spec).total(n - 1))

@@ -35,6 +35,11 @@ def _whole(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _rational(x) -> bool:
+    """x is an int or a Fraction; a bool, again, is not."""
+    return isinstance(x, numbers.Rational) and not isinstance(x, bool)
+
+
 def check_capacity_bound(b) -> None:
     """Raise ValueError unless b is an integer >= 1."""
     if not _whole(b) or b < 1:
@@ -64,12 +69,12 @@ class FamilySpec:
             if not _whole(self.d) or self.d < 2:
                 raise ValueError(f"(b,d)-ary family needs integer d >= 2, not d={self.d}")
         elif self.kind == PORT:
-            if not isinstance(self.alpha, numbers.Rational) or self.alpha <= 0:
+            if not _rational(self.alpha) or self.alpha <= 0:
                 raise ValueError("(b,alpha)-PORT family needs rational alpha > 0, "
                                  f"not alpha={self.alpha}")
         elif self.kind == LINEAR:
             for name, value in zip(("a", "beta", "m"), (self.lin_a, self.lin_beta, self.lin_m)):
-                if not isinstance(value, numbers.Rational):
+                if not _rational(value):
                     raise ValueError(f"linear family needs rational {name}, not {name}={value}")
         elif self.kind != RECURSIVE:
             raise ValueError(f"unknown family kind {self.kind!r}")

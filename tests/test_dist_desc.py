@@ -12,7 +12,7 @@ from buckettrees.dist_desc import (limit_reference, pmf_tau, pmf_X, pmf_Y,
 from buckettrees.dist_k import limit_K, pmf_K_exact
 from buckettrees.enumeration import exact_statistic_pmf
 
-SPECS = [families.recursive(2), families.port(2, 1)]
+SPECS = [families.recursive(2), families.recursive(3), families.port(2, 1)]
 CHAIN_SPECS = [families.recursive(1), families.recursive(2), families.recursive(3),
                families.ary(2, 2), families.ary(2, 3), families.ary(3, 2),
                families.port(2, 1), families.port(3, 2),
@@ -109,11 +109,12 @@ def test_harmonic_mean_out_degree():
 @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: s.describe())
 def test_closed_forms_match_the_step_chain(spec):
     b = spec.b
-    for j in range(b + 1, CHAIN_N + 1):
+    for j in range(1, CHAIN_N + 1):
         kj = pmf_K_exact(spec, j)
-        chains = {ell: _y_chain(spec, CHAIN_N, ell, j) for ell in range(1, b + 1)}
+        ells = range(1, b + 1) if j > b else [j]  # j <= b sits in the root bucket: K_j = j
+        chains = {ell: _y_chain(spec, CHAIN_N, ell, j) for ell in ells}
         for n in range(j, CHAIN_N + 1):
-            for ell in range(1, b + 1):
+            for ell in ells:
                 assert pmf_Y_conditional(spec, n, ell, j).mass == chains[ell][n - j]
             assert pmf_tau(spec, n, j).mass == _tau_from_chains(spec, n, j, kj, chains)
 
@@ -134,6 +135,11 @@ def test_argument_guards():
         pmf_Y_conditional(spec, 4, 3, 3)  # ell > b
     with pytest.raises(ValueError):
         pmf_Y(families.linear(2, 1, 0, 1), 4, 2)
+    # n and j are integers, and a bool is none
+    for n, j in [(5, True), (True, 1), (5.0, 3), (5, 2.5)]:
+        for law in (pmf_Y, pmf_tau, pmf_X):
+            with pytest.raises(ValueError, match="must be integers"):
+                law(spec, n, j)
 
 
 def test_limit_reference_regimes():

@@ -144,3 +144,8 @@ def test_named_family_guard():
         pmf_K(families.linear(2, 1, 0, 1), 4)
     with pytest.raises(ValueError):
         pmf_K_exact(families.recursive(2), 0)
+    # n is an integer >= 1, and a bool is none
+    for n in (True, 2.5, 0):
+        for law in (pmf_K, pmf_K_exact, mean_type_masses):
+            with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+                law(families.recursive(2), n)

@@ -190,7 +190,14 @@ def test_spec_validation():
 @pytest.mark.parametrize("make, field", [(lambda: recursive(True), "b=True"),
                                          (lambda: ary(False, 2), "b=False"),
                                          (lambda: port(True, 1), "b=True"),
-                                         (lambda: ary(2, True), "d=True")])
+                                         (lambda: ary(2, True), "d=True"),
+                                         (lambda: FamilySpec("port", 2, alpha=True), "alpha=True"),
+                                         (lambda: FamilySpec("linear", 2, lin_a=True, lin_beta=0,
+                                                             lin_m=1), "a=True"),
+                                         (lambda: FamilySpec("linear", 2, lin_a=1, lin_beta=False,
+                                                             lin_m=1), "beta=False"),
+                                         (lambda: FamilySpec("linear", 2, lin_a=1, lin_beta=0,
+                                                             lin_m=True), "m=True")])
 def test_a_bool_is_no_integer_parameter(make, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         make()
