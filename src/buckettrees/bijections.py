@@ -25,7 +25,7 @@ from .enumeration import all_trees
 from .families import frac_binom
 from .trees import (BucketTree, BundledBucketTree, ParseError, _collector_paused,
                     _flat_tree, _fold, _kids, _nest, _NotOneTree, _numbered_tree,
-                    canonicalize, check_valid)
+                    canonicalize, check_count, check_valid)
 
 
 def _require_plain(tree: BucketTree) -> None:
@@ -65,8 +65,7 @@ def cluster(tree: BucketTree, b: int) -> BucketTree:
     injective onto the bucket trees with bound b.
     """
     _require_plain(tree)
-    if b < 2:
-        raise ValueError("clustering needs b >= 2")
+    b = check_count(b, "clustering bound b", 2)
     check_valid(tree)
     kids = _kids(tree.degrees)
     labels, degrees, stack = [], [], [0]
@@ -104,6 +103,7 @@ def weight_preserving_phi(phi1, b: int, k: int) -> Fraction:
     aggregates, over all size-b increasing trees and all ways to spread k
     redirected edges over their b nodes, the weight of the preimages.
     """
+    b, k = check_count(b, "capacity bound b"), check_count(k, "out-degree k", 0)
     base = [Fraction(phi1(i)) for i in range(b + k + 1)]
 
     def compositions(total: int, parts: int):

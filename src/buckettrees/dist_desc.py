@@ -28,13 +28,7 @@ from . import families
 from .dist_k import limit_K, pmf_K_exact
 from .families import FamilySpec, kappa as family_kappa
 from .pmf import Pmf, mixture, point_mass
-
-
-def _check_nj(n: int, j: int) -> None:
-    if not families._whole(n) or not families._whole(j):
-        raise ValueError(f"size n={n!r} and label j={j!r} must be integers")
-    if not 1 <= j <= n:
-        raise ValueError(f"label j={j} outside 1..{n}")
+from .trees import check_count
 
 
 def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int) -> list:
@@ -55,11 +49,11 @@ def _urn_atoms(gc: families.GrowthCoeffs, ell: int, j: int, draws: int) -> list:
 
 
 def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
-    """P{Y_{n,j} = m} given that j's bucket had ell labels at time j."""
+    """P{Y_{n,j} = m} given K_j = ell, in 1..min(j, b), and = j when j <= b."""
     families.require_named(spec)
-    _check_nj(n, j)
-    if not 1 <= ell <= min(j, spec.b):
-        raise ValueError(f"bucket size ell={ell} impossible at time {j}")
+    n = check_count(n, "n")
+    j = check_count(j, "label j", 1, n)
+    ell = check_count(ell, "bucket size ell", j if j <= spec.b else 1, min(j, spec.b))
     if j <= spec.b:
         # j sits in the root bucket, whose subtree is the whole tree
         return point_mass(n + 1 - j)
@@ -70,7 +64,8 @@ def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
 def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of Y_{n,j}, mixing the conditional laws over K_j."""
     families.require_named(spec)
-    _check_nj(n, j)
+    n = check_count(n, "n")
+    j = check_count(j, "label j", 1, n)
     if j <= spec.b:
         return point_mass(n + 1 - j)
     kj = pmf_K_exact(spec, j)
@@ -114,7 +109,8 @@ def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
     rest lands at n, saturated then or censored.
     """
     families.require_named(spec)
-    _check_nj(n, j)
+    n = check_count(n, "n")
+    j = check_count(j, "label j", 1, n)
     mass, done = {}, Fraction(0)
     for s, num, den in _climb(spec, n, j, spec.b - 1):
         full = Fraction(num[-1], den) if s < n else Fraction(1)
@@ -129,7 +125,8 @@ def pmf_X(spec: FamilySpec, n: int, j: int) -> Pmf:
     X = max(0, g_n - b + 1), with the chain followed to its highest state.
     """
     families.require_named(spec)
-    _check_nj(n, j)
+    n = check_count(n, "n")
+    j = check_count(j, "label j", 1, n)
     b = spec.b
     for _, num, den in _climb(spec, n, j, b - 1 + n - j):
         pass
@@ -166,8 +163,7 @@ def limit_reference(spec: FamilySpec, regime: str, j: Optional[int] = None,
     families.require_named(spec)
     kap = float(family_kappa(spec))
     if regime == "fixed-j":
-        if j is None or j <= spec.b:
-            raise ValueError("fixed-j regime needs a fixed label j > b")
+        j = check_count(j, "fixed-j regime's label j", spec.b + 1)
         from scipy.special import betainc
         kj = pmf_K_exact(spec, j)
         parts = [(float(kj[ell]), ell + kap, j - ell) for ell in kj.support if ell < j]
@@ -177,8 +173,7 @@ def limit_reference(spec: FamilySpec, regime: str, j: Optional[int] = None,
         return LimitReference(regime, f"Beta mixture over K_{j}", cdf,
                               lambda y, n: y / n)
     if regime == "small-j":
-        if j is None:
-            raise ValueError("small-j regime needs the label j used for sampling")
+        j = check_count(j, "small-j regime's label j")
         from scipy.special import gammainc
         lim = limit_K(spec)
         parts = [(float(lim[ell]), ell + kap) for ell in lim.support]

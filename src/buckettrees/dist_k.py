@@ -17,13 +17,9 @@ from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
 from .pmf import Pmf, point_mass
 from .spectral import family_roots, harmonic_diff
+from .trees import check_count
 
 IMAG_TOL = 1e-10
-
-
-def _check_size(n) -> None:
-    if not families._whole(n) or n < 1:
-        raise ValueError(f"n must be >= 1 and an integer, not n={n!r}")
 
 
 def pmf_K(spec: FamilySpec, n: int) -> Pmf:
@@ -33,7 +29,7 @@ def pmf_K(spec: FamilySpec, n: int) -> Pmf:
     each root's ratio is a product of n - 1 factors, so the cost is O(n).
     """
     families.require_named(spec)
-    _check_size(n)
+    n = check_count(n, "n")
     b = spec.b
     if n <= b:
         return point_mass(n)  # the first b labels all land in the root bucket
@@ -95,7 +91,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
     and prod_s T_s come from binary splitting, and one division at the end
     gives the exact Fractions.
     """
-    _check_size(n)
+    n = check_count(n, "n")
     model = urns.build_urn(spec)
     b = model.b
     # chi(x) = x^b + sum_j chi[j] x^j; the closed form is det(R - x I)
@@ -129,7 +125,7 @@ def mean_type_masses(spec: FamilySpec, n: int) -> tuple:
 def pmf_K_exact(spec: FamilySpec, n: int) -> Pmf:
     """P{K_n = m} as exact rationals, via the mean type masses' exact product."""
     families.require_named(spec)
-    _check_size(n)
+    n = check_count(n, "n")
     if n == 1 or spec.b == 1:
         return point_mass(1)
     return _k_law(mean_type_masses(spec, n - 1), families.growth_coeffs(spec).total(n - 1))
@@ -154,6 +150,7 @@ def node_type_relation(spec: FamilySpec, n: int, expected_counts: dict) -> Pmf:
     saturated one, whose weights sum to E[N_{n,b}] w(b, 0) + bdeg (nodes - 1).
     """
     families.require_named(spec)
+    n = check_count(n, "n")
     gc = families.growth_coeffs(spec)
     b = spec.b
     e = {k: Fraction(expected_counts.get(k, 0)) for k in range(1, b + 1)}

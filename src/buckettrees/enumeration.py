@@ -32,7 +32,6 @@ signature) pair.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
 from .trees import (BucketTree, _collector_paused, _flat_tree, _kids, _mark_canonical,
-                    canonicalize)
+                    canonicalize, check_count)
 
 DEFAULT_MAX_N = 10
 
@@ -56,17 +55,16 @@ class EnumerationBoundError(ValueError):
     pass
 
 
-def _check_bound(n: int, max_n) -> None:
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, not n={n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, not {n}")
-    bound = DEFAULT_MAX_N if max_n is None else max_n
+def _check_bound(n: int, max_n) -> int:
+    """n as an int, checked against the enumeration bound max_n."""
+    n = check_count(n, "n")
+    bound = DEFAULT_MAX_N if max_n is None else check_count(max_n, "max_n")
     if n > bound:
         raise EnumerationBoundError(
             f"n={n} exceeds the enumeration bound {bound}; pass max_n, or --max-n on "
             "the command line, to override: the tree count, and so the time of every "
             "oracle call and the memory of the tree lists, grows factorially")
+    return n
 
 
 class _Walk:
@@ -218,9 +216,9 @@ def _weights(spec: FamilySpec, n: int, signatures) -> dict:
     return out
 
 
-def _check_oracle(spec: FamilySpec, n: int, max_n) -> None:
+def _check_oracle(spec: FamilySpec, n: int, max_n) -> int:
     families.require_named(spec)
-    _check_bound(n, max_n)
+    return _check_bound(n, max_n)
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +245,8 @@ def _trees(b: int, n: int) -> tuple:
 
 
 def all_trees(b: int, n: int, max_n=None) -> list[BucketTree]:
-    families.check_capacity_bound(b)
-    _check_bound(n, max_n)
-    return list(_trees(b, n)[0])
+    b = check_count(b, "capacity bound b")
+    return list(_trees(b, _check_bound(n, max_n))[0])
 
 
 @dataclass
@@ -264,7 +261,7 @@ class WeightedTreeSet:
 
 def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     """All valid ordered trees of size n with their exact weights (zeros dropped)."""
-    _check_oracle(spec, n, max_n)
+    n = _check_oracle(spec, n, max_n)
     trees, of_tree, signatures = _trees(spec.b, n)
     weights = list(_weights(spec, n, signatures).values())
     items = [(tree, weights[s]) for tree, s in zip(trees, of_tree) if weights[s]]
@@ -281,6 +278,7 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
     The product over j = 2..n of the attraction probability of the node that
     received label j, evaluated on the restriction to labels < j.
     """
+    families.check_tree(spec, tree)
     # (capacity, out-degree) of the node that received each label j > 1
     state = [None] * (tree.size + 1)
     labels = tree.labels
@@ -304,6 +302,7 @@ def growth_history_probability(spec: FamilySpec, tree: BucketTree) -> Fraction:
 
 
 def exact_probability(spec: FamilySpec, tree: BucketTree, measure: str) -> Fraction:
+    families.check_tree(spec, tree)
     if measure == ORDERED_MODEL:
         w = families.tree_weight(spec, tree)
         return w / total_weight_closed(spec, tree.size)
@@ -339,17 +338,15 @@ def _reader(walk: _Walk, name: str, arg: int):
     return lambda y: y
 
 
-def _check_capacity(k: int, b: int) -> None:
-    if not 1 <= k <= b:
-        raise ValueError(f"capacity {k} outside 1..{b}")
+def _check_argument(name: str, arg, b: int, n: int) -> int:
+    """Statistic `name`'s argument: a capacity k in 1..b for N, else a label j in 1..n."""
+    return check_count(arg, *(("capacity k", 1, b) if name == "N" else ("label j", 1, n)))
 
 
 def _statistic_of(tree: BucketTree, name: str, arg: int = 0) -> int:
     """One statistic of one tree, read from the state the walk holds at it."""
-    if name in ("Y", "X", "tau") and not 1 <= arg <= tree.size:
-        raise ValueError(f"label {arg} not in tree")
-    if name == "N":
-        _check_capacity(arg, tree.b)
+    if name != "K":
+        arg = _check_argument(name, arg, tree.b, tree.size)
     walk = _Walk.at(tree)
     y = 0
     if name == "Y":  # the labels from arg on in the subtree of arg's bucket
@@ -396,11 +393,7 @@ def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     except ValueError:
         raise ValueError(f"statistic {statistic!r}: {name} needs an integer argument, "
                          f"as in {name}:1") from None
-    if name == "N":
-        _check_capacity(value, b)
-    elif not 1 <= value <= n:
-        raise ValueError(f"statistic argument {value} outside 1..{n}")
-    return name, value
+    return name, _check_argument(name, value, b, n)
 
 
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
@@ -413,7 +406,7 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
     children, so summing ordered-model probabilities gives the
     unordered-model distribution too.
     """
-    _check_oracle(spec, n, max_n)
+    n = _check_oracle(spec, n, max_n)
     name, arg = _parse_statistic(statistic, spec.b, n)
     walk = _Walk(spec.b, n)
     value = _reader(walk, name, arg)
@@ -435,7 +428,7 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
 
 def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     """Exact E[N_{n,k}] for k = 1..b under the random tree model."""
-    _check_oracle(spec, n, max_n)
+    n = _check_oracle(spec, n, max_n)
     walk = _Walk(spec.b, n)
     trees: Counter = Counter()
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .trees import BucketTree, check_valid
+from .trees import BucketTree, check_count, check_valid
 
 RECURSIVE = "recursive"
 ARY = "ary"
@@ -30,20 +30,9 @@ PORT = "port"
 LINEAR = "linear"
 
 
-def _whole(x) -> bool:
-    """x is an integer; a bool, though an int in Python, is not."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def _rational(x) -> bool:
-    """x is an int or a Fraction; a bool, again, is not."""
+    """x is an int or a Fraction; a bool, though an int in Python, is not."""
     return isinstance(x, numbers.Rational) and not isinstance(x, bool)
-
-
-def check_capacity_bound(b) -> None:
-    """Raise ValueError unless b is an integer >= 1."""
-    if not _whole(b) or b < 1:
-        raise ValueError(f"capacity bound b must be >= 1 and an integer, not b={b}")
 
 
 def require_named(spec: FamilySpec) -> None:
@@ -64,10 +53,10 @@ class FamilySpec:
     lin_m: Optional[Fraction] = None
 
     def __post_init__(self):
-        check_capacity_bound(self.b)
+        # stored as ints: a numpy b or d would compute in fixed width, and overflow
+        object.__setattr__(self, "b", check_count(self.b, "capacity bound b"))
         if self.kind == ARY:
-            if not _whole(self.d) or self.d < 2:
-                raise ValueError(f"(b,d)-ary family needs integer d >= 2, not d={self.d}")
+            object.__setattr__(self, "d", check_count(self.d, "arity d", 2))
         elif self.kind == PORT:
             if not _rational(self.alpha) or self.alpha <= 0:
                 raise ValueError("(b,alpha)-PORT family needs rational alpha > 0, "
@@ -170,28 +159,32 @@ def kappa(spec: FamilySpec) -> Fraction:
     return eps / A
 
 
-@lru_cache(maxsize=None)  # specs are frozen; the oracle asks once per bucket
+@lru_cache(maxsize=None, typed=True)  # per (spec, k); typed: a cached 1 is no answer for True
 def phi(spec: FamilySpec, k: int) -> Fraction:
     """Degree weight of a saturated bucket with out-degree k."""
+    k = check_count(k, "out-degree k", 0)
     A, eps = _shape(spec)
     p, q, b = A.numerator, A.denominator, spec.b
     rise = math.prod(p * b + eps * q * (1 - i) for i in range(k))
     return total_weight_closed(spec, b) * Fraction(rise, q ** k * math.factorial(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def psi(spec: FamilySpec, k: int) -> Fraction:
     """Bucket weight of an unsaturated leaf with capacity k (1 <= k <= b-1)."""
-    if not 1 <= k <= spec.b - 1:
-        raise ValueError(f"psi index {k} outside 1..{spec.b - 1}")
-    return total_weight_closed(spec, k)
+    return total_weight_closed(spec, check_count(k, "capacity k", 1, spec.b - 1))
+
+
+def check_tree(spec: FamilySpec, tree: BucketTree) -> None:
+    """Raise ValueError unless tree is a valid tree with the family's bound b."""
+    if tree.b != spec.b:
+        raise ValueError(f"tree capacity bound b={tree.b} does not match the family's b={spec.b}")
+    check_valid(tree)
 
 
 def tree_weight(spec: FamilySpec, tree: BucketTree) -> Fraction:
     """Product of node weights: phi over saturated nodes, psi over unsaturated ones."""
-    if tree.b != spec.b:
-        raise ValueError("tree capacity bound does not match the family")
-    check_valid(tree)
+    check_tree(spec, tree)
     w = Fraction(1)
     for k, d in zip(map(len, tree.labels), tree.degrees):
         w *= phi(spec, d) if k == spec.b else psi(spec, k)
@@ -200,8 +193,7 @@ def tree_weight(spec: FamilySpec, tree: BucketTree) -> Fraction:
 
 def total_weight_closed(spec: FamilySpec, n: int) -> Fraction:
     """Closed-form total weight T_n of all size-n increasingly labelled ordered trees."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     A, eps = _shape(spec)
     p, q = A.numerator, A.denominator
     return Fraction(math.prod(p * i + eps * q for i in range(1, n)), q ** (n - 1))

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _paths
+from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _paths,
+                    check_count)
 
 
 @dataclass
@@ -78,6 +79,7 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     ValueError.  The paths hold sum-of-depths entries in all, quadratic on
     a path: about 37 MB at depth 3000.
     """
+    families.check_tree(spec, tree)
     gc = families.growth_coeffs(spec)
     weights = [gc.node_weight(len(lab), d) for lab, d in zip(tree.labels, tree.degrees)]
     total = gc.total(tree.size, len(weights))
@@ -332,8 +334,7 @@ class _Grower:
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:
-    if n < 1:
-        raise ValueError("tree size must be >= 1")
+    n = check_count(n, "n")
     g = _Grower(spec)
     g.grow(n - 1, _as_rng(rng))
     return g

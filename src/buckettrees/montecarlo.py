@@ -25,6 +25,7 @@ import numpy as np
 from . import families, urns
 from .families import FamilySpec
 from .grow import _as_rng, _draw_dtype
+from .trees import check_count
 
 
 def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
@@ -58,8 +59,7 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
 def sample_K(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     """`size` independent copies of K_n (exact distribution)."""
     families.require_named(spec)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, size = check_count(n, "n"), check_count(size, "size", 0)
     if n == 1 or spec.b == 1:
         return np.ones(size, dtype=np.int64)
     _, last = _ball_dynamics(spec, n, size, rng)
@@ -70,8 +70,7 @@ def sample_K(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
 
 def sample_urn_counts(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     """`size` independent copies of the urn ball counts at tree size n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, size = check_count(n, "n"), check_count(size, "size", 0)
     counts, _ = _ball_dynamics(spec, n, size, rng)
     return counts
 
@@ -86,8 +85,8 @@ def sample_Y(spec: FamilySpec, n: int, j: int, size: int, rng) -> np.ndarray:
     is a floating-point draw.
     """
     families.require_named(spec)
-    if not 1 <= j <= n:
-        raise ValueError(f"label j={j} outside 1..{n}")
+    n, size = check_count(n, "n"), check_count(size, "size", 0)
+    j = check_count(j, "label j", 1, n)
     stream = _as_rng(rng)
     if j <= spec.b:
         return np.full(size, n + 1 - j, dtype=np.int64)
@@ -117,8 +116,7 @@ def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     families.require_named(spec)
     if spec.b != 1:
         raise ValueError("root-degree kernel is for b = 1 families")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, size = check_count(n, "n"), check_count(size, "size", 0)
     gc = families.growth_coeffs(spec)
     gen = _as_rng(rng).generator
     deg = np.zeros(size, dtype=np.int64)

@@ -42,12 +42,13 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
+from .trees import check_count
 
 RESIDUAL_TOL = 1e-10
 SEPARATION_TOL = 1e-8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 1 must not answer for True
 def rising_coeffs(b: int) -> tuple[int, ...]:
     """Integer coefficients of (lambda)_b, ascending by power.
 
@@ -55,8 +56,7 @@ def rising_coeffs(b: int) -> tuple[int, ...]:
     rational constant (1+kappa)_b they are the one definition of p that the
     exact checks and the residuals read.
     """
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    b = check_count(b, "capacity bound b")
     coeffs = [1]
     for i in range(b):  # multiply by (lambda + i)
         coeffs = [i * c + d for c, d in zip(coeffs + [0], [0] + coeffs)]
@@ -201,6 +201,7 @@ def _residual(stirling: tuple, c: int, x: int, y: int, bits: int) -> float:
 
 
 def indicial_roots(b: int, kap) -> IndicialRoots:
+    b = check_count(b, "capacity bound b")
     kap = Fraction(kap)
     lam1 = 1 + kap
     if indicial_value(b, kap, lam1) != 0:
@@ -257,6 +258,7 @@ def harmonic_diff(lam, b: int):
 
     Exact for Fraction input, complex otherwise.
     """
+    b = check_count(b, "capacity bound b")
     if isinstance(lam, (Fraction, int)):
         lam = Fraction(lam)
         return sum((Fraction(1) / (lam + k) for k in range(b)), Fraction(0))

@@ -24,11 +24,15 @@ CPython's cyclic collector would re-scan every live container many times
 over while a big tree is built, and acyclic trees give it nothing to
 free, so the bulk builders pause it and put back the state they found,
 on error too.
+
+`check_count`, the one rule for every count argument, lives here, in the
+lowest module, so every layer makes the same decision with one message.
 """
 
 from __future__ import annotations
 
 import gc
+import numbers
 import re
 import sys
 from bisect import bisect_right
@@ -39,6 +43,21 @@ from itertools import accumulate, chain, compress, islice, repeat
 from math import inf
 from operator import itemgetter, lt
 from typing import Callable
+
+
+def check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """value as an int, if it is an integer in lo..hi (hi=None: no upper bound).
+
+    The one rule for every count argument: a size, a label, a bound, a
+    degree, a number of steps or of samples.  numpy integers count; a bool,
+    though an int in Python, does not.  Anything else raises ValueError
+    naming the argument by `name`, whose last word is its symbol.
+    """
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{name} must be {span} and an integer, not {name.split()[-1]}={value!r}")
 
 
 def _collector_paused(fn: Callable) -> Callable:
@@ -285,12 +304,12 @@ def _assemble(labels, degrees) -> BucketNode:
 def validate(tree: BucketTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
+    A bound b that is not a count raises the ValueError of `check_count`.
+
     Violations name the offending bucket by its child-index path from the
     root and come in preorder, a bucket's own before those of its children.
     """
-    b = tree.b
-    if b < 1:
-        return ["capacity bound b must be >= 1"]
+    b = check_count(tree.b, "capacity bound b")
     held, kids = tree.labels, _kids(tree.degrees)
     lows = [min(lab, default=inf) for lab in held]
     violations = []
@@ -452,8 +471,9 @@ def _stand_ins(texts: list[str]) -> tuple[int, ...]:
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result, in one pass.
 
-    ParseError names the first character the grammar refuses; a tree that
-    breaks an invariant raises the ValueError of `check_valid`.
+    ParseError names the first character the grammar refuses; a bound b
+    that is not a count raises the ValueError of `check_count`, and a tree
+    that breaks an invariant that of `check_valid`.
     """
     parts = _SPLIT.split(text)
     seps, bodies = parts[::2], parts[1::2]  # seps[v] comes just before bucket v
@@ -503,6 +523,7 @@ def decode(text: str, b: int) -> BucketTree:
         labels = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
         increasing = all(compress(map(lt, flat, islice(flat, 1, None)), inside))
     sizes = list(map(len, labels))
+    b = check_count(b, "capacity bound b")
     valid = (increasing and max(sizes) <= b
              and all(map(b.__eq__, compress(sizes, degrees)))  # internal buckets are full
              and all(map(lt, map(itemgetter(-1), map(labels.__getitem__, up)),

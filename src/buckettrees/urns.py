@@ -25,7 +25,7 @@ from . import families
 from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
 from .grow import _as_rng, _draw_dtype
 from .spectral import family_roots
-from .trees import NodeCensus
+from .trees import NodeCensus, check_count
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
     call, giving the numbers a draw per step would; each type is then
     picked from the running counts with Python ints.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = check_count(steps, "steps", 0)
     gc = model.coeffs
     totals = gc.a * np.arange(1, steps + 1, dtype=np.int64) + gc.total_c
     dtype = _draw_dtype(model.total(steps))

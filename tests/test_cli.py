@@ -316,14 +316,14 @@ def test_bad_family_fails():
 
 
 BAD_INPUTS = {
-    "grow --n 0": "tree size must be >= 1",
+    "grow --n 0": "n must be >= 1 and an integer, not n=0",
     "grow --n 3 --family foo": "unknown family kind 'foo'",
     "pmf-k --n 0": "n must be >= 1",
     "pmf-k --n 10000000000": "above the ceiling of 10^8: the spectral route costs O(b n)",
     "enumerate --n 0": "n must be >= 1",
     "enumerate --n 0 --pmf K": "n must be >= 1",
     "enumerate --n 11": "pass max_n, or --max-n on the command line, to override",
-    "descendants --n 5 --j 9": "label j=9 outside 1..5",
+    "descendants --n 5 --j 9": "label j must be in 1..5 and an integer, not j=9",
     "spectrum --b-range 0..3": "capacity bound b must be >= 1",
     "spectrum --b-range 5..2": "--b-range 5..2 is empty",
     "spectrum --b-range x": "--b-range x: expected lo..hi",

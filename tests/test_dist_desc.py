@@ -75,8 +75,12 @@ def test_pmf_Y_conditional_example():
 
 def test_pmf_Y_conditional_point_mass_in_root():
     # j <= b: j sits in the root bucket whose subtree is everything
-    pmf = pmf_Y_conditional(families.recursive(2), 6, 1, 2)
+    pmf = pmf_Y_conditional(families.recursive(2), 6, 2, 2)
     assert pmf.mass == {5: Fraction(1)}
+    # and K_j = j surely, so any other bucket size is impossible
+    with pytest.raises(ValueError, match=r"bucket size ell must be in 2\.\.2 and an integer, "
+                                         "not ell=1"):
+        pmf_Y_conditional(families.recursive(2), 6, 1, 2)
 
 
 def test_pmf_tau_examples():
@@ -138,7 +142,7 @@ def test_argument_guards():
     # n and j are integers, and a bool is none
     for n, j in [(5, True), (True, 1), (5.0, 3), (5, 2.5)]:
         for law in (pmf_Y, pmf_tau, pmf_X):
-            with pytest.raises(ValueError, match="must be integers"):
+            with pytest.raises(ValueError, match=r"and an integer, not [nj]="):
                 law(spec, n, j)
 
 

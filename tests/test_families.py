@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckettrees import families, spectral, verify
+from buckettrees import enumeration, families, grow, spectral, verify
 from buckettrees.families import (FamilySpec, ary, frac_binom, growth_coeffs,
                                   kappa, linear, parse_family, phi, port,
                                   psi, recursive, total_weight_closed,
                                   tree_weight)
-from buckettrees.trees import decode
+from buckettrees.trees import BucketNode, BucketTree, canonicalize, decode
 
 
 def test_phi_recursive():
@@ -42,6 +42,22 @@ def test_psi_recursive():
             assert psi(recursive(b), k) == math.factorial(k - 1)
     with pytest.raises(ValueError):
         psi(recursive(2), 2)  # psi only covers unsaturated capacities
+
+
+def test_every_tree_reader_refuses_a_tree_of_another_bound():
+    # one check for the four: the family's b, then a valid tree
+    spec = recursive(3)
+    readers = [lambda t: tree_weight(spec, t), lambda t: grow.attraction_probs(spec, t),
+               lambda t: enumeration.growth_history_probability(spec, t)]
+    readers += [lambda t, m=m: enumeration.exact_probability(spec, t, m)
+                for m in (enumeration.ORDERED_MODEL, enumeration.UNORDERED_MODEL,
+                          enumeration.UNORDERED_GROWTH)]
+    for read in readers:
+        with pytest.raises(ValueError,
+                           match=r"^tree capacity bound b=2 does not match the family's b=3$"):
+            read(canonicalize(enumeration.all_trees(2, 4)[0]))
+        with pytest.raises(ValueError, match="internal node unsaturated"):
+            read(BucketTree(3, BucketNode((1, 2), (BucketNode((3,)),))))
 
 
 def test_tree_weight_examples():

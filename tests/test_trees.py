@@ -611,8 +611,7 @@ def _ref_validate(tree):
     violations = []
     b = tree.b
     if b < 1:
-        violations.append("capacity bound b must be >= 1")
-        return violations
+        raise ValueError(f"capacity bound b must be >= 1 and an integer, not b={b}")
     all_labels = []
     for path, node in _ref_iter_nodes_with_path(tree.root):
         where = "/".join(map(str, path)) or "root"
@@ -744,7 +743,13 @@ def test_validate_matches_recursive_reference(spec, n, seed, data):
                 node[1].insert(data.draw(st.integers(0, len(node[1]))), child)
     b = data.draw(st.sampled_from([spec.b, spec.b, spec.b, spec.b + 1, spec.b - 1]))
     tree = BucketTree(b, _frozen(root))
-    assert validate(tree) == _ref_validate(tree)
+    try:
+        expected = _ref_validate(tree)
+    except ValueError as exc:  # a bound b below 1 is refused before any invariant
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            validate(tree)
+    else:
+        assert validate(tree) == expected
 
 
 @pytest.mark.parametrize("text, b", [
