@@ -32,7 +32,6 @@ signature) pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +41,7 @@ from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
 from .pmf import Pmf
 from .trees import (BucketTree, _collector_paused, _flat_tree, _kids, _mark_canonical,
-                    canonicalize, check_count)
+                    canonicalize, check_count, check_valid)
 
 DEFAULT_MAX_N = 10
 
@@ -338,46 +337,6 @@ def _reader(walk: _Walk, name: str, arg: int):
     return lambda y: y
 
 
-def _check_argument(name: str, arg, b: int, n: int) -> int:
-    """Statistic `name`'s argument: a capacity k in 1..b for N, else a label j in 1..n."""
-    return check_count(arg, *(("capacity k", 1, b) if name == "N" else ("label j", 1, n)))
-
-
-def _statistic_of(tree: BucketTree, name: str, arg: int = 0) -> int:
-    """One statistic of one tree, read from the state the walk holds at it."""
-    if name != "K":
-        arg = _check_argument(name, arg, tree.b, tree.size)
-    walk = _Walk.at(tree)
-    y = 0
-    if name == "Y":  # the labels from arg on in the subtree of arg's bucket
-        stack = [walk.holder[arg]]
-        while stack:
-            v = stack.pop()
-            y += sum(label >= arg for label in walk.labels[v])
-            stack += walk.kids[v]
-    return _reader(walk, name, arg)(y)
-
-
-def stat_initial_bucket_size(tree: BucketTree) -> int:
-    return _statistic_of(tree, "K")
-
-
-def stat_descendants(tree: BucketTree, j: int) -> int:
-    return _statistic_of(tree, "Y", j)
-
-
-def stat_out_degree(tree: BucketTree, j: int) -> int:
-    return _statistic_of(tree, "X", j)
-
-
-def stat_capacity_count(tree: BucketTree, k: int) -> int:
-    return _statistic_of(tree, "N", k)
-
-
-def stat_saturation_time(tree: BucketTree, j: int) -> int:
-    return _statistic_of(tree, "tau", j)
-
-
 def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     """(name, argument) of a statistic such as 'K', 'N:k' or 'Y:j'."""
     name, colon, arg = statistic.partition(":")
@@ -393,7 +352,24 @@ def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     except ValueError:
         raise ValueError(f"statistic {statistic!r}: {name} needs an integer argument, "
                          f"as in {name}:1") from None
-    return name, _check_argument(name, value, b, n)
+    # a capacity k in 1..b for N, else a label j in 1..n
+    return name, check_count(value, *(("capacity k", 1, b) if name == "N" else ("label j", 1, n)))
+
+
+def tree_statistic(tree: BucketTree, statistic: str) -> int:
+    """One statistic of one valid tree, named as for `exact_statistic_pmf`,
+    read from the state the walk holds at the tree."""
+    check_valid(tree)
+    name, arg = _parse_statistic(statistic, tree.b, tree.size)
+    walk = _Walk.at(tree)
+    y = 0
+    if name == "Y":  # the labels from arg on in the subtree of arg's bucket
+        stack = [walk.holder[arg]]
+        while stack:
+            v = stack.pop()
+            y += sum(label >= arg for label in walk.labels[v])
+            stack += walk.kids[v]
+    return _reader(walk, name, arg)(y)
 
 
 def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
@@ -427,24 +403,10 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
 
 
 def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
-    """Exact E[N_{n,k}] for k = 1..b under the random tree model."""
-    n = _check_oracle(spec, n, max_n)
-    walk = _Walk(spec.b, n)
-    trees: Counter = Counter()
-
-    def visit(signature, y, count, key):
-        trees[signature] += count
-
-    walk.run(visit)
-    weights = _weights(spec, n, trees)
-    total = Fraction(0)
-    out = {k: Fraction(0) for k in range(1, spec.b + 1)}
-    for signature, count in trees.items():
-        w = count * weights[signature]
-        total += w
-        for code, buckets in _pairs(signature, n):
-            out[min(code + 1, spec.b)] += buckets * w
-    return {k: v / total for k, v in out.items()}
+    """Exact E[N_{n,k}] for k = 1..b under the random tree model: the means
+    of the N:k laws."""
+    return {k: exact_statistic_pmf(spec, n, f"N:{k}", max_n).mean()
+            for k in range(1, spec.b + 1)}
 
 
 def distinct_unordered(ts: WeightedTreeSet) -> list:

@@ -27,18 +27,22 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _paths,
+from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _parents,
                     check_count)
 
 
 @dataclass
 class RngStream:
-    """A seeded random stream that can spawn independent child streams."""
+    """A seeded random stream that can spawn independent child streams.
+
+    The seed follows the count rule of `check_count`: an integer >= 0.
+    """
 
     seed: int
     spawn_key: tuple = ()
 
     def __post_init__(self):
+        self.seed = check_count(self.seed, "seed", 0)
         self.generator = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)))
 
@@ -50,9 +54,8 @@ class RngStream:
 
 
 def _as_rng(rng) -> RngStream:
-    if isinstance(rng, RngStream):
-        return rng
-    return RngStream(int(rng))
+    """rng if it is a stream, else the stream of the seed rng."""
+    return rng if isinstance(rng, RngStream) else RngStream(rng)
 
 
 def _draw_dtype(high: int):
@@ -70,14 +73,13 @@ def _draw_dtype(high: int):
 
 def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     """Exact attraction probability of every bucket, in preorder:
-    [(path, labels, Fraction)], path being the bucket's child indices from
-    the root.
+    [(parent, labels, Fraction)], parent being the preorder index of the
+    bucket's parent, -1 for the root.
 
     Each bucket's weight is `gc.node_weight` over `gc.total(size, nodes)`,
     so the probabilities sum to one on every tree.  A tree with a negative
     bucket weight or a zero total, which the rule cannot grow, raises
-    ValueError.  The paths hold sum-of-depths entries in all, quadratic on
-    a path: about 37 MB at depth 3000.
+    ValueError.
     """
     families.check_tree(spec, tree)
     gc = families.growth_coeffs(spec)
@@ -86,8 +88,8 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
     if total <= 0 or min(weights) < 0:
         raise ValueError(f"growth rule {spec.describe()} cannot grow this tree: "
                          f"total weight {total}, least bucket weight {min(weights)}")
-    return [(path, lab, Fraction(w, total))
-            for path, lab, w in zip(_paths(tree.degrees), tree.labels, weights)]
+    return [(up, lab, Fraction(w, total))
+            for up, lab, w in zip(_parents(tree.degrees), tree.labels, weights)]
 
 
 # ---------------------------------------------------------------------------

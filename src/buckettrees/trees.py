@@ -6,11 +6,11 @@ every root-to-leaf path, and every internal (non-leaf) bucket is full.
 
 A `BucketTree` stores the preorder of its buckets: `labels[i]`, the
 labels of the i-th bucket, and `degrees[i]`, its number of children.  How
-a preorder nests is read by five helpers only: `_nest` writes it as text,
-`_fold` folds it children first, and `_kids`, `_parents` and `_paths` give
-each bucket's children, parent and path.  `root`, the same tree as
-`BucketNode` objects, is a view built on first use and kept.  No walk
-recurses, so trees of any depth work.
+a preorder nests is read by four helpers only: `_nest` writes it as text,
+`_fold` folds it children first, and `_kids` and `_parents` give each
+bucket's children and parent.  `root`, the same tree as `BucketNode`
+objects, is a view built on first use and kept.  No walk recurses, so
+trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
@@ -222,15 +222,6 @@ def _parents(degrees) -> list:
     return up
 
 
-def _paths(degrees) -> list:
-    """The child-index path from the root of each bucket of a preorder."""
-    paths, pending = [], [()]  # the path of each child still to come, next last
-    for d in degrees:
-        paths.append(pending.pop())
-        pending += [(*paths[-1], i) for i in range(d - 1, -1, -1)]
-    return paths
-
-
 def _nest(texts, degrees) -> str:
     """The nested text of a preorder whose buckets write as texts: '(' opens
     a bucket's children, ',' separates siblings and ')' closes the last child."""
@@ -320,7 +311,7 @@ def validate(tree: BucketTree) -> list[str]:
              or 1 < k <= b and labels[0] >= 1 and all(map(lt, labels, labels[1:])))
                 and not (below and (k != b or min(map(lows.__getitem__, below)) <= labels[-1]))):
             continue
-        # v's path alone (all of _paths is quadratic in a path's depth): in
+        # v's path alone (all the paths together are quadratic in a path's depth): in
         # preorder, v lies below the last child that comes at or before it
         path, u = [], 0
         while u != v:

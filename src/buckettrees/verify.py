@@ -242,7 +242,7 @@ def check_bijections(level: str, seed: int) -> str:
             d = bijections.bucket_to_diamond(tree)
             _need(bijections.diamond_to_bucket(d) == tree,
                   f"diamond round trip failed at n={n}")
-            _need(d.inner_count() == enumeration.stat_capacity_count(tree, 1),
+            _need(d.inner_count() == enumeration.tree_statistic(tree, "N:1"),
                   f"inner count != capacity-one count at n={n}")
             seen.add(bijections.encode_diamond(d))
             total += _diamond_weight(d)

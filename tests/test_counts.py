@@ -71,13 +71,6 @@ ROWS = [
      None, 1),
     ("expected_capacity_counts n", lambda v: enumeration.expected_capacity_counts(REC2, v),
      "n", 1, None, 1),
-    ("stat_descendants j", lambda v: enumeration.stat_descendants(TREE, v), "label j", 1, 5,
-     1),
-    ("stat_out_degree j", lambda v: enumeration.stat_out_degree(TREE, v), "label j", 1, 5, 1),
-    ("stat_saturation_time j", lambda v: enumeration.stat_saturation_time(TREE, v), "label j",
-     1, 5, 1),
-    ("stat_capacity_count k", lambda v: enumeration.stat_capacity_count(TREE, v), "capacity k",
-     1, 2, 1),
     ("rising_coeffs b", lambda v: spectral.rising_coeffs(v), "capacity bound b", 1, None, 1),
     ("indicial_roots b", lambda v: spectral.indicial_roots(v, 0), "capacity bound b", 1, None,
      1),
@@ -115,6 +108,32 @@ def test_every_count_argument_follows_the_one_rule(call, name, lo, hi, good):
         message = f"{name} must be {span} and an integer, not {symbol}={value!r}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             call(value)
+
+
+@pytest.mark.parametrize("statistic, message", [
+    *[(f"{name}:{j}", f"label j must be in 1..5 and an integer, not j={j}")
+      for name in ("Y", "X", "tau") for j in (0, 6)],
+    *[(f"N:{k}", f"capacity k must be in 1..2 and an integer, not k={k}") for k in (0, 3)],
+    ("K:1", "statistic 'K:1': K takes no argument"),
+    ("Z", "unknown statistic 'Z'"),
+    ("Y:x", "statistic 'Y:x': Y needs an integer argument, as in Y:1")])
+def test_a_tree_statistic_names_its_argument_as_its_pmf_does(statistic, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        enumeration.tree_statistic(TREE, statistic)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        enumeration.exact_statistic_pmf(REC2, 5, statistic)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda seed: grow.sample_tree(REC2, 8, seed),
+    lambda seed: montecarlo.sample_K(REC2, 5, 5, seed),
+    lambda seed: urns.simulate_urn(URN, 5, seed)],
+    ids=["sample_tree", "sample_K", "simulate_urn"])
+@pytest.mark.parametrize("seed", [2.7, True, "7", -1])
+def test_a_seed_follows_the_count_rule(sampler, seed):
+    message = f"seed must be >= 0 and an integer, not seed={seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        sampler(seed)
 
 
 @pytest.mark.parametrize("sampler", [

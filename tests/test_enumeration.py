@@ -8,16 +8,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buckettrees import enumeration, families, verify
+from buckettrees.dist_desc import pmf_tau, pmf_X, pmf_Y
+from buckettrees.dist_k import pmf_K_exact
 from buckettrees.enumeration import (EnumerationBoundError, ORDERED_MODEL,
                                      UNORDERED_GROWTH, UNORDERED_MODEL, all_trees,
                                      distinct_unordered, enumerate_trees,
                                      exact_probability, exact_statistic_pmf,
                                      expected_capacity_counts,
-                                     growth_history_probability, stat_capacity_count,
-                                     stat_descendants, stat_initial_bucket_size,
-                                     stat_out_degree, stat_saturation_time)
+                                     growth_history_probability, tree_statistic)
 from buckettrees.trees import (BucketNode, BucketTree, _numbered_tree, canonicalize, decode,
                                encode, validate)
 
@@ -101,7 +103,7 @@ def test_statistic_pmf_argument_checks():
         with pytest.raises(ValueError, match=message):
             exact_statistic_pmf(spec, 5, f"N:{k}")
         with pytest.raises(ValueError, match=message):
-            stat_capacity_count(tree, k)
+            tree_statistic(tree, f"N:{k}")
 
 
 @pytest.mark.parametrize("statistic, message", [
@@ -282,9 +284,6 @@ def test_growth_history_on_a_deep_path_and_a_wide_star():
 # the per-tree summation the oracle used before it grouped trees by node
 # signature, kept as the reference for its weights and sums
 
-_STATISTICS = {"Y": stat_descendants, "X": stat_out_degree, "tau": stat_saturation_time}
-
-
 def _per_tree_weight(spec, root, phi_cache, psi_cache):
     w = Fraction(1)
     b = spec.b
@@ -332,12 +331,11 @@ def _per_tree_capacity_counts(spec, items):
 
 
 def _statistic_fns(b, n):
-    yield "K", stat_initial_bucket_size
-    for k in range(1, b + 1):
-        yield f"N:{k}", lambda t, k=k: stat_capacity_count(t, k)
-    for name, stat in _STATISTICS.items():
-        for j in range(1, n + 1):
-            yield f"{name}:{j}", lambda t, stat=stat, j=j: stat(t, j)
+    names = ["K"] + [f"N:{k}" for k in range(1, b + 1)]
+    for name in ("Y", "X", "tau"):
+        names += [f"{name}:{j}" for j in range(1, n + 1)]
+    for statistic in names:
+        yield statistic, lambda t, statistic=statistic: tree_statistic(t, statistic)
 
 
 # (kept, all) trees where a (b, d)-ary family gives some trees weight 0
@@ -360,6 +358,25 @@ def test_oracle_matches_per_tree_reference():
                 mass = exact_statistic_pmf(spec, n, statistic).mass
                 assert list(mass.items()) == list(_per_tree_pmf(items, fn).items()), \
                     (spec.describe(), n, statistic)
+
+
+_NAMED_FAMILIES = st.one_of(
+    st.builds(families.recursive, st.integers(1, 8)),
+    st.builds(families.ary, st.integers(1, 8), st.integers(2, 6)),
+    st.builds(families.port, st.integers(1, 8),
+              st.builds(Fraction, st.integers(1, 12), st.integers(1, 5))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_NAMED_FAMILIES)
+def test_oracle_matches_the_closed_forms_over_the_family_space(spec):
+    for n in range(1, 7):
+        assert enumerate_trees(spec, n).total_weight() == families.total_weight_closed(spec, n)
+        assert exact_statistic_pmf(spec, n, "K").mass == pmf_K_exact(spec, n).mass, n
+        for j in range(1, n + 1):
+            for name, law in (("Y", pmf_Y), ("tau", pmf_tau), ("X", pmf_X)):
+                assert (exact_statistic_pmf(spec, n, f"{name}:{j}").mass
+                        == law(spec, n, j).mass), (n, name, j)
 
 
 def _walk_tallies(b, n, ordered):
@@ -574,16 +591,20 @@ def test_statistics_match_the_partition_reference():
 
 
 def test_tree_statistics_match_the_reference_scan():
-    public = {"K": stat_initial_bucket_size, "N": stat_capacity_count,
-              "Y": stat_descendants, "X": stat_out_degree, "tau": stat_saturation_time}
     for b, n in ((1, 5), (2, 6), (3, 6)):
         for tree in all_trees(b, n):
             for statistic, fn in _reference_statistics(b, n):
-                name, _, arg = statistic.partition(":")
-                got = public[name](tree, int(arg)) if arg else public[name](tree)
-                assert got == fn(tree), (encode(tree), statistic)
+                assert tree_statistic(tree, statistic) == fn(tree), (encode(tree), statistic)
     with pytest.raises(ValueError, match="label j must be in 1..3 and an integer, not j=4"):
-        stat_descendants(decode("{1,2}({3})", 2), 4)
+        tree_statistic(decode("{1,2}({3})", 2), "Y:4")
+
+
+@pytest.mark.parametrize("root, violation", [
+    (BucketNode((1, 3)), "label multiset is not {1..2}"),
+    (BucketNode((1,), (BucketNode((2,)),)), "root: internal node unsaturated (capacity 1 < 2)")])
+def test_a_tree_statistic_of_an_invalid_tree_raises_check_valids_error(root, violation):
+    with pytest.raises(ValueError, match=re.escape(f"invalid bucket tree: {violation}") + "$"):
+        tree_statistic(BucketTree(2, root), "K")
 
 
 def test_statistic_pmfs_build_no_tree(monkeypatch):

@@ -18,16 +18,14 @@ from buckettrees.verify import SIGNIFICANCE
 
 def test_attraction_probs_recursive_example():
     tree = decode("{1,2}({3})", 2)
-    probs = {path: p for path, _, p in attraction_probs(families.recursive(2), tree)}
-    assert probs[()] == Fraction(2, 3)
-    assert probs[(0,)] == Fraction(1, 3)
+    probs = attraction_probs(families.recursive(2), tree)
+    assert probs == [(-1, (1, 2), Fraction(2, 3)), (0, (3,), Fraction(1, 3))]
 
 
 def test_attraction_probs_ary_example():
     tree = decode("{1,2}({3})", 2)
-    probs = {path: p for path, _, p in attraction_probs(families.ary(2, 3), tree)}
-    assert probs[()] == Fraction(4, 7)
-    assert probs[(0,)] == Fraction(3, 7)
+    probs = attraction_probs(families.ary(2, 3), tree)
+    assert probs == [(-1, (1, 2), Fraction(4, 7)), (0, (3,), Fraction(3, 7))]
 
 
 def test_attraction_probs_sum_to_one():
@@ -176,13 +174,13 @@ def test_path_rule_grows_a_deep_path():
 
 
 def test_attraction_probs_on_a_deep_path():
-    depth = 3000
+    depth = 10 ** 5
     node = BucketNode((depth,))
     for label in range(depth - 1, 0, -1):
         node = BucketNode((label,), (node,))
     tree = BucketTree(1, node)
-    path, leaf, p = attraction_probs(PATH_RULE, tree)[-1]
-    assert (path, leaf, p) == ((0,) * (depth - 1), (depth,), 1)
+    up, leaf, p = attraction_probs(PATH_RULE, tree)[-1]
+    assert (up, leaf, p) == (depth - 2, (depth,), 1)
     assert sum(p for _, _, p in attraction_probs(families.recursive(1), tree)) == 1
 
 

@@ -161,8 +161,8 @@ def test_kids_lists_children_in_preorder():
 def test_the_nesting_helpers_read_one_preorder():
     degrees = (3, 0, 1, 0, 0)  # a root with children 1, 2 and 4; 3 under 2
     names = ("r", "a", "b", "c", "d")
-    assert trees._paths(degrees) == [(), (0,), (1,), (1, 0), (2,)]
-    assert trees._paths((0,)) == [()]
+    assert trees._parents(degrees) == [-1, 0, 0, 2, 0]
+    assert trees._parents((0,)) == [-1]
     assert trees._nest(names, degrees) == "r(a,b(c),d)"
     assert trees._nest(["x"], (0,)) == "x"
     assert trees._fold(names, degrees, lambda x, kids: x + "".join(kids)) == "rabcd"
@@ -386,8 +386,8 @@ def test_a_deep_path_through_every_flat_operation_and_the_nodes(b, n):
     spec = families.recursive(b)
     assert (families.tree_weight(spec, back)
             == families.phi(spec, 1) ** (len(buckets) - 1) * families.phi(spec, 0))
-    assert enumeration.stat_descendants(back, 1) == n
-    assert enumeration.stat_out_degree(back, n) == 0
+    assert enumeration.tree_statistic(back, "Y:1") == n
+    assert enumeration.tree_statistic(back, f"X:{n}") == 0
     chains = bijections.expand_chains(back)
     assert chains.size == n and bijections.cluster(chains, b) == back if b > 1 else chains == back
 
