@@ -339,6 +339,8 @@ def _reader(walk: _Walk, name: str, arg: int):
 
 def _parse_statistic(statistic: str, b: int, n: int) -> tuple:
     """(name, argument) of a statistic such as 'K', 'N:k' or 'Y:j'."""
+    if not isinstance(statistic, str):
+        raise ValueError(f"statistic must be a string such as 'K' or 'Y:3', not {statistic!r}")
     name, colon, arg = statistic.partition(":")
     name = name.strip()
     if name not in ("K", "N", "Y", "X", "tau"):

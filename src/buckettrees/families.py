@@ -28,6 +28,9 @@ RECURSIVE = "recursive"
 ARY = "ary"
 PORT = "port"
 LINEAR = "linear"
+# the parameter fields each kind takes besides b
+_PARAMETERS = {RECURSIVE: (), ARY: ("d",), PORT: ("alpha",),
+               LINEAR: ("lin_a", "lin_beta", "lin_m")}
 
 
 def _rational(x) -> bool:
@@ -53,6 +56,12 @@ class FamilySpec:
     lin_m: Optional[Fraction] = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _PARAMETERS:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        for name in ("d", "alpha", "lin_a", "lin_beta", "lin_m"):
+            value = getattr(self, name)
+            if value is not None and name not in _PARAMETERS[self.kind]:
+                raise ValueError(f"{self.kind} family takes no parameter {name}={value}")
         # stored as ints: a numpy b or d would compute in fixed width, and overflow
         object.__setattr__(self, "b", check_count(self.b, "capacity bound b"))
         if self.kind == ARY:
@@ -65,8 +74,6 @@ class FamilySpec:
             for name, value in zip(("a", "beta", "m"), (self.lin_a, self.lin_beta, self.lin_m)):
                 if not _rational(value):
                     raise ValueError(f"linear family needs rational {name}, not {name}={value}")
-        elif self.kind != RECURSIVE:
-            raise ValueError(f"unknown family kind {self.kind!r}")
 
     def describe(self) -> str:
         params = {ARY: f",d={self.d}", PORT: f",alpha={self.alpha}",
@@ -100,7 +107,10 @@ def parse_family(text: str) -> FamilySpec:
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"malformed family parameter {item!r}")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"family parameter {key} is given twice")
+            params[key] = value.strip()
 
     def read(key: str, cast: type = Fraction):  # ValueError naming a key that does not parse
         value = params.pop(key)

@@ -7,10 +7,12 @@ one definition of the urn (initial counts, replacement rows, divisors and
 growth coefficients): the vectorized kernel in `montecarlo` steps with its
 rows, and `dist_k.mean_type_masses` takes the mean of the same step, as
 the exact integer product of the mean step matrices T_s I + R^T.  The
-replacement matrix is sparse (a shifted cycle), which makes its
-characteristic polynomial a two-term product and ties its eigenvalues to
-the indicial roots by the affine map lambda_urn = a * lambda_ind - c;
-`char_poly` checks that product by Faddeev-LeVerrier in integers.
+characteristic polynomial of the replacement matrix is the indicial
+polynomial p of `spectral` under the affine map
+lambda_urn = a * lambda_ind - c, which carries the indicial roots to the
+urn's eigenvalues: `char_poly_closed` builds it from p's coefficients, and
+`char_poly` checks it on the matrix itself, by Faddeev-LeVerrier in
+integers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import families
 from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
 from .grow import _as_rng, _draw_dtype
-from .spectral import family_roots
+from .spectral import family_roots, indicial_coeffs
 from .trees import NodeCensus, check_count
 
 
@@ -128,14 +130,6 @@ def node_type_estimates(model: UrnModel, counts) -> dict:
 # spectrum
 
 
-def _poly_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, c in enumerate(q):
-            out[i + j] += a * c
-    return out
-
-
 def char_poly(model: UrnModel) -> list[Fraction]:
     """det(R - lambda I) of the replacement matrix, ascending coefficients.
 
@@ -143,7 +137,7 @@ def char_poly(model: UrnModel) -> list[Fraction]:
     every coefficient c_k = -tr(R M_k) / k of an integer matrix is an
     integer, so the loop runs on ints and a remainder in that division
     raises ArithmeticError.  No use is made of the sparsity, so this is an
-    independent check of the closed product form.
+    independent check of the closed form.
     """
     b = model.b
     coeffs = [0] * b + [1]
@@ -163,20 +157,19 @@ def char_poly(model: UrnModel) -> list[Fraction]:
 
 
 def char_poly_closed(model: UrnModel) -> list[Fraction]:
-    """The closed product form of det(R - lambda I), ascending coefficients:
+    """det(R - lambda I) in closed form, ascending coefficients: the indicial
+    polynomial under the affine map, (-1)^b a^b p((lambda + c) / a).
 
-    (-1)^b [ (lambda - bdeg) prod_{k<b} (lambda + w_k)  -  prod_{k<=b} w_k ]
+    The coefficients of (-1)^b a^b p(x / a) are taken by Horner in
+    x = lambda + c.
     """
-    w = model.divisors
-    poly = [Fraction(-model.coeffs.bdeg), Fraction(1)]
-    for k in range(model.b - 1):
-        poly = _poly_mul(poly, [Fraction(w[k]), Fraction(1)])
-    prod = Fraction(1)
-    for k in range(model.b):
-        prod *= w[k]
-    poly[0] -= prod
-    if model.b % 2:
-        poly = [-c for c in poly]
+    a, c, b = model.coeffs.a, model.coeffs.c, model.b
+    p = indicial_coeffs(b, family_kappa(model.spec))
+    sign = -1 if b % 2 else 1
+    poly = []
+    for k in range(b, -1, -1):  # poly <- poly * (lambda + c) + the x^k coefficient
+        poly = [lower + c * same for lower, same in zip([0] + poly, poly + [0])]
+        poly[0] += sign * a ** (b - k) * p[k]
     return poly
 
 

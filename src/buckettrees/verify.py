@@ -287,50 +287,20 @@ def check_bijections(level: str, seed: int) -> str:
 # 6. urns
 
 
-def _relative_residual(coeffs: list[Fraction], z: complex) -> float:
-    """|p(z)| normalized by the coefficient-magnitude scale sum |c_k| |z|^k.
-
-    z = (x + iy)/d with integers x, y and d a power of two, so p(z) d^deg is
-    exact on integers; only its modulus and the scale (positive terms) round.
-    """
-    _need(all(c.denominator == 1 for c in coeffs), "char poly has a non-integer coefficient")
-    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    d = max(xd, yd)
-    x, y = xn * (d // xd), yn * (d // yd)
-    re = im = 0
-    for k, c in enumerate(reversed(coeffs)):  # Horner, each coefficient times d^k
-        re, im = re * x - im * y + c.numerator * d ** k, re * y + im * x
-    value = math.hypot(re / d ** (len(coeffs) - 1), im / d ** (len(coeffs) - 1))
-    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
-    return value / max(scale, 1)
-
-
 def check_urns(level: str, seed: int) -> str:
     quick = level == "quick"
-    charpoly_max_b, affine_max_b = (6, 10) if quick else (30, 30)
+    charpoly_max_b = 10 if quick else 30
     exact_n, exact_reps = (6, 30000) if quick else (7, 10 ** 6)
     growth_n, growth_reps, urn_reps = (150, 60, 1000) if quick else (10 ** 3, 300, 4000)
     notes = []
-    for b in range(2, charpoly_max_b + 1):
+    for b in range(1, charpoly_max_b + 1):
         for spec in kind_grid(b):
             model = urns.build_urn(spec)
             _need(urns.char_poly(model) == urns.char_poly_closed(model),
-                  f"{spec.describe()}: characteristic polynomials disagree")
-    notes.append(f"char-poly product form exact for b <= {charpoly_max_b}")
-
-    worst = 0.0
-    for b in range(2, affine_max_b + 1):
-        for spec in kind_grid(b):
-            model = urns.build_urn(spec)
-            sp = urns.urn_spectrum(model)
-            coeffs = urns.char_poly_closed(model)
-            for z in sp.eigenvalues:
-                res = _relative_residual(coeffs, z)
-                worst = max(worst, res)
-                _need(res <= 1e-9,
-                      f"{spec.describe()}: affine image {z} has residual {res:.2e}")
-    notes.append(f"affine eigenvalue images are roots for b <= {affine_max_b} "
-                 f"(worst residual {worst:.2e})")
+                  f"{spec.describe()}: the characteristic polynomial of R is not "
+                  "the mapped indicial polynomial")
+    notes.append("characteristic polynomial of R equals the indicial polynomial under "
+                 f"lambda -> a*lambda - c exactly for b <= {charpoly_max_b}")
 
     def estimates(spec, n, size, rng):
         counts = montecarlo.sample_urn_counts(spec, n, size, rng)

@@ -116,7 +116,9 @@ def test_every_count_argument_follows_the_one_rule(call, name, lo, hi, good):
     *[(f"N:{k}", f"capacity k must be in 1..2 and an integer, not k={k}") for k in (0, 3)],
     ("K:1", "statistic 'K:1': K takes no argument"),
     ("Z", "unknown statistic 'Z'"),
-    ("Y:x", "statistic 'Y:x': Y needs an integer argument, as in Y:1")])
+    ("Y:x", "statistic 'Y:x': Y needs an integer argument, as in Y:1"),
+    *[(value, f"statistic must be a string such as 'K' or 'Y:3', not {value}")
+      for value in (3, None)]])
 def test_a_tree_statistic_names_its_argument_as_its_pmf_does(statistic, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         enumeration.tree_statistic(TREE, statistic)

@@ -166,7 +166,8 @@ def test_parse_family():
 
 
 @pytest.mark.parametrize("bad", ["nope:b=2", "ary:b=2", "recursive:b=2,x=1",
-                                 "ary:b=2,d", "port:b=2,alpha=-1"])
+                                 "ary:b=2,d", "port:b=2,alpha=-1",
+                                 "recursive:b=2,b=3", "ary:d=3,b=2,d=4"])
 def test_parse_family_rejects(bad):
     with pytest.raises(ValueError):
         parse_family(bad)
@@ -178,6 +179,8 @@ def test_parse_family_rejects(bad):
     ("port:b=2,alpha=x", "family parameter alpha=x is not a rational number"),
     ("port:b=2,alpha=1/0", "family parameter alpha=1/0 is not a rational number"),
     ("linear:b=2,a=1,beta=y,m=1", "family parameter beta=y is not a rational number"),
+    ("recursive:b=2,b=3", "family parameter b is given twice"),
+    ("ary:d=3,b=2,d=4", "family parameter d is given twice"),
 ])
 def test_parse_family_names_the_parameter_that_does_not_parse(text, message):
     with pytest.raises(ValueError) as err:
@@ -195,7 +198,18 @@ def test_spec_validation():
                         (lambda: port(2, 0), "alpha=0"),
                         (lambda: FamilySpec("port", 2, alpha=1.5), "alpha=1.5"),
                         (lambda: FamilySpec("linear", 2, lin_a=1.0, lin_beta=0, lin_m=1), "a=1.0"),
-                        (lambda: FamilySpec("linear", 2, lin_a=1, lin_beta=0), "m=None")]:
+                        (lambda: FamilySpec("linear", 2, lin_a=1, lin_beta=0), "m=None"),
+                        # a kind takes only its own parameters
+                        (lambda: FamilySpec("recursive", 2, d=5),
+                         "recursive family takes no parameter d=5"),
+                        (lambda: FamilySpec("recursive", 2, lin_a=1),
+                         "recursive family takes no parameter lin_a=1"),
+                        (lambda: FamilySpec("ary", 2, d=3, alpha=Fraction(1, 2)),
+                         "ary family takes no parameter alpha=1/2"),
+                        (lambda: FamilySpec("port", 2, d=3, alpha=1),
+                         "port family takes no parameter d=3"),
+                        (lambda: FamilySpec("linear", 2, d=3, lin_a=1, lin_beta=0, lin_m=1),
+                         "linear family takes no parameter d=3")]:
         with pytest.raises(ValueError, match=re.escape(field)):
             make()
     # the constructors read floats through Fraction
@@ -227,9 +241,11 @@ def test_custom_kind_is_unknown():
 
 
 def test_describe_round_trips():
-    for spec in (recursive(3), ary(2, 3), port(2, Fraction(1, 2)),
-                 linear(2, 1, 0, 1)):
-        assert parse_family(spec.describe()) == spec
+    # specs from each of the four constructors, at small and large b
+    for b in (1, 2, 5, 30):
+        for spec in (recursive(b), ary(b, 2), ary(b, 7), port(b, 1), port(b, Fraction(7, 3)),
+                     port(b, 0.25), linear(b, 1, 0, 1), linear(b, Fraction(1, 2), -1, 3)):
+            assert parse_family(spec.describe()) == spec
 
 
 def test_weights_rejects_linear():

@@ -1,8 +1,8 @@
 """Urn construction, the tree coupling, and the spectrum."""
 
+import hashlib
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -42,12 +42,27 @@ def test_char_poly_routes_agree(spec):
 
 
 @pytest.mark.parametrize("b", range(1, 31))
-def test_char_poly_matches_product_form_to_b30(b):
+def test_char_poly_is_the_mapped_indicial_polynomial_to_b30(b):
     for spec in verify.kind_grid(b):
         model = urns.build_urn(spec)
         coeffs = char_poly(model)
         assert coeffs == char_poly_closed(model)
         assert all(type(c) is Fraction for c in coeffs)
+
+
+# sha256 of char_poly_closed over kind_grid(b), b = 1..30, recorded from the
+# product form (lambda - bdeg) prod_{k<b} (lambda + w_k) - prod_k w_k
+_CHAR_POLY_DIGEST = "90b2dbb058531dbaea449cf15f2060ac6d70d5cc25162e9c0d34da3d091ad9c0"
+
+
+def test_char_poly_closed_matches_the_product_form_digest():
+    h = hashlib.sha256()
+    for b in range(1, 31):
+        for spec in verify.kind_grid(b):
+            coeffs = char_poly_closed(build_urn(spec))
+            assert all(type(c) is Fraction for c in coeffs)
+            h.update(f"{spec.describe()}:{','.join(map(str, coeffs))};".encode())
+    assert h.hexdigest() == _CHAR_POLY_DIGEST
 
 
 def test_port_eigenvalues():
@@ -150,32 +165,3 @@ def test_one_type_urn():
     counts = montecarlo.sample_urn_counts(families.port(1, 2), 9, 5, RngStream(1))
     assert (counts[:, 0] == model.total(9)).all()
     assert node_type_estimates(model, (model.total(9),)) == {1: 9}
-
-
-def _mp_relative_residual(coeffs, z):
-    """Check 6's former 60-digit mpmath residual, kept as the reference."""
-    with mp.workdps(60):
-        zz = mp.mpc(z)
-        value = mp.mpf(0) * 1j
-        scale = mp.mpf(0)
-        power = mp.mpc(1)
-        for c in coeffs:
-            cc = mp.mpf(c.numerator) / mp.mpf(c.denominator)
-            value += cc * power
-            scale += abs(cc) * abs(power)
-            power *= zz
-        return float(abs(value) / max(scale, mp.mpf(1)))
-
-
-@pytest.mark.parametrize("b", [2, 3, 9, 26, 27, 30])
-def test_exact_residual_matches_the_mpmath_reference(b):
-    """The exact residual of check 6 agrees with 60-digit mpmath on every
-    eigenvalue image, and on each moved off its root by a relative 1e-9."""
-    for spec in verify.kind_grid(b):
-        model = build_urn(spec)
-        coeffs = char_poly_closed(model)
-        for z in urn_spectrum(model).eigenvalues:
-            for point in (z, z * (1 + 1e-9)):
-                want = _mp_relative_residual(coeffs, point)
-                assert verify._relative_residual(coeffs, point) == pytest.approx(
-                    want, rel=1e-13, abs=1e-300), (spec.describe(), point)
