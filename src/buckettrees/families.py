@@ -58,7 +58,7 @@ class FamilySpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _PARAMETERS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        for name in ("d", "alpha", "lin_a", "lin_beta", "lin_m"):
+        for name in sum(_PARAMETERS.values(), ()):
             value = getattr(self, name)
             if value is not None and name not in _PARAMETERS[self.kind]:
                 raise ValueError(f"{self.kind} family takes no parameter {name}={value}")

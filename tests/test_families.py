@@ -241,11 +241,9 @@ def test_custom_kind_is_unknown():
 
 
 def test_describe_round_trips():
-    # specs from each of the four constructors, at small and large b
-    for b in (1, 2, 5, 30):
-        for spec in (recursive(b), ary(b, 2), ary(b, 7), port(b, 1), port(b, Fraction(7, 3)),
-                     port(b, 0.25), linear(b, 1, 0, 1), linear(b, Fraction(1, 2), -1, 3)):
-            assert parse_family(spec.describe()) == spec
+    for spec in (recursive(3), ary(2, 3), port(2, Fraction(1, 2)),
+                 linear(2, 1, 0, 1)):
+        assert parse_family(spec.describe()) == spec
 
 
 def test_weights_rejects_linear():

@@ -95,6 +95,18 @@ def test_numeric_eigenvalues_match_affine_images(spec):
         assert a == pytest.approx(b, abs=1e-8)
 
 
+@pytest.mark.parametrize("b", [4, 10, 20, 30])
+def test_numeric_eigenvalues_match_affine_images_on_kind_grid(b):
+    """The same at larger b, to within 1e-8 of the spectral radius: dense
+    eigvals loses digits on the clustered images at b = 30."""
+    for spec in verify.kind_grid(b):
+        model = build_urn(spec)
+        numeric = numeric_eigenvalues(model)
+        scale = max(abs(z) for z in numeric)
+        for a, z in zip(urn_spectrum(model).eigenvalues, numeric):
+            assert a == pytest.approx(z, abs=1e-8 * scale), spec.describe()
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
 def test_tree_coupling_is_exact(spec):
     """Ball counts read off a tree census recover the node counts exactly."""
