@@ -9,7 +9,10 @@ rationals.  For the named families the total attraction weight of any
 subtree with t labels is a*t + c with the same constants as the whole
 tree, and c/a = kappa.  So given K_j = ell, j's subtree grows as a
 two-colour Pólya urn and Y - 1 ~ BetaBinomial(n - j, ell + kappa, j - ell)
-(Johnson & Kotz, *Urn Models*), whose atoms follow a ratio recurrence.
+(Johnson & Kotz, *Urn Models*), whose atoms follow a ratio recurrence in
+k.  The law given ell + 1 is the law given ell times a ratio of small
+integers at each atom, so the law of Y is one conditional law scaled
+atom by atom.
 The bucket itself lives as a pure-birth chain on g = size - 1 + out-degree,
 started at K_j - 1 and moved up by each label it attracts: tau is when g
 reaches b - 1, and X = max(0, g_n - b + 1).
@@ -27,7 +30,7 @@ import numpy as np
 from . import families
 from .dist_k import limit_K, pmf_K_exact
 from .families import FamilySpec, kappa as family_kappa
-from .pmf import Pmf, mixture, point_mass
+from .pmf import Pmf, point_mass
 from .trees import check_count
 
 
@@ -62,16 +65,37 @@ def pmf_Y_conditional(spec: FamilySpec, n: int, ell: int, j: int) -> Pmf:
 
 
 def pmf_Y(spec: FamilySpec, n: int, j: int) -> Pmf:
-    """The exact law of Y_{n,j}, mixing the conditional laws over K_j."""
+    """The exact law of Y_{n,j}, the conditional laws mixed over K_j.
+
+    With w = a*ell + c white and v = a*(j - ell) black units and d = n - j
+    draws, the law given ell + 1 is the law given ell times the ratio
+    r_ell(k) = (w + a*k)(v - a) / (w (v + a*(d - k - 1))) at Y - 1 = k.
+    So only the law at lo, K_j's least value, is formed, and each of its
+    atoms is scaled by sum_ell P{K_j = ell} prod_{lo <= l < ell} r_l(k),
+    summed by Horner in ell as one integer fraction over the lcm of
+    K_j's denominators.
+    """
     families.require_named(spec)
     n = check_count(n, "n")
     j = check_count(j, "label j", 1, n)
     if j <= spec.b:
         return point_mass(n + 1 - j)
     kj = pmf_K_exact(spec, j)
-    comps = [(kj[ell], pmf_Y_conditional(spec, n, ell, j))
-             for ell in kj.support]
-    return mixture(comps).check()
+    lo, hi = kj.support[0], kj.support[-1]
+    den = math.lcm(*(p.denominator for p in kj.mass.values()))
+    weights = [int(kj[ell] * den) for ell in range(hi, lo - 1, -1)]
+    gc = families.growth_coeffs(spec)
+    a, d = gc.a, n - j
+    units = [(a * ell + gc.total_c, a * (j - ell)) for ell in range(hi - 1, lo - 1, -1)]
+    mass = {}
+    for y, p in pmf_Y_conditional(spec, n, lo, j).mass.items():
+        k = y - 1
+        num, div = weights[0], 1  # Horner from hi down to lo
+        for q, (w, v) in zip(weights[1:], units):
+            down = w * (v + a * (d - k - 1))
+            num, div = q * div * down + (w + a * k) * (v - a) * num, div * down
+        mass[y] = Fraction(p.numerator * num, p.denominator * div * den)
+    return Pmf(mass).check()
 
 
 def _climb(spec: FamilySpec, n: int, j: int, top: int):
@@ -111,11 +135,12 @@ def pmf_tau(spec: FamilySpec, n: int, j: int) -> Pmf:
     families.require_named(spec)
     n = check_count(n, "n")
     j = check_count(j, "label j", 1, n)
-    mass, done = {}, Fraction(0)
+    mass, done, below = {}, 0, 1  # P{tau < s} = done / below
     for s, num, den in _climb(spec, n, j, spec.b - 1):
-        full = Fraction(num[-1], den) if s < n else Fraction(1)
-        if full != done:
-            mass[s], done = full - done, full
+        full = num[-1] if s < n else den
+        step = full - done * (den // below)
+        if step:
+            mass[s], done, below = Fraction(step, den), full, den
     return Pmf(mass).check()
 
 

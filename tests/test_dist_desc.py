@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from buckettrees import families
-from buckettrees.dist_desc import (limit_reference, pmf_tau, pmf_X, pmf_Y,
+from buckettrees import families, verify
+from buckettrees.dist_desc import (_climb, limit_reference, pmf_tau, pmf_X, pmf_Y,
                                    pmf_Y_conditional)
 from buckettrees.dist_k import limit_K, pmf_K_exact
 from buckettrees.enumeration import exact_statistic_pmf
+from buckettrees.pmf import Pmf, mixture, point_mass
 
 SPECS = [families.recursive(2), families.recursive(3), families.port(2, 1)]
 CHAIN_SPECS = [families.recursive(1), families.recursive(2), families.recursive(3),
@@ -66,6 +67,64 @@ def _tau_from_chains(spec, n, j, kj, chains):
     if tail:
         mass[n] = mass.get(n, Fraction(0)) + tail
     return mass
+
+
+def _mixed_pmf_Y(spec, n, j):
+    """Reference law of Y_{n,j}: every conditional law, mixed over K_j by pmf.mixture."""
+    if j <= spec.b:
+        return point_mass(n + 1 - j)
+    kj = pmf_K_exact(spec, j)
+    return mixture([(kj[ell], pmf_Y_conditional(spec, n, ell, j))
+                    for ell in kj.support]).check()
+
+
+def _fraction_pmf_tau(spec, n, j):
+    """Reference law of tau_{n,j}: one Fraction subtraction per step of the chain."""
+    mass, done = {}, Fraction(0)
+    for s, num, den in _climb(spec, n, j, spec.b - 1):
+        full = Fraction(num[-1], den) if s < n else Fraction(1)
+        if full != done:
+            mass[s], done = full - done, full
+    return Pmf(mass).check()
+
+
+def _grid_cases(b):
+    """(spec, n, j) over kind_grid(b), up to j = n, where no label is drawn after j."""
+    for spec in verify.kind_grid(b):
+        for n in sorted({b + 1, b + 2, 20, 45, 120}):
+            for j in sorted({b + 1, n // 2, n - 1, n}):
+                yield spec, n, j
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 6, 10])
+def test_pmf_Y_and_pmf_tau_equal_their_fraction_references(b):
+    for spec, n, j in _grid_cases(b):
+        got, want = pmf_Y(spec, n, j).mass, _mixed_pmf_Y(spec, n, j).mass
+        assert got == want, (spec.describe(), n, j)
+        assert all(type(p) is Fraction for p in got.values())
+        got, want = pmf_tau(spec, n, j).mass, _fraction_pmf_tau(spec, n, j).mass
+        assert got == want, (spec.describe(), n, j)
+        assert all(type(p) is Fraction for p in got.values())
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 6, 10])
+def test_consecutive_conditional_laws_differ_by_the_urn_ratio(b):
+    # w = a*ell + c white and v = a*(j - ell) black units, d = n - j draws:
+    # P{Y - 1 = k | ell + 1} = P{Y - 1 = k | ell} (w + a k)(v - a) / (w (v + a (d - k - 1)))
+    for spec, n, j in _grid_cases(b):
+        if j <= b:
+            continue
+        gc = families.growth_coeffs(spec)
+        a, d = gc.a, n - j
+        for ell in range(1, b):
+            w, v = a * ell + gc.total_c, a * (j - ell)
+            this = pmf_Y_conditional(spec, n, ell, j).mass
+            after = pmf_Y_conditional(spec, n, ell + 1, j).mass
+            assert after.keys() == this.keys() == set(range(1, d + 2))
+            for y, p in this.items():
+                k = y - 1
+                ratio = Fraction((w + a * k) * (v - a), w * (v + a * (d - k - 1)))
+                assert after[y] == p * ratio, (spec.describe(), n, j, ell, y)
 
 
 def test_pmf_Y_conditional_example():
