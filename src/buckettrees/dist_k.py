@@ -39,11 +39,12 @@ def pmf_K(spec: FamilySpec, n: int) -> Pmf:
     cb = float(frac_binom(b + kap, b))
     # per root: C(lam+n-2, n-1) / C(n-1+kappa, n-1), kept as a product of
     # ratios, and the harmonic difference; neither depends on m
+    dens = [kapf + k for k in range(1, n)]
     per_root = []
     for lam in roots.roots:
-        ratio = complex(1)
-        for k in range(1, n):
-            ratio *= (lam - 1 + k) / (kapf + k)
+        ratio, shift = complex(1), lam - 1
+        for k, den in enumerate(dens, 1):
+            ratio *= (shift + k) / den
         per_root.append((lam, ratio, harmonic_diff(lam, b)))
     mass = {}
     for m in range(1, b + 1):

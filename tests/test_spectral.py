@@ -1,5 +1,9 @@
 """Indicial polynomials, their roots, and the helper special functions."""
 
+import hashlib
+import math
+import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -261,6 +265,92 @@ def test_deflate_exactness():
 def test_b_guard():
     with pytest.raises(ValueError):
         indicial_coeffs(0, 0)
+
+
+@pytest.mark.parametrize("call", [lambda k: indicial_roots(3, k),
+                                  lambda k: indicial_coeffs(3, k),
+                                  lambda k: indicial_value(3, k, Fraction(1, 2))],
+                         ids=["indicial_roots", "indicial_coeffs", "indicial_value"])
+@pytest.mark.parametrize("kap", [True, 1.0, 0.5, float("inf"), None, "1/2"])
+def test_kappa_must_be_rational(call, kap):
+    # a bool is refused, not read as kappa = 1; a float, inf or None alike
+    message = f"kappa must be rational (an int or a Fraction), not kappa={kap!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        call(kap)
+
+
+def test_kappa_takes_numpy_integers():
+    assert indicial_roots(3, np.int64(2)).roots == indicial_roots(3, 2).roots
+    assert indicial_value(3, np.int64(2), Fraction(1, 3)) == indicial_value(3, 2, Fraction(1, 3))
+
+
+# kappa < -1, where (1+kappa)_b can be negative or 0, and large |kappa|
+DEGENERATE_KAPPAS = (Fraction(-3, 2), Fraction(-5, 2), Fraction(-7, 3), Fraction(-20),
+                     Fraction(100))
+
+
+def test_degenerate_kappas_keep_their_recorded_roots():
+    h = hashlib.sha256()
+    for kap in DEGENERATE_KAPPAS:
+        for b in range(1, 9):
+            try:
+                roots = indicial_roots(b, kap).roots
+            except ArithmeticError:
+                h.update(f"{b},{kap}:raises;".encode())
+                continue
+            text = ",".join(f"{z.real.hex()}{z.imag.hex()}" for z in roots)
+            h.update(f"{b},{kap}:{text};".encode())
+    assert h.hexdigest()[:16] == "1a92f174ca4ef280"  # recorded before the paired polish
+
+
+@pytest.mark.parametrize("b, kap", [(b, Fraction(-1)) for b in range(1, 31)]
+                         + [(2, Fraction(-3, 2)), (4, Fraction(-5, 2)), (25, Fraction(-20))])
+def test_degenerate_pairs_raise_arithmetic_error_without_warnings(b, kap):
+    # at kappa = -1 the roots are the poles 0, ..., -(b-1); the others have a
+    # double root.  No warning and no LinAlgError may come first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            indicial_roots(b, kap)
+
+
+def test_paired_factors_give_the_product_and_its_derivative():
+    # (z+k)(z+b-1-k) = w + k(b-1-k) with w = z(z+b-1), and for odd b the
+    # middle factor m = z + (b-1)/2: D = F(w) m, D' = F'(w) (2z+b-1) m + F(w)
+    for b in range(1, 10):
+        for z in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(5)):
+            factors = [z + k for k in range(b)]
+            d = math.prod(factors)
+            dd = sum(math.prod(factors[:j] + factors[j + 1:]) for j in range(b))
+            w = z * (z + b - 1)
+            pairs = [w + k * (b - 1 - k) for k in range(b // 2)]
+            f = math.prod(pairs)
+            df = sum(math.prod(pairs[:j] + pairs[j + 1:]) for j in range(len(pairs)))
+            m, dm = (z + Fraction(b - 1, 2), 1) if b % 2 else (1, 0)
+            assert d == f * m, (b, z)
+            assert dd == df * (2 * z + b - 1) * m + f * dm, (b, z)
+
+
+START_PAIRS = ([(b, k) for k in verify.kappa_grid() for b in range(2, 31)]
+               + [(b, k) for k in DEGENERATE_KAPPAS[:3] for b in range(2, 9)
+                  if (b, k) != (4, Fraction(-5, 2))]
+               + [(60, Fraction(-1, 2))])
+
+
+def test_aberth_converges_in_few_iterations_from_the_companion_start(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return newton_steps(*args)
+    newton_steps = spectral._newton_steps
+    monkeypatch.setattr(spectral, "_newton_steps", counted)
+    worst = {}
+    for b, kap in START_PAIRS:
+        calls.clear()
+        spectral._aberth(b, float(1 + kap))
+        worst[b, kap] = len(calls)
+    assert max(worst.values()) <= 3, max(worst.items(), key=lambda t: t[1])
 
 
 def test_harmonic_diff_examples():
