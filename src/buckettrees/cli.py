@@ -186,15 +186,16 @@ def pmf_k_cmd(family_text, fmt, out_path, n, limit):
     """Distribution of the initial bucket size K_n: exact rationals up to
     n = 10^4, spectral floats above, or the limit law. The `method` column
     (doc field) says which: exact, spectral or limit. The spectral route
-    costs O(b n) per call, so n is capped at 10^8: n = 10^7 takes seconds."""
+    costs O(b^2) per call whatever n is; n is capped at 10^12, the largest
+    n at which its accuracy is tested."""
     spec = families.parse_family(family_text)
     if limit:
         pmf, method = dist_k.limit_K(spec), "limit"
     elif n <= 10 ** 4:
         pmf, method = dist_k.pmf_K_exact(spec, n), "exact"
-    elif n > 10 ** 8:
-        raise ValueError(f"--n {n} is above the ceiling of 10^8: the spectral "
-                         "route costs O(b n), and n = 10^7 takes seconds")
+    elif n > 10 ** 12:
+        raise ValueError(f"--n {n} is above the ceiling of 10^12: the spectral "
+                         "route's accuracy is tested up to n = 10^12 only")
     else:  # exact rationals get huge; the spectral route is float but fast
         pmf, method = dist_k.pmf_K(spec, n), "spectral"
     _pmf_output(pmf, fmt, out_path, value_name="m", method=method)

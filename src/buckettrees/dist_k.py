@@ -1,7 +1,8 @@
 """Distribution of K_n, the size of the bucket that received label n.
 
 Two independent routes are provided: a spectral closed form (a sum over
-the indicial roots, floating point) and an exact rational product form of
+the indicial roots, floating point, O(b^2) per call after the root solve
+whatever n is) and an exact rational product form of
 the expected bucket-type ball masses: one integer product of the urn's
 mean step matrices over one integer (see `mean_type_masses`).  They must
 agree, and the second also powers the exact mixture distributions
@@ -10,8 +11,12 @@ elsewhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
+
+import numpy as np
 
 from . import families, urns
 from .families import FamilySpec, frac_binom, kappa as family_kappa
@@ -20,13 +25,20 @@ from .spectral import family_roots, harmonic_diff
 from .trees import check_count
 
 IMAG_TOL = 1e-10
+STIRLING_TERMS = 12  # terms of the log-gamma difference series
+STIRLING_FROM = 16   # the series is used only where z >= STIRLING_FROM (|a| + 1)
 
 
 def pmf_K(spec: FamilySpec, n: int) -> Pmf:
     """P{K_n = m}, m = 1..b, via the spectral closed form.
 
-    The sum runs over the family's own indicial roots, solved on each call;
-    each root's ratio is a product of n - 1 factors, so the cost is O(n).
+    The sum runs over the family's own indicial roots, solved on each call.
+    Root lambda enters through the ratio (lambda)_{n-1} / (1 + kappa)_{n-1}:
+    exactly 1 at the principal root 1 + kappa, and otherwise its first
+    factors multiplied out (an exact zero at a root on a non-positive
+    integer among them) and the rest as a log-gamma difference by Stirling's
+    series (`_log_gamma_shift`).  So a call costs O(b^2) after the root
+    solve, whatever n is.
     """
     families.require_named(spec)
     n = check_count(n, "n")
@@ -35,29 +47,63 @@ def pmf_K(spec: FamilySpec, n: int) -> Pmf:
         return point_mass(n)  # the first b labels all land in the root bucket
     kap = family_kappa(spec)
     roots = family_roots(spec)
+    lam = np.array(roots.roots)
     kapf = float(kap)
+    principal = np.abs(lam - float(roots.lambda1)).argmin()
+    ratio = np.ones(b, complex)
+    others = np.arange(b) != principal
+    # (lambda)_{n-1} / (1 + kappa)_{n-1} = prod_{k<n} (lambda - 1 + k) / (kappa + k):
+    # the factors up to `head` directly, so that kappa + head + 1 is deep enough
+    # in Stirling's range for the rest, and every zero factor is among them
+    shift = lam[others] - 1 - kapf
+    head = min(n - 1, math.ceil(STIRLING_FROM * (np.abs(shift).max(initial=0) + 1) - kapf - 1))
+    k = np.arange(1, head + 1)
+    ratio[others] = np.prod((lam[others, None] - 1 + k) / (kapf + k), axis=1)
+    if head < n - 1:  # Gamma(kappa + n + a) / Gamma(kappa + n) over the same at kappa + head + 1
+        ratio[others] *= np.exp(_log_gamma_shift(float(kap + n), shift)
+                                - _log_gamma_shift(kapf + head + 1, shift))
+    weight = ratio / harmonic_diff(lam, b)
+    # C(lambda + b - 1, j) for j = 0..b-1 by recurrence in j
+    binom = [np.ones(b, complex)]
+    for j in range(b - 1):
+        binom.append(binom[-1] * (lam + b - 1 - j) / (j + 1))
     cb = float(frac_binom(b + kap, b))
-    # per root: C(lam+n-2, n-1) / C(n-1+kappa, n-1), kept as a product of
-    # ratios, and the harmonic difference; neither depends on m
-    dens = [kapf + k for k in range(1, n)]
-    per_root = []
-    for lam in roots.roots:
-        ratio, shift = complex(1), lam - 1
-        for k, den in enumerate(dens, 1):
-            ratio *= (shift + k) / den
-        per_root.append((lam, ratio, harmonic_diff(lam, b)))
-    mass = {}
+    mass, rising = {}, 1.0  # rising = C(m - 1 + kappa, m - 1)
     for m in range(1, b + 1):
-        front = (float(frac_binom(m - 1 + kap, m - 1))
-                 / (float(frac_binom(Fraction(b), m - 1)) * (b - m + 1) * cb))
-        total = 0j
-        for lam, ratio, h in per_root:
-            total += ratio * frac_binom(lam + b - 1, b - m) / h
-        val = front * total
+        val = rising / (b * math.comb(b - 1, m - 1) * cb) * (binom[b - m] @ weight)
         if abs(val.imag) > IMAG_TOL:
             raise ArithmeticError(f"imaginary residue {val.imag:.3e} in P(K={m})")
         mass[m] = val.real
+        rising *= (m + kapf) / m
     return Pmf(mass).check()
+
+
+@lru_cache(maxsize=None)
+def _stirling_table() -> np.ndarray:
+    """Row k - 1 holds the coefficients of a^i in
+    (-1)^(k+1) (B_{k+1}(a) - B_{k+1}) / (k (k + 1)), B the Bernoulli
+    polynomials and numbers, k = 1..STIRLING_TERMS."""
+    bern = [Fraction(1)]
+    for m in range(1, STIRLING_TERMS + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    table = np.zeros((STIRLING_TERMS, STIRLING_TERMS + 2))
+    for k in range(1, STIRLING_TERMS + 1):
+        for j in range(k + 1):  # B_{k+1}(a) = sum_j C(k+1, j) B_j a^(k+1-j)
+            table[k - 1, k + 1 - j] = float((-1) ** (k + 1) * math.comb(k + 1, j)
+                                            * bern[j] / (k * (k + 1)))
+    table.flags.writeable = False  # one cached array, shared by every call
+    return table
+
+
+def _log_gamma_shift(z: float, a: np.ndarray) -> np.ndarray:
+    """log Gamma(z + a) - log Gamma(z), mod 2 pi i, for real z at least
+    STIRLING_FROM (|a| + 1), by the difference of the two Stirling series:
+    a log z + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}) / (k (k + 1) z^k).
+    z and a stay apart, so a large z never rounds a away (at z = 10^12 one
+    ulp of z is 1.2e-4).  Term k is at most about (|a| + 1) / (k (k + 1) 16^k),
+    so the first omitted one is near 1e-18 (|a| + 1)."""
+    coeffs = _stirling_table().T @ (1 / z) ** np.arange(1, STIRLING_TERMS + 1)
+    return a * math.log(z) + np.polynomial.polynomial.polyval(a, coeffs)
 
 
 def limit_K(spec: FamilySpec) -> Pmf:

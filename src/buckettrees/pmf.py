@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,14 @@ class Pmf:
     def check(self):
         """Exact pmfs must sum to exactly 1; floating ones within tolerance."""
         if self.exact:
-            if self.total() != 1:
+            # sum n_i / d_i = 1 checked in integers, as sum n_i (L / d_i) = L with
+            # L = lcm(d_i); a gcd only where a d_i does not divide L so far
+            dens = [p.denominator for p in self.mass.values()]
+            common = max(dens, default=1)
+            for d in dens:
+                if common % d:
+                    common = math.lcm(common, d)
+            if sum(p.numerator * (common // d) for p, d in zip(self.mass.values(), dens)) != common:
                 raise ValueError(f"exact pmf sums to {self.total()}, not 1")
         else:
             if any(p < -1e-12 for p in self.mass.values()):

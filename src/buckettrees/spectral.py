@@ -301,16 +301,14 @@ def family_roots(spec: FamilySpec) -> IndicialRoots:
 def harmonic_diff(lam, b: int):
     """H(lam + b - 1) - H(lam - 1) = sum_{k=0}^{b-1} 1 / (lam + k).
 
-    Exact for Fraction input, complex otherwise.
+    Exact for Fraction input; complex otherwise, elementwise over an array.
     """
     b = check_count(b, "capacity bound b")
     if isinstance(lam, (Fraction, int)):
         lam = Fraction(lam)
         return sum((Fraction(1) / (lam + k) for k in range(b)), Fraction(0))
-    out = 0j
-    for k in range(b):
-        if abs(lam + k) < 1e-14:
-            raise ZeroDivisionError(f"harmonic difference has a pole at {-k}")
-        out += 1 / (lam + complex(k))
-    return out
-
+    terms = np.asarray(lam, complex)[..., None] + np.arange(b)
+    if np.any(np.abs(terms) < 1e-14):
+        raise ZeroDivisionError("harmonic difference at one of its poles 0, -1, ..., "
+                                f"-{b - 1}")
+    return (1 / terms).sum(axis=-1)

@@ -164,6 +164,11 @@ def test_pmf_k_names_its_method():
         assert set(doc["m"]) == {"1", "2"}
 
 
+def test_pmf_k_reaches_its_ceiling():
+    rows = run("pmf-k", "--family", "recursive:b=30", "--n", str(10 ** 12)).splitlines()
+    assert len(rows) == 31 and all(line.endswith(",spectral") for line in rows[1:])
+
+
 def test_pmf_k_is_exact_to_n_10_thousand():
     csv = run("pmf-k", "--family", "port:b=3,alpha=2", "--n", "2000").splitlines()
     assert all(line.endswith(",exact") for line in csv[1:])
@@ -330,7 +335,7 @@ BAD_INPUTS = {
     "grow --n 0": "n must be >= 1 and an integer, not n=0",
     "grow --n 3 --family foo": "unknown family kind 'foo'",
     "pmf-k --n 0": "n must be >= 1",
-    "pmf-k --n 10000000000": "above the ceiling of 10^8: the spectral route costs O(b n)",
+    "pmf-k --n 10000000000000": "above the ceiling of 10^12: the spectral route's accuracy",
     "enumerate --n 0": "n must be >= 1",
     "enumerate --n 0 --pmf K": "n must be >= 1",
     "enumerate --n 11": "pass max_n, or --max-n on the command line, to override",

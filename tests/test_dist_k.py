@@ -1,11 +1,14 @@
 """The law of K_n: spectral route, exact recursion, limit, node-type link."""
 
-import hashlib
+import math
+import time
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
-from buckettrees import families, urns, verify
+from buckettrees import dist_k, families, spectral, urns, verify
 from buckettrees.dist_k import (limit_K, mean_type_masses, node_type_relation,
                                 pmf_K, pmf_K_exact)
 from buckettrees.enumeration import exact_statistic_pmf, expected_capacity_counts
@@ -29,27 +32,89 @@ def test_spectral_and_recursive_routes_agree(spec):
         assert pmf_K(spec, n).max_abs_diff(pmf_K_exact(spec, n)) <= 1e-10
 
 
-# sha256 of the float-hex atoms of pmf_K(spec, n) at n = b + 1, 10^3 and
-# 2 * 10^4, recorded while pmf_K still took a roots parameter
-_PMF_K_RECORDED = {
-    "recursive:b=2": "a5586435d168a75f",
-    "recursive:b=3": "02a576da9d948601",
-    "ary:b=2,d=2": "5a3a0654a2537e28",
-    "ary:b=2,d=3": "23d07e76c5d10e12",
-    "port:b=2,alpha=1": "8462e4df32b63cdf",
-    "port:b=2,alpha=2": "63df646e348bc6f1",
-    "port:b=3,alpha=2": "306cbf08a40cd6f5",
-}
+def _assert_within_correction(spec, n):
+    """|pmf_K - exact| <= 1e-12 + 1e-8 |exact - limit| on every atom: a bound
+    relative to the finite-n correction, which the non-principal roots give."""
+    fast, exact, limit = pmf_K(spec, n), pmf_K_exact(spec, n), limit_K(spec)
+    for m in range(1, spec.b + 1):
+        err = abs(fast[m] - float(exact[m]))
+        allowed = 1e-12 + 1e-8 * abs(float(exact[m] - limit[m]))
+        assert err <= allowed, f"{spec.describe()} n={n} m={m}: off by {err:.3e} > {allowed:.3e}"
 
 
 @pytest.mark.parametrize("spec", [s for s in verify.family_grid() if s.b >= 2]
                          + [families.port(3, 2)], ids=lambda s: s.describe())
-def test_pmf_K_matches_recorded_atoms(spec):
-    h = hashlib.sha256()
+def test_pmf_K_matches_exact_atoms(spec):
     for n in (spec.b + 1, 10 ** 3, 2 * 10 ** 4):
-        for m, p in sorted(pmf_K(spec, n).mass.items()):
-            h.update(f"{n} {m} {float(p).hex()};".encode())
-    assert h.hexdigest()[:16] == _PMF_K_RECORDED[spec.describe()]
+        _assert_within_correction(spec, n)
+
+
+@pytest.mark.parametrize("b", [3, 5, 10, 20, 30])
+def test_pmf_K_within_the_finite_n_correction(b):
+    for spec in verify.kind_grid(b):
+        for n in (30, 100, 1000):
+            _assert_within_correction(spec, n)
+
+
+def _mp_pmf_K(spec, ns):
+    """The spectral closed form at 50 digits, each root's ratio as
+    mpmath's rising factorials (lambda)_{n-1} / (1 + kappa)_{n-1}."""
+    b, kap = spec.b, families.kappa(spec)
+    with mp.workdps(50):
+        k = mp.mpf(kap.numerator) / kap.denominator
+        cb = mp.binomial(b + k, b)
+        per_root = [(lam, [mp.binomial(lam + b - 1, b - m) for m in range(1, b + 1)],
+                     mp.fsum(1 / (lam + j) for j in range(b)))
+                    for lam in spectral.family_roots(spec).roots_mp]
+        fronts = [mp.binomial(m - 1 + k, m - 1) / (mp.binomial(b, m - 1) * (b - m + 1) * cb)
+                  for m in range(1, b + 1)]
+        out = {}
+        for n in ns:
+            total = [mp.mpc(0)] * b
+            for lam, binoms, h in per_root:
+                ratio = mp.rf(lam, n - 1) / mp.rf(k + 1, n - 1) / h
+                total = [t + ratio * c for t, c in zip(total, binoms)]
+            out[n] = [float(mp.re(f * t)) for f, t in zip(fronts, total)]
+    return out
+
+
+@pytest.mark.parametrize("spec", [families.recursive(2), families.recursive(10),
+                                  families.recursive(30), families.ary(2, 2),
+                                  families.port(3, 2), families.port(30, 1)],
+                         ids=lambda s: s.describe())
+def test_pmf_K_matches_mpmath_at_large_n(spec):
+    # ary:b=2,d=2 has the root -3 and recursive:b=10, b=30 the root -b: exact
+    # zero factors; at n = 10^12 the principal root's ratio must stay exactly 1
+    ns = (10 ** 6, 10 ** 8, 10 ** 12)
+    for n, want in _mp_pmf_K(spec, ns).items():
+        got = pmf_K(spec, n)
+        for m, p in enumerate(want, start=1):
+            assert abs(got[m] - p) <= 1e-10, f"n={n} m={m}: {got[m]!r} against {p!r}"
+
+
+def test_log_gamma_shift_matches_mpmath():
+    # from the edge of the series' range, z = STIRLING_FROM (|a| + 1), upwards
+    shifts = [0, 1e-3, 0.5, -0.75, -1.9, -3, 3 + 3j, 1 + 2j, 5 - 7j, 20 + 25j, -31 + 0.1j, 40j]
+    for a in shifts:
+        for scale in (1, 1.5, 10, 10 ** 3, 10 ** 12):
+            z = dist_k.STIRLING_FROM * (abs(a) + 1) * scale
+            got = dist_k._log_gamma_shift(z, np.array([a]))[0]
+            with mp.workdps(50):
+                diff = mp.mpc(got) - (mp.loggamma(z + mp.mpc(a)) - mp.loggamma(z))
+                diff = abs(mp.mpc(diff.real, (diff.imag + mp.pi) % (2 * mp.pi) - mp.pi))
+            assert diff <= 1e-15 * (abs(a) * math.log(z) + 1), f"a={a}, z={z}: off by {diff}"
+
+
+def test_pmf_K_cost_does_not_grow_with_n():
+    spec = families.recursive(30)
+    times = {10 ** 3: [], 10 ** 12: []}
+    for _ in range(6):  # interleaved, so host noise hits both sizes alike
+        for n, seen in times.items():
+            t0 = time.perf_counter()
+            pmf_K(spec, n)
+            seen.append(time.perf_counter() - t0)
+    small, large = min(times[10 ** 3]), min(times[10 ** 12])
+    assert large <= 2 * small, f"{large:.4f} s at n = 10^12 against {small:.4f} s at 10^3"
 
 
 def test_pmf_K_example():

@@ -22,6 +22,18 @@ def test_check_rejects_bad_totals():
         Pmf({1: -0.1, 2: 1.1}).check()
 
 
+def test_exact_check_across_denominators():
+    thirds = {1: Fraction(1, 6), 2: Fraction(1, 3), 3: Fraction(1, 2)}
+    assert Pmf(thirds).check().mass == thirds
+    assert Pmf({0: 1}).check().mass == {0: 1}
+    assert Pmf({0: Fraction(1, 2), 1: 0, 2: Fraction(1, 2)}).check().total() == 1
+    off = {**thirds, 3: Fraction(1, 2) + Fraction(1, 10 ** 40)}
+    with pytest.raises(ValueError, match="exact pmf sums to"):
+        Pmf(off).check()
+    with pytest.raises(ValueError):
+        Pmf({}).check()
+
+
 def test_as_float_and_diff():
     pmf = Pmf({1: Fraction(2, 3), 2: Fraction(1, 3)})
     f = pmf.as_float()

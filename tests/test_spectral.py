@@ -360,3 +360,8 @@ def test_harmonic_diff_examples():
     assert harmonic_diff(1.0 + 0j, 2) == pytest.approx(1.5)
     with pytest.raises(ZeroDivisionError):
         harmonic_diff(0j, 2)
+    lams = np.array([1.0, 0.5 + 2j, -2.5 - 1j])
+    want = [sum(1 / (x + k) for k in range(3)) for x in lams]
+    assert np.allclose(harmonic_diff(lams, 3), want, rtol=1e-15, atol=0)
+    with pytest.raises(ZeroDivisionError):
+        harmonic_diff(np.array([1.0, -1.0]), 2)
