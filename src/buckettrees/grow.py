@@ -27,8 +27,8 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketTree, NodeCensus, _census, _collector_paused, _flat_tree, _parents,
-                    check_count)
+from .trees import (BucketTree, NodeCensus, _bucket_labels, _census, _collector_paused,
+                    _flat_tree, _parents, check_count)
 
 
 @dataclass
@@ -318,15 +318,7 @@ class _Grower:
         caps[pos] = cap
         degrees = np.empty(nodes, dtype=np.intp)
         degrees[pos] = self.deg
-        starts = np.cumsum(caps) - caps
-        # the buckets of capacity k, in preorder, as k-tuples zipped from k
-        # label columns; each bucket takes the next one of its capacity
-        capacities = caps.tolist()
-        rows = {}
-        for k in set(capacities):
-            first = starts[caps == k]
-            rows[k] = zip(*[flat[first + i].tolist() for i in range(k)])
-        labels = tuple(map(next, map(rows.__getitem__, capacities)))
+        labels = _bucket_labels(flat, np.cumsum(caps) - caps, caps)
         # valid and canonical by construction (children in the order they
         # opened), and its size is the number of labels placed
         return _flat_tree(self.b, labels, tuple(degrees.tolist()), n, True, canonical=True)

@@ -16,9 +16,9 @@ A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
 next time, and trees that are valid by construction come out marked.  In
 the same way a tree can know its canonical form: `canonicalize` returns
-a known one at once and records one it computes, grown trees come out
-marked canonical, and the oracle's tree lists carry each tree's
-canonical form.  A pickled copy drops that mark.
+a known one at once and records one it computes, grown trees and
+decoded canonical trees come out marked canonical, and the oracle's tree
+lists carry each tree's canonical form.  A pickled copy drops that mark.
 
 CPython's cyclic collector would re-scan every live container many times
 over while a big tree is built, and acyclic trees give it nothing to
@@ -39,10 +39,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, islice, product
 from math import inf
-from operator import itemgetter, lt
+from operator import lt
 from typing import Callable
+
+import numpy as np
 
 
 def check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
@@ -349,10 +351,10 @@ def check_valid(tree: BucketTree) -> None:
 def canonicalize(tree: BucketTree) -> BucketTree:
     """Canonical ordered representative: children sorted by smallest contained label.
 
-    A tree whose canonical form is known, as every grown and every
-    enumerated one's is, gets it at once; a computed one is recorded on the
-    tree.  A canonical tree is returned as it is; any other has its
-    preorder rebuilt with each bucket's children in that order.
+    A tree whose canonical form is known, as every grown, every enumerated
+    and every decoded canonical one's is, gets it at once; a computed one is
+    recorded on the tree.  A canonical tree is returned as it is; any other
+    has its preorder rebuilt with each bucket's children in that order.
     """
     known = tree._canonical
     if known is not None:
@@ -407,11 +409,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SPLIT = re.compile(r"\{([0-9,]*)\}")  # a bucket's braces; the rest is separators
 _LABEL = re.compile(r"0|[1-9][0-9]*")  # no leading zeros, as encode writes a label
-# one bucket's body, or several joined by '}'
-_BODIES = re.compile(r"(?:[1-9][0-9]*|0)(?:[,}](?:[1-9][0-9]*|0))*")
-_SAME_BUCKET = bytes.maketrans(b",}", b"\x01\x00")  # between two labels: 1 inside a bucket
+_BUCKET = re.compile(r"\{(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\}")
 
 
 def _bucket_error(text: str, pos: int) -> ParseError:
@@ -429,18 +428,27 @@ def _bucket_error(text: str, pos: int) -> ParseError:
         pos += 1
 
 
-def _separator_error(text: str, pos: int, sep: str, depth: int) -> ParseError:
-    """The error for a separator sep, at pos, that does not fit after a
-    bucket with depth buckets open around it."""
-    if sep.startswith("("):
-        return _bucket_error(text, pos + 1)
-    closed = min(depth, len(sep) - len(sep.lstrip(")")))
-    pos += closed
-    if closed == depth:
-        return ParseError("trailing input", pos)
-    if sep.startswith(",", closed):
-        return _bucket_error(text, pos + 1)
-    return ParseError("expected ')'", pos)
+def _parse_error(text: str) -> ParseError:
+    """The error at the first character of text the grammar refuses, for a
+    text that is not a tree: one bucket at a time, then its separator."""
+    pos = depth = 0  # depth: the buckets whose '(' is open
+    while True:
+        m = _BUCKET.match(text, pos)
+        if m is None:
+            return _bucket_error(text, pos)
+        pos = m.end()
+        if text.startswith("(", pos):
+            depth += 1
+            pos += 1
+            continue
+        while depth and not text.startswith(",", pos):
+            if not text.startswith(")", pos):
+                return ParseError("expected ')'", pos)
+            depth -= 1
+            pos += 1
+        if not depth:
+            return ParseError("trailing input", pos)
+        pos += 1
 
 
 def _stand_ins(texts: list[str]) -> tuple[int, ...]:
@@ -458,69 +466,115 @@ def _stand_ins(texts: list[str]) -> tuple[int, ...]:
     return tuple(stand_in[s] if len(s) > limit else int(s) for s in texts)
 
 
+def _bucket_labels(flat: np.ndarray, starts: np.ndarray, caps: np.ndarray) -> tuple:
+    """The label tuple of each bucket v, flat[starts[v]:starts[v] + caps[v]]:
+    the buckets of capacity k, in order, as k-tuples zipped from k label
+    columns; each bucket takes the next one of its capacity."""
+    capacities = caps.tolist()
+    rows = {}
+    for k in set(capacities):
+        first = starts[caps == k]
+        rows[k] = zip(*[flat[first + i].tolist() for i in range(k)])
+    return tuple(map(next, map(rows.__getitem__, capacities)))
+
+
+# the byte classes 0..8: '0', the other digits ('d'), '}', ',', '(', ')', any
+# other byte ('x'), '{', and the byte 0xFF, which no ASCII text holds, as the
+# mark put at either end of a text ('|'); so the digits are the classes below
+# 2, and '{' and the marks, which bound the buckets, the classes from 7 up
+_CLASSES = "0d},()x{|"
+_CLASS = np.full(256, _CLASSES.index("x"), np.uint16)
+_CLASS[np.frombuffer(b"0123456789},(){\xff", np.uint8)] = [0] + [1] * 9 + [2, 3, 4, 5, 7, 8]
+
+
+def _triples() -> np.ndarray:
+    """Whether classes x, y, z may stand side by side, at 81 x + 9 y + z."""
+    digit = "0d"
+    # a label's digits, then ',' or '}'; a bucket's '}', then '(', ',', ')'
+    # or the end; '(' and the ',' before a sibling, then '{'
+    after = {"0": "0d,}", "d": "0d,}", "{": "0d", "}": "(,)|", ",": "0d{", "(": "{",
+             ")": "),|", "x": "", "|": "{"}
+    ok = np.zeros(9 ** 3, bool)
+    for (i, x), (j, y), (m, z) in product(enumerate(_CLASSES), repeat=3):
+        ok[81 * i + 9 * j + m] = (y in after[x] and z in after[y]
+                                  # a ',' lies between two labels or between a bucket and a '{'
+                                  and (y != "," or (x in digit) == (z in digit))
+                                  # no leading zeros, as encode writes a label: a 0 stands alone
+                                  and not (y == "0" and x not in digit and z in digit))
+    return ok
+
+
+_TRIPLES = _triples()
+_HORNER_DIGITS = 18  # the longest label read in int64: 10^18 - 1 < 2^63
+
+
 @_collector_paused
 def decode(text: str, b: int) -> BucketTree:
-    """Parse the canonical text form and validate the result, in one pass.
+    """Parse the canonical text form and validate the result, in a few array
+    passes over its bytes; a valid canonical tree comes out marked canonical.
 
     ParseError names the first character the grammar refuses; a bound b
     that is not a count raises the ValueError of `check_count`, and a tree
     that breaks an invariant that of `check_valid`.
     """
-    parts = _SPLIT.split(text)
-    seps, bodies = parts[::2], parts[1::2]  # seps[v] comes just before bucket v
-    k = len(bodies)
-    if seps[0] or not k:
-        raise _bucket_error(text, 0)
-    joined = "}".join(bodies)
-    # the first malformed bucket, or k if there is none
-    bad = k if _BODIES.fullmatch(joined) else next(
-        v for v, body in enumerate(bodies) if not _BODIES.fullmatch(body))
-    up = []  # the parent of each bucket but the root
-    degrees = [0] * k
-    open_ = []  # the buckets whose '(' is open
-    for v, sep in enumerate(islice(seps, 1, k), 1):
-        if sep == "(":
-            open_.append(v - 1)
-        elif sep != ",":
-            closed = len(sep) - 1
-            if closed >= len(open_) or sep != ")" * closed + ",":
-                break
-            del open_[-closed:]
-        elif not open_:
-            break
-        parent = open_[-1]
-        up.append(parent)
-        degrees[parent] += 1
-    else:  # v = k: the last separator does not close every open bucket
-        v = k if seps[k] != ")" * len(open_) else k + 1
-    if v <= k or bad < k:
-        # the error is at the bad separator before bucket v or at the first
-        # malformed bucket, whichever comes first in the text
-        at = sum(map(len, parts[:2 * min(v, bad)])) + 2 * min(v, bad)
-        if bad < v:
-            raise _bucket_error(text, at + len(seps[bad]))
-        raise _separator_error(text, at, seps[v], len(open_))
-    try:
-        flat = tuple(map(int, joined.replace("}", ",").split(",")))
-    except ValueError:  # a label past int's digit limit
-        flat = _stand_ins(joined.replace("}", ",").split(","))
-    n = len(flat)
-    if n == k:  # one label per bucket
-        labels, increasing = tuple(zip(flat)), True
-    else:
-        # 1 between two labels of one bucket, 0 between buckets
-        inside = joined.encode().translate(_SAME_BUCKET, b"0123456789")
-        ends = list(accumulate(map((1).__add__, map(len, inside.split(b"\0")))))
-        labels = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
-        increasing = all(compress(map(lt, flat, islice(flat, 1, None)), inside))
-    sizes = list(map(len, labels))
+    if not text or not text.isascii():  # a position counts characters, not bytes
+        raise _parse_error(text)
+    # the text between two marks: an index here is one past its position
+    chars = np.frombuffer(b"\xff" + text.encode("ascii") + b"\xff", np.uint8)
+    cls = _CLASS[chars]
+    bounds = (cls >= 7).nonzero()[0]  # the first mark, each '{', the last mark
+    buckets = bounds[1:-1]
+    digit = cls < 2
+    edges = (digit[1:] != digit[:-1]).nonzero()[0]  # just before and at the end of each label
+    starts, last = edges[::2] + 1, edges[1::2]  # each label's first and last digit
+    opens, closes = (cls == 4).nonzero()[0], (cls == 5).nonzero()[0]
+    # a bucket's depth: the '(' before it less the ')' before it
+    depth = opens.searchsorted(buckets) - closes.searchsorted(buckets)
+    # the grammar refuses a triple of classes, brackets that do not balance at
+    # the end, or a bucket other than the root outside every bracket
+    if (not _TRIPLES[cls[:-2] * 81 + cls[1:-1] * 9 + cls[2:]].all()
+            or len(opens) != len(closes) or (depth[1:] < 1).any()):
+        raise _parse_error(text)
+    k, n = len(buckets), len(starts)
+    # a bucket's parent is the last earlier bucket one level up
+    keys = depth * k + np.arange(k)
+    order = np.sort(keys)  # the buckets by depth, then in preorder
+    up = order[order.searchsorted(keys[1:] - k) - 1] % k  # of each bucket but the root
+    degrees = np.bincount(up, minlength=k)
+    first = starts.searchsorted(bounds[1:])  # each bucket's first label, then n
+    caps = first[1:] - first[:-1]
     b = check_count(b, "capacity bound b")
-    valid = (increasing and max(sizes) <= b
-             and all(map(b.__eq__, compress(sizes, degrees)))  # internal buckets are full
-             and all(map(lt, map(itemgetter(-1), map(labels.__getitem__, up)),
-                         map(itemgetter(0), islice(labels, 1, None))))
-             and len(set(flat)) == n and min(flat) == 1 and max(flat) == n)
-    tree = _flat_tree(b, labels, tuple(degrees), n, valid)
+    lengths = last + 1 - starts
+    width = int(lengths.max())
+    if width > _HORNER_DIGITS:
+        texts = [text[i - 1:j] for i, j in zip(starts.tolist(), last.tolist())]
+        try:
+            flat = np.array(list(map(int, texts)), object)
+        except ValueError:  # a label past int's digit limit
+            flat = np.array(_stand_ins(texts), object)
+        valid = False  # no tree of n labels has a label of 19 digits
+    else:
+        flat = chars[last].astype(np.int64) - 48  # Horner from the last digit; 48 is '0'
+        for i in range(1, width):
+            flat += np.where(lengths > i, chars[last - i].astype(np.int64) - 48, 0) * 10 ** i
+        rises = flat[1:] > flat[:-1]
+        rises[first[1:-1] - 1] = True  # where one bucket ends and the next begins
+        heads = flat[first[:-1]]
+        # the invariants validate checks, in bulk: capacities, full internal
+        # buckets, increasing buckets, heap order, the label multiset
+        valid = bool(caps.max() <= b and (caps[degrees > 0] == b).all()
+                     and rises.all() and (flat[first[up + 1] - 1] < heads[1:]).all()
+                     and flat.min() == 1 and flat.max() == n
+                     and np.count_nonzero(np.bincount(flat)) == n)
+    canonical = None
+    if valid:
+        # each sibling list is a run of the buckets by depth, in order
+        below = order[1:] % k
+        heads, siblings = heads[below], up[below - 1]
+        if ((heads[1:] > heads[:-1]) | (siblings[1:] != siblings[:-1])).all():
+            canonical = True
+    tree = _flat_tree(b, _bucket_labels(flat, first[:-1], caps), tuple(degrees.tolist()), n,
+                      valid, canonical=canonical)
     check_valid(tree)  # an invalid tree raises, its violations named by validate
     return tree
 

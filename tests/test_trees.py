@@ -4,8 +4,10 @@ import gc
 import hashlib
 import inspect
 import pickle
+import random
 import re
 import sys
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -33,12 +35,15 @@ def test_decode_single_bucket():
 
 
 # "{²}": str.isdigit accepts superscripts but int() does not; "{١}": int() reads
-# Arabic-Indic digits, but a label is ASCII digits so that every text round-trips
+# Arabic-Indic digits, but a label is ASCII digits so that every text round-trips;
+# "{1},{2}" and "{1}({2})),{3}": a bucket outside every bracket, at depth 0 and -1
 @pytest.mark.parametrize("bad", ["", "{1}x", "{}", "{1}(", "{1}({2}", "({1})", "{1,}",
-                                 "{\u00b2}", "{1\u00b2}", "{\u0661}", "{1}({\u0662})"])
+                                 "{\u00b2}", "{1\u00b2}", "{\u0661}", "{1}({\u0662})",
+                                 "{1},{2}", "{1}({2})),{3}"])
 def test_decode_rejects_malformed(bad):
     with pytest.raises(ParseError):
         decode(bad, 1)
+    assert _outcome(decode, bad, 1) == _outcome(_ref_decode, bad, 1)
 
 
 def test_decode_validates():
@@ -176,6 +181,43 @@ _KINDS = [families.recursive(1), families.recursive(2), families.recursive(3),
           families.ary(2, 2), families.port(2, 1)]
 
 
+def _decoded_mark(tree):
+    """The canonical mark decode gives the text of tree, and the mark it
+    should give: True for a canonical tree, None for any other."""
+    fresh = _unmarked(tree)
+    return decode(encode(tree), tree.b)._canonical, True if canonicalize(fresh) == fresh else None
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_decode_marks_exactly_the_canonical_trees(b):
+    for n in range(1, 8):
+        for tree in enumeration.all_trees(b, n):
+            got, want = _decoded_mark(tree)
+            assert got is want, encode(tree)
+
+
+def _shuffled(node, rng):
+    """node with each sibling list shuffled, each list with probability 1/2."""
+    kids = [_shuffled(child, rng) for child in node.children]
+    if rng.random() < 0.5:
+        rng.shuffle(kids)
+    return BucketNode(node.labels, tuple(kids))
+
+
+@pytest.mark.parametrize("spec", _KINDS + [families.ary(2, 3), families.port(3, 2)],
+                         ids=lambda spec: spec.describe())
+def test_decode_marks_shuffled_grown_trees_as_canonicalize_finds_them(spec):
+    rng = random.Random(36)
+    marks = set()
+    for n, seed in ((5, 1), (30, 2), (300, 3), (2000, 4)):
+        grown = grow.sample_tree(spec, n, seed)
+        for node in (grown.root, _shuffled(grown.root, rng), _shuffled(grown.root, rng)):
+            got, want = _decoded_mark(BucketTree(spec.b, node))
+            assert got is want, (n, seed)
+            marks.add(got)
+    assert marks == {True, None}
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(_KINDS), n=st.integers(1, 40), seed=st.integers(0, 2 ** 31))
 def test_grown_trees_round_trip_both_codecs(spec, n, seed):
@@ -292,8 +334,24 @@ def test_decoded_size_is_the_label_count(monkeypatch):
 def test_decode_a_deep_path():
     depth = 10 ** 5
     tree = decode(_path_text(depth), 1)
-    assert tree.size == depth and tree.labels[-1] == (depth,)
+    assert tree.size == depth and tree.labels == tuple((i,) for i in range(1, depth + 1))
     assert tree.degrees == (1,) * (depth - 1) + (0,)
+    # depth * buckets reaches 10^10, past int32: the parents' sort keys are int64
+    assert tree._canonical is True and canonicalize(tree) is tree
+
+
+def test_decode_cost_does_not_grow_with_depth():
+    # a path and a star of 10^5 labels: depth 10^5 - 1 against depth 1
+    n = 10 ** 5
+    path = _path_text(n)
+    star = "{1}(" + ",".join(f"{{{i}}}" for i in range(2, n + 1)) + ")"
+    times = {path: [], star: []}
+    for _ in range(3):
+        for text in times:
+            start = time.perf_counter()
+            assert decode(text, 1).size == n
+            times[text].append(time.perf_counter() - start)
+    assert min(times[path]) <= 2 * min(times[star])
 
 
 def _ref_encode(tree):
@@ -754,11 +812,13 @@ def test_validate_matches_recursive_reference(spec, n, seed, data):
 
 @pytest.mark.parametrize("text, b", [
     ("{2,1}", 2), ("{1,2}", 1), ("{1,2}({3})", 3), ("{2}({1})", 1), ("{1}({3})", 1),
-    ("{1}({1})", 1), ("{1,2}({3,4}({6}),{3})", 2), ("{0}({1})", 1), ("{1}", 0)])
+    ("{1}({1})", 1), ("{1,2}({3,4}({6}),{3})", 2), ("{0}({1})", 1), ("{1}", 0),
+    ("{1}({" + "9" * 19 + "})", 1), ("{1,2}({3," + "9" * 25 + "})", 2)])
 def test_decode_names_each_broken_invariant_as_the_reference_does(text, b):
     # one invariant broken each: order in a bucket, capacity, saturation, heap
     # order, a label above n, a repeated label (twice: with and without a
-    # label above n), a label below 1, bound b
+    # label above n), a label below 1, bound b, and a label above n past
+    # int64 but below int's digit limit (19 and 25 digits)
     outcome = _outcome(decode, text, b)
     assert outcome[0] == "invalid"
     assert outcome == _outcome(_ref_decode, text, b)
@@ -788,7 +848,8 @@ def test_decode_matches_recursive_reference(spec, n, seed, data):
     # character edits mostly break the grammar
     for _ in range(data.draw(st.integers(0, 3))):
         pos = data.draw(st.integers(0, len(text)))
-        char = data.draw(st.sampled_from("{}(),0123456789x "))
+        # "é" and the full-width "５" are not ASCII: a position counts characters
+        char = data.draw(st.sampled_from("{}(),0123456789x é５"))
         kind = data.draw(st.sampled_from(("truncate", "delete", "insert", "replace")))
         if kind == "truncate":
             text = text[:pos]
