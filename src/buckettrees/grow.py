@@ -4,10 +4,13 @@ Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
 bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
 step draws one uniform integer below the total weight and resolves it to a
 node, by the path the coefficients choose: a uniform label when the weight
-is a*c, block arithmetic on the running totals when no weight ever falls
-(each label adds one block of weight units, owned by at most two nodes),
-and weight groups otherwise.  A label costs O(1) amortized time but in
-two cases: a rule with a < 0 < bdeg keeps one weight group per degree and
+is a*c; block arithmetic on the running totals when no weight ever falls
+(each label adds one block of weight units, owned by at most two nodes);
+half blocks when a full bucket loses one unit per child on deterministic
+totals (each block is cut in two halves of one owner each, and a child
+takes over the half that drew it, three list entries per label); and
+weight groups otherwise.  A label costs O(1) amortized time but in two
+cases: a rule with a < 0 < bdeg keeps one weight group per degree and
 scans them, and live blocks are found by bisection.  When bdeg + c == 0
 the totals are deterministic and every draw is made up front, so the
 block of every draw comes from one numpy divmod; otherwise each label is
@@ -106,7 +109,9 @@ class _Grower:
     parent (-1 at the root) and where[i] is the node holding label i + 1.
     Children are numbered in the order they are born, and build() lists the
     buckets in preorder, which is the form a BucketTree stores, from these
-    lists alone.
+    lists alone.  `path` names how a draw finds its node: "label", "block"
+    (owner, two entries per label), "cut" (owner and cut, three entries per
+    label, whatever d is) or "group"; each has its own loop.
     """
 
     def __init__(self, spec: FamilySpec):
@@ -132,7 +137,23 @@ class _Grower:
             self.path = "block"
             self.owner = [0, 0]
             self.totals = [0]
+        elif gc.a > 0 and gc.bdeg == -1 and gc.c == 1:
+            # A full bucket loses one unit per child and the totals are
+            # deterministic (every ary rule).  Block 0 holds the root's
+            # total_c units and label j adds block j of a units.  A block's
+            # units are the offsets [0, a), block 0's the last total_c of
+            # them; those below cut[j] belong to owner[2j] and the rest to
+            # owner[2j + 1].  A label entering v adds a block all v's.  A
+            # full bucket v that opens a child hands it the whole half, of h
+            # units, that drew it and the first fresh - h units of the new
+            # block, and keeps the other h - 1: v loses one unit, the child
+            # holds fresh = node_weight(1, 0) and every half has one owner.
+            self.path = "cut"
+            self.owner = [0, 0, 0, 0]
+            self.cut = [gc.a - gc.total_c, gc.a]
         else:
+            # Only the rules no block layout can grow come here: a < 0,
+            # bdeg < -1, or bdeg = -1 with live totals or with a = 0.
             # Nodes of equal weight share a group, so one uniform integer
             # resolves to a node exactly: groups[g] holds the nodes with
             # cap - 1 + deg == g and table[g] pairs it with their weight.
@@ -174,6 +195,13 @@ class _Grower:
             # holds a units, and u - total_c < a throughout the root's
             block, offset = np.divmod(draws - gc.total_c, gc.a)
             draws = 2 * block + (offset >= gc.node_weight(1, 0))
+        elif self.path == "cut":
+            # u + a - total_c is block j's offset o at j*a + o
+            block, offset = np.divmod(draws + (gc.a - gc.total_c), gc.a)
+            for start in range(0, count, _CHUNK):
+                stop = start + _CHUNK
+                run(zip(block[start:stop].tolist(), offset[start:stop].tolist()))
+            return
         for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
             run(draws[start:start + _CHUNK].tolist())
 
@@ -243,6 +271,38 @@ class _Grower:
                 deg[v] += 1
                 owner.append(child)
                 owner.append(v)
+
+    def _grow_by_cut(self, picks) -> None:
+        cap, deg, parent, where, owner, cut = (self.cap, self.deg, self.parent, self.where,
+                                               self.owner, self.cut)
+        a, b = self.gc.a, self.b
+        fresh = self.gc.node_weight(1, 0)
+        for j, o in picks:
+            h = cut[j]
+            if o < h:
+                i = 2 * j
+            else:
+                i = 2 * j + 1
+                h = a - h
+            v = owner[i]
+            c = cap[v]
+            if c < b:
+                cap[v] = c + 1
+                where.append(v)
+                owner.append(v)
+                owner.append(v)
+                cut.append(a)
+            else:
+                child = len(cap)
+                owner[i] = child
+                where.append(child)
+                cap.append(1)
+                deg.append(0)
+                parent.append(v)
+                deg[v] += 1
+                owner.append(child)
+                owner.append(v)
+                cut.append(fresh - h)
 
     def _grow_by_group(self, draws) -> None:
         cap, deg, parent, where = self.cap, self.deg, self.parent, self.where

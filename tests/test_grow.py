@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buckettrees import dist_k, families, gof
+from buckettrees import dist_desc, dist_k, families, gof
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
 from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
@@ -53,12 +53,12 @@ def test_sampling_is_deterministic_given_seed():
 
 
 # Seeded trees as the growth sampler draws them; each selection path (label
-# table, weight blocks, weight groups) keeps its node order, so the streams
+# table, weight blocks, half blocks) keeps its node order, so the streams
 # stay fixed.
 SEEDED_TREES = {
     families.recursive(2): "{1,2}({3,6}({9}),{4,5}({7},{8},{11},{13,14}),{10},{12})",
-    families.ary(1, 3): "{1}({2}({3}({9}({10})),{4}({5}({11}({12})),{8})),{6}({7}),{13}({14}))",
-    families.ary(2, 2): "{1,2}({3,9}({12}),{4,5}({6,11}({14}),{7,8}({10}),{13}))",
+    families.ary(1, 3): "{1}({2}({3}({4}({6},{7}({14})),{9}),{5}({10}({12}({13})),{11}),{8}))",
+    families.ary(2, 2): "{1,2}({3,4}({6},{7,10}({12,13},{14}),{9}),{5,8},{11})",
     families.port(2, 1): "{1,2}({3,12},{4,5}({8}),{6,11}({13,14}),{7},{9},{10})",
 }
 
@@ -85,8 +85,8 @@ STREAM_DIGESTS = {
         "5d9eca4dee9ea75338580b15b65abe6b500e912336db1b4b49ec26c33c8e0113",
         "b6395f30822376ce94f27ec5604997f62a2a6f598c3a0fd815c73877ea84f4cb"),
     families.ary(2, 3): (
-        "63fcea0b721caff15fee99cf02f222ff7ce245c5872b293df7d1f835d5c09679",
-        "f05d9f1a77988aa730e1ef6c6604291bb2331696440be2ef2f0007db1ac2f99c"),
+        "5a34fcd32f073137f24795bfcf33ab5a67c92d86eca82c4305518c3ac44166c4",
+        "f258d0587767d57d844710b2635e2d90a0c19add182b553554d212e92a305ca9"),
 }
 
 
@@ -138,7 +138,8 @@ SHAPE_SIZES = {
     families.linear(2, 1, 1, 1): 5,  # weight blocks, live total
     families.linear(2, 1, Fraction(-2, 3), 1): 6,  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3): 6,  # groups without end, live total
-    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: pre-drawn
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: half blocks
+    families.linear(2, 1, -2, 3): 6,  # m = a - beta: groups, pre-drawn
 }
 
 
@@ -222,7 +223,8 @@ LINEAR_RULES = [
     families.linear(2, 1, Fraction(-2, 3), 1),  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3),  # groups without end (a < 0 < beta), live total
     families.linear(2, -1, 0, 2),  # groups without end (a < 0, beta = 0), live total
-    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)),  # groups, pre-drawn
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)),  # half blocks: ary(2, 3)'s rule
+    families.linear(2, 1, -2, 3),  # groups, pre-drawn (two units lost per child)
     families.linear(2, 1, 0, 1),  # label table, pre-drawn
 ]
 
@@ -244,7 +246,22 @@ def _units_owned(g) -> list:
     return np.bincount(np.array(g.owner)[at], minlength=len(g.cap)).tolist()
 
 
-@pytest.mark.parametrize("spec", LINEAR_RULES, ids=lambda s: s.describe())
+def _units_owned_by_cut(g) -> list:
+    """How many of the weight units below the total each node owns, when
+    every unit is resolved through g.owner and g.cut.
+
+    Unit u is offset o of block j, j*a + o = u + a - total_c; it is
+    owner[2j]'s when o < cut[j] and owner[2j + 1]'s otherwise.
+    """
+    gc = g.gc
+    block, offset = np.divmod(np.arange(gc.total(g.size)) + gc.a - gc.total_c, gc.a)
+    at = 2 * block + (offset >= np.array(g.cut)[block])
+    return np.bincount(np.array(g.owner)[at], minlength=len(g.cap)).tolist()
+
+
+@pytest.mark.parametrize("spec", LINEAR_RULES + [families.ary(1, 2), families.ary(1, 3),
+                                                 families.ary(2, 2), families.ary(3, 5)],
+                         ids=lambda s: s.describe())
 def test_grown_linear_trees_conserve_the_total_weight(spec):
     """The node weights of a grown tree sum to gc.total(n, N), none is
     negative, and the selection state holds exactly each node's weight."""
@@ -259,13 +276,17 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
         if g.path == "block":
             assert len(g.owner) == 2 * n
             assert _units_owned(g) == weights
+        elif g.path == "cut":
+            # three entries per label, block 0 being the root's total_c units
+            assert len(g.owner) == 2 * len(g.cut) == 2 * (n + 1)
+            assert _units_owned_by_cut(g) == weights
         elif g.path == "group":
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
                        for v, (c, d) in enumerate(zip(g.cap, g.deg)))
 
 
-# one named rule per selection path: label table, weight blocks, weight groups
+# one named rule per selection path: label table, weight blocks, half blocks
 K_LAW_RULES = [families.recursive(2), families.port(2, 1), families.ary(2, 3)]
 
 
@@ -282,6 +303,21 @@ def test_grown_K_n_follows_the_exact_law(spec):
         samples.append(g.cap[g.where[n - 1]])
     report = gof.chi_square(samples, dist_k.pmf_K_exact(spec, n))
     assert report.passed(SIGNIFICANCE / len(K_LAW_RULES)), str(report)
+
+
+X_LAW_SIZES = {families.ary(1, 3): 60, families.ary(2, 2): 40}
+
+
+@pytest.mark.parametrize("spec", list(X_LAW_SIZES), ids=lambda s: s.describe())
+def test_grown_root_degree_follows_the_exact_law(spec):
+    """Chi-square of X_{n,1}, the root's out-degree, read from the grower's
+    flat lists, against pmf_X; the half-block path moves a unit of the
+    root's at every child it opens, so a wrong move shows here."""
+    n, trees = X_LAW_SIZES[spec], 4000
+    stream = RngStream(1031)
+    samples = [_grown(spec, n, stream.child(i)).deg[0] for i in range(trees)]
+    report = gof.chi_square(samples, dist_desc.pmf_X(spec, n, 1))
+    assert report.passed(SIGNIFICANCE / len(X_LAW_SIZES)), str(report)
 
 
 @pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(3),

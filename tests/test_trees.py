@@ -456,10 +456,10 @@ _RECORDED = {
     "recursive:b=1": "19a22d3a6ee44677",
     "recursive:b=2": "86145683995c0ed6",
     "recursive:b=3": "f59b010aa6944f15",
-    "ary:b=1,d=2": "fc2dc0f158b03fc2",
-    "ary:b=1,d=3": "e580a0fb24d3347b",
-    "ary:b=2,d=2": "85725d22c191b2e9",
-    "ary:b=2,d=3": "b4389bc66aa3c715",
+    "ary:b=1,d=2": "1b13b54c424f0b26",
+    "ary:b=1,d=3": "1490f06abe092838",
+    "ary:b=2,d=2": "2252601ee4b43e96",
+    "ary:b=2,d=3": "9b1652db643f6d21",
     "port:b=1,alpha=1": "59580ff4d4cc5230",
     "port:b=1,alpha=2": "b4bfdb0ed06e3732",
     "port:b=2,alpha=1": "a6feea65d5454409",
