@@ -70,6 +70,13 @@ def _draw_dtype(high: int):
     return np.int32 if high < 2**31 else np.int64
 
 
+def _check_draw_bound(total: int, spec: FamilySpec, at: str) -> None:
+    """Refuse a total weight past 2^63 - 1, which int64 totals and draws cannot hold."""
+    if total >= 2**63:
+        raise ValueError(f"growth rule {spec.describe()} has total weight {total} {at}, "
+                         f"past the int64 draw bound 2^63 - 1")
+
+
 # ---------------------------------------------------------------------------
 # exact attraction probabilities on a static tree
 
@@ -183,17 +190,20 @@ class _Grower:
         if count == 0:
             return
         # the totals are deterministic, so all draws can be made up front
+        top = count if gc.a > 0 else 1  # the largest total is the one before label top + 1
+        _check_draw_bound(gc.total(top), self.spec, f"before label {top + 1}")
         totals = gc.a * np.arange(1, count + 1, dtype=np.int64) + gc.total_c
         stuck = np.flatnonzero(totals <= 0)
         if stuck.size:
             self._stuck(int(stuck[0]) + 2)
-        draws = stream.generator.integers(0, totals)
+        # unsigned: u - total_c (total_c <= 0) and u + a - total_c below may pass 2^63 - 1
+        draws = stream.generator.integers(0, totals).view(np.uint64)
         if self.path == "label":
             draws //= gc.a
         elif self.path == "block":
             # T_j = a*j + total_c for j >= 1, so every block but the root's
             # holds a units, and u - total_c < a throughout the root's
-            block, offset = np.divmod(draws - gc.total_c, gc.a)
+            block, offset = np.divmod(draws + -gc.total_c, gc.a)
             draws = 2 * block + (offset >= gc.node_weight(1, 0))
         elif self.path == "cut":
             # u + a - total_c is block j's offset o at j*a + o
@@ -210,7 +220,7 @@ class _Grower:
         gc, cap, where = self.gc, self.cap, self.where
         for _ in range(count):
             total = gc.total(len(where), len(cap))
-            if total <= 0:
+            if not 0 < total < 2**63:
                 self._stuck(len(where) + 1)
             yield stream.integers(total)
 
@@ -221,7 +231,7 @@ class _Grower:
         fresh = gc.node_weight(1, 0)
         for _ in range(count):
             total = gc.total(len(where), len(cap))
-            if total <= 0:
+            if not 0 < total < 2**63:
                 self._stuck(len(where) + 1)
             totals.append(total)
             u = stream.integers(total)
@@ -229,6 +239,8 @@ class _Grower:
             yield 2 * j + (u - totals[j] >= fresh)
 
     def _stuck(self, label: int):
+        total = self.gc.total(label - 1, len(self.cap))  # at most 0, or past the draw bound
+        _check_draw_bound(total, self.spec, f"before label {label}")
         raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
                          f"before label {label}: no bucket can attract it")
 

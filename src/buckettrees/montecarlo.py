@@ -24,7 +24,7 @@ import numpy as np
 
 from . import families, urns
 from .families import FamilySpec
-from .grow import _as_rng, _draw_dtype
+from .grow import _as_rng, _check_draw_bound, _draw_dtype
 from .trees import check_count
 
 
@@ -41,6 +41,7 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
     Counts are rebuilt from the columns once, at the end.
     """
     model = urns.build_urn(spec)
+    _check_draw_bound(model.total(n), spec, f"at step {n}")
     dtype = _draw_dtype(model.total(n))
     gen = _as_rng(rng).generator
     cum_rows = np.cumsum(model.replacement, axis=1, dtype=dtype).T

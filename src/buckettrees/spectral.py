@@ -203,7 +203,7 @@ def _polish(x: float, y: float, const: Fraction, b: int, dps: int) -> tuple[int,
     precisions = [dps]
     while precisions[-1] > 30:
         precisions.append(precisions[-1] // 2 + 1)
-    ladder = [_bits(prec) for prec in precisions[::-1] + [dps]]
+    ladder = [_bits(prec) for prec in precisions[::-1]]
     offsets = [k * (b - 1 - k) for k in range(b // 2)]
     bits = ladder[0]
     x, y = _fixed(x, bits), _fixed(y, bits)

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import gc
 import numbers
-import re
-import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -409,63 +407,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_LABEL = re.compile(r"0|[1-9][0-9]*")  # no leading zeros, as encode writes a label
-_BUCKET = re.compile(r"\{(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\}")
-
-
-def _bucket_error(text: str, pos: int) -> ParseError:
-    """The error for a bucket that does not start cleanly at pos."""
-    if not text.startswith("{", pos):
-        return ParseError("expected '{'", pos)
-    pos += 1
-    while True:
-        m = _LABEL.match(text, pos)
-        if m is None:
-            return ParseError("expected integer", pos)
-        pos = m.end()
-        if not text.startswith(",", pos):
-            return ParseError("expected '}'", pos)
-        pos += 1
-
-
-def _parse_error(text: str) -> ParseError:
-    """The error at the first character of text the grammar refuses, for a
-    text that is not a tree: one bucket at a time, then its separator."""
-    pos = depth = 0  # depth: the buckets whose '(' is open
-    while True:
-        m = _BUCKET.match(text, pos)
-        if m is None:
-            return _bucket_error(text, pos)
-        pos = m.end()
-        if text.startswith("(", pos):
-            depth += 1
-            pos += 1
-            continue
-        while depth and not text.startswith(",", pos):
-            if not text.startswith(")", pos):
-                return ParseError("expected ')'", pos)
-            depth -= 1
-            pos += 1
-        if not depth:
-            return ParseError("trailing input", pos)
-        pos += 1
-
-
-def _stand_ins(texts: list[str]) -> tuple[int, ...]:
-    """The labels written in texts, each one past int's digit limit replaced
-    by a stand-in above every other label, in the order of the labels it
-    replaces: validate then finds the same violations, the label multiset's
-    among them, as it would with the labels themselves, though a message
-    that quotes such a label quotes its stand-in."""
-    limit = sys.get_int_max_str_digits()
-    # above n, so a tree with a stand-in is never valid
-    top = max([len(texts)] + [int(s) for s in texts if len(s) <= limit]) + 1
-    # written without leading zeros, labels compare as (length, digits)
-    long = sorted({s for s in texts if len(s) > limit}, key=lambda s: (len(s), s))
-    stand_in = dict(zip(long, range(top, top + len(long))))
-    return tuple(stand_in[s] if len(s) > limit else int(s) for s in texts)
-
-
 def _bucket_labels(flat: np.ndarray, starts: np.ndarray, caps: np.ndarray) -> tuple:
     """The label tuple of each bucket v, flat[starts[v]:starts[v] + caps[v]]:
     the buckets of capacity k, in order, as k-tuples zipped from k label
@@ -508,19 +449,42 @@ _TRIPLES = _triples()
 _HORNER_DIGITS = 18  # the longest label read in int64: 10^18 - 1 < 2^63
 
 
+def _refused(cls: np.ndarray, ok: np.ndarray) -> ParseError:
+    """The error of a text the grammar refuses, from its classes cls, marks
+    included, and the verdict ok of each class triple: the first refused
+    character, with a message read from the class just before it."""
+    opened = np.cumsum(cls == 4) - np.cumsum(cls == 5)  # '(' less ')' up to each index
+    # a failing triple refuses its last character (the triple before refuses the
+    # middle one, and the first character must be '{'), and so do a ')' with no
+    # '(' open, the end with one open, and a ',' after a bucket with none open
+    refused = np.r_[False, cls[1] != 7, ~ok] | (opened < 0) | (cls == 8) & (opened > 0)
+    refused[1:] |= (cls[1:] == 3) & (cls[:-1] > 1) & (opened[1:] == 0)
+    i = int(refused.argmax())  # one past the refused character's position
+    before = _CLASSES[cls[i - 1]]
+    if before in "0d":
+        message = "expected '}'"
+    elif before in "})":
+        message = "expected ')'" if opened[i - 1] > 0 else "trailing input"
+    elif before == "{" or before == "," and cls[i - 2] < 2:  # a ',' after a label
+        message = "expected integer"
+    else:  # '(', the ',' before a sibling, or the start
+        message = "expected '{'"
+    return ParseError(message, i - 1)
+
+
 @_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result, in a few array
     passes over its bytes; a valid canonical tree comes out marked canonical.
 
-    ParseError names the first character the grammar refuses; a bound b
-    that is not a count raises the ValueError of `check_count`, and a tree
-    that breaks an invariant that of `check_valid`.
+    ParseError names the first character the grammar refuses, and the
+    first digit of a label past int's digit limit; a bound b that is not a
+    count raises the ValueError of `check_count`, and a tree that breaks an
+    invariant that of `check_valid`.
     """
-    if not text or not text.isascii():  # a position counts characters, not bytes
-        raise _parse_error(text)
-    # the text between two marks: an index here is one past its position
-    chars = np.frombuffer(b"\xff" + text.encode("ascii") + b"\xff", np.uint8)
+    # the text between two marks: an index here is one past its position; a
+    # character past ASCII reads as one '?', so a position counts characters
+    chars = np.frombuffer(b"\xff" + text.encode("ascii", "replace") + b"\xff", np.uint8)
     cls = _CLASS[chars]
     bounds = (cls >= 7).nonzero()[0]  # the first mark, each '{', the last mark
     buckets = bounds[1:-1]
@@ -530,11 +494,12 @@ def decode(text: str, b: int) -> BucketTree:
     opens, closes = (cls == 4).nonzero()[0], (cls == 5).nonzero()[0]
     # a bucket's depth: the '(' before it less the ')' before it
     depth = opens.searchsorted(buckets) - closes.searchsorted(buckets)
-    # the grammar refuses a triple of classes, brackets that do not balance at
-    # the end, or a bucket other than the root outside every bracket
-    if (not _TRIPLES[cls[:-2] * 81 + cls[1:-1] * 9 + cls[2:]].all()
-            or len(opens) != len(closes) or (depth[1:] < 1).any()):
-        raise _parse_error(text)
+    # the grammar refuses a first character other than '{', a triple of classes,
+    # unbalanced brackets, or a bucket other than the root outside every bracket
+    ok = _TRIPLES[cls[:-2] * 81 + cls[1:-1] * 9 + cls[2:]]
+    if (cls[1] != 7 or not ok.all() or len(opens) != len(closes)
+            or (depth[1:] < 1).any()):
+        raise _refused(cls, ok)
     k, n = len(buckets), len(starts)
     # a bucket's parent is the last earlier bucket one level up
     keys = depth * k + np.arange(k)
@@ -547,11 +512,13 @@ def decode(text: str, b: int) -> BucketTree:
     lengths = last + 1 - starts
     width = int(lengths.max())
     if width > _HORNER_DIGITS:
-        texts = [text[i - 1:j] for i, j in zip(starts.tolist(), last.tolist())]
-        try:
-            flat = np.array(list(map(int, texts)), object)
-        except ValueError:  # a label past int's digit limit
-            flat = np.array(_stand_ins(texts), object)
+        flat = []
+        for i, j in zip(starts.tolist(), last.tolist()):
+            try:
+                flat.append(int(text[i - 1:j]))
+            except ValueError:  # past int's digit limit, if it has one
+                raise ParseError("label longer than int's digit limit", i - 1) from None
+        flat = np.array(flat, object)
         valid = False  # no tree of n labels has a label of 19 digits
     else:
         flat = chars[last].astype(np.int64) - 48  # Horner from the last digit; 48 is '0'

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
-from .grow import _as_rng, _draw_dtype
+from .grow import _as_rng, _check_draw_bound, _draw_dtype
 from .spectral import family_roots, indicial_coeffs
 from .trees import NodeCensus, check_count
 
@@ -79,6 +79,7 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
     """
     steps = check_count(steps, "steps", 0)
     gc = model.coeffs
+    _check_draw_bound(model.total(steps), model.spec, f"at step {steps}")
     totals = gc.a * np.arange(1, steps + 1, dtype=np.int64) + gc.total_c
     dtype = _draw_dtype(model.total(steps))
     q = list(model.initial)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buckettrees import dist_desc, dist_k, families, gof
+from buckettrees import dist_desc, dist_k, families, gof, grow
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
 from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
@@ -214,6 +214,60 @@ def test_linear_rule_whose_total_weight_reaches_zero_names_the_rule(sampler):
                                          r"weight 0 before label 3"):
         sampler(families.linear(2, -1, -2, 1), 5, 1)
     assert sample_census(families.linear(2, -1, -2, 1), 2, 1).n == 2
+
+
+_PAST_INT64 = r" has total weight \d+ before label {}, past the int64 draw bound 2\^63 - 1"
+
+
+@pytest.mark.parametrize("sampler", [sample_tree, sample_census])
+def test_a_total_weight_past_int64_names_the_rule_and_the_label(sampler):
+    # port(1, 10^17) weighs about 10^17 per label: 93 * (10^17 + 1) - 1 > 2^63 - 1
+    # is the total before label 94, which the pre-drawn int64 totals would wrap
+    spec = families.port(1, 10 ** 17)
+    with pytest.raises(ValueError, match=r"port:b=1,alpha=100000000000000000 has total weight "
+                                         r"9300000000000000092 before label 94, past the int64 "
+                                         r"draw bound 2\^63 - 1"):
+        sampler(spec, 94, 0)
+    with pytest.raises(ValueError,
+                       match=r"port:b=2,alpha=1/1000000000000000" + _PAST_INT64.format(10 ** 4)):
+        sampler(families.port(2, Fraction(1, 10 ** 15)), 10 ** 4, 0)
+    # live totals: weight blocks (a child adds 10^17) and weight groups (a label adds 10^17)
+    with pytest.raises(ValueError, match=r"beta=100000000000000000,m=1" + _PAST_INT64.format(96)):
+        sampler(families.linear(2, 1, 10 ** 17, 1), 200, 0)
+    with pytest.raises(ValueError, match=r"beta=-2,m=100000000000000000" + _PAST_INT64.format(94)):
+        sampler(families.linear(2, 10 ** 17, -2, 10 ** 17), 200, 0)
+
+
+def test_a_total_weight_just_below_int64_grows_the_recorded_tree():
+    # the total before label 93 is 92 * (10^17 + 1) - 1 < 2^63 - 1; digests recorded
+    # before the draw bound was checked
+    spec = families.port(1, 10 ** 17)
+    text = encode(sample_tree(spec, 93, 0))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "50a5a90a2a4bf0d3"
+    assert sample_census(spec, 93, 0).n_deg == {7: 1, 1: 33, 4: 6, 0: 41, 2: 8, 3: 4}
+
+
+@pytest.mark.parametrize("spec, n, seed", [
+    (families.ary(2, 10 ** 17), 93, 26),  # half blocks: u + a - total_c
+    (families.linear(2, 10 ** 17, 10 ** 17 - 1, 1), 94, 59),  # blocks: u - total_c
+])
+def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
+    # the largest total fits int64, but the unit offset of a draw near it does
+    # not: the grower must resolve it as Python ints do
+    gc = families.growth_coeffs(spec)
+    totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c
+    draws = RngStream(seed).generator.integers(0, totals).tolist()
+    ref = grow._Grower(spec)
+    if ref.path == "cut":
+        assert max(draws) + gc.a - gc.total_c > 2 ** 63 - 1
+        ref._grow_by_cut(divmod(u + gc.a - gc.total_c, gc.a) for u in draws)
+    else:
+        assert ref.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
+        fresh = gc.node_weight(1, 0)
+        ref._grow_by_block(2 * ((u - gc.total_c) // gc.a) + ((u - gc.total_c) % gc.a >= fresh)
+                           for u in draws)
+    g = _grown(spec, n, seed)
+    assert (g.cap, g.deg, g.parent, g.where) == (ref.cap, ref.deg, ref.parent, ref.where)
 
 
 LINEAR_RULES = [

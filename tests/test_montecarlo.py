@@ -282,6 +282,16 @@ def test_kernels_match_references_across_the_int32_bound(n):
     _assert_simulate_urn_identical(wide, n - 1)
 
 
+@pytest.mark.parametrize("sampler", [montecarlo.sample_K, montecarlo.sample_urn_counts])
+def test_ball_dynamics_refuse_a_total_past_int64(sampler):
+    # port(2, 10^17) adds about 10^17 per step, past 2^63 - 1 at step 100
+    spec = families.port(2, 10 ** 17)
+    with pytest.raises(ValueError, match=r"port:b=2,alpha=100000000000000000 has total weight "
+                                         r"\d+ at step 100, past the int64 draw bound 2\^63 - 1"):
+        sampler(spec, 100, 10, 0)
+    assert len(sampler(spec, 91, 10, 0)) == 10
+
+
 # ---------------------------------------------------------------------------
 # the waiting-time root-degree kernel draws a different stream from the
 # per-step one, so it is held to the exact law and to the per-step kernel

@@ -36,10 +36,14 @@ def test_decode_single_bucket():
 
 # "{²}": str.isdigit accepts superscripts but int() does not; "{١}": int() reads
 # Arabic-Indic digits, but a label is ASCII digits so that every text round-trips;
-# "{1},{2}" and "{1}({2})),{3}": a bucket outside every bracket, at depth 0 and -1
+# "{1},{2}" and "{1}({2})),{3}": a bucket outside every bracket, at depth 0 and -1;
+# the rest, one per message and the class before the refused character
 @pytest.mark.parametrize("bad", ["", "{1}x", "{}", "{1}(", "{1}({2}", "({1})", "{1,}",
                                  "{\u00b2}", "{1\u00b2}", "{\u0661}", "{1}({\u0662})",
-                                 "{1},{2}", "{1}({2})),{3}"])
+                                 "{1},{2}", "{1}({2})),{3}", "{1}}", "{1}({2}}", "{1}({2})(",
+                                 "{1,2{", "{1}(,", "{1}({2},)", "{1}({2})x", "\u00e9{1}",
+                                 "{1}(\u00e9{2})", "(", "{", "{1x", "{1}({2},{3}", "{1}({2}),",
+                                 "{1}(" * 3 + "{2}" + ")" * 4])
 def test_decode_rejects_malformed(bad):
     with pytest.raises(ParseError):
         decode(bad, 1)
@@ -64,22 +68,32 @@ def test_decode_refuses_zero_padded_labels(text, pos):
 
 
 _HUGE = "7" * 4400  # past int's digit limit of 4300
+_PAST_THE_DIGIT_LIMIT = [
+    ("{" + "1" * 5000 + "}", 1, 1),
+    ("{1}({" + "2" * 4301 + "})", 1, 5),
+    ("{1,2,3," + _HUGE + "}", 2, 7),
+    ("{1," + _HUGE + "}({" + _HUGE + ",8" + _HUGE + "})", 2, 3),  # the first of three
+]
 
 
-@pytest.mark.parametrize("text, b, violations", [
-    ("{" + "1" * 5000 + "}", 1, []),
-    ("{1}({" + "2" * 4301 + "})", 1, []),
-    # every violation is named, not only the label multiset's
-    ("{1,2,3," + _HUGE + "}", 2, ["root: bucket capacity 4 outside 1..2"]),
-    ("{1," + _HUGE + "}({" + _HUGE + ",8" + _HUGE + "})", 2,
-     ["root/0: child label 5 not above parent maximum 5"]),
-])
-def test_decode_names_a_label_past_the_digit_limit_as_a_violation(text, b, violations):
-    # no tree of n labels has a label of 4301 digits
-    n = text.count(",") + text.count("{")
-    message = "; ".join(violations + [f"label multiset is not {{1..{n}}}"])
-    with pytest.raises(ValueError, match=re.escape(f"invalid bucket tree: {message}") + "$"):
+@pytest.mark.parametrize("text, b, pos", _PAST_THE_DIGIT_LIMIT)
+def test_decode_a_label_past_the_digit_limit_is_a_parse_error(text, b, pos):
+    with pytest.raises(ParseError, match="label longer than int.s digit limit") as err:
         decode(text, b)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, b", [(text, b) for text, b, _ in _PAST_THE_DIGIT_LIMIT])
+def test_decode_reads_every_label_when_int_has_no_digit_limit(text, b):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        # no tree of n labels has a label of 4301 digits
+        with pytest.raises(ValueError, match=r"invalid bucket tree: .*label multiset is not"):
+            decode(text, b)
+        assert _outcome(decode, text, b) == _outcome(_ref_decode, text, b)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_validate_unsaturated_internal():
@@ -352,6 +366,24 @@ def test_decode_cost_does_not_grow_with_depth():
             assert decode(text, 1).size == n
             times[text].append(time.perf_counter() - start)
     assert min(times[path]) <= 2 * min(times[star])
+
+
+def test_refusing_a_text_costs_no_more_than_decoding_it():
+    # a path of 10^5 labels whose last ')' is corrupted: the refused character
+    # is found from the classes decode already has, not by a second parse
+    n = 10 ** 5
+    text = _path_text(n)
+    bad = text[:-1] + "x"
+    times = {text: [], bad: []}
+    for _ in range(3):
+        for t in times:
+            start = time.perf_counter()
+            try:
+                decode(t, 1)
+            except ParseError as exc:
+                assert t is bad and exc.pos == len(text) - 1
+            times[t].append(time.perf_counter() - start)
+    assert min(times[bad]) <= 2 * min(times[text])
 
 
 def _ref_encode(tree):

@@ -170,6 +170,16 @@ def test_simulate_urn_guard():
         simulate_urn(build_urn(families.recursive(2)), -3, 0)
 
 
+def test_simulate_urn_refuses_a_total_past_int64():
+    # port(2, 10^17) adds about 10^17 per step, past 2^63 - 1 before step 100:
+    # the int64 totals would wrap
+    model = build_urn(families.port(2, 10 ** 17))
+    with pytest.raises(ValueError, match=r"port:b=2,alpha=100000000000000000 has total weight "
+                                         r"\d+ at step 100, past the int64 draw bound 2\^63 - 1"):
+        simulate_urn(model, 100, 0)
+    assert len(simulate_urn(model, 90, 0).draws) == 90
+
+
 def test_one_type_urn():
     model = urns.build_urn(families.port(1, 2))
     assert model.replacement == ((3,),) and model.initial == (2,)
