@@ -30,8 +30,8 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketTree, NodeCensus, _bucket_labels, _census, _collector_paused,
-                    _flat_tree, _parents, check_count)
+from .trees import (BucketTree, NodeCensus, _array_tree, _census, _collector_paused, _parents,
+                    check_count)
 
 
 @dataclass
@@ -390,13 +390,11 @@ class _Grower:
         caps[pos] = cap
         degrees = np.empty(nodes, dtype=np.intp)
         degrees[pos] = self.deg
-        labels = _bucket_labels(flat, np.cumsum(caps) - caps, caps)
-        # valid and canonical by construction (children in the order they
-        # opened), and its size is the number of labels placed
-        return _flat_tree(self.b, labels, tuple(degrees.tolist()), n, True, canonical=True)
+        # valid and canonical by construction (children in the order they opened)
+        return _array_tree(self.b, flat, caps, degrees, True, True)
 
     def census(self) -> NodeCensus:
-        return _census(self.b, self.size, self.cap, self.deg)
+        return _census(self.b, self.size, np.array(self.cap, np.intp), np.array(self.deg, np.intp))
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:

@@ -4,13 +4,24 @@ A bucket tree is a rooted ordered tree whose nodes are buckets holding
 between 1 and b labels.  Labels increase inside every bucket and along
 every root-to-leaf path, and every internal (non-leaf) bucket is full.
 
-A `BucketTree` stores the preorder of its buckets: `labels[i]`, the
-labels of the i-th bucket, and `degrees[i]`, its number of children.  How
-a preorder nests is read by four helpers only: `_nest` writes it as text,
+A `BucketTree` stores the preorder of its buckets in one of two forms.
+The tuple form is `labels[i]`, the label tuple of the i-th bucket, and
+`degrees[i]`, its number of children.  The array form is three read-only
+integer arrays: every label in preorder, each bucket's capacity and each
+bucket's out-degree.  A tree keeps the form its maker had and builds the
+other, once, the first time an operation needs it.  The grower and
+`decode` make the array form, and `encode` and the census read it, so the
+grow -> encode -> decode -> canonicalize -> census pipeline builds no
+label tuple.  Every other maker (the oracle's lists, `canonicalize`, the
+bijections, `from_doc`, `BucketTree(b, root)`) makes the tuple form, and
+validation, canonicalization, hashing and the node view read it;
+equality reads the arrays when both trees hold them.  How the tuple form
+nests is read by four helpers only: `_nest` writes it as text,
 `_fold` folds it children first, and `_kids` and `_parents` give each
-bucket's children and parent.  `root`, the same tree as `BucketNode`
-objects, is a view built on first use and kept.  No walk recurses, so
-trees of any depth work.
+bucket's children and parent; `encode` finds where the array form's
+subtrees end from the prefix sums of (degree - 1).  `root`, the same tree
+as `BucketNode` objects, is a view built on first use and kept.  No walk
+recurses, so trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
@@ -34,12 +45,11 @@ from __future__ import annotations
 import gc
 import numbers
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, islice, product
 from math import inf
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable
 
 import numpy as np
@@ -130,27 +140,42 @@ def _preorder(root: BucketNode) -> tuple:
     return tuple(labels), tuple(degrees)
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False, slots=True)
 class BucketTree:
     """A bucket tree with its capacity bound b, stored as its bucket preorder.
 
     labels[i] holds the labels of the i-th bucket in preorder and
-    degrees[i] is its number of children; size is the label count.  Two
-    trees are equal, and hash equal, iff their b, labels and degrees are.
+    degrees[i] is its number of children; size is the label count.  A tree
+    made in array form builds labels and degrees on their first read and
+    keeps them (see `_ArrayTree`).  Two trees are equal, and hash equal,
+    iff their b, labels and degrees are.
     """
 
     b: int
     labels: tuple
     degrees: tuple
-    size: int = field(compare=False, repr=False)
-    _valid: bool = field(compare=False, repr=False)  # known to be valid
+    size: int
+    _valid: bool  # known to be valid
     # None (unknown), True (canonical) or the canonical tree, never self
-    _canonical: BucketTree | bool | None = field(compare=False, repr=False)
-    _root: BucketNode | None = field(compare=False, repr=False)
+    _canonical: BucketTree | bool | None
+    _root: BucketNode | None
+    _arrays: tuple | None  # (labels in preorder, capacities, degrees), or None until built
 
     def __init__(self, b: int, root: BucketNode):
         labels, degrees = _preorder(root)
         _flat_tree(b, labels, degrees, sum(map(len, labels)), root=root, into=self)
+
+    def _array_form(self) -> tuple:
+        """(labels in preorder, capacities, degrees) as read-only arrays, built
+        from the tuple form on first use and kept; only a valid tree's labels,
+        1..size, are sure to fit the array."""
+        if self._arrays is None:
+            labels = self.labels
+            object.__setattr__(self, "_arrays", _read_only(
+                np.fromiter(chain.from_iterable(labels), np.int64, self.size),
+                np.fromiter(map(len, labels), np.intp, len(labels)),
+                np.array(self.degrees, np.intp)))
+        return self._arrays
 
     @property
     def root(self) -> BucketNode:
@@ -159,28 +184,114 @@ class BucketTree:
             object.__setattr__(self, "_root", _assemble(self.labels, self.degrees))
         return self._root
 
+    def __eq__(self, other):
+        if not isinstance(other, BucketTree):
+            return NotImplemented
+        if self._arrays is not None and other._arrays is not None:
+            return self.b == other.b and all(map(np.array_equal, self._arrays, other._arrays))
+        return (self.b, self.labels, self.degrees) == (other.b, other.labels, other.degrees)
+
+    def __hash__(self):
+        return hash((self.b, self.labels, self.degrees))
+
+    def __repr__(self):
+        return f"BucketTree(b={self.b!r}, labels={self.labels!r}, degrees={self.degrees!r})"
+
     def __reduce__(self):
-        # the flat form pickles at any depth; the node view is rebuilt on use
+        # either form pickles at any depth; the node view is rebuilt on use
+        if self._arrays is not None:
+            return _array_tree, (self.b, *self._arrays, self._valid)
         return _flat_tree, (self.b, self.labels, self.degrees, self.size, self._valid)
+
+
+class _ArrayTree(BucketTree):
+    """A BucketTree made in array form: its labels and degrees slots stay
+    unset until their first read, which builds them.  The lookup hook that
+    does so slows every attribute read, so only this class has it, and
+    reads on a tree made in tuple form stay plain slot reads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set
+        if name not in ("labels", "degrees"):
+            raise AttributeError(f"'BucketTree' object has no attribute {name!r}")
+        flat, caps, degrees = self._arrays
+        _put_labels(self, _bucket_labels(flat, caps))
+        _put_degrees(self, tuple(degrees.tolist()))
+        return getattr(self, name)
+
+
+@_collector_paused
+def _bucket_labels(flat: np.ndarray, caps: np.ndarray) -> tuple:
+    """The label tuple of each bucket of a preorder in array form: the
+    buckets of capacity k, in order, as k-tuples zipped from k label columns,
+    for each k in turn in one list, which one itemgetter puts back in
+    preorder over the inverse of the stable sort of the capacities."""
+    order = caps.argsort(kind="stable")
+    starts = (np.cumsum(caps) - caps)[order]
+    rows: list = []
+    done = 0
+    for k, count in enumerate(np.bincount(caps).tolist()):
+        if count:
+            first = starts[done:done + count]
+            rows += zip(*[flat[first + i].tolist() for i in range(k)])
+            done += count
+    if len(rows) == 1:
+        return tuple(rows)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return itemgetter(*place.tolist())(rows)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = False,
                root: BucketNode | None = None, into: BucketTree | None = None,
                canonical: bool | None = None) -> BucketTree:
-    """The BucketTree of a preorder whose label count is known.
+    """The BucketTree of a preorder in tuple form whose label count is known.
 
     valid=True marks it as checked, for a tree that is valid by construction,
     and canonical=True as canonical, for a valid tree canonical by construction.
     """
     tree = object.__new__(BucketTree) if into is None else into
-    for put, value in zip(_PUT, (b, labels, degrees, size, valid, canonical, root)):
-        put(tree, value)
+    _put_b(tree, b)
+    _put_labels(tree, labels)
+    _put_degrees(tree, degrees)
+    _put_size(tree, size)
+    _put_valid(tree, valid)
+    _put_canonical(tree, canonical)
+    _put_root(tree, root)
+    _put_arrays(tree, None)
     return tree
 
 
-# the slot setters of a frozen tree's fields, in _flat_tree's order of values
-_PUT = tuple(getattr(BucketTree, name).__set__
-             for name in ("b", "labels", "degrees", "size", "_valid", "_canonical", "_root"))
+def _array_tree(b: int, flat: np.ndarray, caps: np.ndarray, degrees: np.ndarray,
+                valid: bool = False, canonical: bool | None = None) -> BucketTree:
+    """The BucketTree of a preorder in array form: flat holds every label in
+    preorder, caps each bucket's capacity (at least 1) and degrees its number
+    of children.  The arrays become read-only; labels and degrees are left
+    unset until read, and valid and canonical mark the tree as in `_flat_tree`."""
+    tree = object.__new__(_ArrayTree)
+    _put_b(tree, b)
+    _put_size(tree, len(flat))
+    _put_valid(tree, valid)
+    _put_canonical(tree, canonical)
+    _put_root(tree, None)
+    _put_arrays(tree, _read_only(flat, caps, degrees))
+    return tree
+
+
+# the slot setters of a frozen tree's fields, each called by name: a loop over
+# them would cost the oracle, which makes thousands of small trees, more time
+(_put_b, _put_labels, _put_degrees, _put_size, _put_valid, _put_canonical, _put_root,
+ _put_arrays) = (getattr(BucketTree, name).__set__ for name in (
+    "b", "labels", "degrees", "size", "_valid", "_canonical", "_root", "_arrays"))
 
 
 def _mark_canonical(tree: BucketTree, canonical: BucketTree) -> None:
@@ -380,43 +491,90 @@ def canonicalize(tree: BucketTree) -> BucketTree:
 
 def census(tree: BucketTree) -> NodeCensus:
     check_valid(tree)
-    return _census(tree.b, tree.size, map(len, tree.labels), tree.degrees)
+    _, caps, degrees = tree._array_form()
+    return _census(tree.b, tree.size, caps, degrees)
 
 
-def _census(b: int, n: int, caps, degrees) -> NodeCensus:
+def _census(b: int, n: int, caps: np.ndarray, degrees: np.ndarray) -> NodeCensus:
     """The census of buckets of the given capacities and out-degrees, each
     count filed in the order its key first occurs."""
-    caps = list(caps)
-    return NodeCensus(b, n, dict(Counter(k for k in caps if k < b)),
-                      dict(Counter(d for k, d in zip(caps, degrees) if k >= b)))
+    full = caps >= b
+    return NodeCensus(b, n, _tally(caps[~full]), _tally(degrees[full]))
+
+
+def _tally(keys: np.ndarray) -> dict:
+    """The count of each value of the nonnegative keys, in the order it first occurs."""
+    counts = np.bincount(keys)
+    first = np.full(len(counts), len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    seen = np.flatnonzero(counts)
+    seen = seen[first[seen].argsort()]
+    return dict(zip(seen.tolist(), counts[seen].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # text codec: {1,2}({3},{4,5})
 
 
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # a label of d digits is below _POWERS[d - 1]
+
+
 def encode(tree: BucketTree) -> str:
-    # the format of a bucket of k labels, "{%s,...,%s}", by k
-    formats = ["{" + ",".join(["%s"] * k) + "}" for k in range(max(map(len, tree.labels)) + 1)]
-    return _nest([formats[len(lab)] % lab for lab in tree.labels], tree.degrees)
+    """The text form of a valid tree, written from its array form in a few
+    numpy passes: each label's digits, each bucket's '{', '}' and ',', then
+    '(' after an internal bucket and, after a leaf, one ')' per subtree it
+    ends and a ',' unless it is the last bucket.  An invalid tree raises the
+    ValueError of `check_valid`."""
+    check_valid(tree)
+    flat, caps, degrees = tree._array_form()
+    k = len(caps)
+    internal = degrees > 0
+    # subtree ends: with P the prefix sums of (degree - 1), bucket v's subtree
+    # ends at the first x >= v where P(x) = P(v - 1) - 1, P falling one at a
+    # time; found for the internal buckets, sorted, as only their count per
+    # end is needed: each is one ')' after the leaf it ends at
+    rises = degrees - 1
+    steps = rises.cumsum()
+    index = np.arange(k)
+    keys = (steps + 1) * k + index
+    keys.sort()  # by P, then in preorder
+    starts = ((steps - rises) * k + index)[internal]
+    starts.sort()
+    closes = np.bincount(keys[keys.searchsorted(starts)] % k, minlength=k)
+    tail = np.where(internal, 1, closes + 1)  # '(', or the ')'s and the ','
+    tail[-1] -= 1  # no ',' after the last bucket
+    digits = _POWERS.searchsorted(flat, side="right") + 1
+    last = caps.cumsum() - 1  # each bucket's last label
+    first = last + 1 - caps
+    width = digits + 1  # a label and the ',' or '}' after it
+    width[first] += 1  # the bucket's '{'
+    width[last] += tail
+    past = width.cumsum()
+    at = past - width  # where each label's digits start
+    at[first] += 1
+    out = np.full(int(past[-1]), ord(")"), np.uint8)  # every ')' in place
+    out[at[first] - 1] = ord("{")
+    stop = at + digits
+    out[stop] = ord(",")
+    out[stop[last]] = ord("}")
+    after = stop[last] + 1
+    out[after[internal]] = ord("(")
+    out[(after + closes)[~internal][:-1]] = ord(",")
+    # the digits, last first: each pass writes one digit of the labels left;
+    # a valid tree's labels are at most its size
+    values, at = flat.astype(np.int32 if tree.size < 2**31 else np.int64), stop - 1
+    while values.size:
+        rest = values // 10
+        out[at] = (values - 10 * rest).astype(np.uint8) + 48  # 48 is '0'
+        more = rest > 0
+        values, at = rest[more], at[more] - 1
+    return out.tobytes().decode("ascii")
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} at position {pos}")
         self.pos = pos
-
-
-def _bucket_labels(flat: np.ndarray, starts: np.ndarray, caps: np.ndarray) -> tuple:
-    """The label tuple of each bucket v, flat[starts[v]:starts[v] + caps[v]]:
-    the buckets of capacity k, in order, as k-tuples zipped from k label
-    columns; each bucket takes the next one of its capacity."""
-    capacities = caps.tolist()
-    rows = {}
-    for k in set(capacities):
-        first = starts[caps == k]
-        rows[k] = zip(*[flat[first + i].tolist() for i in range(k)])
-    return tuple(map(next, map(rows.__getitem__, capacities)))
 
 
 # the byte classes 0..8: '0', the other digits ('d'), '}', ',', '(', ')', any
@@ -475,7 +633,8 @@ def _refused(cls: np.ndarray, ok: np.ndarray) -> ParseError:
 @_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result, in a few array
-    passes over its bytes; a valid canonical tree comes out marked canonical.
+    passes over its bytes; the tree keeps the label, capacity and degree
+    arrays, and a valid canonical tree comes out marked canonical.
 
     ParseError names the first character the grammar refuses, and the
     first digit of a label past int's digit limit; a bound b that is not a
@@ -540,8 +699,7 @@ def decode(text: str, b: int) -> BucketTree:
         heads, siblings = heads[below], up[below - 1]
         if ((heads[1:] > heads[:-1]) | (siblings[1:] != siblings[:-1])).all():
             canonical = True
-    tree = _flat_tree(b, _bucket_labels(flat, first[:-1], caps), tuple(degrees.tolist()), n,
-                      valid, canonical=canonical)
+    tree = _array_tree(b, flat, caps, degrees, valid, canonical)
     check_valid(tree)  # an invalid tree raises, its violations named by validate
     return tree
 

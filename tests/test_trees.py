@@ -9,6 +9,7 @@ import re
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -452,6 +453,107 @@ def test_the_codec_pipeline_builds_no_node(monkeypatch):
         cen = census(canonicalize(decode(encode(tree), spec.b)))
         assert cen.n == 400 and cen.node_sum_identity()
     assert census(canonicalize(decode("{1,2}({4},{3})", 2))).m == {1: 2}
+
+
+# one rule per selection path of the grower: the label table, pre-drawn and
+# live blocks, half blocks and weight groups (the path rule among them)
+_PATHS = _KINDS + [families.linear(2, 1, 1, 1), families.linear(3, -1, 1, 3),
+                   families.linear(1, 0, -1, 1)]
+
+
+def test_the_timed_pipeline_builds_no_label_tuple(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label tuple was built")
+
+    monkeypatch.setattr(trees, "_bucket_labels", refuse)
+    for spec in _PATHS:
+        tree = grow.sample_tree(spec, 400, 2)
+        back = decode(encode(tree), spec.b)
+        cen = census(canonicalize(back))
+        assert cen.n == 400 and cen.node_sum_identity()
+        assert back == tree and not _tuples_built(tree) and not _tuples_built(back)
+
+
+@pytest.mark.parametrize("root", [BucketNode((3, 1)), BucketNode(())])
+def test_encode_refuses_an_invalid_tree(root):
+    # a decreasing bucket and an empty one: decode refuses both texts too
+    with pytest.raises(ValueError, match="invalid bucket tree"):
+        encode(BucketTree(2, root))
+
+
+def _tuples_built(tree):
+    """Whether tree holds its label and degree tuples, read past their lazy build."""
+    try:
+        BucketTree.labels.__get__(tree)
+    except AttributeError:
+        return False
+    return True
+
+
+def _ref_build(grower):
+    """The grown tree in tuple form, from per-bucket label and child lists."""
+    held = [[] for _ in grower.cap]
+    for label, v in enumerate(grower.where, start=1):
+        held[v].append(label)
+    kids = [[] for _ in grower.cap]
+    for v in range(1, len(grower.cap)):
+        kids[grower.parent[v]].append(v)
+    return trees._numbered_tree(grower.b, list(map(tuple, held)), kids, grower.size)
+
+
+def _ref_census(tree):
+    """The census counted over the tuple form, each key where it first occurs."""
+    caps = list(map(len, tree.labels))
+    return trees.NodeCensus(tree.b, tree.size, dict(Counter(k for k in caps if k < tree.b)),
+                            dict(Counter(d for k, d in zip(caps, tree.degrees) if k >= tree.b)))
+
+
+def _forms_agree(flat, tupled):
+    """Array-form trees flat and tuple-form trees tupled of one tree: the
+    same text and census, key order included, from either form, and equal,
+    hash-equal trees and twins."""
+    text, cen = _ref_encode(tupled[0]), repr(_ref_census(tupled[0]))
+    for tree in flat:
+        assert not _tuples_built(tree)
+        assert encode(tree) == text and repr(census(tree)) == cen
+        assert tree == flat[0] and not _tuples_built(tree)  # compared as arrays
+    for tree in tupled:
+        assert tree._arrays is None
+        assert encode(tree) == text and repr(census(tree)) == cen
+    for tree in flat + tupled:
+        twin = from_doc(to_doc(tree))
+        assert twin._arrays is None
+        assert tree == twin == tupled[0] and hash(tree) == hash(twin) == hash(tupled[0])
+
+
+@pytest.mark.parametrize("spec", verify.family_grid() + [families.linear(2, 1, 1, 1),
+                                                          families.linear(3, -1, 1, 3)],
+                         ids=lambda s: s.describe())
+def test_array_and_tuple_forms_agree_on_grown_trees(spec):
+    for n in (1, 2, 10, 10 ** 3, 2 * 10 ** 4):
+        grower = grow._grown(spec, n, n)
+        reference = _ref_build(grower)
+        text = _ref_encode(reference)
+        _forms_agree([grower.build(), decode(text, spec.b)], [reference, _ref_decode(text, spec.b)])
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_array_and_tuple_forms_agree_on_every_small_tree(b):
+    for n in range(1, 7):
+        for tree in enumeration.all_trees(b, n):
+            # a fresh tuple-form copy: the cached list's trees may hold arrays by now
+            fresh = trees._flat_tree(b, tree.labels, tree.degrees, tree.size)
+            _forms_agree([decode(_ref_encode(tree), b)], [fresh])
+
+
+def test_a_deep_array_tree_pickles_without_its_view():
+    tree = grow.sample_tree(families.linear(1, 0, -1, 1), DEPTH, 0)
+    back = pickle.loads(pickle.dumps(tree))
+    assert back._valid and back._arrays is not None
+    assert not any(array.flags.writeable for array in back._arrays)
+    assert back == tree and encode(back) == encode(tree)
+    assert not _tuples_built(tree) and not _tuples_built(back)
+    assert back.degrees == (1,) * (DEPTH - 1) + (0,)
 
 
 @pytest.mark.parametrize("b, n", [(1, DEPTH), (2, 10 ** 4)])
