@@ -148,6 +148,11 @@ def pmf_X(spec: FamilySpec, n: int, j: int) -> Pmf:
     """The exact law of X_{n,j}, the out-degree of j's bucket at time n.
 
     X = max(0, g_n - b + 1), with the chain followed to its highest state.
+
+    It costs about n times its output: each of its n - j steps touches every
+    degree state, a big integer of about (s - j) log s bits at step s.  On
+    `recursive:b=2`, j = 100, it took 0.4-0.6 s at n = 1000 and 4.0 s at
+    n = 2000 (CPython 3.11 on a 2-CPU Xeon host).
     """
     families.require_named(spec)
     n = check_count(n, "n")

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec
-from .trees import (BucketTree, NodeCensus, _array_tree, _census, _collector_paused, _parents,
-                    check_count)
+from .trees import BucketTree, NodeCensus, _array_tree, _census, _parents, check_count
 
 
 @dataclass
@@ -358,7 +357,6 @@ class _Grower:
                 pos.append(len(first))
                 first.append(child)
 
-    @_collector_paused
     def build(self) -> BucketTree:
         """The grown tree, its buckets listed in preorder.
 
@@ -394,7 +392,7 @@ class _Grower:
         return _array_tree(self.b, flat, caps, degrees, True, True)
 
     def census(self) -> NodeCensus:
-        return _census(self.b, self.size, np.array(self.cap, np.intp), np.array(self.deg, np.intp))
+        return _census(self.b, self.size, self.cap, self.deg)
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:

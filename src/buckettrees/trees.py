@@ -4,24 +4,23 @@ A bucket tree is a rooted ordered tree whose nodes are buckets holding
 between 1 and b labels.  Labels increase inside every bucket and along
 every root-to-leaf path, and every internal (non-leaf) bucket is full.
 
-A `BucketTree` stores the preorder of its buckets in one of two forms.
-The tuple form is `labels[i]`, the label tuple of the i-th bucket, and
-`degrees[i]`, its number of children.  The array form is three read-only
-integer arrays: every label in preorder, each bucket's capacity and each
-bucket's out-degree.  A tree keeps the form its maker had and builds the
-other, once, the first time an operation needs it.  The grower and
-`decode` make the array form, and `encode` and the census read it, so the
-grow -> encode -> decode -> canonicalize -> census pipeline builds no
-label tuple.  Every other maker (the oracle's lists, `canonicalize`, the
-bijections, `from_doc`, `BucketTree(b, root)`) makes the tuple form, and
-validation, canonicalization, hashing and the node view read it;
-equality reads the arrays when both trees hold them.  How the tuple form
-nests is read by four helpers only: `_nest` writes it as text,
-`_fold` folds it children first, and `_kids` and `_parents` give each
-bucket's children and parent; `encode` finds where the array form's
-subtrees end from the prefix sums of (degree - 1).  `root`, the same tree
-as `BucketNode` objects, is a view built on first use and kept.  No walk
-recurses, so trees of any depth work.
+A `BucketTree` stores the preorder of its buckets in the form its maker
+had.  The tuple form is `labels[i]`, the label tuple of the i-th bucket,
+and `degrees[i]`, its number of children; the oracle's lists,
+`canonicalize`, the bijections, `from_doc` and `BucketTree(b, root)` make
+it.  The array form is three read-only integer arrays: every label in
+preorder, each bucket's capacity and each bucket's out-degree.  Only the
+grower and `decode` make it, so the grow -> encode -> decode ->
+canonicalize -> census pipeline builds no label tuple.  `encode` and the
+census read either form as it is.  Tuples never become arrays; an array
+tree builds its tuple view on first read and keeps it, for validation,
+canonicalization, hashing and the node view, and equality reads the
+arrays when both trees hold them.  How the tuple form nests is read by
+four helpers only: `_nest` writes it as text, `_fold` folds it children
+first, and `_kids` and `_parents` give each bucket's children and parent;
+`encode` finds where the array form's subtrees end from the prefix sums
+of (degree - 1).  `root`, the same tree as `BucketNode` objects, is a view
+built on first use and kept.  No walk recurses, so trees of any depth work.
 
 A tree never changes after it is made, so a tree that has passed
 `validate` stays valid: `check_valid` marks it and returns at once the
@@ -146,9 +145,10 @@ class BucketTree:
 
     labels[i] holds the labels of the i-th bucket in preorder and
     degrees[i] is its number of children; size is the label count.  A tree
-    made in array form builds labels and degrees on their first read and
-    keeps them (see `_ArrayTree`).  Two trees are equal, and hash equal,
-    iff their b, labels and degrees are.
+    made in array form (by the grower or `decode`) holds those arrays in
+    _arrays and builds labels and degrees on their first read (see
+    `_ArrayTree`); a tree made in tuple form never builds arrays.  Two
+    trees are equal, and hash equal, iff their b, labels and degrees are.
     """
 
     b: int
@@ -159,23 +159,11 @@ class BucketTree:
     # None (unknown), True (canonical) or the canonical tree, never self
     _canonical: BucketTree | bool | None
     _root: BucketNode | None
-    _arrays: tuple | None  # (labels in preorder, capacities, degrees), or None until built
+    _arrays: tuple | None  # (labels in preorder, capacities, degrees), or None in tuple form
 
     def __init__(self, b: int, root: BucketNode):
         labels, degrees = _preorder(root)
         _flat_tree(b, labels, degrees, sum(map(len, labels)), root=root, into=self)
-
-    def _array_form(self) -> tuple:
-        """(labels in preorder, capacities, degrees) as read-only arrays, built
-        from the tuple form on first use and kept; only a valid tree's labels,
-        1..size, are sure to fit the array."""
-        if self._arrays is None:
-            labels = self.labels
-            object.__setattr__(self, "_arrays", _read_only(
-                np.fromiter(chain.from_iterable(labels), np.int64, self.size),
-                np.fromiter(map(len, labels), np.intp, len(labels)),
-                np.array(self.degrees, np.intp)))
-        return self._arrays
 
     @property
     def root(self) -> BucketNode:
@@ -244,13 +232,6 @@ def _bucket_labels(flat: np.ndarray, caps: np.ndarray) -> tuple:
     return itemgetter(*place.tolist())(rows)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple:
-    """The arrays, each made read-only."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = False,
                root: BucketNode | None = None, into: BucketTree | None = None,
                canonical: bool | None = None) -> BucketTree:
@@ -277,13 +258,15 @@ def _array_tree(b: int, flat: np.ndarray, caps: np.ndarray, degrees: np.ndarray,
     preorder, caps each bucket's capacity (at least 1) and degrees its number
     of children.  The arrays become read-only; labels and degrees are left
     unset until read, and valid and canonical mark the tree as in `_flat_tree`."""
+    for array in (flat, caps, degrees):
+        array.flags.writeable = False
     tree = object.__new__(_ArrayTree)
     _put_b(tree, b)
     _put_size(tree, len(flat))
     _put_valid(tree, valid)
     _put_canonical(tree, canonical)
     _put_root(tree, None)
-    _put_arrays(tree, _read_only(flat, caps, degrees))
+    _put_arrays(tree, (flat, caps, degrees))
     return tree
 
 
@@ -490,14 +473,19 @@ def canonicalize(tree: BucketTree) -> BucketTree:
 
 
 def census(tree: BucketTree) -> NodeCensus:
+    """The census of a valid tree, counted from its arrays or its tuples, as
+    made; an invalid tree raises the ValueError of `check_valid`."""
     check_valid(tree)
-    _, caps, degrees = tree._array_form()
+    if tree._arrays is None:
+        return _census(tree.b, tree.size, [*map(len, tree.labels)], tree.degrees)
+    _, caps, degrees = tree._arrays
     return _census(tree.b, tree.size, caps, degrees)
 
 
-def _census(b: int, n: int, caps: np.ndarray, degrees: np.ndarray) -> NodeCensus:
-    """The census of buckets of the given capacities and out-degrees, each
-    count filed in the order its key first occurs."""
+def _census(b: int, n: int, caps, degrees) -> NodeCensus:
+    """The census of buckets of the given capacities and out-degrees (arrays
+    or sequences), each count filed in the order its key first occurs."""
+    caps, degrees = np.asarray(caps, np.intp), np.asarray(degrees, np.intp)
     full = caps >= b
     return NodeCensus(b, n, _tally(caps[~full]), _tally(degrees[full]))
 
@@ -520,13 +508,18 @@ _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # a label of d digits is below
 
 
 def encode(tree: BucketTree) -> str:
-    """The text form of a valid tree, written from its array form in a few
-    numpy passes: each label's digits, each bucket's '{', '}' and ',', then
-    '(' after an internal bucket and, after a leaf, one ')' per subtree it
-    ends and a ',' unless it is the last bucket.  An invalid tree raises the
-    ValueError of `check_valid`."""
+    """The text form of a valid tree, written from the form it was made in: a
+    tuple tree's buckets by one "{%s,...,%s}" format per bucket size, nested
+    by `_nest`; an array tree in a few numpy passes, each label's digits, each
+    bucket's '{', '}' and ',', then '(' after an internal bucket and, after a
+    leaf, one ')' per subtree it ends and a ',' unless it is the last bucket.
+    An invalid tree raises the ValueError of `check_valid`."""
     check_valid(tree)
-    flat, caps, degrees = tree._array_form()
+    if tree._arrays is None:
+        labels = tree.labels
+        formats = ["{" + ",".join(["%s"] * k) + "}" for k in range(max(map(len, labels)) + 1)]
+        return _nest([formats[len(lab)] % lab for lab in labels], tree.degrees)
+    flat, caps, degrees = tree._arrays
     k = len(caps)
     internal = degrees > 0
     # subtree ends: with P the prefix sums of (degree - 1), bucket v's subtree
@@ -630,7 +623,6 @@ def _refused(cls: np.ndarray, ok: np.ndarray) -> ParseError:
     return ParseError(message, i - 1)
 
 
-@_collector_paused
 def decode(text: str, b: int) -> BucketTree:
     """Parse the canonical text form and validate the result, in a few array
     passes over its bytes; the tree keeps the label, capacity and degree

@@ -129,6 +129,18 @@ def test_enumerate_trees():
     assert "{1,2}({3},{4}),2,1/3" in lines
 
 
+# sha256 of the CSV of `enumerate --family recursive:b=1 --n 7`: the 11!! = 10395
+# ordered increasing trees on seven labels, as the previous release wrote them
+_ENUMERATE_7_SHA256 = "9af00493e87a1da74afadd794910b8f1fef1218145d3bef635ed0c7256f07c3a"
+
+
+def test_enumerate_csv_matches_recorded_digest(tmp_path):
+    out = tmp_path / "trees.csv"
+    run("enumerate", "--family", "recursive:b=1", "--n", "7", "--out", str(out))
+    assert len(out.read_text().splitlines()) == 1 + 10395
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _ENUMERATE_7_SHA256
+
+
 def test_enumerate_statistic_pmf():
     out = run("enumerate", "--family", "recursive:b=2", "--n", "4", "--pmf", "K")
     lines = out.strip().splitlines()

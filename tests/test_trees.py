@@ -584,6 +584,50 @@ def test_a_deep_path_through_every_flat_operation_and_the_nodes(b, n):
     assert chains.size == n and bijections.cluster(chains, b) == back if b > 1 else chains == back
 
 
+def _tuple_makers():
+    """(maker, tree) for a tree in tuple form from each maker but the grower and decode."""
+    grown = grow.sample_tree(families.recursive(2), 200, 7)
+    kids, rng = trees._kids(grown.degrees), random.Random(7)
+    for below in kids:
+        rng.shuffle(below)
+    shuffled = trees._numbered_tree(2, grown.labels, kids, grown.size)
+    assert shuffled != grown
+    yield from (("oracle list", tree) for tree in enumeration.all_trees(2, 5))
+    yield "canonicalize", canonicalize(shuffled)
+    yield "from_doc", from_doc(to_doc(grown))
+    yield "BucketTree(b, root)", BucketTree(2, grown.root)
+    yield "cluster", bijections.cluster(grow.sample_tree(families.recursive(1), 200, 7), 3)
+    yield "expand_chains", bijections.expand_chains(grown)
+
+
+def test_a_tuple_tree_is_encoded_and_counted_from_its_tuples():
+    for maker, tree in _tuple_makers():
+        assert tree._arrays is None, maker
+        assert encode(tree) == _ref_encode(tree), maker
+        assert repr(census(tree)) == repr(_ref_census(tree)), maker
+        assert tree._arrays is None, maker
+
+
+def test_the_tuple_form_of_a_big_grown_tree_encodes_to_its_text():
+    grown = grow.sample_tree(families.port(3, 2), 10 ** 4, 3)
+    tupled = trees._flat_tree(3, grown.labels, grown.degrees, grown.size)
+    assert encode(tupled) == encode(grown)
+    assert repr(census(tupled)) == repr(census(grown))
+    assert tupled._arrays is None
+
+
+def test_a_deep_tuple_path_encodes_without_recursion():
+    tree = BucketTree(1, _path(DEPTH))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)  # no walk may recurse
+    try:
+        text, cen = encode(tree), census(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == _path_text(DEPTH) and cen.n_deg == {1: DEPTH - 1, 0: 1}
+    assert tree._arrays is None
+
+
 # sha256 over n = 1, 10, 10^3, 5*10^4 (seed n) of each grown tree's codec
 # string and census, as the node-based trees of the previous release gave them
 _RECORDED = {
