@@ -263,7 +263,8 @@ def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     n = _check_oracle(spec, n, max_n)
     trees, of_tree, signatures = _trees(spec.b, n)
     weights = list(_weights(spec, n, signatures).values())
-    items = [(tree, weights[s]) for tree, s in zip(trees, of_tree) if weights[s]]
+    nonzero = [w != 0 for w in weights]  # one test per signature, not per tree
+    items = [(tree, weights[s]) for tree, s in zip(trees, of_tree) if nonzero[s]]
     return WeightedTreeSet(spec, n, items)
 
 

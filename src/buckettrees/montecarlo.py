@@ -11,11 +11,13 @@ are floating-point inversions.
 The ball-count kernel makes one vectorized integer draw below the
 deterministic total per step and then only column-wise array work: the
 counts are kept as b - 1 cumulative-count columns, and the type drawn is
-the number of columns at or below the draw.  Draws are made in int32
-while the total is below 2**31, where numpy gives the same integers as in
-int64.  The root-degree kernel draws one exponential per root hit and
-jumps to the next hit through a hazard table, so it never steps the
-labels that miss the root.
+the number of columns at or below the draw.  Each column's move is linear
+in those compare bits, so a step gathers nothing: it is the compares and
+a few adds and multiplies into buffers made once.  Draws are made in
+int32 while the total is below 2**31, where numpy gives the same integers
+as in int64.  The root-degree kernel draws one exponential per root hit
+and jumps to the next hit through a hazard table, so it never steps the
+labels that miss the root; the table is rewritten in place each round.
 """
 
 from __future__ import annotations
@@ -36,25 +38,44 @@ def _ball_dynamics(spec: FamilySpec, n: int, size: int, rng) -> tuple:
 
     The state is b - 1 columns of cumulative counts q_0 + ... + q_k; the
     last one would be the deterministic total, so it is not kept.  A draw
-    u below the total picks the type sum_k [u >= cum_k], and drawing type
-    t adds row t of the cumulative replacement matrix to the columns.
-    Counts are rebuilt from the columns once, at the end.
+    u below the total sets the compare bits g_j = [u >= cum_j], and the
+    type drawn is t = sum_j g_j.  Drawing type t adds row t of the
+    cumulative replacement matrix to the columns, and as g_0 >= g_1 >= ...
+    that move is linear in the bits: column k gains rows[0][k] plus
+    g_j * (rows[j + 1][k] - rows[j][k]) for each j whose jump is nonzero,
+    at most three per column.  So a step is the draw, b - 1 compares and
+    a few whole-array adds and multiplies into buffers made once; the bits
+    are held as 0/1 in the draw's dtype, so no operation casts.  The type
+    is formed from the bits after the last step, and counts are rebuilt
+    from the columns once, at the end.
     """
     model = urns.build_urn(spec)
     _check_draw_bound(model.total(n), spec, f"at step {n}")
     dtype = _draw_dtype(model.total(n))
     gen = _as_rng(rng).generator
-    cum_rows = np.cumsum(model.replacement, axis=1, dtype=dtype).T
+    # in the columns' dtype: a coefficient past its range wraps, and the
+    # wrapped sums still leave each column exact
+    cum_rows = np.cumsum(model.replacement, axis=1, dtype=dtype)[:, :-1]
     cum = [np.full(size, c, dtype) for c in np.cumsum(model.initial)[:-1]]
-    drawn = -1
+    bits = [np.zeros(size, dtype) for _ in cum]
+    move = np.empty(size, dtype)
+    jumps = [[(bits[j], d) for j, d in enumerate(col) if d]
+             for col in np.diff(cum_rows, axis=0).T]
     for s in range(1, n):
         u = gen.integers(0, model.total(s), size=size, dtype=dtype)
-        drawn = sum(u >= c for c in cum)
-        for c, row in zip(cum, cum_rows):
-            c += row[drawn]
+        for c, g in zip(cum, bits):
+            np.greater_equal(u, c, out=g)
+        for c, base, terms in zip(cum, cum_rows[0], jumps):
+            c += base
+            for g, d in terms:
+                c += g if d == 1 else np.multiply(g, d, out=move)
+    drawn = sum(bits, np.zeros(size, np.int64)) if n > 1 else np.full(size, -1, np.int64)
     cum.append(np.full(size, model.total(n), dtype))
-    counts = np.diff(np.column_stack(cum).astype(np.int64), axis=1, prepend=0)
-    return counts, np.full(size, drawn, dtype=np.int64)
+    counts = np.empty((size, spec.b), np.int64)
+    counts[:, 0] = cum[0]
+    for k in range(1, spec.b):  # a count lies in [0, total], so the dtype holds it
+        np.subtract(cum[k], cum[k - 1], out=counts[:, k])
+    return counts, drawn
 
 
 def sample_K(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
@@ -112,7 +133,9 @@ def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
     function exp(-(H(t) - H(at))).  A copy whose next hit falls past
     step n - 1 keeps degree d.  The rounds end when no copy is live or
     w_d <= 0 (a full `ary` root).  The law is exact; only each gap is
-    inverted in double precision.
+    inverted in double precision.  The float totals T_s are built once
+    per call, and each round writes its H into one buffer in place, by
+    divide, log1p, negate and a left-to-right cumsum.
     """
     families.require_named(spec)
     if spec.b != 1:
@@ -125,12 +148,18 @@ def sample_root_degree(spec: FamilySpec, n: int, size: int, rng) -> np.ndarray:
         return deg
     live = np.arange(size)
     at = np.ones(size, dtype=np.int64)  # steps taken, the last one a hit
+    totals = gc.a * np.arange(n, dtype=np.float64) + gc.total_c  # T_s at index s
+    table = np.empty(n)  # H at index t, from index lo on
     d = 1
     while live.size and (w := gc.node_weight(1, d)) > 0:
         lo = int(at.min())
-        totals = gc.a * np.arange(lo + 1, n, dtype=np.float64) + gc.total_c
-        hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-w / totals))))
-        target = hazard[at - lo] + gen.standard_exponential(live.size)
+        hazard, terms = table[lo:], table[lo + 1:]
+        hazard[0] = 0.0
+        np.divide(-w, totals[lo + 1:], out=terms)
+        np.log1p(terms, out=terms)
+        np.negative(terms, out=terms)
+        np.cumsum(terms, out=terms)
+        target = table[at] + gen.standard_exponential(live.size)
         # sorted keys search several times faster; live follows the order
         order = np.argsort(target)
         live = live[order]

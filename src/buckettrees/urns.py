@@ -75,13 +75,16 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
 
     The totals are deterministic, so all `steps` integers are drawn in one
     call, giving the numbers a draw per step would; each type is then
-    picked from the running counts with Python ints.
+    picked from the running counts with Python ints.  A replacement row
+    has at most two nonzero entries, so each type's (index, delta) pairs
+    are listed once and a step changes only those counts.
     """
     steps = check_count(steps, "steps", 0)
     gc = model.coeffs
     _check_draw_bound(model.total(steps), model.spec, f"at step {steps}")
     totals = gc.a * np.arange(1, steps + 1, dtype=np.int64) + gc.total_c
     dtype = _draw_dtype(model.total(steps))
+    moves = [[(i, delta) for i, delta in enumerate(row) if delta] for row in model.replacement]
     q = list(model.initial)
     counts = [tuple(q)]
     draws = []
@@ -91,7 +94,7 @@ def simulate_urn(model: UrnModel, steps: int, rng) -> UrnTrajectory:
             u -= q[k]
             k += 1
         draws.append(k)
-        for i, delta in enumerate(model.replacement[k]):
+        for i, delta in moves[k]:
             q[i] += delta
         counts.append(tuple(q))
     return UrnTrajectory(draws, counts)

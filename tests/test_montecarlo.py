@@ -186,6 +186,7 @@ SEEDED_ONE_TYPE_KERNELS = {
     families.recursive(1): ("eaee55575a62ed39", "c3edd0d568462817"),
     families.ary(1, 3): ("fa7b25d7ca3143a2", "d102ed464a8b4b64"),
     families.port(1, 2): ("255d328b04657c13", "897bf130f4155592"),
+    families.port(1, 1): ("a06c03264af67a7a", "5692348d6c38879d"),
 }
 
 
@@ -236,8 +237,11 @@ def _per_step_simulate_urn(model, steps, stream):
     return draws, counts
 
 
+# b >= 5 reaches a fourth kernel column and a fifth urn type, which b <= 4 lacks
 IDENTITY_SPECS = verify.family_grid() + [families.recursive(4), families.ary(3, 4),
-                                         families.port(3, 2), families.port(2, Fraction(1, 2))]
+                                         families.port(3, 2), families.port(2, Fraction(1, 2)),
+                                         families.recursive(5), families.port(6, 2),
+                                         families.ary(8, 3)]
 # alpha + 1 = 10**6: the total 10**6 * n - 1 crosses 2**31 between n = 2147 and 2148
 WIDE = (families.port(2, 10**6 - 1), families.port(1, 10**6 - 1))
 

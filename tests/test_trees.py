@@ -541,7 +541,8 @@ def test_array_and_tuple_forms_agree_on_grown_trees(spec):
 def test_array_and_tuple_forms_agree_on_every_small_tree(b):
     for n in range(1, 7):
         for tree in enumeration.all_trees(b, n):
-            # a fresh tuple-form copy: the cached list's trees may hold arrays by now
+            # a fresh tuple-form copy with no check or view memoised; the cached
+            # list's trees are tuple trees too, and a tuple tree never gains arrays
             fresh = trees._flat_tree(b, tree.labels, tree.degrees, tree.size)
             _forms_agree([decode(_ref_encode(tree), b)], [fresh])
 
