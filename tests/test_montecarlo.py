@@ -220,6 +220,28 @@ def _per_step_root_degree(spec, n, size, stream):
     return deg
 
 
+def _rebuilt_root_degree(spec, n, size, stream):
+    """The waiting-time kernel with each round's hazard table summed afresh."""
+    gc = families.growth_coeffs(spec)
+    gen = stream.generator
+    deg = np.zeros(size, dtype=np.int64)
+    live, at = np.arange(size), np.ones(size, dtype=np.int64)
+    totals = gc.a * np.arange(n, dtype=np.float64) + gc.total_c
+    d = 1
+    while live.size and (w := gc.node_weight(1, d)) > 0:
+        lo = int(at.min())
+        hazard = np.concatenate([[0.0], np.cumsum(-np.log1p(-w / totals[lo + 1:]))])
+        target = hazard[at - lo] + gen.standard_exponential(live.size)
+        order = np.argsort(target)
+        live = live[order]
+        at = lo + np.searchsorted(hazard, target[order], side="right")
+        deg[live[at >= n]] = d
+        live, at = live[at < n], at[at < n]
+        d += 1
+    deg[live] = d
+    return deg
+
+
 def _per_step_simulate_urn(model, steps, stream):
     q = list(model.initial)
     counts = [tuple(q)]
@@ -286,6 +308,62 @@ def test_kernels_match_references_across_the_int32_bound(n):
     _assert_simulate_urn_identical(wide, n - 1)
 
 
+# port(b, 10**8) adds 10**8 + 1 per step: the total passes 2**32 at step 43,
+# where numpy and the kernel move from 32-bit words to 64-bit ones
+PAST_32_BITS = (families.port(2, 10**8), families.port(1, 10**8))
+
+
+@pytest.mark.parametrize("spec", PAST_32_BITS, ids=lambda s: s.describe())
+def test_kernels_match_references_past_32_bit_totals(spec):
+    model = urns.build_urn(spec)
+    assert model.total(42) < 2**32 < model.total(43)
+    _assert_ball_dynamics_identical(spec, 60, 50)
+    # a stream that holds a half word: the kernel reads it, and leaves the
+    # one numpy would
+    a, b = RngStream(11), RngStream(11)
+    for stream in (a, b):
+        stream.generator.integers(0, 7, size=3, dtype=np.int32)
+    assert a.generator.bit_generator.state["has_uint32"] == 1
+    (counts, last), (ref_counts, ref_last) = (montecarlo._ball_dynamics(spec, 60, 51, a),
+                                              _row_wise_ball_dynamics(spec, 60, 51, b))
+    assert a.generator.bit_generator.state == b.generator.bit_generator.state
+    assert np.array_equal(counts, ref_counts) and np.array_equal(last, ref_last)
+
+
+def _word_draws(gen, high, size, dtype):
+    """montecarlo._bounded_draws as the kernel calls it: held half word in, then out."""
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    out = np.empty(size, dtype)
+    held = montecarlo._bounded_draws(bitgen, high, out, np.empty(size + 1, "<u8"),
+                                     (state["has_uint32"], state["uinteger"]))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = held
+    bitgen.state = state
+    return out
+
+
+# 3 * 2**29 and 3 * 2**30 + 1 reject a quarter of the words; 2**32 takes them as they are
+WORD_HIGHS = [1, 2, 7, 3 * 2**29, 2**31 - 1, 3 * 2**30 + 1, 2**32]
+
+
+@pytest.mark.parametrize("used", [0, 2, 3], ids=lambda u: f"used{u}")
+@pytest.mark.parametrize("size", [0, 1, 7, 2 * 10**4])
+@pytest.mark.parametrize("high", WORD_HIGHS)
+def test_word_draws_are_numpys_bounded_integers(high, size, used):
+    # a numpy whose bounded draws take other words, or in another order, fails here
+    dtype = _draw_dtype(high)
+    a, b = RngStream(17).generator, RngStream(17).generator
+    for gen in (a, b):  # 3 used halves leave one held, 2 leave none but keep the last
+        gen.integers(0, 7, size=used, dtype=np.int32)
+    assert a.bit_generator.state["has_uint32"] == used % 2
+    for _ in range(2):  # and again from the state the first call left
+        draws = _word_draws(a, high, size, dtype)
+        ref = b.integers(0, high, size=size, dtype=dtype)
+        assert draws.dtype == ref.dtype and np.array_equal(draws, ref)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 @pytest.mark.parametrize("sampler", [montecarlo.sample_K, montecarlo.sample_urn_counts])
 def test_ball_dynamics_refuse_a_total_past_int64(sampler):
     # port(2, 10^17) adds about 10^17 per step, past 2^63 - 1 at step 100
@@ -305,7 +383,9 @@ ROOT_DEGREE_SPECS = [spec for spec in IDENTITY_SPECS if spec.b == 1] + [
     families.port(1, Fraction(1, 2))]
 
 
-@pytest.mark.parametrize("n", [3, 17, 150])
+# at n = 500 the port rules pass root degree 70, so most rounds read a kept
+# table shifted by many steps
+@pytest.mark.parametrize("n", [3, 17, 150, 500])
 @pytest.mark.parametrize("spec", ROOT_DEGREE_SPECS, ids=lambda s: s.describe())
 def test_root_degree_matches_exact_law(spec, n):
     samples = montecarlo.sample_root_degree(spec, n, 40000, RngStream(12))
@@ -329,6 +409,22 @@ def test_root_degree_edge_cases(spec):
     assert (a >= 1).all() and (a <= 149).all()
     if spec.kind == families.ARY:
         assert (a <= spec.d).all()
+
+
+# degrees a apart share a table up to a shift of bdeg steps: (a, bdeg) =
+# (1, 0) for recursive, (2, 1), (3, 1), (3, 2), (6, 1) and (4, 3) for the
+# ports; ary (bdeg < 0) and the wide port (a = 10**6, past the kept-table
+# budget) rebuild every table
+@pytest.mark.parametrize("spec", ROOT_DEGREE_SPECS + [families.port(1, 5),
+                                                      families.port(1, Fraction(1, 3)), WIDE[1]],
+                         ids=lambda s: s.describe())
+def test_root_degree_matches_a_kernel_that_rebuilds_every_table(spec):
+    # the kept tables differ from rebuilt ones by rounding near 1e-12, which
+    # moves no degree on these seeds
+    for n in (2, 500, 2200):
+        new, old = _same_draws(montecarlo.sample_root_degree, _rebuilt_root_degree,
+                               spec, n, 2000)
+        assert np.array_equal(new, old)
 
 
 def test_root_degree_matches_per_step_kernel_across_the_int32_bound():
