@@ -27,7 +27,11 @@ buckets and psi(capacity) over its unsaturated ones, so it depends only on
 the tree's node signature, the multiset of its (capacity, out-degree)
 pairs. The walk keeps the signature as one integer; each call forms one
 exact product per signature and sums exact weights once per (value,
-signature) pair.
+signature) pair. A family enters only through those weights, so the
+counted walk's tally of (value, signature) -> orderings is cached per
+(b, n, statistic name, argument), as the tree lists are per (b, n): each
+statistic is walked once per process and key, and every family with that
+b weighs the same tally with its own weights, formed per call.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from . import families
 from .families import FamilySpec, phi, psi, total_weight_closed
@@ -255,9 +259,15 @@ class WeightedTreeSet:
     items: list  # (BucketTree, Fraction weight), nonzero weights only
 
     def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.items), Fraction(0))
+        """The sum of the weights in `items`, in integers: each numerator
+        scaled to the lcm of the distinct denominators, then one division."""
+        weights = [w for _, w in self.items]
+        dens = [w.denominator for w in weights]
+        common = lcm(*set(dens))
+        return Fraction(sum(w.numerator * (common // d) for w, d in zip(weights, dens)), common)
 
 
+@_collector_paused
 def enumerate_trees(spec: FamilySpec, n: int, max_n=None) -> WeightedTreeSet:
     """All valid ordered trees of size n with their exact weights (zeros dropped)."""
     n = _check_oracle(spec, n, max_n)
@@ -375,19 +385,12 @@ def tree_statistic(tree: BucketTree, statistic: str) -> int:
     return _reader(walk, name, arg)(y)
 
 
-def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
-    """Exact distribution of a tree statistic by brute-force summation.
-
-    The walk visits every tree once up to sibling order and reads the
-    statistic from its flat state; the trees are tallied by (value,
-    signature), each with its count of orderings, so the exact weights are
-    summed once per pair. The statistics are invariant under reordering of
-    children, so summing ordered-model probabilities gives the
-    unordered-model distribution too.
-    """
-    n = _check_oracle(spec, n, max_n)
-    name, arg = _parse_statistic(statistic, spec.b, n)
-    walk = _Walk(spec.b, n)
+@lru_cache(maxsize=None)
+def _tally(b: int, n: int, name: str, arg: int) -> tuple:
+    """((value, signature), orderings) pairs of one statistic over every tree
+    on labels 1..n with bound b, in the order the counted walk first meets
+    each pair. No family enters: the same tally serves every b-family."""
+    walk = _Walk(b, n)
     value = _reader(walk, name, arg)
     tally: dict = {}
 
@@ -396,9 +399,27 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
         tally[slot] = tally.get(slot, 0) + count
 
     walk.run(visit, marked=arg if name == "Y" else 0)
-    weights = _weights(spec, n, {s for _, s in tally})
+    return tuple(tally.items())
+
+
+def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) -> Pmf:
+    """Exact distribution of a tree statistic by brute-force summation.
+
+    The walk visits every tree once up to sibling order and reads the
+    statistic from its flat state; the trees are tallied by (value,
+    signature), each with its count of orderings, so the exact weights are
+    summed once per pair. The tally holds no weight, so it is cached per
+    (b, n, statistic name, argument), a Y:j tally per j; each call checks
+    its arguments, then forms its family's weights of the cached tally's
+    signatures and sums them. The statistics are invariant under reordering
+    of children, so summing ordered-model probabilities gives the
+    unordered-model distribution too.
+    """
+    n = _check_oracle(spec, n, max_n)
+    tally = _tally(spec.b, n, *_parse_statistic(statistic, spec.b, n))
+    weights = _weights(spec, n, {s for (_, s), _ in tally})
     mass: dict = {}
-    for (v, s), count in tally.items():
+    for (v, s), count in tally:
         if weights[s]:
             mass[v] = mass.get(v, 0) + count * weights[s]
     total = sum(mass.values())
@@ -407,7 +428,8 @@ def exact_statistic_pmf(spec: FamilySpec, n: int, statistic: str, max_n=None) ->
 
 def expected_capacity_counts(spec: FamilySpec, n: int, max_n=None) -> dict:
     """Exact E[N_{n,k}] for k = 1..b under the random tree model: the means
-    of the N:k laws."""
+    of the N:k laws, whose tallies are cached per (b, n, k) and shared by
+    every family with that b, as for `exact_statistic_pmf`."""
     return {k: exact_statistic_pmf(spec, n, f"N:{k}", max_n).mean()
             for k in range(1, spec.b + 1)}
 

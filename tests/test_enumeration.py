@@ -181,6 +181,93 @@ def test_enumerate_rejects_linear():
         enumerate_trees(families.linear(2, 1, 0, 1), 3)
 
 
+def test_total_weight_sums_the_items_as_fractions_do():
+    for spec in verify.family_grid():
+        for n in range(1, 7):
+            ts = enumerate_trees(spec, n)
+            assert ts.total_weight() == sum((w for _, w in ts.items), Fraction(0))
+            ts.items.pop()  # the total reads the list as it stands
+            assert ts.total_weight() == sum((w for _, w in ts.items), Fraction(0)), \
+                (spec.describe(), n)
+    assert enumeration.WeightedTreeSet(families.recursive(1), 1, []).total_weight() == 0
+    # no denominator divides another
+    tree = all_trees(1, 1)[0]
+    items = [(tree, Fraction(1, 2)), (tree, Fraction(1, 3)), (tree, Fraction(2, 9))]
+    assert enumeration.WeightedTreeSet(families.recursive(1), 1, items).total_weight() \
+        == Fraction(19, 18)
+
+
+def _counted_runs(monkeypatch):
+    """A list that gets one entry per _Walk.run, with the tally cache emptied."""
+    runs = []
+    run = enumeration._Walk.run
+
+    def counted(walk, *args, **kwargs):
+        runs.append((walk.b, walk.n))
+        return run(walk, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration._Walk, "run", counted)
+    enumeration._tally.cache_clear()
+    return runs
+
+
+def test_families_with_one_bound_share_one_walk_per_statistic(monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    for statistic in ("K", "N:2"):
+        del runs[:]
+        for spec in (families.recursive(2), families.port(2, 1), families.ary(2, 3)):
+            exact_statistic_pmf(spec, 6, statistic)
+        assert runs == [(2, 6)], statistic
+    del runs[:]
+    expected_capacity_counts(families.port(2, 3), 6)  # N:2 is cached, N:1 is not
+    assert runs == [(2, 6)]
+    del runs[:]
+    exact_statistic_pmf(families.recursive(1), 6, "K")  # another b is another walk
+    assert runs == [(1, 6)]
+
+
+def test_each_descendant_label_is_its_own_walk(monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    spec = families.recursive(2)
+    for j in (2, 3, 2, 3):
+        exact_statistic_pmf(spec, 6, f"Y:{j}")
+    assert runs == [(2, 6), (2, 6)]
+
+
+def test_cached_tallies_give_the_pmfs_of_fresh_walks(monkeypatch):
+    cached = {}
+    for spec in verify.family_grid():
+        for n in range(1, 7):
+            for statistic, _ in _statistic_fns(spec.b, n):
+                exact_statistic_pmf(spec, n, statistic)  # the second call below is a hit
+                cached[spec, n, statistic] = exact_statistic_pmf(spec, n, statistic)
+    monkeypatch.setattr(enumeration, "_tally", enumeration._tally.__wrapped__)
+    for (spec, n, statistic), pmf in cached.items():
+        fresh = exact_statistic_pmf(spec, n, statistic)
+        assert list(pmf.mass.items()) == list(fresh.mass.items()), \
+            (spec.describe(), n, statistic)
+
+
+def test_a_cache_hit_checks_its_arguments_first():
+    spec = families.recursive(2)
+    exact_statistic_pmf(spec, 5, "K")
+    exact_statistic_pmf(spec, 5, "Y:2")
+    expected_capacity_counts(spec, 5)
+    for statistic in ("K", "Y:2"):
+        with pytest.raises(EnumerationBoundError):
+            exact_statistic_pmf(spec, 5, statistic, max_n=4)
+    with pytest.raises(EnumerationBoundError):
+        expected_capacity_counts(spec, 5, max_n=4)
+    with pytest.raises(ValueError, match="needs a named family, not 'linear'"):
+        exact_statistic_pmf(families.linear(2, 1, 0, 1), 5, "K")
+    with pytest.raises(ValueError, match="needs a named family, not 'linear'"):
+        expected_capacity_counts(families.linear(2, 1, 0, 1), 5)
+    with pytest.raises(ValueError, match="statistic 'K:2': K takes no argument"):
+        exact_statistic_pmf(spec, 5, "K:2")
+    with pytest.raises(ValueError, match="statistic 'Y:2.5': Y needs an integer argument"):
+        exact_statistic_pmf(spec, 5, "Y:2.5")
+
+
 def test_unordered_measure_on_a_deep_path():
     depth = 3000
     node = BucketNode((depth,))

@@ -763,7 +763,9 @@ def test_bulk_builds_and_the_validation_walk_pause_the_collector():
     calls = [(grower.build,), (decode, text, 2), (validate, tree),
              (trees._assemble, tree.labels, tree.degrees), (from_doc, to_doc(tree)),
              (to_doc, tree),
-             (enumeration._trees.__wrapped__, 1, 5)]
+             (enumeration._trees.__wrapped__, 1, 5),
+             (enumeration.enumerate_trees, families.port(1, 1), 6)]
+    enumeration._trees(1, 6)  # warm, so the call builds the weighted items alone
     starts = []
 
     def count(phase, info):
