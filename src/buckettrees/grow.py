@@ -2,21 +2,18 @@
 
 Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
 bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
-step draws one uniform integer below the total weight and resolves it to a
-node, by the path the coefficients choose: a uniform label when the weight
-is a*c; block arithmetic on the running totals when no weight ever falls
-(each label adds one block of weight units, owned by at most two nodes);
-half blocks when a full bucket loses one unit per child on deterministic
-totals (each block is cut in two halves of one owner each, and a child
-takes over the half that drew it, three list entries per label); and
-weight groups otherwise.  A label costs O(1) amortized time but in two
-cases: a rule with a < 0 < bdeg keeps one weight group per degree and
-scans them, and live blocks are found by bisection.  When bdeg + c == 0
-the totals are deterministic and every draw is made up front, so the
-block of every draw comes from one numpy divmod; otherwise each label is
-drawn against the live total, which also counts the nodes.  The
-resulting tree has exactly the distribution induced by the family's
-growth rule.
+step draws one uniform integer below the total weight.  When the weight is
+a*c, or no weight ever falls (`port`), the draw resolves to a pick, the
+label whose bucket it chose: its parent in the b = 1 tree.  One clustering
+loop puts each label in its pick's bucket while that has room, else in a
+new child of it, so a grown tree is the paper's clustering of the b = 1
+tree on the same draws, which at b = 1 needs no loop.  Half blocks serve a
+full bucket that loses one unit per child (`ary`), weight groups the other
+rules.  With bdeg + c == 0 the totals are deterministic, and all draws are
+made up front and resolved by numpy; else each label is drawn against the
+live total, which counts the nodes.  A label costs O(1) amortized time but
+for live blocks (bisection) and rules with a < 0 < bdeg (a scan over weight
+groups).  The tree has exactly the distribution of the family's growth rule.
 """
 
 from __future__ import annotations
@@ -115,9 +112,9 @@ class _Grower:
     parent (-1 at the root) and where[i] is the node holding label i + 1.
     Children are numbered in the order they are born, and build() lists the
     buckets in preorder, which is the form a BucketTree stores, from these
-    lists alone.  `path` names how a draw finds its node: "label", "block"
-    (owner, two entries per label), "cut" (owner and cut, three entries per
-    label, whatever d is) or "group"; each has its own loop.
+    lists alone.  `path` names how a draw finds its node: by a pick ("label"
+    or "block"), placed by one clustering loop or at b = 1 by none, or by a
+    loop of its own ("cut", three entries per label, or "group").
     """
 
     def __init__(self, spec: FamilySpec):
@@ -128,21 +125,20 @@ class _Grower:
         self.deg = [0]
         self.parent = [-1]
         self.where = [0]
+        self.totals = [0]  # T_0 .. T_j when the totals are live, bisected for blocks
         if gc.bdeg == gc.c == 0:
-            # weight a*c(v): u // a is a uniform label, where[] its node
+            # weight a*c(v): u // a is a uniform label, the pick
             self.path = "label"
         elif gc.a >= 0 and gc.bdeg >= 0:
             # Weights only ever increase, so the weight units can stay in the
-            # order they were added: placing label j + 1 adds the block
-            # [T_j, T_j+1) of units, T_j being the total before it.  Its
-            # first node_weight(1, 0) units belong to the node the label
-            # entered, owner[2j], and the rest to the node the draw chose,
-            # owner[2j + 1]; the two differ only when the label opens a child.
-            # The root's units [0, T_1) are block 0, all of them the root's.
-            # totals holds T_0 .. T_j when the totals are live.
+            # order they were added: label j + 1 adds the block [T_j, T_j+1),
+            # T_j being the total before it.  Its first node_weight(1, 0)
+            # units belong to the node label j + 1 entered and the rest to
+            # its pick's, so a draw in them picks label j + 1 or pick[j].
+            # The root's units [0, T_1) are block 0.  pick is an array when
+            # the totals are pre-drawn.
             self.path = "block"
-            self.owner = [0, 0]
-            self.totals = [0]
+            self.pick = [0] if gc.bdeg + gc.c else np.zeros(1, np.intp)
         elif gc.a > 0 and gc.bdeg == -1 and gc.c == 1:
             # A full bucket loses one unit per child and the totals are
             # deterministic (every ary rule).  Block 0 holds the root's
@@ -179,66 +175,91 @@ class _Grower:
     def grow(self, count: int, stream: RngStream) -> None:
         """Add `count` labels, each placed by one uniform integer below the total."""
         gc = self.gc
-        # looked up per call: a bound method kept on self would be a reference cycle
-        run = getattr(self, "_grow_by_" + self.path)
         if gc.bdeg + gc.c:
             # the total counts the nodes, which are random: draw label by label
-            live = self._live_blocks if self.path == "block" else self._live_draws
-            run(live(count, stream))
-            return
+            draws = self._live_draws(count, stream)
+            if self.path == "group":
+                return self._grow_by_group(draws)
+            picks = self._live_picks(draws)
+            return self._place(np.fromiter(picks, np.intp, count) if self.b == 1 else picks)
         if count == 0:
             return
-        # the totals are deterministic, so all draws can be made up front
-        top = count if gc.a > 0 else 1  # the largest total is the one before label top + 1
+        # the totals T_j before labels j + 1 = size + 1 .. size + count are
+        # deterministic, so all draws can be made up front; T_top is the largest
+        top = self.size + count - 1 if gc.a > 0 else self.size
         _check_draw_bound(gc.total(top), self.spec, f"before label {top + 1}")
-        totals = gc.a * np.arange(1, count + 1, dtype=np.int64) + gc.total_c
+        totals = gc.a * np.arange(self.size, self.size + count, dtype=np.int64) + gc.total_c
         stuck = np.flatnonzero(totals <= 0)
         if stuck.size:
-            self._stuck(int(stuck[0]) + 2)
+            self._stuck(self.size + int(stuck[0]) + 1, int(totals[stuck[0]]))
         # unsigned: u - total_c (total_c <= 0) and u + a - total_c below may pass 2^63 - 1
         draws = stream.generator.integers(0, totals).view(np.uint64)
         if self.path == "label":
-            draws //= gc.a
-        elif self.path == "block":
+            return self._place((draws // gc.a).astype(np.intp))
+        if self.path == "block":
             # T_j = a*j + total_c for j >= 1, so every block but the root's
             # holds a units, and u - total_c < a throughout the root's
             block, offset = np.divmod(draws + -gc.total_c, gc.a)
-            draws = 2 * block + (offset >= gc.node_weight(1, 0))
-        elif self.path == "cut":
+            return self._place(self._block_picks(block.astype(np.intp), offset))
+        if self.path == "cut":
             # u + a - total_c is block j's offset o at j*a + o
             block, offset = np.divmod(draws + (gc.a - gc.total_c), gc.a)
             for start in range(0, count, _CHUNK):
                 stop = start + _CHUNK
-                run(zip(block[start:stop].tolist(), offset[start:stop].tolist()))
+                self._grow_by_cut(zip(block[start:stop].tolist(), offset[start:stop].tolist()))
             return
         for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
-            run(draws[start:start + _CHUNK].tolist())
+            self._grow_by_group(draws[start:start + _CHUNK].tolist())
+
+    def _place(self, picks) -> None:
+        """Place the labels by their picks, then count each node's children.
+        At b = 1 every label opens a node, so the pick array is the parents;
+        otherwise the clustering loop runs, on an array _CHUNK picks at a time."""
+        if self.b == 1:
+            n = self.size + len(picks)
+            self.where, self.cap = list(range(n)), [1] * n
+            self.parent += picks.tolist()
+        elif isinstance(picks, np.ndarray):
+            for start in range(0, len(picks), _CHUNK):
+                self._cluster(picks[start:start + _CHUNK].tolist())
+        else:
+            self._cluster(picks)
+        self.deg = np.bincount(self.parent[1:], minlength=len(self.cap)).tolist()
+
+    def _block_picks(self, block: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """The picks of the next labels from their draws' blocks and offsets:
+        block j's label, or pick[j] past its first node_weight(1, 0) units.
+        One pick may copy another, so pointer jumping resolves all at once:
+        to[k] is k once k's pick is known, else a label whose pick k's equals."""
+        start = len(self.pick)
+        to = np.arange(start + len(block))
+        own = to[start:]  # a view: each spilled draw's label points to its block's
+        own -= (offset >= self.gc.node_weight(1, 0)) * (own - block)
+        while (to != (hop := to[to])).any():
+            to = hop
+        self.pick = np.concatenate((self.pick, block))[to]
+        return self.pick[start:]
 
     def _live_draws(self, count: int, stream: RngStream):
-        """One draw per label below the live total."""
-        gc, cap, where = self.gc, self.cap, self.where
-        for _ in range(count):
-            total = gc.total(len(where), len(cap))
+        """One draw per label below the live total; at b = 1 its nodes are its labels."""
+        gc, cap, totals, each = self.gc, self.cap, self.totals, self.b == 1
+        for n in range(self.size, self.size + count):
+            total = gc.total(n, n if each else len(cap))
             if not 0 < total < 2**63:
-                self._stuck(len(where) + 1)
+                self._stuck(n + 1, total)
+            totals.append(total)
             yield stream.integers(total)
 
-    def _live_blocks(self, count: int, stream: RngStream):
-        """The owner index of one draw per label below the live total, its
-        block found by bisection over the totals so far."""
-        gc, cap, where, totals = self.gc, self.cap, self.where, self.totals
-        fresh = gc.node_weight(1, 0)
-        for _ in range(count):
-            total = gc.total(len(where), len(cap))
-            if not 0 < total < 2**63:
-                self._stuck(len(where) + 1)
-            totals.append(total)
-            u = stream.integers(total)
+    def _live_picks(self, draws):
+        """The pick of each live draw, its block found by bisection over the totals so far."""
+        pick, totals, fresh = self.pick, self.totals, self.gc.node_weight(1, 0)
+        for u in draws:
             j = bisect_right(totals, u) - 1
-            yield 2 * j + (u - totals[j] >= fresh)
+            j = j if u - totals[j] < fresh else pick[j]
+            pick.append(j)
+            yield j
 
-    def _stuck(self, label: int):
-        total = self.gc.total(label - 1, len(self.cap))  # at most 0, or past the draw bound
+    def _stuck(self, label: int, total: int):
         _check_draw_bound(total, self.spec, f"before label {label}")
         raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
                          f"before label {label}: no bucket can attract it")
@@ -246,9 +267,10 @@ class _Grower:
     # Each selection path has its own loop with the state in local names, so
     # a label costs a few list operations and no method call.
 
-    def _grow_by_label(self, picks) -> None:
-        cap, deg, parent, where = self.cap, self.deg, self.parent, self.where
-        b = self.b
+    def _cluster(self, picks) -> None:
+        """Put each label in its pick's bucket while that has room, else in a
+        new child of it; `_place` counts the children."""
+        cap, parent, where, b = self.cap, self.parent, self.where, self.b
         for i in picks:
             v = where[i]
             c = cap[v]
@@ -258,30 +280,7 @@ class _Grower:
             else:
                 where.append(len(cap))
                 cap.append(1)
-                deg.append(0)
                 parent.append(v)
-                deg[v] += 1
-
-    def _grow_by_block(self, picks) -> None:
-        cap, deg, parent, where, owner = self.cap, self.deg, self.parent, self.where, self.owner
-        b = self.b
-        for i in picks:
-            v = owner[i]
-            c = cap[v]
-            if c < b:
-                cap[v] = c + 1
-                where.append(v)
-                owner.append(v)
-                owner.append(v)
-            else:
-                child = len(cap)
-                where.append(child)
-                cap.append(1)
-                deg.append(0)
-                parent.append(v)
-                deg[v] += 1
-                owner.append(child)
-                owner.append(v)
 
     def _grow_by_cut(self, picks) -> None:
         cap, deg, parent, where, owner, cut = (self.cap, self.deg, self.parent, self.where,

@@ -1,12 +1,14 @@
 """Growth sampler: exact attraction probabilities and sampled distributions."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from buckettrees import dist_desc, dist_k, families, gof, grow
+from buckettrees.bijections import cluster
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
 from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
@@ -87,6 +89,17 @@ STREAM_DIGESTS = {
     families.ary(2, 3): (
         "5a34fcd32f073137f24795bfcf33ab5a67c92d86eca82c4305518c3ac44166c4",
         "f258d0587767d57d844710b2635e2d90a0c19add182b553554d212e92a305ca9"),
+    # b = 1: label, pre-drawn block and live block picks placed without the
+    # clustering loop; recorded while the loop still placed them
+    families.recursive(1): (
+        "c30dbc6c2282e3968d8e7632ec7846dda92ee2e8f68bd44ead3bfa981c4b9e28",
+        "a1e0d3a0d18ef2576fbea8cb5bddb6475817492685a191a8a6b6ab1d51042150"),
+    families.port(1, 1): (
+        "134865411b061e36681056ed649713aaf8c8120f9459f82b0734f3c4352f0604",
+        "a70dca9a8e1d8930a9e9ab85203a14a4e2cfdd5d9a9b8bf6411e8f8c91d59ec3"),
+    families.linear(1, 0, 2, Fraction(1, 2)): (
+        "e873dab5645147c6d6ab627e513a0b06edb9cded5b951aa6d2da5605ee731e90",
+        "989bf06e00602e1c38ec4fb1e3f0fc1984260ae35fca324c59440c11c5c1462c"),
 }
 
 
@@ -247,6 +260,37 @@ def test_a_total_weight_just_below_int64_grows_the_recorded_tree():
     assert sample_census(spec, 93, 0).n_deg == {7: 1, 1: 33, 4: 6, 0: 41, 2: 8, 3: 4}
 
 
+def _python_picks(spec, seed: int, *counts: int) -> list:
+    """The picks of the labels a pre-drawn rule places by grow() calls of
+    these counts on one stream, resolved in Python ints from the same draws:
+    u // a on the label path; on the block path block j of the unit
+    u - total_c = j*a + o, or pick[j] once o passes its first
+    node_weight(1, 0) units."""
+    gc, gen, first, draws = families.growth_coeffs(spec), RngStream(seed).generator, 1, []
+    for count in filter(None, counts):
+        totals = gc.a * np.arange(first, first + count, dtype=np.int64) + gc.total_c
+        draws += gen.integers(0, totals).tolist()
+        first += count
+    if gc.bdeg == gc.c == 0:
+        return [u // gc.a for u in draws]
+    picks, fresh = [0], gc.node_weight(1, 0)
+    for u in draws:
+        j, o = divmod(u - gc.total_c, gc.a)
+        picks.append(j if o < fresh else picks[j])
+    return picks[1:]
+
+
+def _clustered(spec, picks) -> tuple:
+    """(cap, deg, parent, where) after the clustering loop places labels 2, 3,
+    ... by these picks, each node's children counted from the parents."""
+    ref = grow._Grower(spec)
+    ref._cluster(picks)
+    deg = [0] * len(ref.cap)
+    for p in ref.parent[1:]:
+        deg[p] += 1
+    return ref.cap, deg, ref.parent, ref.where
+
+
 @pytest.mark.parametrize("spec, n, seed", [
     (families.ary(2, 10 ** 17), 93, 26),  # half blocks: u + a - total_c
     (families.linear(2, 10 ** 17, 10 ** 17 - 1, 1), 94, 59),  # blocks: u - total_c
@@ -257,17 +301,18 @@ def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
     gc = families.growth_coeffs(spec)
     totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c
     draws = RngStream(seed).generator.integers(0, totals).tolist()
-    ref = grow._Grower(spec)
-    if ref.path == "cut":
-        assert max(draws) + gc.a - gc.total_c > 2 ** 63 - 1
-        ref._grow_by_cut(divmod(u + gc.a - gc.total_c, gc.a) for u in draws)
-    else:
-        assert ref.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
-        fresh = gc.node_weight(1, 0)
-        ref._grow_by_block(2 * ((u - gc.total_c) // gc.a) + ((u - gc.total_c) % gc.a >= fresh)
-                           for u in draws)
     g = _grown(spec, n, seed)
-    assert (g.cap, g.deg, g.parent, g.where) == (ref.cap, ref.deg, ref.parent, ref.where)
+    if g.path == "cut":
+        assert max(draws) + gc.a - gc.total_c > 2 ** 63 - 1
+        ref = grow._Grower(spec)
+        ref._grow_by_cut(divmod(u + gc.a - gc.total_c, gc.a) for u in draws)
+        state = (ref.cap, ref.deg, ref.parent, ref.where)
+    else:
+        assert g.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
+        picks = _python_picks(spec, seed, n - 1)
+        assert g.pick.tolist() == [0] + picks
+        state = _clustered(spec, picks)
+    assert (g.cap, g.deg, g.parent, g.where) == state
 
 
 LINEAR_RULES = [
@@ -285,19 +330,20 @@ LINEAR_RULES = [
 
 def _units_owned(g) -> list:
     """How many of the weight units below the total each node owns, when
-    every unit is resolved through g.owner.
+    every unit is resolved through g.pick and g.where.
 
     Placing label j + 1 adds the units [T_j, T_j+1), T_j = gc.total(j, nodes
     after j labels) and T_0 = 0; the first node_weight(1, 0) units of that
-    block are owner[2j]'s and the rest owner[2j + 1]'s.
+    block are the node of label j + 1's, where[j], and the rest the node of
+    its pick's, where[pick[j]].
     """
     gc = g.gc
     nodes = np.maximum.accumulate(g.where) + 1  # after labels 1 .. j
     starts = np.array([0] + [gc.total(j, int(nodes[j - 1])) for j in range(1, g.size + 1)])
     units = np.arange(starts[-1])
     block = np.searchsorted(starts, units, side="right") - 1
-    at = 2 * block + (units - starts[block] >= gc.node_weight(1, 0))
-    return np.bincount(np.array(g.owner)[at], minlength=len(g.cap)).tolist()
+    label = np.where(units - starts[block] >= gc.node_weight(1, 0), np.array(g.pick)[block], block)
+    return np.bincount(np.array(g.where)[label], minlength=len(g.cap)).tolist()
 
 
 def _units_owned_by_cut(g) -> list:
@@ -328,7 +374,7 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
         assert total == gc.total(n, nodes) == sum(weights)
         assert min(weights) >= 0
         if g.path == "block":
-            assert len(g.owner) == 2 * n
+            assert len(g.pick) == n
             assert _units_owned(g) == weights
         elif g.path == "cut":
             # three entries per label, block 0 being the root's total_c units
@@ -338,6 +384,73 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
                        for v, (c, d) in enumerate(zip(g.cap, g.deg)))
+
+
+CLUSTERED_RULES = ([families.recursive(b) for b in (2, 3, 5)]
+                   + [families.port(b, alpha) for b in (2, 3, 5)
+                      for alpha in (1, 2, Fraction(1, 2), 3)])
+
+
+@pytest.mark.parametrize("spec", CLUSTERED_RULES, ids=lambda s: s.describe())
+def test_grown_trees_are_the_clustering_of_their_b1_trees(spec):
+    """The grower places each label by its pick, the label whose bucket its
+    draw chose, which is its parent in the b = 1 tree grown from the same
+    draws; so a grown tree is the paper's clustering of that b = 1 tree.
+
+    `ary` is left out: its half blocks hand weight units to the children a
+    full bucket opens, so its draws do not resolve to b = 1 parents.  On
+    b in {2, 3, 5}, n in {10, 60, 500, 3000} and two seeds, d = 2 matched
+    24 of 24 cases, d = 3 only 5 and d = 4 only 3.
+    """
+    one = replace(spec, b=1)
+    for n in (2, 3, 9, 60, 500, 3000):
+        for seed in (0, 1, 2):
+            assert sample_tree(spec, n, seed) == canonicalize(
+                cluster(sample_tree(one, n, seed), spec.b)), (n, seed)
+
+
+@pytest.mark.parametrize("spec, top", [
+    (families.recursive(1), 4000),  # label picks
+    (families.port(1, 1), 4000),  # pre-drawn block picks
+    (families.port(1, Fraction(1, 2)), 4000),
+    (families.port(1, 10 ** 17), 93),  # unit offsets past 2^63 - 1
+    (families.linear(1, 0, 2, Fraction(1, 2)), 4000),  # live block picks
+    (families.linear(1, 1, 1, 1), 4000),
+], ids=lambda x: x.describe() if isinstance(x, families.FamilySpec) else str(x))
+def test_b1_trees_place_their_picks_without_the_clustering_loop(spec, top):
+    """At b = 1 every label opens a bucket under its pick, so the grower
+    places all picks at once; the clustering loop on the same picks gives the
+    same state.  On a pre-drawn rule the picks are resolved again from the
+    draws in Python ints, on a live one read from the grower."""
+    for seed, n in enumerate((1, 2, 7, 60, top)):
+        g = _grown(spec, n, seed)
+        picks = g.pick[1:] if spec.kind == "linear" else _python_picks(spec, seed, n - 1)
+        assert g.parent[1:] == list(picks)
+        assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
+
+
+@pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(2),
+                                  families.port(1, 1), families.port(2, 1),
+                                  families.linear(1, 0, 2, Fraction(1, 2)),
+                                  families.linear(2, 1, 1, 1)], ids=lambda s: s.describe())
+def test_a_grower_grown_twice_places_every_pick(spec):
+    """A second grow() call draws below the totals after the first and
+    resolves its draws against the first call's picks and state: the state
+    is the clustering loop's over all picks.  On a pre-drawn rule the picks
+    are resolved again in Python ints, on a live one read from the grower."""
+    g, stream = grow._Grower(spec), RngStream(7)
+    g.grow(300, stream)
+    g.grow(700, stream)
+    if spec.kind == "linear":
+        nodes = np.maximum.accumulate(g.where) + 1  # after labels 1 .. j
+        assert g.totals == [0] + [g.gc.total(j, int(nodes[j - 1])) for j in range(1, 1001)]
+        picks = g.pick[1:]
+    else:
+        picks = _python_picks(spec, 7, 300, 700)
+        assert g.path == "label" or g.pick.tolist() == [0] + picks
+    assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
+    if g.path == "block":
+        assert _units_owned(g) == list(map(g.gc.node_weight, g.cap, g.deg))
 
 
 # one named rule per selection path: label table, weight blocks, half blocks
