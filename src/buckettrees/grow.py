@@ -7,13 +7,14 @@ a*c, or no weight ever falls (`port`), the draw resolves to a pick, the
 label whose bucket it chose: its parent in the b = 1 tree.  One clustering
 loop puts each label in its pick's bucket while that has room, else in a
 new child of it, so a grown tree is the paper's clustering of the b = 1
-tree on the same draws, which at b = 1 needs no loop.  Half blocks serve a
-full bucket that loses one unit per child (`ary`), weight groups the other
-rules.  With bdeg + c == 0 the totals are deterministic, and all draws are
-made up front and resolved by numpy; else each label is drawn against the
-live total, which counts the nodes.  A label costs O(1) amortized time but
-for live blocks (bisection) and rules with a < 0 < bdeg (a scan over weight
-groups).  The tree has exactly the distribution of the family's growth rule.
+tree on the same draws; pre-drawn b = 1 picks need no loop, being the
+parents.  Half blocks serve a full bucket that loses one unit per child
+(`ary`), weight groups the other rules.  With bdeg + c == 0 the totals are
+deterministic, and all draws are made up front and resolved by numpy; else
+each label is drawn against the live total, which counts the nodes.  A
+label costs O(1) amortized time but for live blocks (bisection) and rules
+with a < 0 < bdeg (a scan over weight groups).  The tree has exactly the
+distribution of the family's growth rule.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class _Grower:
     Children are numbered in the order they are born, and build() lists the
     buckets in preorder, which is the form a BucketTree stores, from these
     lists alone.  `path` names how a draw finds its node: by a pick ("label"
-    or "block"), placed by one clustering loop or at b = 1 by none, or by a
-    loop of its own ("cut", three entries per label, or "group").
+    or "block") and one clustering loop, none when pre-drawn at b = 1, or by
+    a loop of its own ("cut", three entries per label, or "group").
     """
 
     def __init__(self, spec: FamilySpec):
@@ -180,8 +181,7 @@ class _Grower:
             draws = self._live_draws(count, stream)
             if self.path == "group":
                 return self._grow_by_group(draws)
-            picks = self._live_picks(draws)
-            return self._place(np.fromiter(picks, np.intp, count) if self.b == 1 else picks)
+            return self._place(self._live_picks(draws))
         if count == 0:
             return
         # the totals T_j before labels j + 1 = size + 1 .. size + count are
@@ -213,17 +213,18 @@ class _Grower:
 
     def _place(self, picks) -> None:
         """Place the labels by their picks, then count each node's children.
-        At b = 1 every label opens a node, so the pick array is the parents;
-        otherwise the clustering loop runs, on an array _CHUNK picks at a time."""
-        if self.b == 1:
+        Live picks run through the clustering loop as they are drawn.  At b = 1
+        every label opens a node, so a pre-drawn pick array is the parents;
+        otherwise the loop runs on it _CHUNK picks at a time."""
+        if not isinstance(picks, np.ndarray):
+            self._cluster(picks)
+        elif self.b == 1:
             n = self.size + len(picks)
             self.where, self.cap = list(range(n)), [1] * n
             self.parent += picks.tolist()
-        elif isinstance(picks, np.ndarray):
+        else:
             for start in range(0, len(picks), _CHUNK):
                 self._cluster(picks[start:start + _CHUNK].tolist())
-        else:
-            self._cluster(picks)
         self.deg = np.bincount(self.parent[1:], minlength=len(self.cap)).tolist()
 
     def _block_picks(self, block: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -241,10 +242,10 @@ class _Grower:
         return self.pick[start:]
 
     def _live_draws(self, count: int, stream: RngStream):
-        """One draw per label below the live total; at b = 1 its nodes are its labels."""
-        gc, cap, totals, each = self.gc, self.cap, self.totals, self.b == 1
+        """One draw per label below the live total."""
+        gc, cap, totals = self.gc, self.cap, self.totals
         for n in range(self.size, self.size + count):
-            total = gc.total(n, n if each else len(cap))
+            total = gc.total(n, len(cap))
             if not 0 < total < 2**63:
                 self._stuck(n + 1, total)
             totals.append(total)
