@@ -3,18 +3,18 @@
 Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
 bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
 step draws one uniform integer below the total weight.  When the weight is
-a*c, or no weight ever falls (`port`), the draw resolves to a pick, the
-label whose bucket it chose: its parent in the b = 1 tree.  One clustering
-loop puts each label in its pick's bucket while that has room, else in a
-new child of it, so a grown tree is the paper's clustering of the b = 1
-tree on the same draws; pre-drawn b = 1 picks need no loop, being the
-parents.  Half blocks serve a full bucket that loses one unit per child
-(`ary`), weight groups the other rules.  With bdeg + c == 0 the totals are
-deterministic, and all draws are made up front and resolved by numpy; else
-each label is drawn against the live total, which counts the nodes.  A
-label costs O(1) amortized time but for live blocks (bisection) and rules
-with a < 0 < bdeg (a scan over weight groups).  The tree has exactly the
-distribution of the family's growth rule.
+a*c, no weight ever falls (`port`), or a full bucket loses one unit per
+child (`ary`), the draw resolves to a pick, the label whose bucket it
+chose: its parent in the b = 1 tree.  One clustering loop puts each label
+in its pick's bucket while that has room, else in a new child of it, so a
+grown tree is the paper's clustering of the b = 1 tree on the same draws;
+pre-drawn b = 1 picks need no loop, being the parents.  Weight groups serve
+the other rules.  With bdeg + c == 0 the totals are deterministic, and all
+draws are made up front and resolved by numpy; else each label is drawn
+against the live total, which counts the nodes.  A label costs O(1)
+amortized time but for live blocks (bisection), slot picks (one sort) and
+rules with a < 0 < bdeg (a scan over weight groups).  The tree has exactly
+the distribution of the family's growth rule.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class _Grower:
     parent (-1 at the root) and where[i] is the node holding label i + 1.
     Children are numbered in the order they are born, and build() lists the
     buckets in preorder, which is the form a BucketTree stores, from these
-    lists alone.  `path` names how a draw finds its node: by a pick ("label"
-    or "block") and one clustering loop, none when pre-drawn at b = 1, or by
-    a loop of its own ("cut", three entries per label, or "group").
+    lists alone.  `path` names how a draw finds its node: by a pick ("label",
+    "block" or "slot") and one clustering loop, none when pre-drawn at
+    b = 1, or by the weight groups' own loop ("group").
     """
 
     def __init__(self, spec: FamilySpec):
@@ -141,19 +141,14 @@ class _Grower:
             self.path = "block"
             self.pick = [0] if gc.bdeg + gc.c else np.zeros(1, np.intp)
         elif gc.a > 0 and gc.bdeg == -1 and gc.c == 1:
-            # A full bucket loses one unit per child and the totals are
-            # deterministic (every ary rule).  Block 0 holds the root's
-            # total_c units and label j adds block j of a units.  A block's
-            # units are the offsets [0, a), block 0's the last total_c of
-            # them; those below cut[j] belong to owner[2j] and the rest to
-            # owner[2j + 1].  A label entering v adds a block all v's.  A
-            # full bucket v that opens a child hands it the whole half, of h
-            # units, that drew it and the first fresh - h units of the new
-            # block, and keeps the other h - 1: v loses one unit, the child
-            # holds fresh = node_weight(1, 0) and every half has one owner.
-            self.path = "cut"
-            self.owner = [0, 0, 0, 0]
-            self.cut = [gc.a - gc.total_c, gc.a]
+            # Each node of the b = 1 tree holds a + 1 slots (every ary rule),
+            # and the totals are deterministic.  A new label takes over the
+            # unit its draw landed on and the a fresh units of its block
+            # [T_j, T_j+1); the root's are [0, T_1).  So a draw picks the
+            # last label to draw the same unit, else the block's label.
+            # units[k] is the draw of label k + 2.
+            self.path = "slot"
+            self.units = np.zeros(0, np.int64)
         else:
             # Only the rules no block layout can grow come here: a < 0,
             # bdeg < -1, or bdeg = -1 with live totals or with a = 0.
@@ -192,22 +187,17 @@ class _Grower:
         stuck = np.flatnonzero(totals <= 0)
         if stuck.size:
             self._stuck(self.size + int(stuck[0]) + 1, int(totals[stuck[0]]))
-        # unsigned: u - total_c (total_c <= 0) and u + a - total_c below may pass 2^63 - 1
-        draws = stream.generator.integers(0, totals).view(np.uint64)
+        draws = stream.generator.integers(0, totals)
         if self.path == "label":
             return self._place((draws // gc.a).astype(np.intp))
         if self.path == "block":
             # T_j = a*j + total_c for j >= 1, so every block but the root's
-            # holds a units, and u - total_c < a throughout the root's
-            block, offset = np.divmod(draws + -gc.total_c, gc.a)
+            # holds a units, and u - total_c < a throughout the root's;
+            # unsigned, as u - total_c (total_c <= 0) may pass 2^63 - 1
+            block, offset = np.divmod(draws.view(np.uint64) + -gc.total_c, gc.a)
             return self._place(self._block_picks(block.astype(np.intp), offset))
-        if self.path == "cut":
-            # u + a - total_c is block j's offset o at j*a + o
-            block, offset = np.divmod(draws + (gc.a - gc.total_c), gc.a)
-            for start in range(0, count, _CHUNK):
-                stop = start + _CHUNK
-                self._grow_by_cut(zip(block[start:stop].tolist(), offset[start:stop].tolist()))
-            return
+        if self.path == "slot":
+            return self._place(self._slot_picks(draws))
         for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
             self._grow_by_group(draws[start:start + _CHUNK].tolist())
 
@@ -241,6 +231,19 @@ class _Grower:
         self.pick = np.concatenate((self.pick, block))[to]
         return self.pick[start:]
 
+    def _slot_picks(self, draws: np.ndarray) -> np.ndarray:
+        """The picks of the next labels from their draws: the last earlier
+        label whose draw took the same unit, else the label of the unit's
+        block, (u - total_c) // a past the root's.  One stable sort over every
+        draw so far lists each unit's draws in label order."""
+        start = len(self.units)
+        units = self.units = np.concatenate((self.units, draws))
+        picks = np.maximum(units - self.gc.total_c, 0) // self.gc.a
+        order = np.argsort(units, kind="stable")
+        again = np.flatnonzero(units[order[1:]] == units[order[:-1]])
+        picks[order[again + 1]] = order[again] + 1
+        return picks[start:].astype(np.intp, copy=False)
+
     def _live_draws(self, count: int, stream: RngStream):
         """One draw per label below the live total."""
         gc, cap, totals = self.gc, self.cap, self.totals
@@ -265,8 +268,8 @@ class _Grower:
         raise ValueError(f"growth rule {self.spec.describe()} has total weight 0 "
                          f"before label {label}: no bucket can attract it")
 
-    # Each selection path has its own loop with the state in local names, so
-    # a label costs a few list operations and no method call.
+    # Both placement loops keep the state in local names, so a label costs a
+    # few list operations and no method call.
 
     def _cluster(self, picks) -> None:
         """Put each label in its pick's bucket while that has room, else in a
@@ -282,38 +285,6 @@ class _Grower:
                 where.append(len(cap))
                 cap.append(1)
                 parent.append(v)
-
-    def _grow_by_cut(self, picks) -> None:
-        cap, deg, parent, where, owner, cut = (self.cap, self.deg, self.parent, self.where,
-                                               self.owner, self.cut)
-        a, b = self.gc.a, self.b
-        fresh = self.gc.node_weight(1, 0)
-        for j, o in picks:
-            h = cut[j]
-            if o < h:
-                i = 2 * j
-            else:
-                i = 2 * j + 1
-                h = a - h
-            v = owner[i]
-            c = cap[v]
-            if c < b:
-                cap[v] = c + 1
-                where.append(v)
-                owner.append(v)
-                owner.append(v)
-                cut.append(a)
-            else:
-                child = len(cap)
-                owner[i] = child
-                where.append(child)
-                cap.append(1)
-                deg.append(0)
-                parent.append(v)
-                deg[v] += 1
-                owner.append(child)
-                owner.append(v)
-                cut.append(fresh - h)
 
     def _grow_by_group(self, draws) -> None:
         cap, deg, parent, where = self.cap, self.deg, self.parent, self.where

@@ -489,12 +489,14 @@ def test_the_maps_and_the_doc_codec_build_no_node(monkeypatch):
 # codec and attraction probabilities that the preorder loops replaced; the
 # `grown` lines were recorded again from the output of the attraction
 # probabilities that named each bucket by its child-index path, with each
-# path replaced by the preorder index of its parent, and once more when the
-# ary rules moved to the half-block grower, whose seeded ary trees differ
+# path replaced by the preorder index of its parent, once more when the
+# ary rules moved to the half-block grower, whose seeded ary trees differ,
+# and again when they moved from half blocks to slot picks, which change
+# the seeded ary trees with d >= 3
 RECORDED_DIGESTS = {
     "diamonds": (1338, "c03d053613f9b9c52d7001a92ecda19d2ed71ec8c248a5ddadfe1f2be9404a76"),
     "bundled": (59947, "9efa53405d6e79930a67caa1df08c7708fa911047f5584984915c9afc39d0905"),
-    "grown": (432, "d3ae8f62ebfe56d27a8bbc62e152a85b9e21430297bcc68bd5bc126e3ed905da"),
+    "grown": (432, "1fde612c0986d23dded6a6615b1ba9271d09bdf17ad180ffa82ec29b05a2a3b3"),
 }
 
 

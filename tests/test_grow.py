@@ -54,12 +54,13 @@ def test_sampling_is_deterministic_given_seed():
     assert a.root != c.root
 
 
-# Seeded trees as the growth sampler draws them; each selection path (label
-# table, weight blocks, half blocks) keeps its node order, so the streams
-# stay fixed.
+# Seeded trees as the growth sampler draws them; each selection path (label,
+# block and slot picks) keeps its node order, so the streams stay fixed.
+# ary(1, 3) was recorded again when the ary rules moved from half blocks to
+# slot picks, whose seeded trees differ for d >= 3.
 SEEDED_TREES = {
     families.recursive(2): "{1,2}({3,6}({9}),{4,5}({7},{8},{11},{13,14}),{10},{12})",
-    families.ary(1, 3): "{1}({2}({3}({4}({6},{7}({14})),{9}),{5}({10}({12}({13})),{11}),{8}))",
+    families.ary(1, 3): "{1}({2}({3}({4}({7}({14})),{6},{9}),{5}({8},{10}({12}({13}))),{11}))",
     families.ary(2, 2): "{1,2}({3,4}({6},{7,10}({12,13},{14}),{9}),{5,8},{11})",
     families.port(2, 1): "{1,2}({3,12},{4,5}({8}),{6,11}({13,14}),{7},{9},{10})",
 }
@@ -86,9 +87,10 @@ STREAM_DIGESTS = {
     families.linear(2, 1, 1, 1): (
         "5d9eca4dee9ea75338580b15b65abe6b500e912336db1b4b49ec26c33c8e0113",
         "b6395f30822376ce94f27ec5604997f62a2a6f598c3a0fd815c73877ea84f4cb"),
+    # recorded again when the ary rules moved from half blocks to slot picks
     families.ary(2, 3): (
-        "5a34fcd32f073137f24795bfcf33ab5a67c92d86eca82c4305518c3ac44166c4",
-        "f258d0587767d57d844710b2635e2d90a0c19add182b553554d212e92a305ca9"),
+        "6ca51d02e1390a670ee27440adf80e822ed0dfcce2a4a06104b71ccb0a5d8a33",
+        "abf318737e3a76b4c59122fbb1ffce9e5c4e952a577f555ce554a7e7343ac0ce"),
     # b = 1: label, pre-drawn block and live block picks placed without the
     # clustering loop; recorded while the loop still placed them
     families.recursive(1): (
@@ -151,8 +153,9 @@ SHAPE_SIZES = {
     families.linear(2, 1, 1, 1): 5,  # weight blocks, live total
     families.linear(2, 1, Fraction(-2, 3), 1): 6,  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3): 6,  # groups without end, live total
-    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: half blocks
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)): 5,  # m = a - beta: slot picks
     families.linear(2, 1, -2, 3): 6,  # m = a - beta: groups, pre-drawn
+    families.ary(3, 4): 6,
 }
 
 
@@ -265,7 +268,8 @@ def _python_picks(spec, seed: int, *counts: int) -> list:
     these counts on one stream, resolved in Python ints from the same draws:
     u // a on the label path; on the block path block j of the unit
     u - total_c = j*a + o, or pick[j] once o passes its first
-    node_weight(1, 0) units."""
+    node_weight(1, 0) units; on the slot path the last label to draw unit
+    u, else the label of its block, max((u - total_c) // a, 0)."""
     gc, gen, first, draws = families.growth_coeffs(spec), RngStream(seed).generator, 1, []
     for count in filter(None, counts):
         totals = gc.a * np.arange(first, first + count, dtype=np.int64) + gc.total_c
@@ -273,6 +277,12 @@ def _python_picks(spec, seed: int, *counts: int) -> list:
         first += count
     if gc.bdeg == gc.c == 0:
         return [u // gc.a for u in draws]
+    if gc.bdeg == -1:
+        picks, last = [], {}
+        for label, u in enumerate(draws, start=1):
+            picks.append(last.get(u, max(u - gc.total_c, 0) // gc.a))
+            last[u] = label
+        return picks
     picks, fresh = [0], gc.node_weight(1, 0)
     for u in draws:
         j, o = divmod(u - gc.total_c, gc.a)
@@ -292,27 +302,24 @@ def _clustered(spec, picks) -> tuple:
 
 
 @pytest.mark.parametrize("spec, n, seed", [
-    (families.ary(2, 10 ** 17), 93, 26),  # half blocks: u + a - total_c
+    (families.ary(2, 10 ** 17), 93, 26),  # slot picks: u + a would pass it
     (families.linear(2, 10 ** 17, 10 ** 17 - 1, 1), 94, 59),  # blocks: u - total_c
 ])
 def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
-    # the largest total fits int64, but the unit offset of a draw near it does
-    # not: the grower must resolve it as Python ints do
+    # the largest total fits int64, but a unit offset or block end near it
+    # does not: the grower must resolve the draws as Python ints do
     gc = families.growth_coeffs(spec)
     totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c
     draws = RngStream(seed).generator.integers(0, totals).tolist()
     g = _grown(spec, n, seed)
-    if g.path == "cut":
-        assert max(draws) + gc.a - gc.total_c > 2 ** 63 - 1
-        ref = grow._Grower(spec)
-        ref._grow_by_cut(divmod(u + gc.a - gc.total_c, gc.a) for u in draws)
-        state = (ref.cap, ref.deg, ref.parent, ref.where)
+    picks = _python_picks(spec, seed, n - 1)
+    if g.path == "slot":
+        assert max(draws) + gc.a > 2 ** 63 - 1 and g.units.tolist() == draws
+        assert grow._Grower(spec)._slot_picks(np.array(draws)).tolist() == picks
     else:
         assert g.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
-        picks = _python_picks(spec, seed, n - 1)
         assert g.pick.tolist() == [0] + picks
-        state = _clustered(spec, picks)
-    assert (g.cap, g.deg, g.parent, g.where) == state
+    assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
 
 
 LINEAR_RULES = [
@@ -322,7 +329,7 @@ LINEAR_RULES = [
     families.linear(2, 1, Fraction(-2, 3), 1),  # groups ending at weight 0, live total
     families.linear(3, -1, 1, 3),  # groups without end (a < 0 < beta), live total
     families.linear(2, -1, 0, 2),  # groups without end (a < 0, beta = 0), live total
-    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)),  # half blocks: ary(2, 3)'s rule
+    families.linear(2, 1, Fraction(-1, 2), Fraction(3, 2)),  # slot picks: ary(2, 3)'s rule
     families.linear(2, 1, -2, 3),  # groups, pre-drawn (two units lost per child)
     families.linear(2, 1, 0, 1),  # label table, pre-drawn
 ]
@@ -346,17 +353,18 @@ def _units_owned(g) -> list:
     return np.bincount(np.array(g.where)[label], minlength=len(g.cap)).tolist()
 
 
-def _units_owned_by_cut(g) -> list:
+def _units_owned_by_slot(g) -> list:
     """How many of the weight units below the total each node owns, when
-    every unit is resolved through g.owner and g.cut.
+    every unit is resolved through the kept draws g.units and g.where.
 
-    Unit u is offset o of block j, j*a + o = u + a - total_c; it is
-    owner[2j]'s when o < cut[j] and owner[2j + 1]'s otherwise.
+    Unit u is the last label's to draw it, else its block's label,
+    max((u - total_c) // a, 0).
     """
     gc = g.gc
-    block, offset = np.divmod(np.arange(gc.total(g.size)) + gc.a - gc.total_c, gc.a)
-    at = 2 * block + (offset >= np.array(g.cut)[block])
-    return np.bincount(np.array(g.owner)[at], minlength=len(g.cap)).tolist()
+    owner = (np.maximum(np.arange(gc.total(g.size)) - gc.total_c, 0) // gc.a).tolist()
+    for label, u in enumerate(g.units.tolist(), start=1):
+        owner[u] = label
+    return np.bincount(np.array(g.where)[owner], minlength=len(g.cap)).tolist()
 
 
 @pytest.mark.parametrize("spec", LINEAR_RULES + [families.ary(1, 2), families.ary(1, 3),
@@ -376,10 +384,10 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
         if g.path == "block":
             assert len(g.pick) == n
             assert _units_owned(g) == weights
-        elif g.path == "cut":
-            # three entries per label, block 0 being the root's total_c units
-            assert len(g.owner) == 2 * len(g.cut) == 2 * (n + 1)
-            assert _units_owned_by_cut(g) == weights
+        elif g.path == "slot":
+            # one kept draw per label but the root
+            assert len(g.units) == n - 1
+            assert _units_owned_by_slot(g) == weights
         elif g.path == "group":
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
@@ -388,7 +396,8 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
 
 CLUSTERED_RULES = ([families.recursive(b) for b in (2, 3, 5)]
                    + [families.port(b, alpha) for b in (2, 3, 5)
-                      for alpha in (1, 2, Fraction(1, 2), 3)])
+                      for alpha in (1, 2, Fraction(1, 2), 3)]
+                   + [families.ary(b, d) for b in (2, 3, 5) for d in (2, 3, 4)])
 
 
 @pytest.mark.parametrize("spec", CLUSTERED_RULES, ids=lambda s: s.describe())
@@ -396,11 +405,6 @@ def test_grown_trees_are_the_clustering_of_their_b1_trees(spec):
     """The grower places each label by its pick, the label whose bucket its
     draw chose, which is its parent in the b = 1 tree grown from the same
     draws; so a grown tree is the paper's clustering of that b = 1 tree.
-
-    `ary` is left out: its half blocks hand weight units to the children a
-    full bucket opens, so its draws do not resolve to b = 1 parents.  On
-    b in {2, 3, 5}, n in {10, 60, 500, 3000} and two seeds, d = 2 matched
-    24 of 24 cases, d = 3 only 5 and d = 4 only 3.
     """
     one = replace(spec, b=1)
     for n in (2, 3, 9, 60, 500, 3000):
@@ -414,6 +418,8 @@ def test_grown_trees_are_the_clustering_of_their_b1_trees(spec):
     (families.port(1, 1), 4000),  # pre-drawn block picks
     (families.port(1, Fraction(1, 2)), 4000),
     (families.port(1, 10 ** 17), 93),  # unit offsets past 2^63 - 1
+    (families.ary(1, 3), 4000),  # slot picks
+    (families.ary(1, 10 ** 17), 93),  # slot picks near 2^63 - 1
     (families.linear(1, 0, 2, Fraction(1, 2)), 4000),  # live block picks
     (families.linear(1, 1, 1, 1), 4000),
 ], ids=lambda x: x.describe() if isinstance(x, families.FamilySpec) else str(x))
@@ -431,6 +437,7 @@ def test_b1_trees_place_their_picks_without_the_clustering_loop(spec, top):
 
 @pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(2),
                                   families.port(1, 1), families.port(2, 1),
+                                  families.ary(1, 3), families.ary(2, 3),
                                   families.linear(1, 0, 2, Fraction(1, 2)),
                                   families.linear(2, 1, 1, 1)], ids=lambda s: s.describe())
 def test_a_grower_grown_twice_places_every_pick(spec):
@@ -447,13 +454,13 @@ def test_a_grower_grown_twice_places_every_pick(spec):
         picks = g.pick[1:]
     else:
         picks = _python_picks(spec, 7, 300, 700)
-        assert g.path == "label" or g.pick.tolist() == [0] + picks
+        assert g.path != "block" or g.pick.tolist() == [0] + picks
     assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
     if g.path == "block":
         assert _units_owned(g) == list(map(g.gc.node_weight, g.cap, g.deg))
 
 
-# one named rule per selection path: label table, weight blocks, half blocks
+# one named rule per selection path: label, block and slot picks
 K_LAW_RULES = [families.recursive(2), families.port(2, 1), families.ary(2, 3)]
 
 
@@ -478,8 +485,8 @@ X_LAW_SIZES = {families.ary(1, 3): 60, families.ary(2, 2): 40}
 @pytest.mark.parametrize("spec", list(X_LAW_SIZES), ids=lambda s: s.describe())
 def test_grown_root_degree_follows_the_exact_law(spec):
     """Chi-square of X_{n,1}, the root's out-degree, read from the grower's
-    flat lists, against pmf_X; the half-block path moves a unit of the
-    root's at every child it opens, so a wrong move shows here."""
+    flat lists, against pmf_X; each child the root opens takes one of its
+    slots, so a wrong slot pick shows here."""
     n, trees = X_LAW_SIZES[spec], 4000
     stream = RngStream(1031)
     samples = [_grown(spec, n, stream.child(i)).deg[0] for i in range(trees)]
