@@ -8,13 +8,15 @@ child (`ary`), the draw resolves to a pick, the label whose bucket it
 chose: its parent in the b = 1 tree.  One clustering loop puts each label
 in its pick's bucket while that has room, else in a new child of it, so a
 grown tree is the paper's clustering of the b = 1 tree on the same draws;
-pre-drawn b = 1 picks need no loop, being the parents.  Weight groups serve
-the other rules.  With bdeg + c == 0 the totals are deterministic, and all
-draws are made up front and resolved by numpy; else each label is drawn
-against the live total, which counts the nodes.  A label costs O(1)
-amortized time but for live blocks (bisection), slot picks (one sort) and
-rules with a < 0 < bdeg (a scan over weight groups).  The tree has exactly
-the distribution of the family's growth rule.
+pre-drawn b = 1 picks need no loop: they are the parents, kept as one
+array.  Weight groups serve the other rules.  With bdeg + c == 0 the totals
+are deterministic, and all draws are made up front and resolved by numpy;
+else each label is drawn against the live total, which counts the nodes.  A
+label costs O(1) amortized time but for live blocks (bisection), slot picks
+(one sort) and rules with a < 0 < bdeg (a scan over weight groups).  The
+loops keep their state in Python lists; each list becomes an array once,
+when build() or the census reads it, and children are counted only then.
+The tree has exactly the distribution of the family's growth rule.
 """
 
 from __future__ import annotations
@@ -109,13 +111,16 @@ _CHUNK = 1 << 13
 class _Grower:
     """Mutable growth state in flat per-node and per-label lists.
 
-    Node v holds cap[v] labels and has deg[v] children; parent[v] is its
-    parent (-1 at the root) and where[i] is the node holding label i + 1.
-    Children are numbered in the order they are born, and build() lists the
-    buckets in preorder, which is the form a BucketTree stores, from these
-    lists alone.  `path` names how a draw finds its node: by a pick ("label",
-    "block" or "slot") and one clustering loop, none when pre-drawn at
-    b = 1, or by the weight groups' own loop ("group").
+    Node v holds cap[v] labels; parent[v] is its parent (-1 at the root) and
+    where[i] is the node holding label i + 1.  At b = 1 where is the identity
+    and every cap 1, so pre-drawn picks join parent as an array and leave
+    cap and where unset.  Children are numbered in the order they are born;
+    only the weight groups count them as they go.  `arrays()` and
+    `label_nodes()` hand the state over as arrays, from which build() lists
+    the buckets in preorder, the form a BucketTree stores.  `path` names how
+    a draw finds its node: by a pick ("label", "block" or "slot") and one
+    clustering loop, none when pre-drawn at b = 1, or by the weight groups'
+    own loop ("group").
     """
 
     def __init__(self, spec: FamilySpec):
@@ -123,7 +128,6 @@ class _Grower:
         self.b = spec.b
         self.gc = gc = families.growth_coeffs(spec)
         self.cap = [1]
-        self.deg = [0]
         self.parent = [-1]
         self.where = [0]
         self.totals = [0]  # T_0 .. T_j when the totals are live, bisected for blocks
@@ -160,13 +164,14 @@ class _Grower:
             # node of weight 0 is never drawn again, so it stays in the last
             # group it reached.  pos[v] is v's index in its group.
             self.path = "group"
+            self.deg = [0]
             self.groups = [[0]]
             self.table = [(gc.node_weight(1, 0), self.groups[0])]
             self.pos = [0]
 
     @property
     def size(self) -> int:
-        return len(self.where)
+        return len(self.parent) if self.b == 1 else len(self.where)
 
     def grow(self, count: int, stream: RngStream) -> None:
         """Add `count` labels, each placed by one uniform integer below the total."""
@@ -202,20 +207,18 @@ class _Grower:
             self._grow_by_group(draws[start:start + _CHUNK].tolist())
 
     def _place(self, picks) -> None:
-        """Place the labels by their picks, then count each node's children.
-        Live picks run through the clustering loop as they are drawn.  At b = 1
-        every label opens a node, so a pre-drawn pick array is the parents;
-        otherwise the loop runs on it _CHUNK picks at a time."""
+        """Place the labels by their picks.  Live picks run through the
+        clustering loop as they are drawn.  At b = 1 every label opens a
+        node, so a pre-drawn pick array is the parents and joins the parent
+        array as it is; otherwise the loop runs on it _CHUNK picks at a time."""
         if not isinstance(picks, np.ndarray):
             self._cluster(picks)
         elif self.b == 1:
-            n = self.size + len(picks)
-            self.where, self.cap = list(range(n)), [1] * n
-            self.parent += picks.tolist()
+            self.parent = np.concatenate((self.parent, picks))
+            self.cap = self.where = None
         else:
             for start in range(0, len(picks), _CHUNK):
                 self._cluster(picks[start:start + _CHUNK].tolist())
-        self.deg = np.bincount(self.parent[1:], minlength=len(self.cap)).tolist()
 
     def _block_picks(self, block: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """The picks of the next labels from their draws' blocks and offsets:
@@ -245,13 +248,15 @@ class _Grower:
         return picks[start:].astype(np.intp, copy=False)
 
     def _live_draws(self, count: int, stream: RngStream):
-        """One draw per label below the live total."""
-        gc, cap, totals = self.gc, self.cap, self.totals
+        """One draw per label below the live total; the block path keeps
+        each total for `_live_picks` to bisect."""
+        gc, cap, totals, block = self.gc, self.cap, self.totals, self.path == "block"
         for n in range(self.size, self.size + count):
             total = gc.total(n, len(cap))
             if not 0 < total < 2**63:
                 self._stuck(n + 1, total)
-            totals.append(total)
+            if block:
+                totals.append(total)
             yield stream.integers(total)
 
     def _live_picks(self, draws):
@@ -273,7 +278,7 @@ class _Grower:
 
     def _cluster(self, picks) -> None:
         """Put each label in its pick's bucket while that has room, else in a
-        new child of it; `_place` counts the children."""
+        new child of it."""
         cap, parent, where, b = self.cap, self.parent, self.where, self.b
         for i in picks:
             v = where[i]
@@ -328,6 +333,17 @@ class _Grower:
                 pos.append(len(first))
                 first.append(child)
 
+    def arrays(self) -> tuple:
+        """(parent, cap, deg) as intp arrays, deg counted from parent."""
+        parent = np.asarray(self.parent, dtype=np.intp)
+        nodes = len(parent)
+        cap = np.ones(nodes, np.intp) if self.b == 1 else np.array(self.cap, dtype=np.intp)
+        return parent, cap, np.bincount(parent[1:], minlength=nodes)
+
+    def label_nodes(self) -> np.ndarray:
+        """where as an intp array."""
+        return np.arange(self.size) if self.b == 1 else np.array(self.where, dtype=np.intp)
+
     def build(self) -> BucketTree:
         """The grown tree, its buckets listed in preorder.
 
@@ -337,33 +353,37 @@ class _Grower:
         The labels, read in order and sorted stably by their bucket's
         position, are the preorder's labels, cut per bucket.
         """
-        parent, cap, n = self.parent, self.cap, self.size
-        nodes = len(cap)
+        parent, cap, deg = self.arrays()
+        n, nodes = self.size, len(parent)
+        # the passes read a list: pre-drawn b = 1 parents are an array
+        up = parent.tolist() if isinstance(self.parent, np.ndarray) else self.parent
         size = [1] * nodes
         # the iterator reads size[v] once every child of v has added its own
-        for p, s in zip(islice(reversed(parent), nodes - 1), reversed(size)):
+        for p, s in zip(islice(reversed(up), nodes - 1), reversed(size)):
             size[p] += s
-        # the next free position in each bucket's subtree, which ends at
-        # pos[v] + size[v] once all of v's children have taken theirs
-        after = [1] * nodes
-        for v, p, s in zip(range(1, nodes), islice(parent, 1, None), islice(size, 1, None)):
-            at = after[p]
-            after[p] = at + s
-            after[v] = at + 1
-        pos = np.array(after, dtype=np.intp) - np.array(size, dtype=np.intp)
+        # pos[v] is v's preorder position; once the pass has read v's subtree
+        # size, size[v] holds the next free position in that subtree instead
+        pos = [0] * nodes
+        size[0] = 1  # the root's subtree size is never read
+        for v, p, s in zip(range(1, nodes), islice(up, 1, None), islice(size, 1, None)):
+            at = pos[v] = size[p]
+            size[p] = at + s
+            size[v] = at + 1
+        pos = np.array(pos, dtype=np.intp)
         # the labels in preorder: a stable argsort of pos[where], as one sort
         # of distinct keys
-        keys = pos[np.array(self.where, dtype=np.intp)] * n + np.arange(n)
+        keys = pos[self.label_nodes()] * n + np.arange(n)
         flat = np.sort(keys) % n + 1
         caps = np.empty(nodes, dtype=np.intp)
         caps[pos] = cap
         degrees = np.empty(nodes, dtype=np.intp)
-        degrees[pos] = self.deg
+        degrees[pos] = deg
         # valid and canonical by construction (children in the order they opened)
         return _array_tree(self.b, flat, caps, degrees, True, True)
 
     def census(self) -> NodeCensus:
-        return _census(self.b, self.size, self.cap, self.deg)
+        _, cap, deg = self.arrays()
+        return _census(self.b, self.size, cap, deg)
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:

@@ -413,8 +413,9 @@ def check_conservation(level: str, seed: int) -> str:
         tree_stream = child.child(1)
         for r, size in enumerate(sizes):
             g = grow._grown(spec, int(size), tree_stream)
-            a, bdeg, c = gc.a, gc.bdeg, gc.c
-            total = a * sum(g.cap) + bdeg * sum(g.deg) + c * len(g.cap)
+            _, cap, deg = g.arrays()
+            # numpy sums the counts; the coefficients multiply as Python ints
+            total = gc.a * int(cap.sum()) + gc.bdeg * int(deg.sum()) + gc.c * len(cap)
             _need(total == gc.total(g.size),
                   f"{spec.describe()} size={size}: node weights sum to {total}, "
                   f"not {gc.total(g.size)}")

@@ -301,6 +301,12 @@ def _clustered(spec, picks) -> tuple:
     return ref.cap, deg, ref.parent, ref.where
 
 
+def _state(g) -> tuple:
+    """(cap, deg, parent, where) of a grower as lists, read through its accessors."""
+    parent, cap, deg = g.arrays()
+    return cap.tolist(), deg.tolist(), parent.tolist(), g.label_nodes().tolist()
+
+
 @pytest.mark.parametrize("spec, n, seed", [
     (families.ary(2, 10 ** 17), 93, 26),  # slot picks: u + a would pass it
     (families.linear(2, 10 ** 17, 10 ** 17 - 1, 1), 94, 59),  # blocks: u - total_c
@@ -319,7 +325,7 @@ def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
     else:
         assert g.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
         assert g.pick.tolist() == [0] + picks
-    assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
+    assert _state(g) == _clustered(spec, picks)
 
 
 LINEAR_RULES = [
@@ -337,25 +343,25 @@ LINEAR_RULES = [
 
 def _units_owned(g) -> list:
     """How many of the weight units below the total each node owns, when
-    every unit is resolved through g.pick and g.where.
+    every unit is resolved through g.pick and the label nodes.
 
     Placing label j + 1 adds the units [T_j, T_j+1), T_j = gc.total(j, nodes
     after j labels) and T_0 = 0; the first node_weight(1, 0) units of that
     block are the node of label j + 1's, where[j], and the rest the node of
     its pick's, where[pick[j]].
     """
-    gc = g.gc
-    nodes = np.maximum.accumulate(g.where) + 1  # after labels 1 .. j
+    gc, where = g.gc, g.label_nodes()
+    nodes = np.maximum.accumulate(where) + 1  # after labels 1 .. j
     starts = np.array([0] + [gc.total(j, int(nodes[j - 1])) for j in range(1, g.size + 1)])
     units = np.arange(starts[-1])
     block = np.searchsorted(starts, units, side="right") - 1
     label = np.where(units - starts[block] >= gc.node_weight(1, 0), np.array(g.pick)[block], block)
-    return np.bincount(np.array(g.where)[label], minlength=len(g.cap)).tolist()
+    return np.bincount(where[label], minlength=nodes[-1]).tolist()
 
 
 def _units_owned_by_slot(g) -> list:
     """How many of the weight units below the total each node owns, when
-    every unit is resolved through the kept draws g.units and g.where.
+    every unit is resolved through the kept draws g.units and the label nodes.
 
     Unit u is the last label's to draw it, else its block's label,
     max((u - total_c) // a, 0).
@@ -364,7 +370,7 @@ def _units_owned_by_slot(g) -> list:
     owner = (np.maximum(np.arange(gc.total(g.size)) - gc.total_c, 0) // gc.a).tolist()
     for label, u in enumerate(g.units.tolist(), start=1):
         owner[u] = label
-    return np.bincount(np.array(g.where)[owner], minlength=len(g.cap)).tolist()
+    return np.bincount(g.label_nodes()[owner], minlength=len(g.arrays()[0])).tolist()
 
 
 @pytest.mark.parametrize("spec", LINEAR_RULES + [families.ary(1, 2), families.ary(1, 3),
@@ -376,9 +382,10 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
     gc = families.growth_coeffs(spec)
     for seed, n in enumerate((1, 2, 7, 60, 500, 4000)):
         g = _grown(spec, n, seed)
-        nodes = len(g.cap)
-        weights = list(map(gc.node_weight, g.cap, g.deg))
-        total = gc.a * sum(g.cap) + gc.bdeg * sum(g.deg) + gc.c * nodes
+        cap, deg, _, _ = _state(g)
+        nodes = len(cap)
+        weights = list(map(gc.node_weight, cap, deg))
+        total = gc.a * sum(cap) + gc.bdeg * sum(deg) + gc.c * nodes
         assert total == gc.total(n, nodes) == sum(weights)
         assert min(weights) >= 0
         if g.path == "block":
@@ -389,9 +396,10 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
             assert len(g.units) == n - 1
             assert _units_owned_by_slot(g) == weights
         elif g.path == "group":
+            assert g.totals == [0]  # a live total is kept only for bisection
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
-                       for v, (c, d) in enumerate(zip(g.cap, g.deg)))
+                       for v, (c, d) in enumerate(zip(cap, deg)))
 
 
 CLUSTERED_RULES = ([families.recursive(b) for b in (2, 3, 5)]
@@ -431,8 +439,8 @@ def test_b1_trees_place_their_picks_without_the_clustering_loop(spec, top):
     for seed, n in enumerate((1, 2, 7, 60, top)):
         g = _grown(spec, n, seed)
         picks = g.pick[1:] if spec.kind == "linear" else _python_picks(spec, seed, n - 1)
-        assert g.parent[1:] == list(picks)
-        assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
+        assert g.arrays()[0][1:].tolist() == list(picks)
+        assert _state(g) == _clustered(spec, picks)
 
 
 @pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(2),
@@ -449,15 +457,48 @@ def test_a_grower_grown_twice_places_every_pick(spec):
     g.grow(300, stream)
     g.grow(700, stream)
     if spec.kind == "linear":
-        nodes = np.maximum.accumulate(g.where) + 1  # after labels 1 .. j
+        nodes = np.maximum.accumulate(g.label_nodes()) + 1  # after labels 1 .. j
         assert g.totals == [0] + [g.gc.total(j, int(nodes[j - 1])) for j in range(1, 1001)]
         picks = g.pick[1:]
     else:
         picks = _python_picks(spec, 7, 300, 700)
         assert g.path != "block" or g.pick.tolist() == [0] + picks
-    assert (g.cap, g.deg, g.parent, g.where) == _clustered(spec, picks)
+    assert _state(g) == _clustered(spec, picks)
     if g.path == "block":
-        assert _units_owned(g) == list(map(g.gc.node_weight, g.cap, g.deg))
+        cap, deg, _, _ = _state(g)
+        assert _units_owned(g) == list(map(g.gc.node_weight, cap, deg))
+
+
+ACCESSOR_RULES = [
+    families.recursive(1), families.recursive(2),  # label picks
+    families.port(1, 1), families.port(2, 1),  # pre-drawn block picks
+    families.ary(1, 3), families.ary(2, 3),  # slot picks
+    families.linear(1, 0, 2, Fraction(1, 2)), families.linear(2, 1, 1, 1),  # live block picks
+    families.linear(1, 1, Fraction(-1, 2), 1),  # groups, live total
+    families.linear(2, 1, Fraction(-2, 3), 1),
+    families.linear(1, 2, -2, 4), families.linear(2, 1, -2, 3),  # groups, pre-drawn
+]
+
+
+@pytest.mark.parametrize("spec", ACCESSOR_RULES, ids=lambda s: s.describe())
+def test_the_accessors_hand_over_the_grown_state(spec):
+    """arrays() and label_nodes() give intp arrays equal to the list
+    reference, grown once and twice: the clustering loop's state over the
+    picks (resolved again in Python ints when pre-drawn, read from the
+    grower when live), or the weight groups' own lists, which at b = 1 the
+    accessors do not read."""
+    for counts, seed in (((0,), 1), ((999,), 3), ((300, 700), 7)):
+        g, stream = grow._Grower(spec), RngStream(seed)
+        for count in counts:
+            g.grow(count, stream)
+        assert [a.dtype for a in (*g.arrays(), g.label_nodes())] == [np.intp] * 4
+        if g.path == "group":
+            reference = g.cap, g.deg, g.parent, g.where
+        elif g.gc.bdeg + g.gc.c:
+            reference = _clustered(spec, g.pick[1:])
+        else:
+            reference = _clustered(spec, _python_picks(spec, seed, *counts))
+        assert _state(g) == reference, counts
 
 
 # one named rule per selection path: label, block and slot picks
@@ -467,14 +508,14 @@ K_LAW_RULES = [families.recursive(2), families.port(2, 1), families.ary(2, 3)]
 @pytest.mark.parametrize("spec", K_LAW_RULES, ids=lambda s: s.describe())
 def test_grown_K_n_follows_the_exact_law(spec):
     """Chi-square of K_n, the capacity of the bucket holding label n, read
-    from the grower's flat lists, against pmf_K_exact; the significance
+    through the grower's accessors, against pmf_K_exact; the significance
     level is split over the rules."""
     n, trees = 1000, 1000
     stream = RngStream(1021)
     samples = []
     for i in range(trees):
         g = _grown(spec, n, stream.child(i))
-        samples.append(g.cap[g.where[n - 1]])
+        samples.append(int(g.arrays()[1][g.label_nodes()[n - 1]]))
     report = gof.chi_square(samples, dist_k.pmf_K_exact(spec, n))
     assert report.passed(SIGNIFICANCE / len(K_LAW_RULES)), str(report)
 
@@ -484,12 +525,12 @@ X_LAW_SIZES = {families.ary(1, 3): 60, families.ary(2, 2): 40}
 
 @pytest.mark.parametrize("spec", list(X_LAW_SIZES), ids=lambda s: s.describe())
 def test_grown_root_degree_follows_the_exact_law(spec):
-    """Chi-square of X_{n,1}, the root's out-degree, read from the grower's
-    flat lists, against pmf_X; each child the root opens takes one of its
-    slots, so a wrong slot pick shows here."""
+    """Chi-square of X_{n,1}, the root's out-degree, read through the
+    grower's accessors, against pmf_X; each child the root opens takes one
+    of its slots, so a wrong slot pick shows here."""
     n, trees = X_LAW_SIZES[spec], 4000
     stream = RngStream(1031)
-    samples = [_grown(spec, n, stream.child(i)).deg[0] for i in range(trees)]
+    samples = [int(_grown(spec, n, stream.child(i)).arrays()[2][0]) for i in range(trees)]
     report = gof.chi_square(samples, dist_desc.pmf_X(spec, n, 1))
     assert report.passed(SIGNIFICANCE / len(X_LAW_SIZES)), str(report)
 
@@ -509,11 +550,12 @@ def test_grown_trees_come_out_marked_valid_and_sized(spec):
         assert tree._valid and tree.size == n
         assert validate(tree) == []
         assert BucketTree(tree.b, tree.root).size == n
-        held = [[] for _ in g.cap]
-        for label, v in enumerate(g.where, start=1):
+        cap, _, parent, where = _state(g)
+        held = [[] for _ in cap]
+        for label, v in enumerate(where, start=1):
             held[v].append(label)
-        kids = [[] for _ in g.cap]
-        for v in range(1, len(g.cap)):
-            kids[g.parent[v]].append(v)
+        kids = [[] for _ in cap]
+        for v in range(1, len(cap)):
+            kids[parent[v]].append(v)
         reference = _numbered_tree(g.b, list(map(tuple, held)), kids, n)
         assert (tree.labels, tree.degrees) == (reference.labels, reference.degrees)

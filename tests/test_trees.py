@@ -492,12 +492,13 @@ def _tuples_built(tree):
 
 def _ref_build(grower):
     """The grown tree in tuple form, from per-bucket label and child lists."""
-    held = [[] for _ in grower.cap]
-    for label, v in enumerate(grower.where, start=1):
+    parent = grower.arrays()[0].tolist()
+    held = [[] for _ in parent]
+    for label, v in enumerate(grower.label_nodes().tolist(), start=1):
         held[v].append(label)
-    kids = [[] for _ in grower.cap]
-    for v in range(1, len(grower.cap)):
-        kids[grower.parent[v]].append(v)
+    kids = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        kids[parent[v]].append(v)
     return trees._numbered_tree(grower.b, list(map(tuple, held)), kids, grower.size)
 
 
