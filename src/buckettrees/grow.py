@@ -16,7 +16,9 @@ label costs O(1) amortized time but for live blocks (bisection), slot picks
 (one sort) and rules with a < 0 < bdeg (a scan over weight groups).  The
 loops keep their state in Python lists; each list becomes an array once,
 when build() or the census reads it, and children are counted only then.
-The tree has exactly the distribution of the family's growth rule.
+build() orders the buckets by numpy passes alone, in O(log depth) rounds of
+ancestor doubling.  The tree has exactly the distribution of the family's
+growth rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -117,7 +118,8 @@ class _Grower:
     cap and where unset.  Children are numbered in the order they are born;
     only the weight groups count them as they go.  `arrays()` and
     `label_nodes()` hand the state over as arrays, from which build() lists
-    the buckets in preorder, the form a BucketTree stores.  `path` names how
+    the buckets in preorder, the form a BucketTree stores, with no Python
+    loop over nodes or labels.  `path` names how
     a draw finds its node: by a pick ("label", "block" or "slot") and one
     clustering loop, none when pre-drawn at b = 1, or by the weight groups'
     own loop ("group").
@@ -237,13 +239,19 @@ class _Grower:
     def _slot_picks(self, draws: np.ndarray) -> np.ndarray:
         """The picks of the next labels from their draws: the last earlier
         label whose draw took the same unit, else the label of the unit's
-        block, (u - total_c) // a past the root's.  One stable sort over every
-        draw so far lists each unit's draws in label order."""
-        start = len(self.units)
+        block, (u - total_c) // a past the root's.  One sort over every draw
+        so far lists each unit's draws in label order: the default sort of
+        the distinct keys u*m + k while they fit int64, else a stable sort."""
+        gc, start = self.gc, len(self.units)
         units = self.units = np.concatenate((self.units, draws))
-        picks = np.maximum(units - self.gc.total_c, 0) // self.gc.a
-        order = np.argsort(units, kind="stable")
-        again = np.flatnonzero(units[order[1:]] == units[order[:-1]])
+        picks = np.maximum(units - gc.total_c, 0) // gc.a
+        m = len(units)
+        if gc.total(self.size + len(draws) - 1) * m <= 2**63:  # every u is below that total
+            ranked, order = np.divmod(np.sort(units * m + np.arange(m)), m)
+        else:
+            order = np.argsort(units, kind="stable")
+            ranked = units[order]
+        again = np.flatnonzero(ranked[1:] == ranked[:-1])
         picks[order[again + 1]] = order[again] + 1
         return picks[start:].astype(np.intp, copy=False)
 
@@ -347,29 +355,13 @@ class _Grower:
     def build(self) -> BucketTree:
         """The grown tree, its buckets listed in preorder.
 
-        A child is numbered after its parent, so one reverse pass sums the
-        subtree sizes; children are numbered in birth order, so one forward
-        pass hands each child the next free preorder position of its parent.
-        The labels, read in order and sorted stably by their bucket's
-        position, are the preorder's labels, cut per bucket.
+        `_preorder` finds each bucket's preorder position from the parents
+        by numpy passes alone.  The labels, read in order and sorted stably
+        by their bucket's position, are the preorder's labels, cut per bucket.
         """
         parent, cap, deg = self.arrays()
         n, nodes = self.size, len(parent)
-        # the passes read a list: pre-drawn b = 1 parents are an array
-        up = parent.tolist() if isinstance(self.parent, np.ndarray) else self.parent
-        size = [1] * nodes
-        # the iterator reads size[v] once every child of v has added its own
-        for p, s in zip(islice(reversed(up), nodes - 1), reversed(size)):
-            size[p] += s
-        # pos[v] is v's preorder position; once the pass has read v's subtree
-        # size, size[v] holds the next free position in that subtree instead
-        pos = [0] * nodes
-        size[0] = 1  # the root's subtree size is never read
-        for v, p, s in zip(range(1, nodes), islice(up, 1, None), islice(size, 1, None)):
-            at = pos[v] = size[p]
-            size[p] = at + s
-            size[v] = at + 1
-        pos = np.array(pos, dtype=np.intp)
+        pos = _preorder(parent)
         # the labels in preorder: a stable argsort of pos[where], as one sort
         # of distinct keys
         keys = pos[self.label_nodes()] * n + np.arange(n)
@@ -384,6 +376,48 @@ class _Grower:
     def census(self) -> NodeCensus:
         _, cap, deg = self.arrays()
         return _census(self.b, self.size, cap, deg)
+
+
+def _preorder(parent: np.ndarray) -> np.ndarray:
+    """Each node's preorder position, from its parent (-1 at the root), when
+    every node is numbered after its parent and children are visited in the
+    order they are numbered.
+
+    By ancestor doubling: up holds each node's 2^r-th ancestor in round r,
+    and adding every node's size into that ancestor's makes each size count
+    the subtree 2^(r+1) - 1 levels deep, so after ceil(log2 depth) rounds
+    each node but the root holds its subtree size.  A child lies 1 plus its
+    older siblings' sizes past its parent, and its position is the sum of
+    those steps up its path, added over the same ancestor arrays.  An
+    ancestor past the root reads the root, whose position is 0 and whose
+    size, which the rounds overcount, is set to m.  O(m log depth) numpy
+    work for m nodes.
+    """
+    m = len(parent)
+    up = parent.copy()
+    up[0] = 0
+    ups, size = [], np.ones(m)  # float64 sums are exact below 2^53 nodes
+    while np.count_nonzero(up):
+        ups.append(up)
+        size += np.bincount(up, weights=size, minlength=m)
+        up = up[up]
+    size[0] = m
+    size = size.astype(np.intp)
+    # the children grouped by parent, in birth order, and their parents: one
+    # sort of distinct keys, in which the root's comes first
+    index = np.arange(m)
+    parent_of, kids = np.divmod(np.sort(parent * m + index)[1:], m)
+    # a node's children weigh its size less 1, so under[p] sums the children
+    # of the nodes before p; a child's older siblings weigh what the children
+    # sorted before it do, less under[its parent]
+    under = size.cumsum() - size - index
+    ahead = size[kids]
+    ahead = ahead.cumsum() - ahead
+    pos = np.zeros(m, np.intp)
+    pos[kids] = ahead - under[parent_of] + 1
+    for up in ups:
+        pos += pos[up]
+    return pos
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:

@@ -3,9 +3,12 @@
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buckettrees import dist_desc, dist_k, families, gof, grow
 from buckettrees.bijections import cluster
@@ -184,10 +187,11 @@ PATH_RULE = families.linear(1, 0, -1, 1)  # weight 1 - deg: only the newest buck
 
 
 def test_path_rule_grows_a_deep_path():
-    n = 1000
-    tree = sample_tree(PATH_RULE, n, 4)
-    assert encode(tree) == "".join(f"{{{i}}}(" for i in range(1, n)) + f"{{{n}}}" + ")" * (n - 1)
-    assert sample_census(PATH_RULE, n, 4).n_deg == {0: 1, 1: n - 1}
+    for n in (1000, 10 ** 5):
+        tree = sample_tree(PATH_RULE, n, 4)
+        assert encode(tree) == ("".join(f"{{{i}}}(" for i in range(1, n)) + f"{{{n}}}"
+                                + ")" * (n - 1))
+        assert sample_census(PATH_RULE, n, 4).n_deg == {0: 1, 1: n - 1}
 
 
 def test_attraction_probs_on_a_deep_path():
@@ -326,6 +330,39 @@ def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
         assert g.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
         assert g.pick.tolist() == [0] + picks
     assert _state(g) == _clustered(spec, picks)
+
+
+# ary(1, 10^17): the slot sort keys u*m + k of n - 1 = m draws fit int64 up
+# to n = 10 and wrap past it; digests recorded while every slot sort was stable
+SLOT_KEY_DIGESTS = {
+    10: "edacb2c711c956df67f621d5a04b6bfac997d56402ba4f7b0821f7a060c892dc",
+    60: "a3f8df95261583309b0c8d6d7359867e50571e88878ebeda26e3ce217c02c002",
+}
+
+
+@pytest.mark.parametrize("n", list(SLOT_KEY_DIGESTS))
+def test_slot_trees_on_each_side_of_the_sort_key_bound_are_stable(n):
+    spec = families.ary(1, 10 ** 17)
+    assert (families.growth_coeffs(spec).total(n - 1) * (n - 1) <= 2 ** 63) == (n == 10)
+    text = encode(sample_tree(spec, n, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == SLOT_KEY_DIGESTS[n]
+
+
+def test_slot_picks_past_the_sort_key_bound_keep_each_units_draws_together():
+    # 41 draws against totals up to about 4*10^18: the key u*41 + k of a draw
+    # u = 2^63 // 41 wraps to a negative number from k = 8 on, so the draws of
+    # labels 5 and 42 would sort apart; every other draw takes its own unit
+    spec = families.ary(1, 10 ** 17)
+    gc, m = families.growth_coeffs(spec), 41
+    u = 2 ** 63 // m
+    draws = list(range(m))
+    draws[3] = draws[40] = u
+    assert gc.total(m) * m > 2 ** 63 and u < gc.total(4)
+    wrapped = np.argsort(np.array(draws) * m + np.arange(m)).tolist()
+    assert abs(wrapped.index(3) - wrapped.index(40)) > 1
+    picks = [max(d - gc.total_c, 0) // gc.a for d in draws]
+    picks[40] = 4  # label 42 takes over the unit label 5 took
+    assert grow._Grower(spec)._slot_picks(np.array(draws)).tolist() == picks
 
 
 LINEAR_RULES = [
@@ -559,3 +596,61 @@ def test_grown_trees_come_out_marked_valid_and_sized(spec):
             kids[parent[v]].append(v)
         reference = _numbered_tree(g.b, list(map(tuple, held)), kids, n)
         assert (tree.labels, tree.degrees) == (reference.labels, reference.degrees)
+
+
+def _two_pass_positions(parent) -> list:
+    """Each node's preorder position from its parent (-1 at the root), every
+    node numbered after its parent and children visited in birth order: one
+    reverse pass sums the subtree sizes, one forward pass hands each child
+    the next free position of its parent."""
+    up = list(parent)
+    nodes = len(up)
+    size = [1] * nodes
+    # the iterator reads size[v] once every child of v has added its own
+    for p, s in zip(islice(reversed(up), nodes - 1), reversed(size)):
+        size[p] += s
+    # once the pass has read v's subtree size, size[v] holds the next free
+    # position in that subtree instead
+    pos = [0] * nodes
+    size[0] = 1
+    for v, p, s in zip(range(1, nodes), islice(up, 1, None), islice(size, 1, None)):
+        at = pos[v] = size[p]
+        size[p] = at + s
+        size[v] = at + 1
+    return pos
+
+
+def _check_preorder(parent) -> None:
+    parent = np.asarray(parent, dtype=np.intp)
+    pos = grow._preorder(parent)
+    assert pos.dtype == np.intp
+    assert pos.tolist() == _two_pass_positions(parent.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_preorder_positions_match_the_two_passes(data):
+    parent = [-1]
+    for v in range(1, data.draw(st.integers(1, 60))):
+        parent.append(data.draw(st.integers(0, v - 1)))
+    _check_preorder(parent)
+
+
+def test_preorder_positions_of_fixed_shapes_match_the_two_passes():
+    _check_preorder([-1])  # one node
+    _check_preorder([-1] + [0] * 50)  # a star
+    _check_preorder([-1] + [2 * ((v - 1) // 2) for v in range(1, 100)])  # a caterpillar
+    _check_preorder(np.arange(-1, 10 ** 5 - 1))  # a path of 10^5 nodes: 17 rounds
+
+
+@pytest.mark.parametrize("spec", [rule(b) for b in (1, 2, 3) for rule in (
+    families.recursive,  # label picks
+    lambda b: families.port(b, 1),  # pre-drawn block picks
+    lambda b: families.ary(b, 3),  # slot picks
+    lambda b: families.linear(b, 1, 1, 1),  # live block picks
+    lambda b: families.linear(b, 1, Fraction(-1, 2), 1),  # groups, live total
+    lambda b: families.linear(b, 2, -2, 4),  # groups, pre-drawn
+)], ids=lambda s: s.describe())
+def test_preorder_positions_of_grown_parents_match_the_two_passes(spec):
+    for seed, n in enumerate((1, 2, 9, 500, 5000)):
+        _check_preorder(_grown(spec, n, seed).arrays()[0])
