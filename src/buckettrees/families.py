@@ -247,8 +247,9 @@ def growth_coeffs(spec: FamilySpec) -> GrowthCoeffs:
     probability of the family's growth process exactly.  Every rule is a
     linear one, a*(c-1) + beta*deg + m, a named family's being (A, -eps,
     A + eps), and is stored as (a, beta, m - a, -beta) once (a, beta, m)
-    are scaled to integers.  A rule under which some bucket can reach a
-    negative weight raises ValueError.
+    are scaled to coprime integers, so rules that differ by a factor grow
+    the same trees on the same draws.  A rule under which some bucket can
+    reach a negative weight raises ValueError.
     """
     if spec.kind == LINEAR:
         rule = (spec.lin_a, spec.lin_beta, spec.lin_m)
@@ -257,6 +258,8 @@ def growth_coeffs(spec: FamilySpec) -> GrowthCoeffs:
         rule = (A, -eps, A + eps)
     den = math.lcm(*(Fraction(f).denominator for f in rule))
     a, beta, m = (int(f * den) for f in rule)
+    g = math.gcd(a, beta, m) or 1  # the all-zero rule stays as it is
+    a, beta, m = a // g, beta // g, m // g
     gc = GrowthCoeffs(a, beta, m - a, -beta)
     # A bucket fills through capacities 1..b at degree 0, each state reached
     # only if the one before it has a positive weight; a full bucket's weight

@@ -38,7 +38,9 @@ from .trees import BucketTree, NodeCensus, _array_tree, _census, _parents, check
 class RngStream:
     """A seeded random stream that can spawn independent child streams.
 
-    The seed follows the count rule of `check_count`: an integer >= 0.
+    The seed, each spawn-key entry and each child index follow the count
+    rule of `check_count`: an integer >= 0.  The spawn key is a tuple; any
+    other key, seed or index raises ValueError.
     """
 
     seed: int
@@ -46,11 +48,14 @@ class RngStream:
 
     def __post_init__(self):
         self.seed = check_count(self.seed, "seed", 0)
+        if not isinstance(self.spawn_key, tuple):
+            raise ValueError(f"spawn_key must be a tuple, not {self.spawn_key!r}")
+        self.spawn_key = tuple(check_count(k, "spawn key entry k", 0) for k in self.spawn_key)
         self.generator = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)))
 
     def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.spawn_key + (index,))
+        return RngStream(self.seed, self.spawn_key + (check_count(index, "child index", 0),))
 
     def integers(self, high) -> int:
         return int(self.generator.integers(high))

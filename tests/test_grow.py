@@ -48,6 +48,16 @@ def test_linear_rule_can_mimic_recursive():
     assert attraction_probs(lin, tree) == attraction_probs(rec, tree)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_a_rule_with_a_common_factor_grows_the_reduced_rules_trees(b):
+    # linear(b, 2, -2, 4) is ary(b, 2) with every weight doubled: one rule, one sampler
+    doubled, ary = families.linear(b, 2, -2, 4), families.ary(b, 2)
+    assert families.growth_coeffs(doubled) == families.growth_coeffs(ary)
+    for seed, n in enumerate((2, 9, 50, 500)):
+        assert encode(sample_tree(doubled, n, seed)) == encode(sample_tree(ary, n, seed))
+        assert sample_census(doubled, n, seed) == sample_census(ary, n, seed)
+
+
 def test_sampling_is_deterministic_given_seed():
     spec = families.port(2, 1)
     a = sample_tree(spec, 50, RngStream(42))
@@ -119,6 +129,20 @@ def test_rng_child_streams_are_independent():
     base = RngStream(5)
     assert base.child(0).integers(10 ** 9) != base.child(1).integers(10 ** 9)
     assert RngStream(5).child(3).integers(10 ** 9) == RngStream(5).child(3).integers(10 ** 9)
+
+
+def test_rng_child_index_and_spawn_key_follow_the_count_rule():
+    for index in (True, 1.5, -1, "1"):
+        with pytest.raises(ValueError, match=r"child index must be >= 0 and an integer"):
+            RngStream(1).child(index)
+    for key in ((True,), (1.5,), (0, -1)):
+        with pytest.raises(ValueError, match=r"spawn key entry k must be >= 0 and an integer"):
+            RngStream(1, key)
+    with pytest.raises(ValueError, match=r"spawn_key must be a tuple, not \[1\]"):
+        RngStream(1, [1])
+    # numpy integers keep their streams
+    assert (RngStream(1, (np.int32(2),)).child(np.int64(3)).integers(10 ** 9)
+            == RngStream(1, (2,)).child(3).integers(10 ** 9))
 
 
 def test_small_trees_are_forced():
@@ -251,10 +275,13 @@ def test_a_total_weight_past_int64_names_the_rule_and_the_label(sampler):
     with pytest.raises(ValueError,
                        match=r"port:b=2,alpha=1/1000000000000000" + _PAST_INT64.format(10 ** 4)):
         sampler(families.port(2, Fraction(1, 10 ** 15)), 10 ** 4, 0)
-    # live totals: weight blocks (a child adds 10^17) and weight groups (a label adds 10^17)
+    # weight blocks on live totals (a child adds 10^17), weight groups (a label adds 10^17 + 1)
     with pytest.raises(ValueError, match=r"beta=100000000000000000,m=1" + _PAST_INT64.format(96)):
         sampler(families.linear(2, 1, 10 ** 17, 1), 200, 0)
-    with pytest.raises(ValueError, match=r"beta=-2,m=100000000000000000" + _PAST_INT64.format(94)):
+    with pytest.raises(ValueError, match=r"beta=-2,m=100000000000000001" + _PAST_INT64.format(94)):
+        sampler(families.linear(2, 10 ** 17 + 1, -2, 10 ** 17 + 1), 200, 0)
+    # a common factor 2 is divided out: a label adds 5 * 10^16, as on the slot path
+    with pytest.raises(ValueError, match=r"beta=-2,m=100000000000000000" + _PAST_INT64.format(186)):
         sampler(families.linear(2, 10 ** 17, -2, 10 ** 17), 200, 0)
 
 
@@ -513,7 +540,7 @@ ACCESSOR_RULES = [
     families.linear(1, 0, 2, Fraction(1, 2)), families.linear(2, 1, 1, 1),  # live block picks
     families.linear(1, 1, Fraction(-1, 2), 1),  # groups, live total
     families.linear(2, 1, Fraction(-2, 3), 1),
-    families.linear(1, 2, -2, 4), families.linear(2, 1, -2, 3),  # groups, pre-drawn
+    families.linear(1, 0, -1, 1), families.linear(2, 1, -2, 3),  # groups, pre-drawn
 ]
 
 
@@ -649,7 +676,7 @@ def test_preorder_positions_of_fixed_shapes_match_the_two_passes():
     lambda b: families.ary(b, 3),  # slot picks
     lambda b: families.linear(b, 1, 1, 1),  # live block picks
     lambda b: families.linear(b, 1, Fraction(-1, 2), 1),  # groups, live total
-    lambda b: families.linear(b, 2, -2, 4),  # groups, pre-drawn
+    lambda b: families.linear(b, 0, -1, 1),  # groups, pre-drawn
 )], ids=lambda s: s.describe())
 def test_preorder_positions_of_grown_parents_match_the_two_passes(spec):
     for seed, n in enumerate((1, 2, 9, 500, 5000)):
