@@ -7,8 +7,9 @@ bijections to increasing diamonds and clustered increasing trees.
 """
 
 from .families import FamilySpec, ary, linear, parse_family, port, recursive
-from .grow import RngStream, sample_census, sample_tree
+from .grow import sample_census, sample_tree
 from .pmf import Pmf
+from .rng import RngStream
 from .trees import (BucketNode, BucketTree, canonicalize, census, decode, encode,
                     from_doc, to_doc)
 

@@ -365,6 +365,9 @@ def encode_diamond(d: Diamond) -> str:
 
 # a label has no leading zeros, as encode_diamond writes it
 _PART = re.compile(r"\((0|[1-9][0-9]*)\)|<(0|[1-9][0-9]*) (0|[1-9][0-9]*)>\(")
+# the longest start of a part, maybe empty: the character past it is refused
+_PART_START = re.compile(r"(?:\((?:0|[1-9][0-9]*)?"
+                         r"|<(?:(?:0|[1-9][0-9]*)(?: (?:(?:0|[1-9][0-9]*)>?)?)?)?)?")
 
 
 @_collector_paused
@@ -380,7 +383,8 @@ def decode_diamond(text: str) -> Diamond:
         else:
             m = _PART.match(text, pos)
             if m is None:
-                raise ParseError("expected '(' or '<'", pos)
+                end = _PART_START.match(text, pos).end()
+                raise ParseError("malformed part" if end > pos else "expected '(' or '<'", end)
             pos = m.end()
             if open_parts:
                 degrees[open_parts[-1]] += 1

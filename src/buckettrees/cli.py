@@ -20,8 +20,8 @@ import click
 
 from . import bijections, dist_desc, dist_k, enumeration, families, grow, \
     montecarlo, spectral, urns, verify
-from .grow import RngStream
 from .pmf import Pmf
+from .rng import RngStream
 from .trees import decode, encode, to_doc
 
 

@@ -1,85 +1,35 @@
 """Label-by-label growth of random bucket trees.
 
 Every growth rule, named or linear, is one `families.GrowthCoeffs`: a
-bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  Each
-step draws one uniform integer below the total weight.  When the weight is
-a*c, no weight ever falls (`port`), or a full bucket loses one unit per
-child (`ary`), the draw resolves to a pick, the label whose bucket it
-chose: its parent in the b = 1 tree.  One clustering loop puts each label
-in its pick's bucket while that has room, else in a new child of it, so a
-grown tree is the paper's clustering of the b = 1 tree on the same draws;
-pre-drawn b = 1 picks need no loop: they are the parents, kept as one
-array.  Weight groups serve the other rules.  With bdeg + c == 0 the totals
-are deterministic, and all draws are made up front and resolved by numpy;
-else each label is drawn against the live total, which counts the nodes.  A
-label costs O(1) amortized time but for live blocks (bisection), slot picks
-(one sort) and rules with a < 0 < bdeg (a scan over weight groups).  The
-loops keep their state in Python lists; each list becomes an array once,
-when build() or the census reads it, and children are counted only then.
-build() orders the buckets by numpy passes alone, in O(log depth) rounds of
-ancestor doubling.  The tree has exactly the distribution of the family's
-growth rule.
+bucket weighs a*c + bdeg*deg + c in denominator-cleared integers.  A tree
+is grown in one pass: labels 2 .. n each draw one uniform integer below the
+total weight.  When the weight is a*c, no weight ever falls (`port`), or a
+full bucket loses one unit per child (`ary`), the draw resolves to a pick,
+the label whose bucket it chose: its parent in the b = 1 tree.  The picks
+are kept as one array, and one clustering loop puts each label in its
+pick's bucket while that has room, else in a new child of it, so a grown
+tree is the paper's clustering of the b = 1 tree on the same draws.
+Weight groups serve the other rules.  With bdeg + c == 0 the totals are
+deterministic, and all draws are made up front and resolved by numpy;
+else each label is drawn against the live total, which counts the nodes.
+A label costs O(1) amortized time but for live blocks (bisection), slot
+picks (one sort) and rules with a < 0 < bdeg (a scan over weight groups).
+build() orders the buckets by numpy passes alone, in O(log depth) rounds
+of ancestor doubling.  The tree has exactly the distribution of the
+family's growth rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import families
-from .families import FamilySpec
+from .families import FamilySpec, GrowthCoeffs
+from .rng import RngStream, _as_rng, _check_draw_bound
 from .trees import BucketTree, NodeCensus, _array_tree, _census, _parents, check_count
-
-
-@dataclass
-class RngStream:
-    """A seeded random stream that can spawn independent child streams.
-
-    The seed, each spawn-key entry and each child index follow the count
-    rule of `check_count`: an integer >= 0.  The spawn key is a tuple; any
-    other key, seed or index raises ValueError.
-    """
-
-    seed: int
-    spawn_key: tuple = ()
-
-    def __post_init__(self):
-        self.seed = check_count(self.seed, "seed", 0)
-        if not isinstance(self.spawn_key, tuple):
-            raise ValueError(f"spawn_key must be a tuple, not {self.spawn_key!r}")
-        self.spawn_key = tuple(check_count(k, "spawn key entry k", 0) for k in self.spawn_key)
-        self.generator = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)))
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.spawn_key + (check_count(index, "child index", 0),))
-
-    def integers(self, high) -> int:
-        return int(self.generator.integers(high))
-
-
-def _as_rng(rng) -> RngStream:
-    """rng if it is a stream, else the stream of the seed rng."""
-    return rng if isinstance(rng, RngStream) else RngStream(rng)
-
-
-def _draw_dtype(high: int):
-    """The integer dtype to draw below `high` in: int32 when it fits.
-
-    Below 2**31 numpy's bounded int32 and int64 draws take the same 32-bit
-    words and give the same numbers; int32 is cheaper to fill and compare.
-    """
-    return np.int32 if high < 2**31 else np.int64
-
-
-def _check_draw_bound(total: int, spec: FamilySpec, at: str) -> None:
-    """Refuse a total weight past 2^63 - 1, which int64 totals and draws cannot hold."""
-    if total >= 2**63:
-        raise ValueError(f"growth rule {spec.describe()} has total weight {total} {at}, "
-                         f"past the int64 draw bound 2^63 - 1")
 
 
 # ---------------------------------------------------------------------------
@@ -114,52 +64,86 @@ def attraction_probs(spec: FamilySpec, tree: BucketTree) -> list:
 _CHUNK = 1 << 13
 
 
+def _label_picks(gc: GrowthCoeffs, draws: np.ndarray) -> np.ndarray:
+    """The pre-drawn picks of labels 2 .. n when a node weighs a*c(v): u // a."""
+    return (draws // gc.a).astype(np.intp, copy=False)
+
+
+def _block_picks(gc: GrowthCoeffs, draws: np.ndarray) -> np.ndarray:
+    """The pre-drawn picks of labels 2 .. n when no weight ever falls.
+
+    So the weight units can stay in the order they were added: label j + 1
+    adds the block [T_j, T_j+1), T_j being the total before it.  Its first
+    node_weight(1, 0) units belong to the node label j + 1 entered and the
+    rest to its pick's, so a draw in them picks label j + 1 or that label's
+    pick.  The root's units [0, T_1) are block 0.  T_j = a*j + total_c for
+    j >= 1, so every block but the root's holds a units, and u - total_c < a
+    throughout the root's; unsigned, as u - total_c (total_c <= 0) may pass
+    2^63 - 1.  One pick may copy another, so pointer jumping resolves all
+    at once: to[k] is k once label k + 1's pick is known, else a label whose
+    pick it equals.
+    """
+    block, offset = np.divmod(draws.view(np.uint64) + -gc.total_c, gc.a)
+    block = np.concatenate(([0], block.astype(np.intp)))  # [k]: label k + 1's draw's block
+    to = np.arange(len(block))
+    spilled = np.flatnonzero(offset >= gc.node_weight(1, 0)) + 1
+    to[spilled] = block[spilled]
+    while (to != (hop := to[to])).any():
+        to = hop
+    return block[to[1:]]
+
+
+def _slot_picks(gc: GrowthCoeffs, draws: np.ndarray) -> np.ndarray:
+    """The pre-drawn picks of labels 2 .. n when each node of the b = 1 tree
+    holds a + 1 slots (every ary rule).
+
+    A new label takes over the unit its draw landed on and the a fresh units
+    of its block [T_j, T_j+1); the root's are [0, T_1).  So a draw picks the
+    last earlier label to draw the same unit, else the label of the unit's
+    block, (u - total_c) // a past the root's.  One sort lists each unit's
+    draws in label order: the default sort of the distinct keys u*m + k
+    while they fit int64, else a stable sort.
+    """
+    picks = np.maximum(draws - gc.total_c, 0) // gc.a
+    m = len(draws)
+    if gc.total(m) * m <= 2**63:  # every u is below that total
+        ranked, order = np.divmod(np.sort(draws * m + np.arange(m)), m)
+    else:
+        order = np.argsort(draws, kind="stable")
+        ranked = draws[order]
+    again = np.flatnonzero(ranked[1:] == ranked[:-1])
+    picks[order[again + 1]] = order[again] + 1
+    return picks.astype(np.intp, copy=False)
+
+
+_PICKS = {"label": _label_picks, "block": _block_picks, "slot": _slot_picks}
+
+
 class _Grower:
-    """Mutable growth state in flat per-node and per-label lists.
+    """The growth state of one size-n tree, grown once, in flat lists.
 
     Node v holds cap[v] labels; parent[v] is its parent (-1 at the root) and
-    where[i] is the node holding label i + 1.  At b = 1 where is the identity
-    and every cap 1, so pre-drawn picks join parent as an array and leave
-    cap and where unset.  Children are numbered in the order they are born;
-    only the weight groups count them as they go.  `arrays()` and
-    `label_nodes()` hand the state over as arrays, from which build() lists
-    the buckets in preorder, the form a BucketTree stores, with no Python
-    loop over nodes or labels.  `path` names how
-    a draw finds its node: by a pick ("label", "block" or "slot") and one
-    clustering loop, none when pre-drawn at b = 1, or by the weight groups'
-    own loop ("group").
+    where[i] is the node holding label i + 1.  On a pick path pick[i] is the
+    pick of label i + 2, so at b = 1 pick is parent[1:]; there where is the
+    identity and every cap 1, so pre-drawn picks leave cap and where unset.
+    Children are numbered in the order they are born; only the weight
+    groups count them as they go.  `arrays()` and `label_nodes()` hand the
+    state over as arrays, from which build() lists the buckets in preorder,
+    the form a BucketTree stores.  `path` names how a draw finds its node:
+    by a pick ("label", "block" or "slot"), or by the weight groups' own
+    loop ("group"), which keeps no pick.
     """
 
-    def __init__(self, spec: FamilySpec):
-        self.spec = spec
-        self.b = spec.b
+    def __init__(self, spec: FamilySpec, n: int, stream: RngStream):
+        self.spec, self.b, self.size = spec, spec.b, n
         self.gc = gc = families.growth_coeffs(spec)
-        self.cap = [1]
-        self.parent = [-1]
-        self.where = [0]
-        self.totals = [0]  # T_0 .. T_j when the totals are live, bisected for blocks
+        self.cap, self.parent, self.where = [1], [-1], [0]
         if gc.bdeg == gc.c == 0:
-            # weight a*c(v): u // a is a uniform label, the pick
             self.path = "label"
         elif gc.a >= 0 and gc.bdeg >= 0:
-            # Weights only ever increase, so the weight units can stay in the
-            # order they were added: label j + 1 adds the block [T_j, T_j+1),
-            # T_j being the total before it.  Its first node_weight(1, 0)
-            # units belong to the node label j + 1 entered and the rest to
-            # its pick's, so a draw in them picks label j + 1 or pick[j].
-            # The root's units [0, T_1) are block 0.  pick is an array when
-            # the totals are pre-drawn.
             self.path = "block"
-            self.pick = [0] if gc.bdeg + gc.c else np.zeros(1, np.intp)
         elif gc.a > 0 and gc.bdeg == -1 and gc.c == 1:
-            # Each node of the b = 1 tree holds a + 1 slots (every ary rule),
-            # and the totals are deterministic.  A new label takes over the
-            # unit its draw landed on and the a fresh units of its block
-            # [T_j, T_j+1); the root's are [0, T_1).  So a draw picks the
-            # last label to draw the same unit, else the block's label.
-            # units[k] is the draw of label k + 2.
             self.path = "slot"
-            self.units = np.zeros(0, np.int64)
         else:
             # Only the rules no block layout can grow come here: a < 0,
             # bdeg < -1, or bdeg = -1 with live totals or with a = 0.
@@ -171,113 +155,63 @@ class _Grower:
             # node of weight 0 is never drawn again, so it stays in the last
             # group it reached.  pos[v] is v's index in its group.
             self.path = "group"
-            self.deg = [0]
-            self.groups = [[0]]
+            self.deg, self.pos, self.groups = [0], [0], [[0]]
             self.table = [(gc.node_weight(1, 0), self.groups[0])]
-            self.pos = [0]
-
-    @property
-    def size(self) -> int:
-        return len(self.parent) if self.b == 1 else len(self.where)
-
-    def grow(self, count: int, stream: RngStream) -> None:
-        """Add `count` labels, each placed by one uniform integer below the total."""
-        gc = self.gc
-        if gc.bdeg + gc.c:
-            # the total counts the nodes, which are random: draw label by label
-            draws = self._live_draws(count, stream)
+        if gc.bdeg + gc.c:  # the total counts the nodes, which are random: draw label by label
             if self.path == "group":
-                return self._grow_by_group(draws)
-            return self._place(self._live_picks(draws))
-        if count == 0:
+                return self._grow_by_group(self._live_draws(stream))
+            self.pick = []
+            self._cluster(self._live_picks(stream))
+            self.pick = np.array(self.pick, dtype=np.intp)
             return
-        # the totals T_j before labels j + 1 = size + 1 .. size + count are
-        # deterministic, so all draws can be made up front; T_top is the largest
-        top = self.size + count - 1 if gc.a > 0 else self.size
+        draws = self._pre_draws(stream)
+        if self.path != "group":
+            self.pick = draws = _PICKS[self.path](gc, draws)
+            if self.b == 1:  # every label opens a node under its pick: no loop
+                self.parent = np.concatenate(([-1], draws))
+                self.pick, self.cap, self.where = self.parent[1:], None, None
+                return
+        place = self._grow_by_group if self.path == "group" else self._cluster
+        for start in range(0, n - 1, _CHUNK):  # bounds the Python ints alive at once
+            place(draws[start:start + _CHUNK].tolist())
+
+    def _pre_draws(self, stream: RngStream) -> np.ndarray:
+        """The draws of labels 2 .. n, made up front: their totals
+        T_j = a*j + total_c are deterministic."""
+        gc, n = self.gc, self.size
+        if n == 1:
+            return np.zeros(0, np.int64)
+        top = n - 1 if gc.a > 0 else 1  # T_top is the largest
         _check_draw_bound(gc.total(top), self.spec, f"before label {top + 1}")
-        totals = gc.a * np.arange(self.size, self.size + count, dtype=np.int64) + gc.total_c
+        totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c
         stuck = np.flatnonzero(totals <= 0)
         if stuck.size:
-            self._stuck(self.size + int(stuck[0]) + 1, int(totals[stuck[0]]))
-        draws = stream.generator.integers(0, totals)
-        if self.path == "label":
-            return self._place((draws // gc.a).astype(np.intp))
-        if self.path == "block":
-            # T_j = a*j + total_c for j >= 1, so every block but the root's
-            # holds a units, and u - total_c < a throughout the root's;
-            # unsigned, as u - total_c (total_c <= 0) may pass 2^63 - 1
-            block, offset = np.divmod(draws.view(np.uint64) + -gc.total_c, gc.a)
-            return self._place(self._block_picks(block.astype(np.intp), offset))
-        if self.path == "slot":
-            return self._place(self._slot_picks(draws))
-        for start in range(0, count, _CHUNK):  # bounds the Python ints alive at once
-            self._grow_by_group(draws[start:start + _CHUNK].tolist())
+            self._stuck(int(stuck[0]) + 2, int(totals[stuck[0]]))
+        return stream.generator.integers(0, totals)
 
-    def _place(self, picks) -> None:
-        """Place the labels by their picks.  Live picks run through the
-        clustering loop as they are drawn.  At b = 1 every label opens a
-        node, so a pre-drawn pick array is the parents and joins the parent
-        array as it is; otherwise the loop runs on it _CHUNK picks at a time."""
-        if not isinstance(picks, np.ndarray):
-            self._cluster(picks)
-        elif self.b == 1:
-            self.parent = np.concatenate((self.parent, picks))
-            self.cap = self.where = None
-        else:
-            for start in range(0, len(picks), _CHUNK):
-                self._cluster(picks[start:start + _CHUNK].tolist())
-
-    def _block_picks(self, block: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """The picks of the next labels from their draws' blocks and offsets:
-        block j's label, or pick[j] past its first node_weight(1, 0) units.
-        One pick may copy another, so pointer jumping resolves all at once:
-        to[k] is k once k's pick is known, else a label whose pick k's equals."""
-        start = len(self.pick)
-        to = np.arange(start + len(block))
-        own = to[start:]  # a view: each spilled draw's label points to its block's
-        own -= (offset >= self.gc.node_weight(1, 0)) * (own - block)
-        while (to != (hop := to[to])).any():
-            to = hop
-        self.pick = np.concatenate((self.pick, block))[to]
-        return self.pick[start:]
-
-    def _slot_picks(self, draws: np.ndarray) -> np.ndarray:
-        """The picks of the next labels from their draws: the last earlier
-        label whose draw took the same unit, else the label of the unit's
-        block, (u - total_c) // a past the root's.  One sort over every draw
-        so far lists each unit's draws in label order: the default sort of
-        the distinct keys u*m + k while they fit int64, else a stable sort."""
-        gc, start = self.gc, len(self.units)
-        units = self.units = np.concatenate((self.units, draws))
-        picks = np.maximum(units - gc.total_c, 0) // gc.a
-        m = len(units)
-        if gc.total(self.size + len(draws) - 1) * m <= 2**63:  # every u is below that total
-            ranked, order = np.divmod(np.sort(units * m + np.arange(m)), m)
-        else:
-            order = np.argsort(units, kind="stable")
-            ranked = units[order]
-        again = np.flatnonzero(ranked[1:] == ranked[:-1])
-        picks[order[again + 1]] = order[again] + 1
-        return picks[start:].astype(np.intp, copy=False)
-
-    def _live_draws(self, count: int, stream: RngStream):
-        """One draw per label below the live total; the block path keeps
-        each total for `_live_picks` to bisect."""
-        gc, cap, totals, block = self.gc, self.cap, self.totals, self.path == "block"
-        for n in range(self.size, self.size + count):
-            total = gc.total(n, len(cap))
+    def _live_draws(self, stream: RngStream):
+        """One draw per label below the live total, which counts the nodes."""
+        gc, cap = self.gc, self.cap
+        for size in range(1, self.size):
+            total = gc.total(size, len(cap))
             if not 0 < total < 2**63:
-                self._stuck(n + 1, total)
-            if block:
-                totals.append(total)
+                self._stuck(size + 1, total)
             yield stream.integers(total)
 
-    def _live_picks(self, draws):
-        """The pick of each live draw, its block found by bisection over the totals so far."""
-        pick, totals, fresh = self.pick, self.totals, self.gc.node_weight(1, 0)
-        for u in draws:
+    def _live_picks(self, stream: RngStream):
+        """One draw per label below the live total, resolved as `_block_picks`
+        does, its block found by bisection over the totals T_0 .. T_j so far;
+        the root's block [0, T_1) holds only the root's own units."""
+        gc, cap, pick = self.gc, self.cap, self.pick
+        totals, fresh = [0], gc.node_weight(1, 0)
+        for size in range(1, self.size):
+            total = gc.total(size, len(cap))
+            if not 0 < total < 2**63:
+                self._stuck(size + 1, total)
+            totals.append(total)
+            u = stream.integers(total)
             j = bisect_right(totals, u) - 1
-            j = j if u - totals[j] < fresh else pick[j]
+            j = j if u - totals[j] < fresh else pick[j - 1]
             pick.append(j)
             yield j
 
@@ -426,10 +360,7 @@ def _preorder(parent: np.ndarray) -> np.ndarray:
 
 
 def _grown(spec: FamilySpec, n: int, rng) -> _Grower:
-    n = check_count(n, "n")
-    g = _Grower(spec)
-    g.grow(n - 1, _as_rng(rng))
-    return g
+    return _Grower(spec, check_count(n, "n"), _as_rng(rng))
 
 
 def sample_tree(spec: FamilySpec, n: int, rng) -> BucketTree:

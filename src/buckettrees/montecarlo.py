@@ -33,7 +33,7 @@ import numpy as np
 
 from . import families, urns
 from .families import FamilySpec
-from .grow import _as_rng, _check_draw_bound, _draw_dtype
+from .rng import _as_rng, _check_draw_bound, _draw_dtype
 from .trees import check_count
 
 _WORD = 2**32  # numpy draws below totals up to this from 32-bit words

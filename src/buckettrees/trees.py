@@ -566,8 +566,11 @@ def encode(tree: BucketTree) -> str:
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at position {pos}")
+        super().__init__(message, pos)  # both args, so a pickled copy is rebuilt from them
         self.pos = pos
+
+    def __str__(self) -> str:
+        return "{} at position {}".format(*self.args)
 
 
 # the byte classes 0..8: '0', the other digits ('d'), '}', ',', '(', ')', any

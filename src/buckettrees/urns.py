@@ -25,7 +25,7 @@ import numpy as np
 
 from . import families
 from .families import FamilySpec, GrowthCoeffs, kappa as family_kappa
-from .grow import _as_rng, _check_draw_bound, _draw_dtype
+from .rng import _as_rng, _check_draw_bound, _draw_dtype
 from .spectral import family_roots, indicial_coeffs
 from .trees import NodeCensus, check_count
 

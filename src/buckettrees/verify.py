@@ -31,7 +31,7 @@ from .enumeration import (UNORDERED_GROWTH, UNORDERED_MODEL,
                           enumerate_trees, exact_probability,
                           exact_statistic_pmf, expected_capacity_counts)
 from .families import FamilySpec
-from .grow import RngStream
+from .rng import RngStream
 
 SIGNIFICANCE = 0.001
 

@@ -17,7 +17,8 @@ from buckettrees.bijections import (Diamond, bucket_to_diamond, check_diamond,
                                     weight_preserving_phi)
 from buckettrees.enumeration import (all_trees, distinct_unordered, enumerate_trees,
                                      growth_history_probability)
-from buckettrees.grow import RngStream, attraction_probs, sample_tree
+from buckettrees.grow import attraction_probs, sample_tree
+from buckettrees.rng import RngStream
 from buckettrees.trees import (BucketNode, BucketTree, BundledBucketTree, ParseError, _assemble,
                                canonicalize, check_valid, decode, encode, from_doc, to_doc)
 
@@ -285,6 +286,16 @@ def test_diamond_codec_round_trip():
 ])
 def test_a_diamond_label_past_the_digit_limit_is_a_parse_error(text, pos):
     with pytest.raises(ParseError, match="label longer than int.s digit limit") as err:
+        decode_diamond(text)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("(1", 2), ("(01)", 2), ("(1x)", 2), ("<1  3>((2))", 3), ("<13>((2))", 3), ("<1 3", 4),
+    ("<1 3>x", 5), ("<1 3>((2)", 9), ("<1 3>((2),,(4))", 10),
+])
+def test_a_malformed_diamond_text_is_refused_at_its_first_refused_character(text, pos):
+    with pytest.raises(ParseError) as err:
         decode_diamond(text)
     assert err.value.pos == pos
 

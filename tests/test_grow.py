@@ -1,6 +1,7 @@
 """Growth sampler: exact attraction probabilities and sampled distributions."""
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -14,8 +15,8 @@ from buckettrees import dist_desc, dist_k, families, gof, grow
 from buckettrees.bijections import cluster
 from buckettrees.enumeration import (UNORDERED_GROWTH, distinct_unordered,
                                      enumerate_trees, exact_probability)
-from buckettrees.grow import (RngStream, _grown, attraction_probs, sample_census,
-                              sample_tree)
+from buckettrees.grow import _grown, attraction_probs, sample_census, sample_tree
+from buckettrees.rng import RngStream
 from buckettrees.trees import (BucketNode, BucketTree, _numbered_tree, canonicalize, decode,
                                encode, validate)
 from buckettrees.verify import SIGNIFICANCE
@@ -294,18 +295,21 @@ def test_a_total_weight_just_below_int64_grows_the_recorded_tree():
     assert sample_census(spec, 93, 0).n_deg == {7: 1, 1: 33, 4: 6, 0: 41, 2: 8, 3: 4}
 
 
-def _python_picks(spec, seed: int, *counts: int) -> list:
-    """The picks of the labels a pre-drawn rule places by grow() calls of
-    these counts on one stream, resolved in Python ints from the same draws:
-    u // a on the label path; on the block path block j of the unit
-    u - total_c = j*a + o, or pick[j] once o passes its first
-    node_weight(1, 0) units; on the slot path the last label to draw unit
-    u, else the label of its block, max((u - total_c) // a, 0)."""
-    gc, gen, first, draws = families.growth_coeffs(spec), RngStream(seed).generator, 1, []
-    for count in filter(None, counts):
-        totals = gc.a * np.arange(first, first + count, dtype=np.int64) + gc.total_c
-        draws += gen.integers(0, totals).tolist()
-        first += count
+def _draws(spec, seed: int, n: int) -> np.ndarray:
+    """The draws of labels 2 .. n of a pre-drawn rule: one stream's
+    integers below the totals T_1 .. T_n-1."""
+    gc = families.growth_coeffs(spec)
+    return RngStream(seed).generator.integers(0, gc.a * np.arange(1, n, dtype=np.int64)
+                                              + gc.total_c)
+
+
+def _python_picks(spec, seed: int, n: int) -> list:
+    """The picks of labels 2 .. n of a pre-drawn rule, resolved in Python
+    ints from the same draws: u // a on the label path; on the block path
+    block j of the unit u - total_c = j*a + o, or pick[j] once o passes its
+    first node_weight(1, 0) units; on the slot path the last label to draw
+    unit u, else the label of its block, max((u - total_c) // a, 0)."""
+    gc, draws = families.growth_coeffs(spec), _draws(spec, seed, n).tolist()
     if gc.bdeg == gc.c == 0:
         return [u // gc.a for u in draws]
     if gc.bdeg == -1:
@@ -321,15 +325,46 @@ def _python_picks(spec, seed: int, *counts: int) -> list:
     return picks[1:]
 
 
+def _python_live_picks(spec, seed: int, n: int) -> list:
+    """The picks of labels 2 .. n of a live block rule, replayed in Python
+    ints from the same stream: label j + 1 draws u below T_j = gc.total(j,
+    nodes) and picks block j's label, T_j <= u < T_j+1, or that label's pick
+    past its first node_weight(1, 0) units; it then opens a node when its
+    pick's bucket is full."""
+    gc, stream, b = families.growth_coeffs(spec), RngStream(seed), spec.b
+    starts, picks, cap, where = [0], [0], [1], [0]
+    for size in range(1, n):
+        starts.append(gc.total(size, len(cap)))
+        u = stream.integers(starts[-1])
+        j = bisect_right(starts, u) - 1
+        picks.append(j if u - starts[j] < gc.node_weight(1, 0) else picks[j])
+        v = where[picks[-1]]
+        if cap[v] < b:
+            cap[v] += 1
+        else:
+            v = len(cap)
+            cap.append(1)
+        where.append(v)
+    return picks[1:]
+
+
 def _clustered(spec, picks) -> tuple:
     """(cap, deg, parent, where) after the clustering loop places labels 2, 3,
-    ... by these picks, each node's children counted from the parents."""
-    ref = grow._Grower(spec)
-    ref._cluster(picks)
-    deg = [0] * len(ref.cap)
-    for p in ref.parent[1:]:
-        deg[p] += 1
-    return ref.cap, deg, ref.parent, ref.where
+    ... by these picks: each in its pick's bucket while that has room, else
+    in a new child of it."""
+    cap, deg, parent, where = [1], [0], [-1], [0]
+    for i in picks:
+        v = where[i]
+        if cap[v] < spec.b:
+            cap[v] += 1
+            where.append(v)
+        else:
+            where.append(len(cap))
+            cap.append(1)
+            deg.append(0)
+            parent.append(v)
+            deg[v] += 1
+    return cap, deg, parent, where
 
 
 def _state(g) -> tuple:
@@ -344,19 +379,35 @@ def _state(g) -> tuple:
 ])
 def test_pre_drawn_blocks_resolve_draws_past_int64_exactly(spec, n, seed):
     # the largest total fits int64, but a unit offset or block end near it
-    # does not: the grower must resolve the draws as Python ints do
-    gc = families.growth_coeffs(spec)
-    totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c
-    draws = RngStream(seed).generator.integers(0, totals).tolist()
+    # does not: the resolvers must resolve the draws as Python ints do
+    gc, draws = families.growth_coeffs(spec), _draws(spec, seed, n)
     g = _grown(spec, n, seed)
-    picks = _python_picks(spec, seed, n - 1)
+    picks = _python_picks(spec, seed, n)
     if g.path == "slot":
-        assert max(draws) + gc.a > 2 ** 63 - 1 and g.units.tolist() == draws
-        assert grow._Grower(spec)._slot_picks(np.array(draws)).tolist() == picks
+        assert max(draws.tolist()) + gc.a > 2 ** 63 - 1
+        assert grow._slot_picks(gc, draws).tolist() == picks
     else:
-        assert g.path == "block" and max(draws) - gc.total_c > 2 ** 63 - 1
-        assert g.pick.tolist() == [0] + picks
+        assert g.path == "block" and max(draws.tolist()) - gc.total_c > 2 ** 63 - 1
+        assert grow._block_picks(gc, draws).tolist() == picks
+    assert g.pick.tolist() == picks
     assert _state(g) == _clustered(spec, picks)
+
+
+@pytest.mark.parametrize("path, spec", [
+    ("label", families.recursive(1)), ("label", families.recursive(2)),
+    ("block", families.port(1, 1)), ("block", families.port(2, Fraction(1, 2))),
+    ("slot", families.ary(1, 3)), ("slot", families.ary(2, 3)),
+], ids=lambda x: x.describe() if isinstance(x, families.FamilySpec) else x)
+def test_each_pre_drawn_resolver_matches_the_python_picks(path, spec):
+    """Each resolver, called on its own draws, gives the picks resolved in
+    Python ints; the grower takes that path and keeps those picks."""
+    gc = families.growth_coeffs(spec)
+    resolve = getattr(grow, f"_{path}_picks")
+    for seed, n in enumerate((1, 2, 3, 60, 3000)):
+        picks = resolve(gc, _draws(spec, seed, n))
+        assert picks.dtype == np.intp and picks.tolist() == _python_picks(spec, seed, n)
+        g = _grown(spec, n, seed)
+        assert g.path == path and g.pick.tolist() == picks.tolist()
 
 
 # ary(1, 10^17): the slot sort keys u*m + k of n - 1 = m draws fit int64 up
@@ -389,7 +440,7 @@ def test_slot_picks_past_the_sort_key_bound_keep_each_units_draws_together():
     assert abs(wrapped.index(3) - wrapped.index(40)) > 1
     picks = [max(d - gc.total_c, 0) // gc.a for d in draws]
     picks[40] = 4  # label 42 takes over the unit label 5 took
-    assert grow._Grower(spec)._slot_picks(np.array(draws)).tolist() == picks
+    assert grow._slot_picks(gc, np.array(draws)).tolist() == picks
 
 
 LINEAR_RULES = [
@@ -419,26 +470,28 @@ def _units_owned(g) -> list:
     starts = np.array([0] + [gc.total(j, int(nodes[j - 1])) for j in range(1, g.size + 1)])
     units = np.arange(starts[-1])
     block = np.searchsorted(starts, units, side="right") - 1
-    label = np.where(units - starts[block] >= gc.node_weight(1, 0), np.array(g.pick)[block], block)
+    picks = np.concatenate(([0], g.pick))  # the root's block is its own
+    label = np.where(units - starts[block] >= gc.node_weight(1, 0), picks[block], block)
     return np.bincount(where[label], minlength=nodes[-1]).tolist()
 
 
-def _units_owned_by_slot(g) -> list:
+def _units_owned_by_slot(g, draws) -> list:
     """How many of the weight units below the total each node owns, when
-    every unit is resolved through the kept draws g.units and the label nodes.
+    every unit is resolved through the grower's draws and label nodes.
 
     Unit u is the last label's to draw it, else its block's label,
     max((u - total_c) // a, 0).
     """
     gc = g.gc
     owner = (np.maximum(np.arange(gc.total(g.size)) - gc.total_c, 0) // gc.a).tolist()
-    for label, u in enumerate(g.units.tolist(), start=1):
+    for label, u in enumerate(draws.tolist(), start=1):
         owner[u] = label
     return np.bincount(g.label_nodes()[owner], minlength=len(g.arrays()[0])).tolist()
 
 
 @pytest.mark.parametrize("spec", LINEAR_RULES + [families.ary(1, 2), families.ary(1, 3),
-                                                 families.ary(2, 2), families.ary(3, 5)],
+                                                 families.ary(2, 2), families.ary(3, 5),
+                                                 families.port(1, 1), families.port(2, 1)],
                          ids=lambda s: s.describe())
 def test_grown_linear_trees_conserve_the_total_weight(spec):
     """The node weights of a grown tree sum to gc.total(n, N), none is
@@ -453,14 +506,13 @@ def test_grown_linear_trees_conserve_the_total_weight(spec):
         assert total == gc.total(n, nodes) == sum(weights)
         assert min(weights) >= 0
         if g.path == "block":
-            assert len(g.pick) == n
+            assert len(g.pick) == n - 1
             assert _units_owned(g) == weights
         elif g.path == "slot":
-            # one kept draw per label but the root
-            assert len(g.units) == n - 1
-            assert _units_owned_by_slot(g) == weights
+            assert len(g.pick) == n - 1
+            assert _units_owned_by_slot(g, _draws(spec, seed, n)) == weights
         elif g.path == "group":
-            assert g.totals == [0]  # a live total is kept only for bisection
+            assert not hasattr(g, "pick")
             assert sum(unit * len(group) for unit, group in g.table) == total
             assert all(g.groups[c - 1 + d][g.pos[v]] == v
                        for v, (c, d) in enumerate(zip(cap, deg)))
@@ -498,39 +550,14 @@ def test_grown_trees_are_the_clustering_of_their_b1_trees(spec):
 def test_b1_trees_place_their_picks_without_the_clustering_loop(spec, top):
     """At b = 1 every label opens a bucket under its pick, so the grower
     places all picks at once; the clustering loop on the same picks gives the
-    same state.  On a pre-drawn rule the picks are resolved again from the
-    draws in Python ints, on a live one read from the grower."""
+    same state.  The picks, kept as parent[1:], are resolved again in Python
+    ints: from the draws on a pre-drawn rule, replayed from the stream on a
+    live one."""
     for seed, n in enumerate((1, 2, 7, 60, top)):
         g = _grown(spec, n, seed)
-        picks = g.pick[1:] if spec.kind == "linear" else _python_picks(spec, seed, n - 1)
-        assert g.arrays()[0][1:].tolist() == list(picks)
+        picks = (_python_live_picks if spec.kind == "linear" else _python_picks)(spec, seed, n)
+        assert g.arrays()[0][1:].tolist() == g.pick.tolist() == picks
         assert _state(g) == _clustered(spec, picks)
-
-
-@pytest.mark.parametrize("spec", [families.recursive(1), families.recursive(2),
-                                  families.port(1, 1), families.port(2, 1),
-                                  families.ary(1, 3), families.ary(2, 3),
-                                  families.linear(1, 0, 2, Fraction(1, 2)),
-                                  families.linear(2, 1, 1, 1)], ids=lambda s: s.describe())
-def test_a_grower_grown_twice_places_every_pick(spec):
-    """A second grow() call draws below the totals after the first and
-    resolves its draws against the first call's picks and state: the state
-    is the clustering loop's over all picks.  On a pre-drawn rule the picks
-    are resolved again in Python ints, on a live one read from the grower."""
-    g, stream = grow._Grower(spec), RngStream(7)
-    g.grow(300, stream)
-    g.grow(700, stream)
-    if spec.kind == "linear":
-        nodes = np.maximum.accumulate(g.label_nodes()) + 1  # after labels 1 .. j
-        assert g.totals == [0] + [g.gc.total(j, int(nodes[j - 1])) for j in range(1, 1001)]
-        picks = g.pick[1:]
-    else:
-        picks = _python_picks(spec, 7, 300, 700)
-        assert g.path != "block" or g.pick.tolist() == [0] + picks
-    assert _state(g) == _clustered(spec, picks)
-    if g.path == "block":
-        cap, deg, _, _ = _state(g)
-        assert _units_owned(g) == list(map(g.gc.node_weight, cap, deg))
 
 
 ACCESSOR_RULES = [
@@ -547,22 +574,19 @@ ACCESSOR_RULES = [
 @pytest.mark.parametrize("spec", ACCESSOR_RULES, ids=lambda s: s.describe())
 def test_the_accessors_hand_over_the_grown_state(spec):
     """arrays() and label_nodes() give intp arrays equal to the list
-    reference, grown once and twice: the clustering loop's state over the
-    picks (resolved again in Python ints when pre-drawn, read from the
-    grower when live), or the weight groups' own lists, which at b = 1 the
-    accessors do not read."""
-    for counts, seed in (((0,), 1), ((999,), 3), ((300, 700), 7)):
-        g, stream = grow._Grower(spec), RngStream(seed)
-        for count in counts:
-            g.grow(count, stream)
+    reference: the clustering loop's state over the picks, which equal the
+    picks resolved again in Python ints, or the weight groups' own lists,
+    which at b = 1 the accessors do not read."""
+    for n, seed in ((1, 1), (1000, 3)):
+        g = _grown(spec, n, seed)
         assert [a.dtype for a in (*g.arrays(), g.label_nodes())] == [np.intp] * 4
         if g.path == "group":
             reference = g.cap, g.deg, g.parent, g.where
-        elif g.gc.bdeg + g.gc.c:
-            reference = _clustered(spec, g.pick[1:])
         else:
-            reference = _clustered(spec, _python_picks(spec, seed, *counts))
-        assert _state(g) == reference, counts
+            picks = (_python_live_picks if g.gc.bdeg + g.gc.c else _python_picks)(spec, seed, n)
+            assert g.pick.tolist() == picks
+            reference = _clustered(spec, picks)
+        assert _state(g) == reference, n
 
 
 # one named rule per selection path: label, block and slot picks

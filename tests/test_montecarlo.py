@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from buckettrees import dist_desc, dist_k, families, gof, montecarlo, urns, verify
-from buckettrees.grow import RngStream, _draw_dtype
+from buckettrees.rng import RngStream, _draw_dtype
 
 LEVEL = 0.001
 

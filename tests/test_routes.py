@@ -1,6 +1,7 @@
 """The two routes stay independent: the brute-force oracle (`enumeration`)
-and the grower (`grow`) reach none of the closed-form modules through the
-package's imports, read with ast (no import), followed transitively.
+and the grower (`grow`) reach none of the closed-form modules, and the
+closed forms and kernels reach no grower, through the package's imports,
+read with ast (no import), followed transitively.
 """
 
 import ast
@@ -36,11 +37,17 @@ def _reached(module: str) -> set:
 
 @pytest.mark.parametrize("module, reached", [
     ("enumeration", {"families", "pmf", "trees"}),
-    ("grow", {"families", "trees"}),
+    ("grow", {"families", "rng", "trees"}),
 ])
 def test_the_oracle_and_the_grower_reach_no_closed_form(module, reached):
     assert not _reached(module) & CLOSED_FORMS
     assert _reached(module) == reached
+
+
+@pytest.mark.parametrize("module", ["urns", "montecarlo", "dist_k", "dist_desc"])
+def test_the_closed_forms_and_kernels_reach_no_grower(module):
+    # the kernels take their streams and draw rules from `rng`
+    assert "grow" not in _reached(module)
 
 
 def test_the_import_walk_sees_a_closed_form_route():

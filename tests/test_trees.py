@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import inspect
+import multiprocessing
 import pickle
 import random
 import re
@@ -10,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -66,6 +68,17 @@ def test_decode_refuses_zero_padded_labels(text, pos):
         decode(text, 2)
     assert info.value.pos == pos
     assert _outcome(decode, text, 2) == _outcome(_ref_decode, text, 2)
+
+
+def test_a_parse_error_survives_pickling_and_a_worker_process():
+    error = pickle.loads(pickle.dumps(ParseError("bad", 3)))
+    assert type(error) is ParseError and (str(error), error.pos) == ("bad at position 3", 3)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        refused = pool.submit(decode, "{1}({2}x", 1)
+        with pytest.raises(ParseError) as err:
+            refused.result(timeout=120)
+    assert (str(err.value), err.value.pos) == ("expected ')' at position 7", 7)
 
 
 _HUGE = "7" * 4400  # past int's digit limit of 4300

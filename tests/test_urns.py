@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from buckettrees import dist_k, families, grow, montecarlo, urns, verify
-from buckettrees.grow import RngStream
+from buckettrees.rng import RngStream
 from buckettrees.urns import (build_urn, census_counts, char_poly,
                               char_poly_closed, node_type_estimates,
                               simulate_urn, urn_spectrum)

@@ -107,9 +107,12 @@ def grower(rows):
         for sampler in (grow.sample_tree, grow.sample_census):
             rows.time(f"{sampler.__name__}, seed 1", family, 10 ** 5,
                       lambda: sampler(spec, 10 ** 5, 1), "warm")
-    # build()'s numpy passes have a fixed cost, which a 10-label tree shows
-    rows.time("sample_tree, seed 1", "recursive:b=2", 10,
-              lambda: grow.sample_tree(families.recursive(2), 10, 1), "best", 1000)
+    # build()'s numpy passes and the label, block and slot pick resolvers have
+    # a fixed cost per call, which a 10-label tree shows
+    for family in ("recursive:b=2", "port:b=2,alpha=1", "ary:b=2,d=3"):
+        spec = families.parse_family(family)
+        rows.time("sample_tree, seed 1", family, 10,
+                  lambda: grow.sample_tree(spec, 10, 1), "best", 1000)
 
 
 def kernels(rows):
