@@ -384,7 +384,8 @@ def decode_diamond(text: str) -> Diamond:
             m = _PART.match(text, pos)
             if m is None:
                 end = _PART_START.match(text, pos).end()
-                raise ParseError("malformed part" if end > pos else "expected '(' or '<'", end)
+                raise ParseError("malformed part" if end > pos else "expected '(', '<' or ')'"
+                                 if open_parts else "expected '(' or '<'", end)
             pos = m.end()
             if open_parts:
                 degrees[open_parts[-1]] += 1

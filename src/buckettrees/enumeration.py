@@ -87,14 +87,13 @@ class _Walk:
     def run(self, visit, marked: int = 0, ordered: bool = False) -> None:
         """Call visit(signature, y, count, key) at each tree, with the state complete.
 
-        With `ordered`, every ordered tree is visited with count 1, and
-        `order` is kept: a new bucket goes into the preorder just before the
-        subtree of the child whose gap it takes, or after its parent's
-        subtree in the last gap. Otherwise a new child of a full bucket of
-        degree d takes only the last of its d + 1 gaps and multiplies the
-        count by d + 1, so each tree is visited once up to sibling order
-        (children in label order) with its prod(deg!) orderings as its
-        count; the signature and every statistic here ignore sibling order.
+        With `ordered`, every ordered tree is visited with count 1 and `order` is
+        kept: a new bucket enters it just before the child whose gap it takes, or
+        in the last gap just after its parent's last descendant. Otherwise a new
+        child of a full bucket of degree d takes only the last of its d + 1 gaps
+        and multiplies the count by d + 1, so each tree is visited once up to
+        sibling order (children in label order) with its prod(deg!) orderings as
+        its count; the signature and every statistic here ignore sibling order.
 
         The signature is the sum over buckets of (n+1)**(capacity + degree - 1).
         The exponent numbers the (capacity, degree) pairs, since only full
@@ -115,7 +114,6 @@ class _Walk:
         power = [(n + 1) ** c for c in range(b + n)]
         single = [(j,) for j in range(n + 1)]
         inside = [marked == 1]  # per bucket: in the subtree of marked's bucket
-        up, size = [-1], [1]  # per bucket: its parent and its subtree's bucket count
 
         def place(j, sig, y, count, key):
             if j > n:
@@ -150,27 +148,15 @@ class _Walk:
                     place(j + 1, s, y + into, count * (d + 1), k)
                     gaps.pop()
                 else:
-                    up.append(v)
-                    size.append(1)
-                    w = v
-                    while w >= 0:
-                        size[w] += 1
-                        w = up[w]
-                    at = order.index(v) + 1  # u's place in the preorder at gap 0
-                    for g in range(d + 1):
+                    w = v  # v's last descendant
+                    while kids[w]:
+                        w = kids[w][-1]
+                    for g, at in enumerate([*map(order.index, gaps), order.index(w) + 1]):
                         gaps.insert(g, u)
                         order.insert(at, u)
                         place(j + 1, s, y + into, count, k)
                         del order[at]
                         del gaps[g]
-                        if g < d:
-                            at += size[gaps[g]]
-                    w = v
-                    while w >= 0:
-                        size[w] -= 1
-                        w = up[w]
-                    size.pop()
-                    up.pop()
                 holder.pop()
                 inside.pop()
                 kids.pop()
@@ -184,7 +170,6 @@ class _Walk:
         walk = cls(tree.b, tree.size)
         walk.labels = list(tree.labels)
         walk.kids = _kids(tree.degrees)
-        walk.order = list(range(len(tree.labels)))
         walk.holder = [0] * (tree.size + 1)
         for v, held in enumerate(tree.labels):
             for label in held:

@@ -139,13 +139,11 @@ def parse_family(text: str) -> FamilySpec:
     return spec
 
 
-def frac_binom(x, m: int):
-    """Generalized binomial C(x, m) for integer m: exact for rational x, a
-    complex number for complex x (m >= 1), and 0 for m < 0."""
+def frac_binom(x, m: int) -> Fraction:
+    """Generalized binomial C(x, m), exact, for rational x and integer m; 0 for m < 0."""
     if m < 0:
         return Fraction(0)
-    if not isinstance(x, complex):
-        x = Fraction(x)
+    x = Fraction(x)
     out = Fraction(1)
     for i in range(m):
         out *= (x - i) / (i + 1)

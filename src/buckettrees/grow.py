@@ -179,8 +179,6 @@ class _Grower:
         """The draws of labels 2 .. n, made up front: their totals
         T_j = a*j + total_c are deterministic."""
         gc, n = self.gc, self.size
-        if n == 1:
-            return np.zeros(0, np.int64)
         top = n - 1 if gc.a > 0 else 1  # T_top is the largest
         _check_draw_bound(gc.total(top), self.spec, f"before label {top + 1}")
         totals = gc.a * np.arange(1, n, dtype=np.int64) + gc.total_c

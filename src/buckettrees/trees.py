@@ -233,12 +233,10 @@ def _bucket_labels(flat: np.ndarray, caps: np.ndarray) -> tuple:
 
 
 def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = False,
-               root: BucketNode | None = None, into: BucketTree | None = None,
-               canonical: bool | None = None) -> BucketTree:
+               root: BucketNode | None = None, into: BucketTree | None = None) -> BucketTree:
     """The BucketTree of a preorder in tuple form whose label count is known.
 
-    valid=True marks it as checked, for a tree that is valid by construction,
-    and canonical=True as canonical, for a valid tree canonical by construction.
+    valid=True marks it as checked, for a tree that is valid by construction.
     """
     tree = object.__new__(BucketTree) if into is None else into
     _put_b(tree, b)
@@ -246,7 +244,7 @@ def _flat_tree(b: int, labels: tuple, degrees: tuple, size: int, valid: bool = F
     _put_degrees(tree, degrees)
     _put_size(tree, size)
     _put_valid(tree, valid)
-    _put_canonical(tree, canonical)
+    _put_canonical(tree, None)
     _put_root(tree, root)
     _put_arrays(tree, None)
     return tree
@@ -257,7 +255,8 @@ def _array_tree(b: int, flat: np.ndarray, caps: np.ndarray, degrees: np.ndarray,
     """The BucketTree of a preorder in array form: flat holds every label in
     preorder, caps each bucket's capacity (at least 1) and degrees its number
     of children.  The arrays become read-only; labels and degrees are left
-    unset until read, and valid and canonical mark the tree as in `_flat_tree`."""
+    unset until read.  valid=True marks the tree as checked and canonical=True
+    as canonical, for a tree that is so by construction."""
     for array in (flat, caps, degrees):
         array.flags.writeable = False
     tree = object.__new__(_ArrayTree)

@@ -290,14 +290,24 @@ def test_a_diamond_label_past_the_digit_limit_is_a_parse_error(text, pos):
     assert err.value.pos == pos
 
 
-@pytest.mark.parametrize("text, pos", [
-    ("(1", 2), ("(01)", 2), ("(1x)", 2), ("<1  3>((2))", 3), ("<13>((2))", 3), ("<1 3", 4),
-    ("<1 3>x", 5), ("<1 3>((2)", 9), ("<1 3>((2),,(4))", 10),
-])
-def test_a_malformed_diamond_text_is_refused_at_its_first_refused_character(text, pos):
+MALFORMED, NO_PART, NO_PART_OR_CLOSE = ("malformed part", "expected '(' or '<'",
+                                        "expected '(', '<' or ')'")
+REFUSED_DIAMONDS = [
+    ("(1", 2, MALFORMED), ("(01)", 2, MALFORMED), ("(1x)", 2, MALFORMED),
+    ("<1  3>((2))", 3, MALFORMED), ("<13>((2))", 3, MALFORMED), ("<1 3", 4, MALFORMED),
+    ("<1 3>x", 5, MALFORMED), ("x", 0, NO_PART),
+    # while a composite is open, a ')' would close it
+    ("<1 3>((2)", 9, NO_PART_OR_CLOSE), ("<1 3>((2),", 10, NO_PART_OR_CLOSE),
+    ("<1 3>(", 6, NO_PART_OR_CLOSE), ("<1 3>((2),,(4))", 10, NO_PART_OR_CLOSE),
+]
+
+
+@pytest.mark.parametrize("text, pos, message", REFUSED_DIAMONDS,
+                         ids=[f"{text}-{pos}" for text, pos, _ in REFUSED_DIAMONDS])
+def test_a_malformed_diamond_text_is_refused_at_its_first_refused_character(text, pos, message):
     with pytest.raises(ParseError) as err:
         decode_diamond(text)
-    assert err.value.pos == pos
+    assert err.value.args == (message, pos)
 
 
 def test_diamond_codec_takes_optional_commas_and_rejects_malformed_text():

@@ -1,5 +1,6 @@
 """The brute-force oracle: totals, measures, and statistic pmfs."""
 
+import hashlib
 import math
 import pickle
 import re
@@ -542,6 +543,21 @@ def test_the_counted_walk_visits_the_canonical_trees(b, top):
         walk.run(visit)
         assert [t for t, _ in visited] == [t for t in ordered if canonicalize(t) is t], (b, n)
         assert [c for _, c in visited] == [sizes[t] for t, _ in visited], (b, n)
+
+
+@pytest.mark.parametrize("b, n, digest", [
+    (1, 7, "4c6d22abdbdf0945cb3778f58e5f218639cfba87f2ba15fee78a288d4fa1848f"),
+    (2, 8, "d3ce7062157e8dcc833608158c0284034b554d4507d13dee284cce34027aeef4"),
+    (3, 8, "5bf47f50721d8a4d4b1d1675be22bdc09b699efc8c11a466b96c9ec0b6aae09a")])
+def test_tree_lists_keep_their_order_and_canonical_marks(b, n, digest):
+    """The sha256 of every listed tree's labels and degrees, in list order,
+    each with the list index of its canonical form."""
+    trees = all_trees(b, n)
+    at = {id(t): i for i, t in enumerate(trees)}
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(repr((t.labels, t.degrees, at[id(canonicalize(t))])).encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("b", [0, -1, True, False, 2.5, "2", None])

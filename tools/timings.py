@@ -161,7 +161,8 @@ def oracle(rows):
     from buckettrees import enumeration as en
     from buckettrees import families, verify
     one, three, port = families.recursive(1), families.recursive(3), families.port(2, 1)
-    rows.time("all_trees(1, n)", None, 8, lambda: en.all_trees(1, 8))
+    for b in (1, 2, 3):
+        rows.time(f"all_trees({b}, n)", None, 8, lambda: en.all_trees(b, 8))
     en._trees.cache_clear()  # so the next call builds the tree list again
     ts = rows.time("enumerate_trees", "recursive:b=1", 8, lambda: en.enumerate_trees(one, 8))
     rows.time("distinct_unordered", "recursive:b=1", 8, lambda: en.distinct_unordered(ts))
